@@ -1,141 +1,25 @@
 """Closed-form kernel mean embeddings, with a numerical oracle and
 Bayesian quadrature / MMD consumers built on top of them."""
 
-from .dictionary import (
-    Embedding,
-    embed,
-    fbm_uniform,
-    gauss_cross_kpq,
-    gauss_gauss,
-    gauss_uniform,
-    matern_gauss_kp,
-    matern_uniform_general,
-    matern_uniform_special,
-    periodic_sobolev_embed,
-    powerseries_gauss,
-    powerseries_uniform,
-    sphere_embed,
-    wendland0_uniform,
-    wendland_gauss_kp,
-)
-from .combinators import (
-    change_of_measure,
-    matrix_valued_embed,
-    mixture_embed,
-    product_embed,
-    pushforward_embed,
-)
-from .errors import (
-    InvalidSpecError,
-    KembedError,
-    NumericalFailure,
-    UnsupportedPairError,
-)
-from .kernels import (
-    AffineMap,
-    ComposedKernel,
-    FbmKernel,
-    GaussianKernel,
-    Kernel,
-    Map,
-    MaternKernel,
-    MatrixValuedKernel,
-    NormalICDFMap,
-    PeriodicSobolevKernel,
-    PowerSeriesKernel,
-    ProductKernel,
-    SphereSmoothKernel,
-    SphereSobolevKernel,
-    SumKernel,
-    WendlandKernel,
-    kernel_eval,
-)
-from .measures import (
-    EmpiricalMeasure,
-    GaussianMeasure,
-    Measure,
-    MixtureMeasure,
-    PushforwardMeasure,
-    ScoreMeasure,
-    SphereUniformMeasure,
-    UniformBoxMeasure,
-)
-from .oracle import OracleEstimate, estimate_kp, estimate_kpp, estimate_mean
-from .quadrature import (
-    BQPosterior,
-    QuadratureProblem,
-    bq_posterior,
-    make_problem,
-    mmd2,
-    optimal_weights,
-    wce,
-)
-from .stein import SteinKernel, stein_embed, stein_eval
+from . import combinators, dictionary, errors, kernels, measures, oracle, quadrature, stein
+from .combinators import *  # noqa: F401,F403
+from .dictionary import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .stein import *  # noqa: F401,F403
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
-    "BQPosterior",
-    "ComposedKernel",
-    "Embedding",
-    "EmpiricalMeasure",
-    "FbmKernel",
-    "GaussianKernel",
-    "GaussianMeasure",
-    "InvalidSpecError",
-    "Kernel",
-    "KembedError",
-    "Map",
-    "MaternKernel",
-    "MatrixValuedKernel",
-    "Measure",
-    "MixtureMeasure",
-    "NormalICDFMap",
-    "NumericalFailure",
-    "OracleEstimate",
-    "PeriodicSobolevKernel",
-    "PowerSeriesKernel",
-    "ProductKernel",
-    "PushforwardMeasure",
-    "QuadratureProblem",
-    "ScoreMeasure",
-    "SphereSmoothKernel",
-    "SphereSobolevKernel",
-    "SphereUniformMeasure",
-    "SteinKernel",
-    "SumKernel",
-    "UniformBoxMeasure",
-    "UnsupportedPairError",
-    "WendlandKernel",
-    "bq_posterior",
-    "change_of_measure",
-    "embed",
-    "estimate_kp",
-    "estimate_kpp",
-    "estimate_mean",
-    "fbm_uniform",
-    "gauss_cross_kpq",
-    "gauss_gauss",
-    "gauss_uniform",
-    "kernel_eval",
-    "make_problem",
-    "matern_gauss_kp",
-    "matern_uniform_general",
-    "matern_uniform_special",
-    "matrix_valued_embed",
-    "mixture_embed",
-    "mmd2",
-    "optimal_weights",
-    "periodic_sobolev_embed",
-    "powerseries_gauss",
-    "powerseries_uniform",
-    "product_embed",
-    "pushforward_embed",
-    "sphere_embed",
-    "stein_embed",
-    "stein_eval",
-    "wce",
-    "wendland0_uniform",
-    "wendland_gauss_kp",
+    *combinators.__all__,
+    *dictionary.__all__,
+    *errors.__all__,
+    *kernels.__all__,
+    *measures.__all__,
+    *oracle.__all__,
+    *quadrature.__all__,
+    *stein.__all__,
 ]

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import oracle, quadrature
+from . import oracle, quadrature, stein  # noqa: F401 (defines the stein kernel family)
 from .dictionary import CLOSED_FORM, embed
 from .errors import (
     InvalidSpecError,
@@ -30,34 +30,8 @@ from .errors import (
     NumericalFailure,
     UnsupportedPairError,
 )
-from .kernels import (
-    AffineMap,
-    ComposedKernel,
-    FbmKernel,
-    GaussianKernel,
-    Kernel,
-    Map,
-    MaternKernel,
-    MatrixValuedKernel,
-    NormalICDFMap,
-    PeriodicSobolevKernel,
-    PowerSeriesKernel,
-    ProductKernel,
-    SphereSmoothKernel,
-    SphereSobolevKernel,
-    SumKernel,
-    WendlandKernel,
-)
-from .measures import (
-    EmpiricalMeasure,
-    GaussianMeasure,
-    Measure,
-    MixtureMeasure,
-    PushforwardMeasure,
-    SphereUniformMeasure,
-    UniformBoxMeasure,
-)
-from .stein import SteinKernel
+from .kernels import MAP_KINDS, Kernel, Map
+from .measures import EmpiricalMeasure, Measure
 
 SCHEMA_VERSION = 1
 
@@ -92,193 +66,129 @@ def _check_keys(obj, context: str, required: tuple[str, ...], optional: tuple[st
             raise InvalidSpecError(f"missing key '{key}' in {context}")
 
 
-def _floats(value, context: str) -> list[float]:
-    if not isinstance(value, (list, tuple)):
-        raise InvalidSpecError(f"{context} must be an array of numbers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InvalidSpecError(f"{context} must contain numbers only")
-        out.append(float(v))
+def _number(value, context: str) -> float:
+    # false for NaN, infinities and integers beyond the float range
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise InvalidSpecError(f"{context} must be a finite number")
+    return float(value)
+
+
+def _integer(value, context: str) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise InvalidSpecError(f"{context} must be an integer")
+    return int(value)
+
+
+def _array(value, context: str) -> np.ndarray:
+    """A number or a rectangular nested array of numbers."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise InvalidSpecError(f"{context} must be a finite number or a rectangular array of them")
+    return arr.astype(float)
+
+
+def _each(convert):
+    """Converter of an array that applies ``convert`` to each item."""
+
+    def converter(value, context: str) -> list:
+        if not isinstance(value, list):
+            raise InvalidSpecError(f"{context} must be an array")
+        return [convert(v, f"{context}[{i}]") for i, v in enumerate(value)]
+
+    return converter
+
+
+_numbers = _each(_number)
+
+
+def _term(value, context: str) -> tuple:
+    return tuple(_fields(value, context, {"alpha": "integers", "coeff": "number"}, ()).values())
+
+
+# Value converters by the names that the ``spec`` of each kernel,
+# measure and map kind uses. Nested objects go through the public
+# parsers by name, so that wrappers installed on them see every call.
+_CONVERTERS = {
+    "number": _number,
+    "integer": _integer,
+    "numbers": _numbers,
+    "integers": _each(_integer),
+    "array": _array,
+    "terms": _each(_term),
+    "kernel": lambda v, c: parse_kernel(v, c),
+    "kernels": _each(lambda v, c: parse_kernel(v, c)),
+    "measure": lambda v, c: parse_measure(v, c),
+    "measures": _each(lambda v, c: parse_measure(v, c)),
+    "map": lambda v, c: parse_map(v, c),
+}
+
+
+def _fields(obj, context: str, spec: dict, extra: tuple[str, ...]) -> dict:
+    """Check an object's keys against a spec (plus the ``extra`` keys
+    the caller reads itself) and convert each value present."""
+    required = tuple(k for k, conv in spec.items() if not conv.endswith("?"))
+    _check_keys(obj, context, extra + required, tuple(spec))
+    if spec and not required and not any(k in obj for k in spec):
+        # a family whose keys are all alternatives needs one of them
+        raise InvalidSpecError(f"missing key '{next(iter(spec))}' in {context}")
+    return {
+        key: _CONVERTERS[conv.rstrip("?")](obj[key], f"{context}.{key}")
+        for key, conv in spec.items()
+        if key in obj
+    }
+
+
+def _table(entries: dict) -> tuple[dict, tuple[str, ...]]:
+    """Entries name -> (factory, spec), with the union of their keys."""
+    return entries, tuple(sorted({k for _, spec in entries.values() for k in spec}))
+
+
+def _families(base) -> dict:
+    """family -> (class, spec) for every subclass of ``base`` that
+    declares its spec form."""
+    out = {}
+    pending = [base]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if vars(cls).get("spec") is not None:
+            out[cls.family] = (cls, cls.spec)
     return out
 
 
+_KERNELS = _table(_families(Kernel))
+_MEASURES = _table(_families(Measure))
+_MAPS = _table(MAP_KINDS)
+
+
+def _build(obj, context: str, table, tag: str, noun: str):
+    """Check a spec object against the entry its ``tag`` key names,
+    convert its values and call the entry's factory with them."""
+    entries, keys_any = table
+    _check_keys(obj, context, (tag,), keys_any)
+    name = obj[tag]
+    if not isinstance(name, str) or name not in entries:
+        raise InvalidSpecError(f"unknown {noun} '{name}' in {context}")
+    factory, spec = entries[name]
+    return factory(**_fields(obj, context, spec, (tag,)))
+
+
 def parse_kernel(obj, context: str = "kernel") -> Kernel:
-    _check_keys(obj, context, ("family",), _KERNEL_KEYS_ANY)
-    family = obj["family"]
-    if family == "gaussian":
-        _check_keys(obj, context, ("family",), ("lengthscales", "matrix"))
-        if "matrix" in obj:
-            return GaussianKernel(matrix=np.asarray(obj["matrix"], dtype=float))
-        if "lengthscales" not in obj:
-            raise InvalidSpecError(f"missing key 'lengthscales' in {context}")
-        return GaussianKernel(
-            lengthscales=tuple(_floats(obj["lengthscales"], f"{context}.lengthscales"))
-        )
-    if family == "matern":
-        _check_keys(obj, context, ("family", "nu", "lengthscale"))
-        return MaternKernel(nu=float(obj["nu"]), lengthscale=float(obj["lengthscale"]))
-    if family == "wendland":
-        _check_keys(obj, context, ("family", "order", "lengthscale"))
-        return WendlandKernel(
-            order=int(obj["order"]), lengthscale=float(obj["lengthscale"])
-        )
-    if family == "fbm":
-        _check_keys(obj, context, ("family", "hurst"), ("domain",))
-        domain = obj.get("domain")
-        if domain is not None:
-            domain = tuple(_floats(domain, f"{context}.domain"))
-        return FbmKernel(hurst=float(obj["hurst"]), domain=domain)
-    if family == "power_series":
-        _check_keys(obj, context, ("family", "terms"))
-        terms = []
-        if not isinstance(obj["terms"], list):
-            raise InvalidSpecError(f"{context}.terms must be an array")
-        for i, term in enumerate(obj["terms"]):
-            _check_keys(term, f"{context}.terms[{i}]", ("alpha", "coeff"))
-            alpha = tuple(
-                int(a) for a in _floats(term["alpha"], f"{context}.terms[{i}].alpha")
-            )
-            terms.append((alpha, float(term["coeff"])))
-        return PowerSeriesKernel(terms)
-    if family == "sphere_sobolev32":
-        _check_keys(obj, context, ("family",))
-        return SphereSobolevKernel()
-    if family == "sphere_smooth":
-        _check_keys(obj, context, ("family",))
-        return SphereSmoothKernel()
-    if family == "periodic_sobolev":
-        _check_keys(obj, context, ("family", "r"))
-        return PeriodicSobolevKernel(r=int(obj["r"]))
-    if family == "sum":
-        _check_keys(obj, context, ("family", "children", "weights"))
-        children = [
-            parse_kernel(c, f"{context}.children[{i}]")
-            for i, c in enumerate(obj["children"])
-        ]
-        return SumKernel(children, _floats(obj["weights"], f"{context}.weights"))
-    if family == "product":
-        _check_keys(obj, context, ("family", "children", "block_dims"))
-        children = [
-            parse_kernel(c, f"{context}.children[{i}]")
-            for i, c in enumerate(obj["children"])
-        ]
-        dims = [int(d) for d in _floats(obj["block_dims"], f"{context}.block_dims")]
-        return ProductKernel(children, dims)
-    if family == "matrix_valued":
-        _check_keys(obj, context, ("family", "base", "matrix"))
-        return MatrixValuedKernel(
-            base=parse_kernel(obj["base"], f"{context}.base"),
-            matrix=np.asarray(obj["matrix"], dtype=float),
-        )
-    if family == "composed":
-        _check_keys(obj, context, ("family", "base", "map"))
-        return ComposedKernel(
-            base=parse_kernel(obj["base"], f"{context}.base"),
-            map=parse_map(obj["map"], f"{context}.map"),
-        )
-    if family == "stein":
-        _check_keys(obj, context, ("family", "base", "target"), ("c",))
-        return SteinKernel(
-            base=parse_kernel(obj["base"], f"{context}.base"),
-            target=parse_measure(obj["target"], f"{context}.target"),
-            c=float(obj.get("c", 0.0)),
-        )
-    raise InvalidSpecError(f"unknown kernel family '{family}' in {context}")
-
-
-_KERNEL_KEYS_ANY = (
-    "lengthscales",
-    "matrix",
-    "nu",
-    "lengthscale",
-    "order",
-    "hurst",
-    "domain",
-    "terms",
-    "r",
-    "children",
-    "weights",
-    "block_dims",
-    "base",
-    "map",
-    "target",
-    "c",
-)
+    return _build(obj, context, _KERNELS, "family", "kernel family")
 
 
 def parse_map(obj, context: str = "map") -> Map:
-    _check_keys(obj, context, ("kind",), ("scale", "shift"))
-    kind = obj["kind"]
-    if kind == "affine":
-        _check_keys(obj, context, ("kind", "scale", "shift"))
-        return AffineMap(
-            _floats(obj["scale"], f"{context}.scale"),
-            _floats(obj["shift"], f"{context}.shift"),
-        )
-    if kind == "normal_icdf":
-        _check_keys(obj, context, ("kind",))
-        return NormalICDFMap()
-    raise InvalidSpecError(f"unknown map kind '{kind}' in {context}")
+    return _build(obj, context, _MAPS, "kind", "map kind")
 
 
 def parse_measure(obj, context: str = "measure") -> Measure:
-    _check_keys(obj, context, ("family",), _MEASURE_KEYS_ANY)
-    family = obj["family"]
-    if family == "uniform_box":
-        _check_keys(obj, context, ("family", "lows", "highs"))
-        return UniformBoxMeasure(
-            tuple(_floats(obj["lows"], f"{context}.lows")),
-            tuple(_floats(obj["highs"], f"{context}.highs")),
-        )
-    if family == "gaussian":
-        _check_keys(obj, context, ("family", "mean", "cov"))
-        cov = obj["cov"]
-        if isinstance(cov, (int, float)) and not isinstance(cov, bool):
-            cov_arr = float(cov)
-        else:
-            cov_arr = np.asarray(cov, dtype=float)
-        return GaussianMeasure(
-            tuple(_floats(obj["mean"], f"{context}.mean")), cov_arr
-        )
-    if family == "sphere_uniform":
-        _check_keys(obj, context, ("family", "d"))
-        return SphereUniformMeasure(int(obj["d"]))
-    if family == "mixture":
-        _check_keys(obj, context, ("family", "components", "weights"))
-        comps = [
-            parse_measure(c, f"{context}.components[{i}]")
-            for i, c in enumerate(obj["components"])
-        ]
-        return MixtureMeasure(comps, _floats(obj["weights"], f"{context}.weights"))
-    if family == "pushforward":
-        _check_keys(obj, context, ("family", "base", "map"))
-        return PushforwardMeasure(
-            parse_measure(obj["base"], f"{context}.base"),
-            parse_map(obj["map"], f"{context}.map"),
-        )
-    if family == "empirical":
-        _check_keys(obj, context, ("family", "points"), ("weights",))
-        pts = np.asarray(obj["points"], dtype=float)
-        weights = obj.get("weights")
-        if weights is not None:
-            weights = _floats(weights, f"{context}.weights")
-        return EmpiricalMeasure(pts, weights)
-    raise InvalidSpecError(f"unknown measure family '{family}' in {context}")
-
-
-_MEASURE_KEYS_ANY = (
-    "lows",
-    "highs",
-    "mean",
-    "cov",
-    "d",
-    "components",
-    "weights",
-    "base",
-    "map",
-    "points",
-)
+    return _build(obj, context, _MEASURES, "family", "measure family")
 
 
 def load_spec(path: str) -> dict:
@@ -359,7 +269,7 @@ def _rows_from_json(text: str, with_values: bool):
             if "values" not in doc:
                 raise InvalidSpecError("data file must provide 'values'")
             vals = np.asarray(
-                _floats(doc["values"], "data.values"), dtype=float
+                _numbers(doc["values"], "data.values"), dtype=float
             )
     elif isinstance(doc, list):
         arr = np.asarray(doc, dtype=float)

@@ -14,14 +14,16 @@ from .dictionary import (
     CLOSED_FORM,
     NUMERIC_FALLBACK,
     Embedding,
+    _recognize_pushforward,
     gauss_cross_kpq,
 )
 from .errors import InvalidSpecError
-from .kernels import GaussianKernel, Map, as_point
+from .kernels import ComposedKernel, GaussianKernel, Map, as_point
 from .measures import (
     EmpiricalMeasure,
     GaussianMeasure,
     Measure,
+    PushforwardMeasure,
     UniformBoxMeasure,
 )
 
@@ -150,6 +152,12 @@ def _cross_kpq(
     mixture components, one in each argument."""
     kernel = part_j.kernel
     mj, mk = part_j.measure, part_k.measure
+    if isinstance(kernel, ComposedKernel):
+        # K(phi(x), phi(y)) against P_j and P_k is the base kernel against
+        # their images, which may have a closed-form cross term
+        images = [_recognize_pushforward(PushforwardMeasure(m, kernel.map)) for m in (mj, mk)]
+        if None not in images:
+            kernel, (mj, mk) = kernel.base, images
     if (
         isinstance(kernel, GaussianKernel)
         and isinstance(mj, GaussianMeasure)
@@ -200,9 +208,7 @@ def pushforward_embed(inner: Embedding, map: Map) -> Embedding:
     and the double integral is unchanged."""
 
     def kp(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.asarray([map.forward(v) for v in x], dtype=float).ravel()
-        return inner.kp_at(y)
+        return inner.kp_at(map.forward(as_point(x)))
 
     return Embedding(
         kp_fn=kp,

@@ -12,7 +12,7 @@ no known expression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -57,7 +57,6 @@ from .specfun import (
 __all__ = [
     "Embedding",
     "MaternUniformCoefficients",
-    "MaternGaussianShifts",
     "embed",
     "gauss_uniform",
     "gauss_gauss",
@@ -378,40 +377,6 @@ def matern_uniform_special(n: int, lengthscale: float, a: float, b: float) -> Em
 
 
 # --- Matern kernels, Gaussian measure --------------------------------------
-
-
-@dataclass(frozen=True)
-class MaternGaussianShifts:
-    """The shifted means mu -+ sqrt(2n+1) sigma^2 / l entering the
-    Matern-Gaussian embeddings, and s = sqrt(2) sigma."""
-
-    mu: float
-    sigma: float
-    lengthscale: float
-
-    @property
-    def s(self) -> float:
-        return math.sqrt(2.0) * self.sigma
-
-    def shift(self, n: int, sign: float) -> float:
-        root = math.sqrt(2 * n + 1)
-        return self.mu + sign * root * self.sigma**2 / self.lengthscale
-
-    @property
-    def mu1(self):
-        return self.shift(1, -1.0)
-
-    @property
-    def mu2(self):
-        return self.shift(1, +1.0)
-
-    @property
-    def mu3(self):
-        return self.shift(2, -1.0)
-
-    @property
-    def mu4(self):
-        return self.shift(2, +1.0)
 
 
 def _matern_gauss_term(
@@ -855,32 +820,29 @@ def embed(
 
     from . import combinators, stein
 
-    if isinstance(kernel, stein.SteinKernel):
+    if isinstance(kernel, stein.SteinKernel) and kernel.is_target(measure):
         return stein.stein_embed(kernel)
     if isinstance(measure, ScoreMeasure):
         raise UnsupportedPairError(
-            "score-only measures pair only with Stein kernels"
+            "score-only measures pair only with a Stein kernel targeting them"
         )
+    # Combinator results are rebuilt to carry the requested kernel and
+    # measure, which their consumers (Gram matrices, cross terms) use.
     if isinstance(kernel, MatrixValuedKernel):
         inner = embed(kernel.base, measure, budget=budget, seed=seed)
-        return combinators.matrix_valued_embed(inner, kernel.matrix)
+        built = combinators.matrix_valued_embed(inner, kernel.matrix)
+        return replace(built, kernel=kernel, measure=measure)
     if isinstance(kernel, SumKernel):
         parts = [embed(c, measure, budget=budget, seed=seed) for c in kernel.children]
-        return combinators.mixture_embed(
+        built = combinators.mixture_embed(
             [parts], [1.0], kernel.weights, budget=budget, seed=seed
         )
+        pair_id = "sum/" + "+".join(p.pair_id for p in parts)
+        return replace(built, pair_id=pair_id, kernel=kernel, measure=measure)
     if isinstance(measure, MixtureMeasure):
-        children = (
-            kernel.children if isinstance(kernel, SumKernel) else (kernel,)
-        )
-        gammas = kernel.weights if isinstance(kernel, SumKernel) else (1.0,)
-        parts = [
-            [embed(k, comp, budget=budget, seed=seed) for k in children]
-            for comp in measure.components
-        ]
-        return combinators.mixture_embed(
-            parts, measure.weights, gammas, budget=budget, seed=seed
-        )
+        parts = [[embed(kernel, comp, budget=budget, seed=seed)] for comp in measure.components]
+        built = combinators.mixture_embed(parts, measure.weights, budget=budget, seed=seed)
+        return replace(built, kernel=kernel, measure=measure)
     if isinstance(measure, PushforwardMeasure):
         recognized = _recognize_pushforward(measure)
         if recognized is not None:
@@ -888,7 +850,8 @@ def embed(
     if isinstance(kernel, ComposedKernel):
         image = PushforwardMeasure(measure, kernel.map)
         inner = embed(kernel.base, image, budget=budget, seed=seed)
-        return combinators.pushforward_embed(inner, kernel.map)
+        built = combinators.pushforward_embed(inner, kernel.map)
+        return replace(built, kernel=kernel, measure=measure)
     if isinstance(kernel, ProductKernel):
         factors = combinators.split_product_measure(measure, kernel.block_dims)
         if factors is not None:
@@ -896,7 +859,8 @@ def embed(
                 embed(k, m, budget=budget, seed=seed)
                 for k, m in zip(kernel.children, factors)
             ]
-            return combinators.product_embed(parts, kernel.block_dims)
+            built = combinators.product_embed(parts, kernel.block_dims)
+            return replace(built, kernel=kernel, measure=measure)
     if isinstance(measure, EmpiricalMeasure):
         return empirical_embed(kernel, measure)
 

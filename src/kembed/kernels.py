@@ -34,7 +34,6 @@ __all__ = [
     "Map",
     "AffineMap",
     "NormalICDFMap",
-    "kernel_eval",
     "matern_half_integer",
     "periodic_sobolev_series",
 ]
@@ -69,9 +68,20 @@ def as_points(X, dim: int | None = None) -> np.ndarray:
 
 
 class Kernel:
-    """Base kernel interface."""
+    """Base kernel interface.
+
+    Each family states its spec-file form and its quadrature hints here,
+    once. ``spec`` maps each key of the family's spec object to the name
+    of its value converter in :mod:`kembed.cli` (a trailing ``?`` marks
+    an optional key); it is None for kernels with no spec form. The
+    hints tell the oracle where ``y -> K(x, y)`` is not analytic, so it
+    can split its panels there without consulting any closed form.
+    """
 
     family: str = "kernel"
+    spec: dict[str, str] | None = None
+    #: True when y -> K(x, y) is analytic, so Gauss-Hermite quadrature applies.
+    smooth: bool = False
 
     @property
     def dim(self) -> int | None:
@@ -99,6 +109,20 @@ class Kernel:
         X = as_points(X, self.dim)
         return np.vstack([self.batch(X[i], X) for i in range(X.shape[0])])
 
+    def inner_breaks(self, x: float) -> list[tuple[float, bool]] | None:
+        """Non-smooth abscissas of y -> K(x, y) for scalar inputs, each
+        flagged True when the kernel has a fractional-power singularity
+        there. None means the kernel is not safe for panel quadrature."""
+        return [] if self.smooth else None
+
+    def outer_breaks(self, lo: float, hi: float) -> list[tuple[float, bool]] | None:
+        """Non-smooth abscissas of the partially integrated function
+        s -> integral of K(s, .) over [lo, hi], flagged as in
+        :meth:`inner_breaks`. One integration pass smooths plain kinks
+        away, so only support-edge crossings and fractional powers
+        survive."""
+        return [] if self.smooth else None
+
 
 def _norm_diff(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.sum((x - y) ** 2)))
@@ -116,6 +140,8 @@ class GaussianKernel(Kernel):
     matrix: np.ndarray | None = None
 
     family = "gaussian"
+    spec = {"lengthscales": "numbers?", "matrix": "array?"}
+    smooth = True
 
     def __post_init__(self):
         if (self.lengthscales is None) == (self.matrix is None):
@@ -226,6 +252,7 @@ class MaternKernel(Kernel):
     lengthscale: float = 1.0
 
     family = "matern"
+    spec = {"nu": "number", "lengthscale": "number"}
 
     def __post_init__(self):
         n = self.nu - 0.5
@@ -244,6 +271,12 @@ class MaternKernel(Kernel):
 
     def _eval(self, x, y):
         return _matern_explicit(self.n, _norm_diff(x, y) / self.lengthscale)
+
+    def inner_breaks(self, x):
+        return [(x, False)]
+
+    def outer_breaks(self, lo, hi):
+        return []
 
     def batch(self, x, Y):
         x = as_point(x, self.dim)
@@ -269,6 +302,7 @@ class WendlandKernel(Kernel):
     lengthscale: float = 1.0
 
     family = "wendland"
+    spec = {"order": "integer", "lengthscale": "number"}
 
     def __post_init__(self):
         if self.order not in (0, 2, 4):
@@ -279,6 +313,14 @@ class WendlandKernel(Kernel):
 
     def _eval(self, x, y):
         return float(_wendland(self.order, _norm_diff(x, y) / self.lengthscale))
+
+    def inner_breaks(self, x):
+        ls = self.lengthscale
+        return [(x - ls, False), (x, False), (x + ls, False)]
+
+    def outer_breaks(self, lo, hi):
+        ls = self.lengthscale
+        return [(lo + ls, False), (hi - ls, False)]
 
     def batch(self, x, Y):
         x = as_point(x, self.dim)
@@ -300,12 +342,15 @@ class FbmKernel(Kernel):
     domain: tuple[float, float] | None = None
 
     family = "fbm"
+    spec = {"hurst": "number", "domain": "numbers?"}
 
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
             raise InvalidSpecError(f"hurst must lie in (0, 1), got {self.hurst}")
         object.__setattr__(self, "hurst", float(self.hurst))
         if self.domain is not None:
+            if len(self.domain) != 2:
+                raise InvalidSpecError("domain must be a pair [a, b]")
             a, b = (float(v) for v in self.domain)
             if not (0.0 <= a < b):
                 raise InvalidSpecError(
@@ -345,6 +390,16 @@ class FbmKernel(Kernel):
         yv = Y[:, 0]
         return 0.5 * (abs(float(x[0])) ** h + np.abs(yv) ** h - np.abs(float(x[0]) - yv) ** h)
 
+    def inner_breaks(self, x):
+        if self.hurst == 0.5:
+            return [(x, False)]
+        return [(x, True), (0.0, True)]
+
+    def outer_breaks(self, lo, hi):
+        if self.hurst == 0.5:
+            return []
+        return [(lo, True), (hi, True)]
+
 
 @dataclass(frozen=True, eq=False)
 class PowerSeriesKernel(Kernel):
@@ -358,6 +413,8 @@ class PowerSeriesKernel(Kernel):
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
     family = "power_series"
+    spec = {"terms": "terms"}
+    smooth = True
 
     def __post_init__(self):
         if isinstance(self.terms, dict):
@@ -422,6 +479,7 @@ class SphereSobolevKernel(Kernel):
     """K(x, y) = 2 - ||x - y|| on the unit sphere S^2 in R^3."""
 
     family = "sphere_sobolev32"
+    spec = {}
 
     @property
     def dim(self):
@@ -443,6 +501,8 @@ class SphereSmoothKernel(Kernel):
     """Analytic kernel 48 exp(-12 ||x - y||^2) on the unit sphere S^2."""
 
     family = "sphere_smooth"
+    spec = {}
+    smooth = True
 
     @property
     def dim(self):
@@ -470,6 +530,7 @@ class PeriodicSobolevKernel(Kernel):
     r: int
 
     family = "periodic_sobolev"
+    spec = {"r": "integer"}
 
     def __post_init__(self):
         if self.r not in range(1, 7):
@@ -499,6 +560,12 @@ class PeriodicSobolevKernel(Kernel):
         vals = np.array([bernoulli_poly(2 * self.r, v) for v in t])
         return 1.0 + self._scale() * vals
 
+    def inner_breaks(self, x):
+        return [(x, False)]
+
+    def outer_breaks(self, lo, hi):
+        return []
+
 
 def periodic_sobolev_series(r: int, x: float, y: float, n_terms: int) -> float:
     """Truncated Fourier form 1 + 2 sum_k k^{-2r} cos(2 pi k (x - y)).
@@ -521,6 +588,7 @@ class SumKernel(Kernel):
     weights: tuple[float, ...]
 
     family = "sum"
+    spec = {"children": "kernels", "weights": "numbers"}
 
     def __post_init__(self):
         children = tuple(self.children)
@@ -553,6 +621,21 @@ class SumKernel(Kernel):
             out += w * c.batch(x, Y)
         return out
 
+    @property
+    def smooth(self):
+        return all(c.smooth for c in self.children)
+
+    def inner_breaks(self, x):
+        return _joined([c.inner_breaks(x) for c in self.children])
+
+    def outer_breaks(self, lo, hi):
+        return _joined([c.outer_breaks(lo, hi) for c in self.children])
+
+
+def _joined(parts: list) -> list[tuple[float, bool]] | None:
+    """Concatenated break lists, or None when any part is None."""
+    return None if None in parts else [b for part in parts for b in part]
+
 
 @dataclass(frozen=True, eq=False)
 class ProductKernel(Kernel):
@@ -566,6 +649,7 @@ class ProductKernel(Kernel):
     block_dims: tuple[int, ...]
 
     family = "product"
+    spec = {"children": "kernels", "block_dims": "integers"}
 
     def __post_init__(self):
         children = tuple(self.children)
@@ -610,6 +694,18 @@ class ProductKernel(Kernel):
             i += d
         return out
 
+    @property
+    def smooth(self):
+        return all(c.smooth for c in self.children)
+
+    # Panel quadrature runs on scalar inputs, which only a single-factor
+    # product takes; its breaks are then its factor's.
+    def inner_breaks(self, x):
+        return self.children[0].inner_breaks(x) if len(self.children) == 1 else None
+
+    def outer_breaks(self, lo, hi):
+        return self.children[0].outer_breaks(lo, hi) if len(self.children) == 1 else None
+
 
 @dataclass(frozen=True, eq=False)
 class MatrixValuedKernel(Kernel):
@@ -619,6 +715,7 @@ class MatrixValuedKernel(Kernel):
     matrix: np.ndarray
 
     family = "matrix_valued"
+    spec = {"base": "kernel", "matrix": "array"}
 
     def __post_init__(self):
         B = np.asarray(self.matrix, dtype=float)
@@ -695,6 +792,14 @@ def NormalICDFMap() -> Map:
     return Map(forward=fwd, inverse=inv, name="normal_icdf")
 
 
+# Spec-file kinds of the map factories, with their keys in the form of
+# ``Kernel.spec``.
+MAP_KINDS = {
+    "affine": (AffineMap, {"scale": "numbers", "shift": "numbers"}),
+    "normal_icdf": (NormalICDFMap, {}),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class ComposedKernel(Kernel):
     """Pullback kernel K(phi(x), phi(y)) for an invertible map phi."""
@@ -703,6 +808,7 @@ class ComposedKernel(Kernel):
     map: Map
 
     family = "composed"
+    spec = {"base": "kernel", "map": "map"}
 
     @property
     def dim(self):
@@ -720,13 +826,3 @@ class ComposedKernel(Kernel):
         FY = np.vstack([as_point(self.map(row), self.base.dim) for row in Y])
         return self.base.batch(fx, FY)
 
-
-def kernel_eval(kernel: Kernel, x, y):
-    """Evaluate a kernel description at a pair of points.
-
-    Returns a float for scalar-valued families and a square array for
-    matrix-valued ones.
-    """
-    if not isinstance(kernel, Kernel):
-        raise InvalidSpecError(f"not a kernel: {kernel!r}")
-    return kernel(x, y)

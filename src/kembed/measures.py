@@ -30,9 +30,6 @@ __all__ = [
     "PushforwardMeasure",
     "EmpiricalMeasure",
     "ScoreMeasure",
-    "density",
-    "sample",
-    "score",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -45,9 +42,11 @@ def make_generator(seed: int, *stream_ids: int) -> np.random.Generator:
 
 
 class Measure:
-    """Base measure interface."""
+    """Base measure interface. ``spec`` states the family's spec-file
+    keys as :attr:`kembed.kernels.Kernel.spec` does for kernels."""
 
     family: str = "measure"
+    spec: dict[str, str] | None = None
 
     @property
     def dim(self) -> int:
@@ -88,6 +87,7 @@ class UniformBoxMeasure(Measure):
     highs: tuple[float, ...]
 
     family = "uniform_box"
+    spec = {"lows": "numbers", "highs": "numbers"}
 
     def __post_init__(self):
         lows = tuple(float(v) for v in np.atleast_1d(self.lows))
@@ -130,6 +130,7 @@ class GaussianMeasure(Measure):
     cov: object = 1.0
 
     family = "gaussian"
+    spec = {"mean": "numbers", "cov": "array"}
 
     def __post_init__(self):
         mu = tuple(float(v) for v in np.atleast_1d(self.mean))
@@ -225,6 +226,7 @@ class SphereUniformMeasure(Measure):
     d: int
 
     family = "sphere_uniform"
+    spec = {"d": "integer"}
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -249,6 +251,7 @@ class MixtureMeasure(Measure):
     weights: tuple[float, ...]
 
     family = "mixture"
+    spec = {"components": "measures", "weights": "numbers"}
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -334,6 +337,7 @@ class PushforwardMeasure(Measure):
     map: Map
 
     family = "pushforward"
+    spec = {"base": "measure", "map": "map"}
 
     @property
     def dim(self):
@@ -352,6 +356,7 @@ class EmpiricalMeasure(Measure):
     weights: tuple[float, ...] | None = None
 
     family = "empirical"
+    spec = {"points": "array", "weights": "numbers?"}
 
     def __post_init__(self):
         pts = as_points(self.points)
@@ -414,17 +419,3 @@ class ScoreMeasure(Measure):
             raise InvalidSpecError("no density handle was provided")
         return float(self.log_density_fn(as_point(x, self.dim)))
 
-
-def density(measure: Measure, x) -> float:
-    """Lebesgue density of the measure at a point."""
-    return measure.density(x)
-
-
-def sample(measure: Measure, n: int, seed: int) -> np.ndarray:
-    """Draw n points, deterministically in (measure, n, seed)."""
-    return measure.sample(n, seed)
-
-
-def score(measure: Measure, x) -> np.ndarray:
-    """Gradient of the log density at a point."""
-    return measure.score(x)

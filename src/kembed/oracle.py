@@ -8,7 +8,8 @@ U-statistic with jackknife error bars for double integrals) everywhere
 else.
 
 Kernels with absolute-value kinks are integrated on panels split at the
-kink abscissas, so each panel sees an analytic integrand; fractional
+kink abscissas the kernel reports (``Kernel.smooth``, ``inner_breaks``,
+``outer_breaks``), so each panel sees an analytic integrand; fractional
 power terms additionally get geometrically graded panels toward the
 singular point. Gaussian measures paired with kinked kernels use
 Legendre panels on [mu - 12 sigma, mu + 12 sigma] (the truncated tail
@@ -33,6 +34,7 @@ from .kernels import Kernel, MatrixValuedKernel, as_point
 from .measures import (
     GaussianMeasure,
     Measure,
+    ScoreMeasure,
     SphereUniformMeasure,
     UniformBoxMeasure,
 )
@@ -159,80 +161,6 @@ def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-# --- integrand smoothness classification ---------------------------------
-
-_SMOOTH_FAMILIES = {"gaussian", "power_series", "sphere_smooth", "stein"}
-
-
-def _is_smooth(kernel: Kernel) -> bool:
-    """True when K(x, .) is analytic, so Hermite quadrature applies."""
-    fam = kernel.family
-    if fam in _SMOOTH_FAMILIES:
-        return True
-    if fam in ("sum", "product"):
-        return all(_is_smooth(c) for c in kernel.children)
-    return False
-
-
-def _inner_breaks(kernel: Kernel, x: float) -> list[tuple[float, bool]] | None:
-    """Non-smooth abscissas of y -> K(x, y), flagged graded when the
-    kernel has a fractional-power singularity there. None means the
-    family is not safe for panel quadrature."""
-    fam = kernel.family
-    if fam in _SMOOTH_FAMILIES:
-        return []
-    if fam == "matern":
-        return [(x, False)]
-    if fam == "wendland":
-        ls = kernel.lengthscale
-        return [(x - ls, False), (x, False), (x + ls, False)]
-    if fam == "periodic_sobolev":
-        return [(x, False)]
-    if fam == "fbm":
-        if kernel.hurst == 0.5:
-            return [(x, False)]
-        return [(x, True), (0.0, True)]
-    if fam == "sum":
-        out: list[tuple[float, bool]] = []
-        for c in kernel.children:
-            b = _inner_breaks(c, x)
-            if b is None:
-                return None
-            out.extend(b)
-        return out
-    if fam == "product" and len(kernel.children) == 1:
-        return _inner_breaks(kernel.children[0], x)
-    return None
-
-
-def _outer_breaks(kernel: Kernel, lo: float, hi: float) -> list[tuple[float, bool]] | None:
-    """Non-smooth abscissas of the partially integrated function
-    s -> integral of K(s, .), used for the outer axis of double
-    integrals. One integration pass smooths plain kinks away, so only
-    support-edge crossings and fractional powers survive."""
-    fam = kernel.family
-    if fam in _SMOOTH_FAMILIES or fam in ("matern", "periodic_sobolev"):
-        return []
-    if fam == "wendland":
-        ls = kernel.lengthscale
-        return [(lo + ls, False), (hi - ls, False)]
-    if fam == "fbm":
-        if kernel.hurst == 0.5:
-            return []
-        return [(lo, True), (hi, True)]
-    if fam == "sum":
-        out: list[tuple[float, bool]] = []
-        for c in kernel.children:
-            b = _outer_breaks(c, lo, hi)
-            if b is None:
-                return None
-            out.extend(b)
-        return out
-    if fam == "product" and len(kernel.children) == 1:
-        return _outer_breaks(kernel.children[0], lo, hi)
-    return None
-
-
 def _panel_points(
     lo: float, hi: float, breaks: list[tuple[float, bool]]
 ) -> tuple[list[float], bool]:
@@ -280,7 +208,7 @@ def _composite_rule(
 def _line_rule(
     kernel: Kernel, x: float, lo: float, hi: float, budget: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    breaks = _inner_breaks(kernel, x)
+    breaks = kernel.inner_breaks(x)
     if breaks is None:
         raise UnsupportedPairError(
             f"kernel family '{kernel.family}' is not safe for panel quadrature"
@@ -304,20 +232,20 @@ def _check_scalar_kernel(kernel: Kernel):
 
 def _auto_method(kernel: Kernel, measure: Measure) -> str:
     if isinstance(measure, UniformBoxMeasure):
-        if measure.dim == 1 and _inner_breaks(kernel, 0.0) is not None:
+        if measure.dim == 1 and kernel.inner_breaks(0.0) is not None:
             return "gauss_legendre"
-        if measure.dim == 2 and _is_smooth(kernel):
+        if measure.dim == 2 and kernel.smooth:
             return "gauss_legendre"
         return "monte_carlo"
     if isinstance(measure, GaussianMeasure) and measure.dim == 1:
-        if _is_smooth(kernel):
+        if kernel.smooth:
             return "gauss_hermite"
-        if _inner_breaks(kernel, 0.0) is not None:
+        if kernel.inner_breaks(0.0) is not None:
             return "gauss_legendre"
         return "monte_carlo"
     if isinstance(measure, SphereUniformMeasure):
         return "sphere_mc"
-    if measure.family == "unnormalized_score":
+    if isinstance(measure, ScoreMeasure):
         raise UnsupportedPairError(
             "score-only measures cannot be integrated numerically; "
             "only Stein identities apply"
@@ -379,7 +307,7 @@ def estimate_kp(
                 n=t.size,
             )
         if isinstance(measure, UniformBoxMeasure) and measure.dim == 2:
-            if not _is_smooth(kernel):
+            if not kernel.smooth:
                 raise UnsupportedPairError(
                     "2-d panel quadrature supports analytic kernels only"
                 )
@@ -463,7 +391,7 @@ def estimate_kpp(
     if method == "gauss_legendre":
         if isinstance(measure, UniformBoxMeasure) and measure.dim == 1:
             lo, hi = measure.lows[0], measure.highs[0]
-            obreaks = _outer_breaks(kernel, lo, hi)
+            obreaks = kernel.outer_breaks(lo, hi)
             if obreaks is None:
                 raise UnsupportedPairError(
                     f"kernel family '{kernel.family}' is not safe for panel quadrature"
@@ -482,7 +410,7 @@ def estimate_kpp(
                 value=total / (r * r), stderr=0.0, method=method, n=n_evals
             )
         if isinstance(measure, UniformBoxMeasure) and measure.dim == 2:
-            if not _is_smooth(kernel):
+            if not kernel.smooth:
                 raise UnsupportedPairError(
                     "2-d panel quadrature supports analytic kernels only"
                 )

@@ -24,7 +24,6 @@ __all__ = [
     "lower_incomplete_gamma_int",
     "bernoulli_poly",
     "double_factorial",
-    "gaussian_unnormalized",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -363,9 +362,3 @@ def double_factorial(n: int) -> int:
         k -= 2
     return out
 
-
-def gaussian_unnormalized(x: float, sigma: float) -> float:
-    """exp(-x^2 / (2 sigma^2)), the Gaussian bump without normalization."""
-    x = float(x)
-    sigma = float(sigma)
-    return math.exp(-(x * x) / (2.0 * sigma * sigma))

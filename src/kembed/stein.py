@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
@@ -124,6 +124,8 @@ class SteinKernel(Kernel):
     c: float = 0.0
 
     family = "stein"
+    spec = {"base": "kernel", "target": "measure", "c": "number?"}
+    smooth = True
 
     def __post_init__(self):
         if not isinstance(self.base, Kernel):
@@ -144,6 +146,12 @@ class SteinKernel(Kernel):
     def dim(self):
         return self.target.dim
 
+    def is_target(self, measure: Measure) -> bool:
+        """True when ``measure`` is this kernel's target: the same
+        object, or the same family with equal parameters, so a target
+        and a measure parsed from separate spec objects still match."""
+        return _same_parameters(self.target, measure)
+
     def _eval(self, x, y):
         return float(self.batch(x, y[None, :])[0])
 
@@ -162,6 +170,21 @@ class SteinKernel(Kernel):
         )
 
 
+def _same_parameters(a, b) -> bool:
+    if a is b:
+        return True
+    if isinstance(a, Measure) and is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same_parameters(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+        )
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_parameters, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.shape(a) == np.shape(b) and bool(np.all(a == b))
+    # maps and score handles compare by identity
+    return bool(a == b)
+
+
 def stein_eval(kernel: SteinKernel, x, y) -> float:
     """Pointwise value of a Stein kernel."""
     if not isinstance(kernel, SteinKernel):
@@ -171,7 +194,8 @@ def stein_eval(kernel: SteinKernel, x, y) -> float:
 
 def stein_embed(kernel: SteinKernel) -> Embedding:
     """Both embeddings of a Stein kernel against its own target are
-    identically the additive constant c."""
+    identically the additive constant c. They hold under that target
+    only; :func:`kembed.dictionary.embed` checks the measure first."""
     if not isinstance(kernel, SteinKernel):
         raise InvalidSpecError("stein_embed expects a Stein kernel")
     c = float(kernel.c)

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from kembed import cli
 from kembed.cli import run
+from kembed.errors import InvalidSpecError
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -301,3 +303,103 @@ def test_console_script_smoke(spec_file, tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == _golden("eval_gg_kpp.json")
+
+
+_G1 = {"family": "gaussian", "lengthscales": [1.0]}
+_BOX1 = {"family": "uniform_box", "lows": [0.0], "highs": [1.0]}
+_N1 = {"family": "gaussian", "mean": [0.0], "cov": [1.0]}
+_AFFINE = {"kind": "affine", "scale": [2.0], "shift": [0.5]}
+
+# One bad value per converter kind: (kernel, measure, key path named).
+_MALFORMED = {
+    "number": ({"family": "matern", "nu": "abc", "lengthscale": 1}, _BOX1, "kernel.nu"),
+    "integer": ({"family": "wendland", "order": 2.5, "lengthscale": 1}, _BOX1, "kernel.order"),
+    "numbers": ({"family": "gaussian", "lengthscales": [1.0, "x"]}, _BOX1,
+                "kernel.lengthscales[1]"),
+    "integers": ({"family": "product", "children": [_G1, _G1], "block_dims": [1, "1"]},
+                 _BOX1, "kernel.block_dims[1]"),
+    "array": (_G1, {"family": "gaussian", "mean": [0.0], "cov": [[1.0], [2.0, 3.0]]},
+              "measure.cov"),
+    "terms": ({"family": "power_series", "terms": [{"alpha": [1], "coeff": [2.0]}]},
+              _BOX1, "kernel.terms[0].coeff"),
+    "kernel": ({"family": "composed", "base": "gaussian", "map": _AFFINE}, _BOX1,
+               "kernel.base"),
+    "kernels": ({"family": "sum", "children": {"a": _G1}, "weights": [1.0]}, _BOX1,
+                "kernel.children"),
+    "measure": ({"family": "stein", "base": _G1, "target": 0}, _N1, "kernel.target"),
+    "measures": (_G1, {"family": "mixture", "components": [_BOX1, [0.0]], "weights": [0.5, 0.5]},
+                 "measure.components[1]"),
+    "map": ({"family": "composed", "base": _G1, "map": "affine"}, _BOX1, "kernel.map"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+def test_exit_3_malformed_value_names_its_key(spec_file, capsys, kind):
+    kernel, measure, path = _MALFORMED[kind]
+    doc = {"schema_version": 1, "kernel": kernel, "measure": measure}
+    code, out = _run(capsys, ["eval", "--spec", spec_file(doc), "--what", "kpp"])
+    assert code == 3
+    assert out.err.startswith("invalid input: ")
+    assert path in out.err
+
+
+@pytest.mark.parametrize("kernel, measure, path", [
+    ({"family": "matern", "nu": 1.5, "lengthscale": math.nan}, _BOX1, "kernel.lengthscale"),
+    (_G1, {"family": "uniform_box", "lows": [0.0], "highs": [math.inf]}, "measure.highs[0]"),
+    (_G1, {"family": "gaussian", "mean": [0.0], "cov": [[math.nan]]}, "measure.cov"),
+], ids=["nan", "infinity", "nan_in_array"])
+def test_exit_3_non_finite_value(spec_file, capsys, kernel, measure, path):
+    doc = {"schema_version": 1, "kernel": kernel, "measure": measure}
+    code, out = _run(capsys, ["eval", "--spec", spec_file(doc), "--what", "kpp"])
+    assert code == 3
+    assert path in out.err
+
+
+_WELL_FORMED_KERNELS = [
+    {"family": "gaussian", "lengthscales": [1.0, 2.0]},
+    {"family": "gaussian", "matrix": [[2.0, 0.5], [0.5, 1.0]]},
+    {"family": "matern", "nu": 2.5, "lengthscale": 0.7},
+    {"family": "wendland", "order": 2, "lengthscale": 1.5},
+    {"family": "fbm", "hurst": 0.3, "domain": [0.0, 2.0]},
+    {"family": "power_series", "terms": [{"alpha": [0, 2], "coeff": 1.0}]},
+    {"family": "sphere_sobolev32"},
+    {"family": "sphere_smooth"},
+    {"family": "periodic_sobolev", "r": 2},
+    {"family": "sum", "children": [_G1, {"family": "matern", "nu": 0.5, "lengthscale": 1}],
+     "weights": [0.5, 0.5]},
+    {"family": "product", "children": [_G1, _G1], "block_dims": [1, 1]},
+    {"family": "matrix_valued", "base": _G1, "matrix": [[1.0, 0.0], [0.0, 2.0]]},
+    {"family": "composed", "base": _G1, "map": {"kind": "normal_icdf"}},
+    {"family": "stein", "base": _G1, "target": _N1, "c": 1.0},
+]
+_WELL_FORMED_MEASURES = [
+    {"family": "uniform_box", "lows": [0.0, -1.0], "highs": [1.0, 1.0]},
+    {"family": "gaussian", "mean": [0.0, 1.0], "cov": [[1.0, 0.2], [0.2, 2.0]]},
+    {"family": "gaussian", "mean": [0.0], "cov": 2.0},
+    {"family": "sphere_uniform", "d": 2},
+    {"family": "mixture", "components": [_BOX1, _N1], "weights": [0.25, 0.75]},
+    {"family": "pushforward", "base": _BOX1, "map": _AFFINE},
+    {"family": "empirical", "points": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+]
+
+
+def test_every_family_has_a_well_formed_example():
+    assert {k["family"] for k in _WELL_FORMED_KERNELS} == set(cli._KERNELS[0])
+    assert {m["family"] for m in _WELL_FORMED_MEASURES} == set(cli._MEASURES[0])
+
+
+@pytest.mark.parametrize("obj", _WELL_FORMED_KERNELS, ids=lambda o: o["family"])
+def test_well_formed_kernel_parses(obj):
+    assert cli.parse_kernel(obj).family == obj["family"]
+
+
+@pytest.mark.parametrize("obj", _WELL_FORMED_MEASURES, ids=lambda o: o["family"])
+def test_well_formed_measure_parses(obj):
+    assert cli.parse_measure(obj).family == obj["family"]
+
+
+def test_gaussian_kernel_needs_one_of_its_keys():
+    with pytest.raises(InvalidSpecError, match="missing key 'lengthscales' in kernel"):
+        cli.parse_kernel({"family": "gaussian"})
+    with pytest.raises(InvalidSpecError, match="exactly one"):
+        cli.parse_kernel({"family": "gaussian", "lengthscales": [1.0], "matrix": [[1.0]]})

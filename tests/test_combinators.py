@@ -20,6 +20,7 @@ from kembed.dictionary import CLOSED_FORM, NUMERIC_FALLBACK, embed
 from kembed.errors import InvalidSpecError
 from kembed.kernels import (
     AffineMap,
+    ComposedKernel,
     GaussianKernel,
     MaternKernel,
     MatrixValuedKernel,
@@ -34,6 +35,7 @@ from kembed.measures import (
     UniformBoxMeasure,
 )
 from kembed.oracle import estimate_kpp, estimate_mean
+from kembed.quadrature import bq_posterior, make_problem
 
 
 def test_product_embed_tensorizes():
@@ -266,3 +268,66 @@ def test_block_product_gaussian_dispatch():
     assert e.provenance == CLOSED_FORM
     o = estimate_kpp(k, p, budget=500_000, method="monte_carlo", seed=19)
     assert e.kpp == pytest.approx(o.value, abs=3 * o.stderr)
+
+
+def test_composed_kernel_maps_whole_points():
+    base = GaussianKernel(lengthscales=(1.0, 0.5))
+    kernel = ComposedKernel(base=base, map=AffineMap([2.0, 3.0], [0.0, 1.0]))
+    box = UniformBoxMeasure(lows=(0.0, 0.0), highs=(1.0, 1.0))
+    e = embed(kernel, box)
+    # the image of the box under the map is [0, 2] x [1, 4]
+    image = embed(base, UniformBoxMeasure(lows=(0.0, 1.0), highs=(2.0, 4.0)))
+    assert e.kp_at([0.3, 0.4]) == pytest.approx(image.kp_at([0.6, 2.2]), rel=1e-14)
+    assert e.kpp == image.kpp
+
+
+def test_composed_embedding_builds_its_own_gram():
+    kernel = ComposedKernel(
+        base=GaussianKernel(lengthscales=(1.0,)), map=AffineMap([3.0], [0.0])
+    )
+    box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
+    nodes = np.linspace(0.05, 0.95, 8)
+    problem = make_problem(embed(kernel, box), nodes, np.sin(nodes))
+    post = bq_posterior(problem)
+    assert post.variance >= 0.0
+    assert post.mean == pytest.approx(1.0 - math.cos(1.0), abs=1e-3)
+
+
+def test_composed_kernel_under_gaussian_mixture_keeps_closed_cross_terms():
+    base = GaussianKernel(lengthscales=(1.0,))
+    kernel = ComposedKernel(base=base, map=AffineMap([2.0], [0.0]))
+    comps = [GaussianMeasure(mean=(0.0,), cov=(1.0,)), GaussianMeasure(mean=(1.0,), cov=(1.0,))]
+    e = embed(kernel, MixtureMeasure(components=comps, weights=(0.5, 0.5)))
+    # the image of the mixture under x -> 2x is a mixture of N(0, 4) and N(2, 4)
+    images = [GaussianMeasure(mean=(0.0,), cov=(4.0,)), GaussianMeasure(mean=(2.0,), cov=(4.0,))]
+    image = embed(base, MixtureMeasure(components=images, weights=(0.5, 0.5)))
+    assert e.kpp_provenance == CLOSED_FORM
+    assert e.kpp == pytest.approx(image.kpp, rel=1e-14)
+
+
+@pytest.mark.parametrize("route", ["product", "sum", "mixture"])
+def test_combinator_embeddings_carry_the_requested_pair(route):
+    g = GaussianKernel(lengthscales=(0.8,))
+    box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
+    if route == "product":
+        kernel = ProductKernel(children=[g, MaternKernel(nu=1.5)], block_dims=[1, 1])
+        measure = UniformBoxMeasure(lows=(0.0, -1.0), highs=(1.0, 1.0))
+        pair_id = "product/gaussian/uniform_box*matern/uniform_box"
+    elif route == "sum":
+        kernel = SumKernel(children=[g, MaternKernel(nu=1.5)], weights=[0.5, 0.5])
+        measure = box
+        pair_id = "sum/gaussian/uniform_box+matern/uniform_box"
+    else:
+        kernel = g
+        measure = MixtureMeasure(
+            components=[box, UniformBoxMeasure(lows=(0.5,), highs=(2.0,))],
+            weights=(0.5, 0.5),
+        )
+        pair_id = "mixture"
+    e = embed(kernel, measure, budget=400)
+    assert e.kernel is kernel
+    assert e.measure is measure
+    assert e.pair_id == pair_id
+    nodes = measure.sample(5, seed=1)
+    problem = make_problem(e, nodes)
+    assert problem.gram == pytest.approx(kernel.gram(nodes), rel=0.0, abs=0.0)

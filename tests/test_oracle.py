@@ -7,13 +7,20 @@ import random
 import numpy as np
 import pytest
 
-from kembed.errors import InvalidSpecError
+from kembed.errors import InvalidSpecError, UnsupportedPairError
 from kembed.kernels import (
+    AffineMap,
+    ComposedKernel,
     FbmKernel,
     GaussianKernel,
     MaternKernel,
+    MatrixValuedKernel,
+    PeriodicSobolevKernel,
     PowerSeriesKernel,
+    ProductKernel,
     SphereSmoothKernel,
+    SphereSobolevKernel,
+    SumKernel,
     WendlandKernel,
 )
 from kembed.measures import (
@@ -28,6 +35,7 @@ from kembed.oracle import (
     gauss_hermite_nodes,
     gauss_legendre_nodes,
 )
+from kembed.stein import SteinKernel
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -184,3 +192,124 @@ def test_unknown_method_rejected():
         estimate_kp(
             GaussianKernel(lengthscales=(1.0,)), p, x=[0.0], method="simpson"
         )
+
+
+# --- routing of every kernel family ------------------------------------------
+
+_ROUTE_MEASURES = {
+    "box1": (UniformBoxMeasure((0.0,), (1.0,)), [0.3]),
+    "gauss1": (GaussianMeasure((0.2,), 0.25), [0.3]),
+    "box2": (UniformBoxMeasure((0.0, 0.0), (1.0, 1.0)), [0.3, 0.6]),
+    "sphere": (SphereUniformMeasure(2), [0.0, 0.0, 1.0]),
+}
+
+
+def _gauss(d):
+    return GaussianKernel(lengthscales=(0.7,) * d)
+
+
+def _product(d):
+    if d == 1:
+        return ProductKernel([MaternKernel(nu=0.5)], [1])
+    return ProductKernel([_gauss(d - 1), _gauss(1)], [d - 1, 1])
+
+
+# kernel family -> kernel of a given input dimension
+_ROUTE_KERNELS = {
+    "gaussian": _gauss,
+    "matern": lambda d: MaternKernel(nu=1.5, lengthscale=0.8),
+    "wendland": lambda d: WendlandKernel(order=2, lengthscale=0.6),
+    "fbm": lambda d: FbmKernel(hurst=0.3),
+    "fbm_half": lambda d: FbmKernel(hurst=0.5),
+    "power_series": lambda d: PowerSeriesKernel([((0,) * d, 1.0), ((1,) * d, 0.5)]),
+    "sphere_sobolev32": lambda d: SphereSobolevKernel(),
+    "sphere_smooth": lambda d: SphereSmoothKernel(),
+    "periodic_sobolev": lambda d: PeriodicSobolevKernel(r=1),
+    "sum": lambda d: SumKernel([_gauss(d), MaternKernel(nu=0.5)], [0.5, 0.5]),
+    "product": _product,
+    "matrix_valued": lambda d: MatrixValuedKernel(_gauss(d), np.eye(2)),
+    "composed": lambda d: ComposedKernel(_gauss(d), AffineMap([2.0] * d, [0.0] * d)),
+    "stein": lambda d: SteinKernel(_gauss(d), GaussianMeasure((0.0,) * d, 1.0)),
+}
+
+# (kernel, measure) -> (method, n) of estimate_kp and of estimate_kpp at
+# budget 20, or the error either raises. Pairs whose dimensions cannot
+# match are absent.
+_ROUTES = {
+    ("gaussian", "box1"): (("gauss_legendre", 20), ("gauss_legendre", 400)),
+    ("gaussian", "gauss1"): (("gauss_hermite", 20), ("gauss_hermite", 400)),
+    ("gaussian", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
+    ("gaussian", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("matern", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
+    ("matern", "gauss1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
+    ("matern", "box2"): (("monte_carlo", 20), ("monte_carlo", 4)),
+    ("matern", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("wendland", "box1"): (("gauss_legendre", 36), ("gauss_legendre", 1152)),
+    ("wendland", "gauss1"): (("gauss_legendre", 48), ("gauss_legendre", 888)),
+    ("wendland", "box2"): (("monte_carlo", 20), ("monte_carlo", 4)),
+    ("wendland", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("fbm", "box1"): (("gauss_legendre", 880), ("gauss_legendre", 436160)),
+    ("fbm", "gauss1"): (InvalidSpecError, InvalidSpecError),
+    ("fbm_half", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
+    ("fbm_half", "gauss1"): (InvalidSpecError, InvalidSpecError),
+    ("power_series", "box1"): (("gauss_legendre", 20), ("gauss_legendre", 400)),
+    ("power_series", "gauss1"): (("gauss_hermite", 20), ("gauss_hermite", 400)),
+    ("power_series", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
+    ("power_series", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("sphere_sobolev32", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("sphere_smooth", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("periodic_sobolev", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
+    ("periodic_sobolev", "gauss1"): (InvalidSpecError, InvalidSpecError),
+    ("sum", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
+    ("sum", "gauss1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
+    ("sum", "box2"): (("monte_carlo", 20), ("monte_carlo", 4)),
+    ("sum", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("product", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
+    ("product", "gauss1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
+    ("product", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
+    ("product", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("matrix_valued", "box1"): (UnsupportedPairError, UnsupportedPairError),
+    ("matrix_valued", "gauss1"): (UnsupportedPairError, UnsupportedPairError),
+    ("matrix_valued", "box2"): (UnsupportedPairError, UnsupportedPairError),
+    ("matrix_valued", "sphere"): (UnsupportedPairError, UnsupportedPairError),
+    ("composed", "box1"): (("monte_carlo", 20), ("monte_carlo", 4)),
+    ("composed", "gauss1"): (("monte_carlo", 20), ("monte_carlo", 4)),
+    ("composed", "box2"): (("monte_carlo", 20), ("monte_carlo", 4)),
+    ("composed", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("stein", "box1"): (("gauss_legendre", 20), ("gauss_legendre", 400)),
+    ("stein", "gauss1"): (("gauss_hermite", 20), ("gauss_hermite", 400)),
+    ("stein", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
+    ("stein", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+}
+
+
+def test_routing_table_covers_every_family_and_measure():
+    families = {k for k, _ in _ROUTES}
+    assert families == set(_ROUTE_KERNELS)
+    for family in families:
+        make = _ROUTE_KERNELS[family]
+        for name, (measure, _) in _ROUTE_MEASURES.items():
+            dim = make(measure.dim).dim
+            applies = dim is None or dim == measure.dim
+            assert ((family, name) in _ROUTES) == applies, (family, name)
+
+
+@pytest.mark.parametrize("what", ["kp", "kpp"])
+@pytest.mark.parametrize("pair", sorted(_ROUTES), ids="-".join)
+def test_oracle_routing(pair, what):
+    family, measure_name = pair
+    measure, x = _ROUTE_MEASURES[measure_name]
+    kernel = _ROUTE_KERNELS[family](measure.dim)
+    expected = _ROUTES[pair][0 if what == "kp" else 1]
+
+    def run():
+        if what == "kp":
+            return estimate_kp(kernel, measure, x, budget=20)
+        return estimate_kpp(kernel, measure, budget=20)
+
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            run()
+    else:
+        est = run()
+        assert (est.method, est.n) == expected

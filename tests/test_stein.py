@@ -8,9 +8,10 @@ import random
 import numpy as np
 import pytest
 
-from kembed.dictionary import embed
+from kembed.dictionary import CLOSED_FORM, NUMERIC_FALLBACK, embed
 from kembed.errors import UnsupportedPairError
 from kembed.kernels import GaussianKernel, MaternKernel
+from kembed.oracle import estimate_kpp
 from kembed.measures import (
     GaussianMeasure,
     MixtureMeasure,
@@ -186,3 +187,30 @@ def test_full_covariance_target():
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
     assert abs(mean) <= 3.0 * stderr
+
+
+def test_embedding_is_the_constant_only_under_the_target():
+    k = SteinKernel(
+        base=GaussianKernel(lengthscales=(1.0,)),
+        target=GaussianMeasure(mean=(0.0,), cov=(1.0,)),
+        c=0.5,
+    )
+    # a target given again with equal parameters still matches
+    same = embed(k, GaussianMeasure(mean=(0.0,), cov=1.0))
+    assert same.kpp_provenance == CLOSED_FORM
+    assert same.kpp == 0.5
+    shifted = GaussianMeasure(mean=(3.0,), cov=(1.0,))
+    e = embed(k, shifted)
+    assert e.kp_provenance == e.kpp_provenance == NUMERIC_FALLBACK
+    assert e.kpp == estimate_kpp(k, shifted).value
+    # the double integral is c plus the squared kernel Stein discrepancy
+    # mu^2 E[K(x, y)] = 9 / sqrt(3) between N(3, 1) and the N(0, 1) target
+    assert e.kpp == pytest.approx(0.5 + 3.0 * math.sqrt(3.0), rel=1e-12)
+
+
+def test_other_score_only_measure_is_unsupported():
+    target = ScoreMeasure(score_fn=lambda x: -x)
+    k = SteinKernel(base=GaussianKernel(lengthscales=(1.0,)), target=target)
+    assert embed(k, target).kpp == 0.0
+    with pytest.raises(UnsupportedPairError):
+        embed(k, ScoreMeasure(score_fn=lambda x: -2.0 * x))
