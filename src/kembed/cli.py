@@ -359,12 +359,18 @@ def _emit(payload: dict) -> None:
 # --- commands -------------------------------------------------------------------
 
 
-def cmd_eval(args) -> int:
+def _problem(args):
+    """The spec's kernel and measure, budget and seed (flags first)."""
     doc = load_spec(args.spec)
     kernel = parse_kernel(doc["kernel"])
     measure = parse_measure(doc["measure"])
     budget = _resolve(args.budget, doc, "budget", None)
     seed = _resolve(args.seed, doc, "seed", _default_seed())
+    return kernel, measure, budget, seed
+
+
+def cmd_eval(args) -> int:
+    kernel, measure, budget, seed = _problem(args)
     if args.what == "kernel":
         if args.x is None or args.y is None:
             raise InvalidSpecError("--what kernel requires --x and --y")
@@ -399,11 +405,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = load_spec(args.spec)
-    kernel = parse_kernel(doc["kernel"])
-    measure = parse_measure(doc["measure"])
-    budget = _resolve(args.budget, doc, "budget", None)
-    seed = _resolve(args.seed, doc, "seed", _default_seed())
+    kernel, measure, budget, seed = _problem(args)
     embedding = embed(kernel, measure, budget=budget, seed=seed)
     if (
         embedding.kp_provenance != CLOSED_FORM
@@ -450,11 +452,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bq(args) -> int:
-    doc = load_spec(args.spec)
-    kernel = parse_kernel(doc["kernel"])
-    measure = parse_measure(doc["measure"])
-    budget = _resolve(args.budget, doc, "budget", None)
-    seed = _resolve(args.seed, doc, "seed", _default_seed())
+    kernel, measure, budget, seed = _problem(args)
     points, values = _read_rows(args.data, with_values=True)
     embedding = embed(kernel, measure, budget=budget, seed=seed)
     problem = quadrature.make_problem(
@@ -473,11 +471,7 @@ def cmd_bq(args) -> int:
 
 
 def cmd_mmd(args) -> int:
-    doc = load_spec(args.spec)
-    kernel = parse_kernel(doc["kernel"])
-    measure = parse_measure(doc["measure"])
-    budget = _resolve(args.budget, doc, "budget", None)
-    seed = _resolve(args.seed, doc, "seed", _default_seed())
+    kernel, measure, budget, seed = _problem(args)
     points, _ = _read_rows(args.samples, with_values=False)
     embedding = embed(kernel, measure, budget=budget, seed=seed)
     empirical = EmpiricalMeasure(points)
@@ -490,38 +484,32 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="kembed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate a kernel or embedding")
-    p_eval.add_argument("--spec", required=True)
-    p_eval.add_argument("--what", required=True, choices=("kp", "kpp", "kernel"))
-    p_eval.add_argument("--x", default=None)
-    p_eval.add_argument("--y", default=None)
-    p_eval.add_argument("--budget", type=int, default=None)
-    p_eval.add_argument("--seed", type=int, default=None)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="check closed forms against the oracle")
-    p_verify.add_argument("--spec", required=True)
-    p_verify.add_argument("--budget", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=1e-6)
-    p_verify.add_argument("--points", type=int, default=20)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_bq = sub.add_parser("bq", help="Bayesian quadrature posterior")
-    p_bq.add_argument("--spec", required=True)
-    p_bq.add_argument("--data", required=True)
-    p_bq.add_argument("--jitter", type=float, default=None)
-    p_bq.add_argument("--budget", type=int, default=None)
-    p_bq.add_argument("--seed", type=int, default=None)
-    p_bq.set_defaults(func=cmd_bq)
-
-    p_mmd = sub.add_parser("mmd", help="squared MMD against an empirical sample")
-    p_mmd.add_argument("--spec", required=True)
-    p_mmd.add_argument("--samples", required=True)
-    p_mmd.add_argument("--budget", type=int, default=None)
-    p_mmd.add_argument("--seed", type=int, default=None)
-    p_mmd.set_defaults(func=cmd_mmd)
-
+    # every command reads --spec, --budget and --seed; its own flags
+    # keep their places in its usage line
+    spec = [("--spec", {"required": True})]
+    budget_seed = [("--budget", {"type": int}), ("--seed", {"type": int})]
+    commands = {
+        "eval": (cmd_eval, "evaluate a kernel or embedding", spec + [
+            ("--what", {"required": True, "choices": ("kp", "kpp", "kernel")}),
+            ("--x", {}),
+            ("--y", {}),
+        ] + budget_seed),
+        "verify": (cmd_verify, "check closed forms against the oracle", spec + budget_seed + [
+            ("--tol", {"type": float, "default": 1e-6}),
+            ("--points", {"type": int, "default": 20}),
+        ]),
+        "bq": (cmd_bq, "Bayesian quadrature posterior", spec + [
+            ("--data", {"required": True}),
+            ("--jitter", {"type": float}),
+        ] + budget_seed),
+        "mmd": (cmd_mmd, "squared MMD against an empirical sample",
+                spec + [("--samples", {"required": True})] + budget_seed),
+    }
+    for name, (func, help, flags) in commands.items():
+        p = sub.add_parser(name, help=help)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -193,9 +193,7 @@ def _cross_kpq(
     # raw double Monte Carlo: independent draws in each argument, so
     # support-restricted closed forms are never evaluated out of range
     n = budget if budget is not None else CROSS_TERM_BUDGET
-    xs = mj.sample(n, seed)
-    ys = mk.sample(n, seed + 1)
-    vals = np.array([float(kernel(x, y)) for x, y in zip(xs, ys)])
+    vals = kernel.pairs(mj.sample(n, seed), mk.sample(n, seed + 1))
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     return value, stderr, NUMERIC_FALLBACK

@@ -704,7 +704,7 @@ def sphere_embed(kind: str) -> Embedding:
     measure = SphereUniformMeasure(2)
 
     def kp(x):
-        _check_unit(as_point(x, 3))
+        _check_unit(as_point(x, 3)[None, :])
         return const
 
     return Embedding(
@@ -726,7 +726,7 @@ def periodic_sobolev_embed(r: int, on_circle: bool = False) -> Embedding:
         measure = SphereUniformMeasure(1)
 
         def kp(x):
-            _check_unit(as_point(x, 2))
+            _check_unit(as_point(x, 2)[None, :])
             return 1.0
 
     else:

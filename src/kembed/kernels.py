@@ -1,16 +1,16 @@
-"""Kernel families and their pointwise evaluation.
+"""Kernel families and their evaluation on arrays of points.
 
-Every kernel is a small frozen description object with an ``__call__``
-for scalar pairs and a vectorized ``batch`` used by the numerical
-oracle. Families with closed-form mean embeddings are matched up with
-measures in :mod:`kembed.dictionary`.
+Every kernel is a small frozen description object that states its
+formula once, on rows of points (see :class:`Kernel`). Families with
+closed-form mean embeddings are matched up with measures in
+:mod:`kembed.dictionary`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -70,12 +70,17 @@ def as_points(X, dim: int | None = None) -> np.ndarray:
 class Kernel:
     """Base kernel interface.
 
-    Each family states its spec-file form and its quadrature hints here,
-    once. ``spec`` maps each key of the family's spec object to the name
-    of its value converter in :mod:`kembed.cli` (a trailing ``?`` marks
-    an optional key); it is None for kernels with no spec form. The
-    hints tell the oracle where ``y -> K(x, y)`` is not analytic, so it
-    can split its panels there without consulting any closed form.
+    Each family states its formula, its spec-file form and its
+    quadrature hints here, once. ``_pairs(X, Y)`` returns K(X_i, Y_i)
+    for matched rows of two (n, d) arrays, either of which may be a
+    single row, and raises :class:`InvalidSpecError` for an input outside
+    the family's domain; ``__call__``, ``batch``, ``pairs`` and ``gram``
+    check their arguments and call it. ``spec`` maps each key of the
+    family's spec object to the name of its value converter in
+    :mod:`kembed.cli` (a trailing ``?`` marks an optional key); it is
+    None for kernels with no spec form. The hints tell the oracle where ``y -> K(x, y)`` is not
+    analytic, so it can split its panels there without consulting any
+    closed form.
     """
 
     family: str = "kernel"
@@ -93,21 +98,30 @@ class Kernel:
         y = as_point(y, self.dim)
         if x.size != y.size:
             raise InvalidSpecError("x and y must have the same dimension")
-        return self._eval(x, y)
-
-    def _eval(self, x: np.ndarray, y: np.ndarray) -> float:
-        raise NotImplementedError
+        return self._pairs(x[None, :], y[None, :])[0]
 
     def batch(self, x, Y) -> np.ndarray:
-        """K(x, y_i) for rows y_i of Y. Default is a plain loop."""
+        """K(x, y_i) for rows y_i of Y."""
         x = as_point(x, self.dim)
         Y = as_points(Y, x.size)
-        return np.array([self._eval(x, row) for row in Y])
+        return self._pairs(x[None, :], Y)
+
+    def pairs(self, X, Y) -> np.ndarray:
+        """K(x_i, y_i) for matched rows of X and Y; a single row of
+        either broadcasts against the other."""
+        X = as_points(X, self.dim)
+        Y = as_points(Y, X.shape[1])
+        if len(X) != len(Y) and 1 not in (len(X), len(Y)):
+            raise InvalidSpecError(f"pairs needs matched rows, got {len(X)} and {len(Y)}")
+        return self._pairs(X, Y)
 
     def gram(self, X) -> np.ndarray:
         """Kernel matrix over rows of X."""
         X = as_points(X, self.dim)
-        return np.vstack([self.batch(X[i], X) for i in range(X.shape[0])])
+        return np.stack([self.batch(X[i], X) for i in range(X.shape[0])])
+
+    def _pairs(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def inner_breaks(self, x: float) -> list[tuple[float, bool]] | None:
         """Non-smooth abscissas of y -> K(x, y) for scalar inputs, each
@@ -122,10 +136,6 @@ class Kernel:
         away, so only support-edge crossings and fractional powers
         survive."""
         return [] if self.smooth else None
-
-
-def _norm_diff(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sqrt(np.sum((x - y) ** 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,17 +191,19 @@ class GaussianKernel(Kernel):
             return np.diag(np.asarray(self.lengthscales) ** 2)
         return self.matrix
 
-    def _eval(self, x, y):
+    def __call__(self, x, y) -> float:
+        # math.exp, not np.exp: they can differ in the last bit, and the
+        # values `kembed eval --what kernel` prints are pinned to this form
+        x = as_point(x, self.dim)
+        y = as_point(y, self.dim)
         d = x - y
         if self.diagonal:
             z = d / np.asarray(self.lengthscales)
             return math.exp(-0.5 * float(z @ z))
         return math.exp(-0.5 * float(d @ np.linalg.solve(self.matrix, d)))
 
-    def batch(self, x, Y):
-        x = as_point(x, self.dim)
-        Y = as_points(Y, x.size)
-        D = Y - x
+    def _pairs(self, X, Y):
+        D = Y - X
         if self.diagonal:
             Z = D / np.asarray(self.lengthscales)
             return np.exp(-0.5 * np.sum(Z * Z, axis=1))
@@ -215,33 +227,6 @@ def matern_half_integer(n: int, tau: float) -> float:
         coef = math.factorial(n + k) / (math.factorial(k) * math.factorial(n - k))
         s += coef * (2.0 * c * tau) ** (n - k)
     return math.exp(-c * tau) * math.factorial(n) / math.factorial(2 * n) * s
-
-
-def _matern_explicit(n: int, tau: float) -> float:
-    t = float(tau)
-    if n == 0:
-        return math.exp(-t)
-    if n == 1:
-        z = math.sqrt(3.0) * t
-        return (1.0 + z) * math.exp(-z)
-    if n == 2:
-        z = math.sqrt(5.0) * t
-        return (1.0 + z + z * z / 3.0) * math.exp(-z)
-    z = math.sqrt(7.0) * t
-    return (1.0 + z + 2.0 * z * z / 5.0 + z ** 3 / 15.0) * math.exp(-z)
-
-
-def _matern_explicit_vec(n: int, t: np.ndarray) -> np.ndarray:
-    if n == 0:
-        return np.exp(-t)
-    if n == 1:
-        z = math.sqrt(3.0) * t
-        return (1.0 + z) * np.exp(-z)
-    if n == 2:
-        z = math.sqrt(5.0) * t
-        return (1.0 + z + z * z / 3.0) * np.exp(-z)
-    z = math.sqrt(7.0) * t
-    return (1.0 + z + 0.4 * z * z + z ** 3 / 15.0) * np.exp(-z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,29 +254,24 @@ class MaternKernel(Kernel):
     def n(self) -> int:
         return int(round(self.nu - 0.5))
 
-    def _eval(self, x, y):
-        return _matern_explicit(self.n, _norm_diff(x, y) / self.lengthscale)
+    def _pairs(self, X, Y):
+        t = np.sqrt(np.sum((Y - X) ** 2, axis=1)) / self.lengthscale
+        if self.n == 0:
+            return np.exp(-t)
+        if self.n == 1:
+            z = math.sqrt(3.0) * t
+            return (1.0 + z) * np.exp(-z)
+        if self.n == 2:
+            z = math.sqrt(5.0) * t
+            return (1.0 + z + z * z / 3.0) * np.exp(-z)
+        z = math.sqrt(7.0) * t
+        return (1.0 + z + 0.4 * z * z + z ** 3 / 15.0) * np.exp(-z)
 
     def inner_breaks(self, x):
         return [(x, False)]
 
     def outer_breaks(self, lo, hi):
         return []
-
-    def batch(self, x, Y):
-        x = as_point(x, self.dim)
-        Y = as_points(Y, x.size)
-        t = np.sqrt(np.sum((Y - x) ** 2, axis=1)) / self.lengthscale
-        return _matern_explicit_vec(self.n, t)
-
-
-def _wendland(order: int, t):
-    base = np.maximum(0.0, 1.0 - t)
-    if order == 0:
-        return base
-    if order == 2:
-        return base ** 3 * (3.0 * t + 1.0)
-    return base ** 5 * (8.0 * t * t + 5.0 * t + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,8 +291,14 @@ class WendlandKernel(Kernel):
             raise InvalidSpecError("lengthscale must be positive")
         object.__setattr__(self, "lengthscale", float(self.lengthscale))
 
-    def _eval(self, x, y):
-        return float(_wendland(self.order, _norm_diff(x, y) / self.lengthscale))
+    def _pairs(self, X, Y):
+        t = np.sqrt(np.sum((Y - X) ** 2, axis=1)) / self.lengthscale
+        base = np.maximum(0.0, 1.0 - t)
+        if self.order == 0:
+            return base
+        if self.order == 2:
+            return base ** 3 * (3.0 * t + 1.0)
+        return base ** 5 * (8.0 * t * t + 5.0 * t + 1.0)
 
     def inner_breaks(self, x):
         ls = self.lengthscale
@@ -321,12 +307,6 @@ class WendlandKernel(Kernel):
     def outer_breaks(self, lo, hi):
         ls = self.lengthscale
         return [(lo + ls, False), (hi - ls, False)]
-
-    def batch(self, x, Y):
-        x = as_point(x, self.dim)
-        Y = as_points(Y, x.size)
-        t = np.sqrt(np.sum((Y - x) ** 2, axis=1)) / self.lengthscale
-        return _wendland(self.order, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,33 +342,25 @@ class FbmKernel(Kernel):
     def dim(self):
         return 1
 
-    def _check(self, v: float):
-        if self.domain is not None:
-            a, b = self.domain
-            if not a <= v <= b:
-                raise InvalidSpecError(
-                    f"input {v} lies outside the declared domain [{a}, {b}]"
-                )
-        elif v < 0.0:
-            raise InvalidSpecError(f"input must be nonnegative, got {v}")
+    def _check(self, V: np.ndarray):
+        a, b = self.domain if self.domain is not None else (0.0, math.inf)
+        if np.any(V < a) or np.any(V > b):
+            v = float(V[(V < a) | (V > b)][0])
+            if self.domain is None:
+                raise InvalidSpecError(f"input must be nonnegative, got {v}")
+            raise InvalidSpecError(
+                f"input {v} lies outside the declared domain [{a}, {b}]"
+            )
 
-    def _eval(self, x, y):
-        xv, yv = float(x[0]), float(y[0])
-        self._check(xv)
-        self._check(yv)
+    def _pairs(self, X, Y):
+        self._check(X)
+        self._check(Y)
         h = 2.0 * self.hurst
-        return 0.5 * (abs(xv) ** h + abs(yv) ** h - abs(xv - yv) ** h)
-
-    def batch(self, x, Y):
-        x = as_point(x, 1)
-        Y = as_points(Y, 1)
-        self._check(float(x[0]))
-        lo, hi = self.domain if self.domain is not None else (0.0, math.inf)
-        if np.any(Y < lo) or np.any(Y > hi):
-            raise InvalidSpecError("batch input lies outside the declared domain")
-        h = 2.0 * self.hurst
-        yv = Y[:, 0]
-        return 0.5 * (abs(float(x[0])) ** h + np.abs(yv) ** h - np.abs(float(x[0]) - yv) ** h)
+        xv, yv = X[:, 0], Y[:, 0]
+        # one x takes Python's pow so values against a point stay put; numpy's
+        # pow can differ in the last bit, which the cancellation magnifies
+        xh = abs(float(xv[0])) ** h if len(xv) == 1 else np.abs(xv) ** h
+        return 0.5 * (xh + np.abs(yv) ** h - np.abs(xv - yv) ** h)
 
     def inner_breaks(self, x):
         if self.hurst == 0.5:
@@ -445,33 +417,37 @@ class PowerSeriesKernel(Kernel):
     def dim(self):
         return len(self.terms[0][0])
 
-    def _eval(self, x, y):
-        total = 0.0
-        for alpha, c in self.terms:
-            term = c
-            for xi, yi, ai in zip(x, y, alpha):
-                term *= (xi * yi) ** ai
-            total += term
-        return total
-
-    def batch(self, x, Y):
-        x = as_point(x, self.dim)
-        Y = as_points(Y, x.size)
-        out = np.zeros(Y.shape[0])
+    def _pairs(self, X, Y):
+        out = 0.0
         for alpha, c in self.terms:
             a = np.asarray(alpha, dtype=float)
-            out += c * np.prod(x ** a) * np.prod(Y ** a, axis=1)
+            out = out + c * np.prod(X ** a, axis=1) * np.prod(Y ** a, axis=1)
         return out
 
 
-def _check_unit(x: np.ndarray) -> np.ndarray:
-    nrm = float(np.sqrt(x @ x))
-    if abs(nrm - 1.0) > _SPHERE_NORM_TOL:
+def _check_unit(V: np.ndarray) -> None:
+    """Check that every row of V has unit norm within tolerance."""
+    nrm = np.sqrt(np.einsum("ij,ij->i", V, V))
+    bad = np.abs(nrm - 1.0) > _SPHERE_NORM_TOL
+    if np.any(bad):
         raise InvalidSpecError(
             f"sphere kernel inputs must have unit norm within {_SPHERE_NORM_TOL}, "
-            f"got norm {nrm}"
+            f"got norm {float(nrm[bad][0])}"
         )
-    return x / nrm
+
+
+def _sphere_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared distances between matched rows on the unit sphere. Rows
+    of X are projected onto the sphere; rows of Y are only checked, so
+    that a large batch of second arguments is not copied."""
+    _check_unit(X)
+    _check_unit(Y)
+    # the batched matmul gives each row the bits of x / sqrt(x @ x)
+    X = X / np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, :])
+    D = Y - X
+    D *= D
+    # np.sum's order over three columns, without its slow short-axis reduction
+    return D[:, 0] + D[:, 1] + D[:, 2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,15 +461,8 @@ class SphereSobolevKernel(Kernel):
     def dim(self):
         return 3
 
-    def _eval(self, x, y):
-        x = _check_unit(x)
-        y = _check_unit(y)
-        return 2.0 - _norm_diff(x, y)
-
-    def batch(self, x, Y):
-        x = _check_unit(as_point(x, 3))
-        Y = as_points(Y, 3)
-        return 2.0 - np.sqrt(np.sum((Y - x) ** 2, axis=1))
+    def _pairs(self, X, Y):
+        return 2.0 - np.sqrt(_sphere_sq_dist(X, Y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,15 +477,8 @@ class SphereSmoothKernel(Kernel):
     def dim(self):
         return 3
 
-    def _eval(self, x, y):
-        x = _check_unit(x)
-        y = _check_unit(y)
-        return 48.0 * math.exp(-12.0 * float(np.sum((x - y) ** 2)))
-
-    def batch(self, x, Y):
-        x = _check_unit(as_point(x, 3))
-        Y = as_points(Y, 3)
-        return 48.0 * np.exp(-12.0 * np.sum((Y - x) ** 2, axis=1))
+    def _pairs(self, X, Y):
+        return 48.0 * np.exp(-12.0 * _sphere_sq_dist(X, Y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,25 +502,14 @@ class PeriodicSobolevKernel(Kernel):
     def dim(self):
         return 1
 
-    def _scale(self) -> float:
-        r = self.r
-        return (-1.0) ** (r + 1) * (2.0 * math.pi) ** (2 * r) / math.factorial(2 * r)
-
-    def _eval(self, x, y):
-        xv, yv = float(x[0]), float(y[0])
-        for v in (xv, yv):
-            if not 0.0 <= v <= 1.0:
+    def _pairs(self, X, Y):
+        for V in (X, Y):
+            if np.any(V < 0.0) or np.any(V > 1.0):
+                v = float(V[(V < 0.0) | (V > 1.0)][0])
                 raise InvalidSpecError(f"inputs must lie in [0, 1], got {v}")
-        return 1.0 + self._scale() * bernoulli_poly(2 * self.r, abs(xv - yv))
-
-    def batch(self, x, Y):
-        x = as_point(x, 1)
-        Y = as_points(Y, 1)
-        if not 0.0 <= float(x[0]) <= 1.0 or np.any(Y < 0.0) or np.any(Y > 1.0):
-            raise InvalidSpecError("inputs must lie in [0, 1]")
-        t = np.abs(Y[:, 0] - float(x[0]))
-        vals = np.array([bernoulli_poly(2 * self.r, v) for v in t])
-        return 1.0 + self._scale() * vals
+        r = self.r
+        scale = (-1.0) ** (r + 1) * (2.0 * math.pi) ** (2 * r) / math.factorial(2 * r)
+        return 1.0 + scale * bernoulli_poly(2 * r, np.abs(Y[:, 0] - X[:, 0]))
 
     def inner_breaks(self, x):
         return [(x, False)]
@@ -610,16 +561,8 @@ class SumKernel(Kernel):
                 return c.dim
         return None
 
-    def _eval(self, x, y):
-        return sum(w * c._eval(x, y) for c, w in zip(self.children, self.weights))
-
-    def batch(self, x, Y):
-        x = as_point(x, self.dim)
-        Y = as_points(Y, x.size)
-        out = np.zeros(Y.shape[0])
-        for c, w in zip(self.children, self.weights):
-            out += w * c.batch(x, Y)
-        return out
+    def _pairs(self, X, Y):
+        return sum(w * c._pairs(X, Y) for c, w in zip(self.children, self.weights))
 
     @property
     def smooth(self):
@@ -670,29 +613,12 @@ class ProductKernel(Kernel):
     def dim(self):
         return sum(self.block_dims)
 
-    def _blocks(self, v: np.ndarray):
-        out = []
-        i = 0
-        for d in self.block_dims:
-            out.append(v[i : i + d])
-            i += d
-        return out
-
-    def _eval(self, x, y):
-        total = 1.0
-        for c, xb, yb in zip(self.children, self._blocks(x), self._blocks(y)):
-            total *= c._eval(xb, yb)
-        return total
-
-    def batch(self, x, Y):
-        x = as_point(x, self.dim)
-        Y = as_points(Y, x.size)
-        out = np.ones(Y.shape[0])
-        i = 0
-        for c, d in zip(self.children, self.block_dims):
-            out *= c.batch(x[i : i + d], Y[:, i : i + d])
-            i += d
-        return out
+    def _pairs(self, X, Y):
+        edges = np.cumsum((0,) + self.block_dims)
+        return math.prod(
+            c._pairs(X[:, a:b], Y[:, a:b])
+            for c, a, b in zip(self.children, edges[:-1], edges[1:])
+        )
 
     @property
     def smooth(self):
@@ -732,18 +658,16 @@ class MatrixValuedKernel(Kernel):
     def dim(self):
         return self.base.dim
 
-    def __call__(self, x, y) -> np.ndarray:
-        x = as_point(x, self.dim)
-        y = as_point(y, self.dim)
-        return self.base._eval(x, y) * self.matrix
-
-    def _eval(self, x, y):
-        return self.base._eval(x, y) * self.matrix
+    def _pairs(self, X, Y):
+        return self.base._pairs(X, Y)[:, None, None] * self.matrix
 
 
 @dataclass(frozen=True, eq=False)
 class Map:
-    """Invertible transport map with a stable name for serialization."""
+    """Invertible transport map with a stable name for serialization.
+
+    ``forward`` and ``inverse`` act on a point or on an (n, d) array of
+    rows at once."""
 
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
@@ -781,15 +705,15 @@ def NormalICDFMap() -> Map:
     """Coordinatewise standard normal quantile transform."""
     from .specfun import normal_cdf, normal_icdf
 
-    def fwd(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([normal_icdf(v) for v in arr])
-
-    def inv(z):
-        arr = np.atleast_1d(np.asarray(z, dtype=float))
-        return np.array([normal_cdf(v) for v in arr])
-
-    return Map(forward=fwd, inverse=inv, name="normal_icdf")
+    # elementwise on any shape; the scalar special functions keep the
+    # bits of math.exp and math.log, which np.exp and np.log do not
+    fwd = np.vectorize(normal_icdf, otypes=[float])
+    inv = np.vectorize(normal_cdf, otypes=[float])
+    return Map(
+        forward=lambda x: fwd(np.atleast_1d(np.asarray(x, dtype=float))),
+        inverse=lambda z: inv(np.atleast_1d(np.asarray(z, dtype=float))),
+        name="normal_icdf",
+    )
 
 
 # Spec-file kinds of the map factories, with their keys in the form of
@@ -814,15 +738,9 @@ class ComposedKernel(Kernel):
     def dim(self):
         return self.base.dim
 
-    def _eval(self, x, y):
-        fx = as_point(self.map(x), self.base.dim)
-        fy = as_point(self.map(y), self.base.dim)
-        return self.base._eval(fx, fy)
-
-    def batch(self, x, Y):
-        x = as_point(x)
-        Y = as_points(Y, x.size)
-        fx = as_point(self.map(x), self.base.dim)
-        FY = np.vstack([as_point(self.map(row), self.base.dim) for row in Y])
-        return self.base.batch(fx, FY)
+    def _pairs(self, X, Y):
+        FX, FY = (as_points(self.map(V), self.base.dim) for V in (X, Y))
+        if not (np.all(np.isfinite(FX)) and np.all(np.isfinite(FY))):
+            raise InvalidSpecError("points must be finite")
+        return self.base._pairs(FX, FY)
 

@@ -68,10 +68,16 @@ class Measure:
             f"measure family '{self.family}' has no differentiable density"
         )
 
+    #: ``_draw(n, gen)`` returns n rows drawn with an already-derived
+    #: generator; None for a family that is not drawn that way.
+    _draw = None
+
     def sample(self, n: int, seed: int) -> np.ndarray:
-        raise InvalidSpecError(
-            f"measure family '{self.family}' is not sampleable"
-        )
+        if self._draw is None:
+            raise InvalidSpecError(
+                f"measure family '{self.family}' is not sampleable"
+            )
+        return self._draw(self._check_n(n), make_generator(seed))
 
     def _check_n(self, n: int) -> int:
         if n < 1:
@@ -114,11 +120,8 @@ class UniformBoxMeasure(Measure):
             return float(1.0 / np.prod(self.widths))
         return 0.0
 
-    def sample(self, n, seed):
-        n = self._check_n(n)
-        gen = make_generator(seed)
-        u = gen.random((n, self.dim))
-        return np.asarray(self.lows) + self.widths * u
+    def _draw(self, n, gen):
+        return np.asarray(self.lows) + self.widths * gen.random((n, self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +215,7 @@ class GaussianMeasure(Measure):
         x = as_point(x, self.dim)
         return -self._solve(x - np.asarray(self.mean))
 
-    def sample(self, n, seed):
-        n = self._check_n(n)
-        gen = make_generator(seed)
+    def _draw(self, n, gen):
         z = gen.standard_normal((n, self.dim))
         return np.asarray(self.mean) + z @ self.chol.T
 
@@ -236,9 +237,7 @@ class SphereUniformMeasure(Measure):
     def dim(self):
         return self.d + 1
 
-    def sample(self, n, seed):
-        n = self._check_n(n)
-        gen = make_generator(seed)
+    def _draw(self, n, gen):
         z = gen.standard_normal((n, self.dim))
         return z / np.sqrt(np.sum(z * z, axis=1))[:, None]
 
@@ -309,24 +308,12 @@ class MixtureMeasure(Measure):
             where = np.nonzero(idx == j)[0]
             if where.size == 0:
                 continue
-            gen = make_generator(seed, j + 1)
-            out[where] = _component_draw(comp, where.size, gen)
+            if comp._draw is None:
+                raise InvalidSpecError(
+                    f"mixture component family '{comp.family}' is not sampleable"
+                )
+            out[where] = comp._draw(where.size, make_generator(seed, j + 1))
         return out
-
-
-def _component_draw(comp: Measure, n: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw n points from a component using an already-derived generator."""
-    if isinstance(comp, GaussianMeasure):
-        z = gen.standard_normal((n, comp.dim))
-        return np.asarray(comp.mean) + z @ comp.chol.T
-    if isinstance(comp, UniformBoxMeasure):
-        return np.asarray(comp.lows) + comp.widths * gen.random((n, comp.dim))
-    if isinstance(comp, SphereUniformMeasure):
-        z = gen.standard_normal((n, comp.dim))
-        return z / np.sqrt(np.sum(z * z, axis=1))[:, None]
-    raise InvalidSpecError(
-        f"mixture component family '{comp.family}' is not sampleable"
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,8 +331,10 @@ class PushforwardMeasure(Measure):
         return self.base.dim
 
     def sample(self, n, seed):
-        base = self.base.sample(n, seed)
-        return np.vstack([as_point(self.map(row)) for row in base])
+        image = as_points(self.map(self.base.sample(n, seed)))
+        if not np.all(np.isfinite(image)):
+            raise InvalidSpecError("points must be finite")
+        return image
 
 
 @dataclass(frozen=True, eq=False)

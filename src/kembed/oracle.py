@@ -217,11 +217,6 @@ def _line_rule(
     return _composite_rule(points, graded, budget)
 
 
-def _batch_scalar(kernel: Kernel, x, Y: np.ndarray) -> np.ndarray:
-    vals = kernel.batch(x, Y)
-    return np.asarray(vals, dtype=float)
-
-
 def _check_scalar_kernel(kernel: Kernel):
     if isinstance(kernel, MatrixValuedKernel):
         raise UnsupportedPairError(
@@ -299,7 +294,7 @@ def estimate_kp(
         if isinstance(measure, UniformBoxMeasure) and measure.dim == 1:
             lo, hi = measure.lows[0], measure.highs[0]
             t, w = _line_rule(kernel, float(x[0]), lo, hi, budget)
-            vals = _batch_scalar(kernel, x, t[:, None])
+            vals = kernel.batch(x, t[:, None])
             return OracleEstimate(
                 value=float(np.dot(w, vals)) / (hi - lo),
                 stderr=0.0,
@@ -322,7 +317,7 @@ def estimate_kp(
             T1, T2 = np.meshgrid(grids[0], grids[1], indexing="ij")
             pts = np.column_stack([T1.ravel(), T2.ravel()])
             wgt = np.outer(wts[0], wts[1]).ravel()
-            vals = _batch_scalar(kernel, x, pts)
+            vals = kernel.batch(x, pts)
             vol = float(np.prod(measure.widths))
             return OracleEstimate(
                 value=float(np.dot(wgt, vals)) / vol,
@@ -333,7 +328,7 @@ def estimate_kp(
         if isinstance(measure, GaussianMeasure) and measure.dim == 1:
             lo, hi = _gauss_interval(measure)
             t, w = _line_rule(kernel, float(x[0]), lo, hi, budget)
-            vals = _batch_scalar(kernel, x, t[:, None])
+            vals = kernel.batch(x, t[:, None])
             mu = measure.mean[0]
             sd = float(measure.stds()[0])
             pdf = np.exp(-0.5 * ((t - mu) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
@@ -354,7 +349,7 @@ def estimate_kp(
         mu = measure.mean[0]
         sd = float(measure.stds()[0])
         pts = mu + math.sqrt(2.0) * sd * t
-        vals = _batch_scalar(kernel, x, pts[:, None])
+        vals = kernel.batch(x, pts[:, None])
         return OracleEstimate(
             value=float(np.dot(w, vals)) / math.sqrt(math.pi),
             stderr=0.0,
@@ -364,7 +359,7 @@ def estimate_kp(
 
     # Monte Carlo: plain mean over a seeded sample.
     pts = measure.sample(budget, seed)
-    vals = _batch_scalar(kernel, x, pts)
+    vals = kernel.batch(x, pts)
     value, stderr = _mc_mean(vals)
     return OracleEstimate(value=value, stderr=stderr, method=method, n=budget, seed=seed)
 
@@ -402,7 +397,7 @@ def estimate_kpp(
             n_evals = 0
             for si, wi in zip(s, ws):
                 t, wt = _line_rule(kernel, float(si), lo, hi, budget)
-                vals = _batch_scalar(kernel, np.array([si]), t[:, None])
+                vals = kernel.batch(np.array([si]), t[:, None])
                 total += wi * float(np.dot(wt, vals))
                 n_evals += t.size
             r = hi - lo
@@ -427,7 +422,7 @@ def estimate_kpp(
             wgt = np.outer(wts[0], wts[1]).ravel()
             total = 0.0
             for i in range(pts.shape[0]):
-                row = _batch_scalar(kernel, pts[i], pts)
+                row = kernel.batch(pts[i], pts)
                 total += wgt[i] * float(np.dot(wgt, row))
             vol = float(np.prod(measure.widths))
             return OracleEstimate(
@@ -452,7 +447,7 @@ def estimate_kpp(
             n_evals = 0
             for si, wi in zip(s, ws):
                 t, wt = _line_rule(kernel, float(si), lo, hi, budget)
-                vals = _batch_scalar(kernel, np.array([si]), t[:, None])
+                vals = kernel.batch(np.array([si]), t[:, None])
                 pdf_t = np.exp(-0.5 * ((t - mu) / sd) ** 2) * norm
                 pdf_s = math.exp(-0.5 * ((si - mu) / sd) ** 2) * norm
                 total += wi * pdf_s * float(np.dot(wt, vals * pdf_t))
@@ -471,7 +466,7 @@ def estimate_kpp(
         pts = mu + math.sqrt(2.0) * sd * t
         total = 0.0
         for i in range(budget):
-            row = _batch_scalar(kernel, np.array([pts[i]]), pts[:, None])
+            row = kernel.batch(np.array([pts[i]]), pts[:, None])
             total += w[i] * float(np.dot(w, row))
         return OracleEstimate(
             value=total / math.pi, stderr=0.0, method=method, n=budget * budget
@@ -482,7 +477,7 @@ def estimate_kpp(
     pts = measure.sample(m, seed)
     row_sums = np.zeros(m)
     for i in range(m):
-        row = _batch_scalar(kernel, pts[i], pts)
+        row = kernel.batch(pts[i], pts)
         row_sums[i] = float(np.sum(row)) - float(row[i])
     total = float(np.sum(row_sums))
     value = total / (m * (m - 1))

@@ -1,6 +1,7 @@
 """Self-contained special functions backing the closed-form embeddings.
 
-Everything here is scalar float64 math with pinned accuracy contracts:
+Everything here is scalar float64 math (``bernoulli_poly`` also takes
+arrays) with pinned accuracy contracts:
 ``erf`` is a rational minimax approximation good to ~1e-15 relative,
 ``normal_cdf`` switches to a scaled-complementary-error-function path in
 the far left tail so that its logarithm stays accurate, and the
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "erf",
@@ -29,6 +32,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _RSQRT_PI = 5.6418958354775628695e-1  # 1/sqrt(pi)
 _LOG_HALF = math.log(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Rational minimax coefficients (Cody's scheme) for the three ranges.
 # |x| <= 0.46875: erf(x) = x * R1(x^2)
@@ -217,6 +221,18 @@ def normal_icdf(p: float) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_icdf requires p in (0, 1), got {p}")
+    if p < 1e-20:
+        # Newton on Phi crawls here (steps ~1/|x|) and stops short of the
+        # root; log Phi is concave and nearly linear, so Newton on it from
+        # the tail bound converges. No uniform draw in double is this small.
+        x = -math.sqrt(-2.0 * math.log(p))
+        for _ in range(50):
+            log_cdf = log_normal_cdf(x)
+            step = (log_cdf - math.log(p)) * math.exp(log_cdf + 0.5 * x * x + _LOG_SQRT_2PI)
+            x -= step
+            if abs(step) <= 1e-16 * abs(x):
+                break
+        return x
     # crude but monotone starting point from the tail bound
     q = min(p, 1.0 - p)
     x = math.sqrt(-2.0 * math.log(q))
@@ -334,8 +350,9 @@ _BERNOULLI_COEFFS: dict[int, tuple[Fraction, ...]] = {
 }
 
 
-def bernoulli_poly(degree: int, t: float) -> float:
-    """Bernoulli polynomial B_degree(t) for even degree in {2, ..., 12}.
+def bernoulli_poly(degree: int, t):
+    """Bernoulli polynomial B_degree(t) for even degree in {2, ..., 12},
+    at a scalar (returning a float) or elementwise on an array.
 
     Horner evaluation of the exact rational coefficient table.
     """
@@ -344,11 +361,11 @@ def bernoulli_poly(degree: int, t: float) -> float:
         raise ValueError(
             f"degree must be an even integer in [2, 12], got {degree}"
         )
-    t = float(t)
+    t = np.asarray(t, dtype=float)
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * t + float(c)
-    return acc
+    return float(acc) if t.ndim == 0 else acc
 
 
 def double_factorial(n: int) -> int:

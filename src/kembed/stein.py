@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 # family -> fn(kernel, x, Y) returning (k, grad_x, grad_y, trace) with
-# shapes (n,), (n, d), (n, d), (n,) for the rows y_i of Y.
+# shapes (n,), (n, d), (n, d), (n,) for the rows y_i of Y; x is one
+# point or an (n, d) array of rows matched with those of Y.
 _DERIVATIVES: dict[str, Callable] = {}
 
 
@@ -46,7 +47,8 @@ def register_derivatives(family: str, fn: Callable) -> None:
 
 def base_derivatives(kernel: Kernel, x, Y):
     """Evaluate (K, grad_x K, grad_y K, tr grad_x grad_y K) against the
-    rows of Y using the registered rule for the kernel's family."""
+    rows of Y, at one point x or at the matched rows of x, using the
+    registered rule for the kernel's family."""
     fn = _DERIVATIVES.get(kernel.family)
     if fn is None:
         raise UnsupportedPairError(
@@ -57,9 +59,9 @@ def base_derivatives(kernel: Kernel, x, Y):
 
 
 def _gaussian_derivatives(kernel: GaussianKernel, x, Y):
-    x = as_point(x, kernel.dim)
-    Y = as_points(Y, x.size)
-    U = x[None, :] - Y
+    X = as_points(x, kernel.dim) if np.ndim(x) == 2 else as_point(x, kernel.dim)[None, :]
+    Y = as_points(Y, X.shape[1])
+    U = X - Y
     if kernel.diagonal:
         inv = 1.0 / np.asarray(kernel.lengthscales) ** 2
         Q = U * inv[None, :]
@@ -152,19 +154,16 @@ class SteinKernel(Kernel):
         and a measure parsed from separate spec objects still match."""
         return _same_parameters(self.target, measure)
 
-    def _eval(self, x, y):
-        return float(self.batch(x, y[None, :])[0])
-
-    def batch(self, x, Y):
-        x = as_point(x, self.dim)
-        Y = as_points(Y, self.dim)
-        k, gx, gy, tr = base_derivatives(self.base, x, Y)
-        sx = self.target.score(x)
+    def _pairs(self, X, Y):
+        k, gx, gy, tr = base_derivatives(self.base, X, Y)
         sy = _score_rows(self.target, Y)
+        # one point takes the target's own score (a Cholesky solve for a
+        # full covariance), so values against a point stay put
+        sx = self.target.score(X[0]) if len(X) == 1 else _score_rows(self.target, X)
         return (
-            k * (sy @ sx)
+            k * np.sum(sy * sx, axis=1)
             + np.sum(gx * sy, axis=1)
-            + gy @ sx
+            + np.sum(gy * sx, axis=1)
             + tr
             + self.c
         )

@@ -36,6 +36,7 @@ from kembed.measures import (
 )
 from kembed.oracle import estimate_kpp, estimate_mean
 from kembed.quadrature import bq_posterior, make_problem
+from kembed.stein import SteinKernel
 
 
 def test_product_embed_tensorizes():
@@ -141,6 +142,22 @@ def test_mixture_mc_cross_terms_flagged():
     assert e.kpp == pytest.approx(
         o.value, abs=3 * math.hypot(e.kpp_stderr, o.stderr)
     )
+
+
+def test_stein_kernel_under_mixture_cross_term():
+    # the Monte Carlo cross term goes through one Kernel.pairs call. By
+    # the Stein identity the target block and the cross term integrate
+    # to 0; the N(2, 1) block is the Stein discrepancy, whose score gap
+    # is -2, so it is 4 E k(X, Y) = 4/sqrt(3) for the Gaussian base, and
+    # with weight 1/4 the double integral is 1/sqrt(3)
+    k = SteinKernel(GaussianKernel((1.0,)), target=GaussianMeasure((0.0,), 1.0))
+    mix = MixtureMeasure(
+        [GaussianMeasure((0.0,), 1.0), GaussianMeasure((2.0,), 1.0)], [0.5, 0.5]
+    )
+    e = embed(k, mix, seed=0)
+    assert e.kpp_provenance == NUMERIC_FALLBACK
+    assert e.kpp_stderr > 0.0
+    assert abs(e.kpp - 1.0 / math.sqrt(3.0)) <= 4.0 * e.kpp_stderr
 
 
 def test_mixture_embed_shape_validation():

@@ -160,6 +160,42 @@ def test_pushforward_sampling_identity():
     np.testing.assert_array_equal(x, 2.0 * u + 1.0)
 
 
+def test_pushforward_maps_the_whole_sample_as_row_by_row():
+    base = GaussianMeasure(mean=(0.0, 1.0), cov=(1.0, 2.0))
+    aff = AffineMap([2.0, -3.0], [0.5, 1.0])
+    rows = np.vstack([aff(row) for row in base.sample(50, seed=4)])
+    assert PushforwardMeasure(base=base, map=aff).sample(50, seed=4).tobytes() == rows.tobytes()
+    box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
+    icdf = NormalICDFMap()
+    u = box.sample(50, seed=5)
+    rows = np.vstack([icdf(row) for row in u])
+    assert PushforwardMeasure(base=box, map=icdf).sample(50, seed=5).tobytes() == rows.tobytes()
+    # elementwise on any shape, with each value that of the scalar map
+    grid = u.reshape(5, 2, 5)
+    assert icdf(grid).shape == grid.shape
+    assert icdf(grid).tobytes() == icdf(u.ravel()).tobytes()
+    assert icdf(0.5).shape == (1,)
+
+
+def test_pushforward_image_must_be_finite():
+    box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
+    blowup = AffineMap(1e308, 1e308)
+    with np.errstate(over="ignore"), pytest.raises(InvalidSpecError, match="finite"):
+        PushforwardMeasure(base=box, map=blowup).sample(10, seed=0)
+
+
+def test_unsampleable_families_keep_their_errors():
+    target = ScoreMeasure(score_fn=lambda x: -x)
+    with pytest.raises(InvalidSpecError, match="^measure family 'unnormalized_score' is not"):
+        target.sample(5, seed=0)
+    mix = MixtureMeasure(
+        components=[GaussianMeasure(mean=(0.0,)), EmpiricalMeasure(np.array([[1.0]]))],
+        weights=(0.5, 0.5),
+    )
+    with pytest.raises(InvalidSpecError, match="^mixture component family 'empirical' is not"):
+        mix.sample(20, seed=0)
+
+
 def test_pushforward_icdf_is_standard_normal():
     base = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
     pf = PushforwardMeasure(base=base, map=NormalICDFMap())

@@ -313,3 +313,61 @@ def test_oracle_routing(pair, what):
     else:
         est = run()
         assert (est.method, est.n) == expected
+
+
+def _entry_point_outcomes(kernel, x, y) -> dict:
+    """K(x, y) through each public entry point, as its bytes, or the
+    message of the InvalidSpecError it raises."""
+    paths = {
+        "call": lambda: kernel(x, y),
+        "batch": lambda: kernel.batch(x, [y])[0],
+        "pairs": lambda: kernel.pairs([x], [y])[0],
+        "gram": lambda: kernel.gram([x, y])[0, 1],
+    }
+    if isinstance(kernel, GaussianKernel):
+        # its __call__ keeps the math.exp form that the CLI goldens pin
+        del paths["call"]
+    out = {}
+    for name, path in paths.items():
+        try:
+            out[name] = np.asarray(path(), dtype=float).tobytes()
+        except InvalidSpecError as exc:
+            out[name] = str(exc)
+    return out
+
+
+@pytest.mark.parametrize("pair", sorted(_ROUTES), ids="-".join)
+def test_entry_points_agree_bitwise(pair):
+    # one formula per family: every entry point gives the same bits, or
+    # the same error (fbm under a Gaussian draws negative inputs)
+    family, measure_name = pair
+    measure, _ = _ROUTE_MEASURES[measure_name]
+    kernel = _ROUTE_KERNELS[family](measure.dim)
+    pts = measure.sample(40, seed=3)
+    for x, y in zip(pts[:20], pts[20:]):
+        outcomes = _entry_point_outcomes(kernel, x, y)
+        assert len(set(outcomes.values())) == 1, (x, y, outcomes)
+
+
+_NORTH = [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "kernel, inside, outside, message",
+    [
+        (SphereSobolevKernel(), _NORTH, [0.0, 0.0, 2.0], "unit norm within 1e-09, got norm 2.0"),
+        (SphereSmoothKernel(), _NORTH, [0.0, 0.6, 0.6], "unit norm within 1e-09, got norm 0.848"),
+        (FbmKernel(hurst=0.3, domain=(0.0, 1.0)), [0.5], [1.5],
+         "input 1.5 lies outside the declared domain [0.0, 1.0]"),
+        (FbmKernel(hurst=0.3), [0.5], [-0.25], "input must be nonnegative, got -0.25"),
+        (PeriodicSobolevKernel(r=2), [0.5], [1.25], "inputs must lie in [0, 1], got 1.25"),
+        (PeriodicSobolevKernel(r=2), [0.5], [-0.5], "inputs must lie in [0, 1], got -0.5"),
+    ],
+    ids=["sobolev32", "smooth", "fbm_domain", "fbm_negative", "periodic_high", "periodic_low"],
+)
+@pytest.mark.parametrize("bad_first", [False, True], ids=["second", "first"])
+def test_out_of_domain_input_raises_alike_everywhere(kernel, inside, outside, message, bad_first):
+    x, y = (outside, inside) if bad_first else (inside, outside)
+    outcomes = _entry_point_outcomes(kernel, x, y)
+    assert len(set(outcomes.values())) == 1, outcomes
+    assert message in outcomes["call"]
