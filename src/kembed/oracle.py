@@ -16,6 +16,10 @@ Legendre panels on [mu - 12 sigma, mu + 12 sigma] (the truncated tail
 mass is ~1e-32, far below every tolerance used here) because Hermite
 quadrature converges only polynomially on non-smooth integrands.
 
+Both integrals take their deterministic rules from one builder per
+measure and method: the double integral runs the single integral's rule
+for the inner variable at each node of a rule for the outer one.
+
 Nodes are generated at import-free startup by Newton iteration on the
 orthogonal-polynomial recurrences and cached; no external tables.
 """
@@ -58,6 +62,9 @@ _GRADE_RATIO = 0.15
 _GRADE_LEVELS = 14
 _GRADED_PANEL_NODES = 20
 _GAUSS_TAIL_SIGMAS = 12.0
+# nodes per axis of the 2-d grid in a double integral
+_DOUBLE_GRID_NODES = 40
+_MC_METHODS = ("monte_carlo", "sphere_mc")
 
 
 @dataclass(frozen=True)
@@ -186,15 +193,9 @@ def _panel_points(
     return keep, bool(graded)
 
 
-def _composite_rule(
-    points: list[float], graded: bool, budget: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated Gauss-Legendre rule over consecutive panels."""
-    n_panels = len(points) - 1
-    if graded:
-        per = _GRADED_PANEL_NODES
-    else:
-        per = max(12, budget // max(1, n_panels))
+def _panels(points: list[float], per: int) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ``per``-node Gauss-Legendre rule over consecutive
+    panels."""
     x0, w0 = gauss_legendre_nodes(per)
     ts = []
     ws = []
@@ -205,24 +206,17 @@ def _composite_rule(
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def _line_rule(
-    kernel: Kernel, x: float, lo: float, hi: float, budget: int
+def _split_panels(
+    kernel: Kernel, lo: float, hi: float, breaks, budget: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    breaks = kernel.inner_breaks(x)
+    """Legendre panels on [lo, hi] split at the kernel's break points."""
     if breaks is None:
         raise UnsupportedPairError(
             f"kernel family '{kernel.family}' is not safe for panel quadrature"
         )
     points, graded = _panel_points(lo, hi, breaks)
-    return _composite_rule(points, graded, budget)
-
-
-def _check_scalar_kernel(kernel: Kernel):
-    if isinstance(kernel, MatrixValuedKernel):
-        raise UnsupportedPairError(
-            "the oracle integrates scalar kernels; integrate the scalar part "
-            "of a matrix-valued kernel and scale by its matrix"
-        )
+    per = _GRADED_PANEL_NODES if graded else max(12, budget // (len(points) - 1))
+    return _panels(points, per)
 
 
 def _auto_method(kernel: Kernel, measure: Measure) -> str:
@@ -248,18 +242,93 @@ def _auto_method(kernel: Kernel, measure: Measure) -> str:
     return "monte_carlo"
 
 
-def _resolve_budget(budget: int | None, method: str) -> int:
+def _method_and_budget(
+    kernel: Kernel, measure: Measure, method: str | None, budget: int | None
+) -> tuple[str, int]:
+    """The checked method (auto-selected when None) and its budget."""
+    if isinstance(kernel, MatrixValuedKernel):
+        raise UnsupportedPairError(
+            "the oracle integrates scalar kernels; integrate the scalar part "
+            "of a matrix-valued kernel and scale by its matrix"
+        )
+    if method is None:
+        method = _auto_method(kernel, measure)
+    if method not in ("gauss_legendre", "gauss_hermite") + _MC_METHODS:
+        raise InvalidSpecError(f"unknown oracle method '{method}'")
     if budget is None:
-        budget = DEFAULT_MC_BUDGET if method in ("monte_carlo", "sphere_mc") else DEFAULT_QUAD_NODES
+        budget = DEFAULT_MC_BUDGET if method in _MC_METHODS else DEFAULT_QUAD_NODES
     if budget < 10:
         raise InvalidSpecError(f"budget must be >= 10, got {budget}")
-    return int(budget)
+    return method, int(budget)
 
 
-def _gauss_interval(measure: GaussianMeasure) -> tuple[float, float]:
-    mu = measure.mean[0]
-    sd = float(measure.stds()[0])
-    return mu - _GAUSS_TAIL_SIGMAS * sd, mu + _GAUSS_TAIL_SIGMAS * sd
+def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int):
+    """The deterministic rules of ``method`` on ``measure``, as a pair of
+    functions ``(outer, inner)``. ``inner(x)`` integrates y -> K(x, y);
+    ``outer()`` integrates the outer variable of the double integral,
+    s -> integral of K(s, .), which that inner integration has smoothed.
+    Each returns (nodes (n, d), weights, normalizer): the single
+    integral is the weighted sum divided by inner's normalizer, and the
+    double integral the sum of both weightings divided by outer's. Rules
+    that do not depend on x are built once, here; the 2-d grid has at
+    most ``grid`` nodes per axis."""
+    gauss_1d = isinstance(measure, GaussianMeasure) and measure.dim == 1
+    if method == "gauss_hermite" and not gauss_1d:
+        raise UnsupportedPairError("gauss_hermite requires a 1-d Gaussian measure")
+    if gauss_1d:
+        mu = measure.mean[0]
+        sd = float(measure.stds()[0])
+        if method == "gauss_hermite":
+            z, w = gauss_hermite_nodes(budget)
+            t = (mu + math.sqrt(2.0) * sd * z)[:, None]
+            # the weights sum to sqrt(pi) in each variable
+            return (lambda: (t, w, math.pi)), (lambda x: (t, w, math.sqrt(math.pi)))
+        # Legendre panels on the truncated line, the pdf folded into the
+        # weights; the outer integrand is a convolution with a Gaussian,
+        # hence smooth, so its panels need no split.
+        lo = mu - _GAUSS_TAIL_SIGMAS * sd
+        hi = mu + _GAUSS_TAIL_SIGMAS * sd
+
+        def with_pdf(t, w):
+            pdf = np.exp(-0.5 * ((t - mu) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+            return t[:, None], w * pdf, 1.0
+
+        return (
+            lambda: with_pdf(*_panels([lo, hi], budget)),
+            lambda x: with_pdf(
+                *_split_panels(kernel, lo, hi, kernel.inner_breaks(float(x[0])), budget)
+            ),
+        )
+    box = isinstance(measure, UniformBoxMeasure)
+    if box and measure.dim == 2:
+        if not kernel.smooth:
+            raise UnsupportedPairError(
+                "2-d panel quadrature supports analytic kernels only"
+            )
+        n_ax = min(budget, grid)
+        (t1, w1), (t2, w2) = (
+            _panels([a, b], n_ax) for a, b in zip(measure.lows, measure.highs)
+        )
+        T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+        t = np.column_stack([T1.ravel(), T2.ravel()])
+        w = np.outer(w1, w2).ravel()
+        vol = float(np.prod(measure.widths))
+        return (lambda: (t, w, vol * vol)), (lambda x: (t, w, vol))
+    if box and measure.dim == 1:
+        lo, hi = measure.lows[0], measure.highs[0]
+        r = hi - lo
+
+        def on_box(breaks, norm):
+            t, w = _split_panels(kernel, lo, hi, breaks, budget)
+            return t[:, None], w, norm
+
+        return (
+            lambda: on_box(kernel.outer_breaks(lo, hi), r * r),
+            lambda x: on_box(kernel.inner_breaks(float(x[0])), r),
+        )
+    raise UnsupportedPairError(
+        "gauss_legendre applies to 1-d/2-d boxes and 1-d Gaussians"
+    )
 
 
 def _mc_mean(vals: np.ndarray) -> tuple[float, float]:
@@ -282,86 +351,17 @@ def estimate_kp(
 ) -> OracleEstimate:
     """Numerically estimate the single integral of K(x, .) against the
     measure. The method is auto-selected unless overridden."""
-    _check_scalar_kernel(kernel)
-    if method is None:
-        method = _auto_method(kernel, measure)
-    if method not in ("gauss_legendre", "gauss_hermite", "monte_carlo", "sphere_mc"):
-        raise InvalidSpecError(f"unknown oracle method '{method}'")
-    budget = _resolve_budget(budget, method)
+    method, budget = _method_and_budget(kernel, measure, method, budget)
     x = as_point(x, measure.dim if measure.dim else None)
-
-    if method == "gauss_legendre":
-        if isinstance(measure, UniformBoxMeasure) and measure.dim == 1:
-            lo, hi = measure.lows[0], measure.highs[0]
-            t, w = _line_rule(kernel, float(x[0]), lo, hi, budget)
-            vals = kernel.batch(x, t[:, None])
-            return OracleEstimate(
-                value=float(np.dot(w, vals)) / (hi - lo),
-                stderr=0.0,
-                method=method,
-                n=t.size,
-            )
-        if isinstance(measure, UniformBoxMeasure) and measure.dim == 2:
-            if not kernel.smooth:
-                raise UnsupportedPairError(
-                    "2-d panel quadrature supports analytic kernels only"
-                )
-            n_ax = min(budget, DEFAULT_QUAD_NODES)
-            x0, w0 = gauss_legendre_nodes(n_ax)
-            grids = []
-            wts = []
-            for a, b in zip(measure.lows, measure.highs):
-                half = 0.5 * (b - a)
-                grids.append(0.5 * (a + b) + half * x0)
-                wts.append(half * w0)
-            T1, T2 = np.meshgrid(grids[0], grids[1], indexing="ij")
-            pts = np.column_stack([T1.ravel(), T2.ravel()])
-            wgt = np.outer(wts[0], wts[1]).ravel()
-            vals = kernel.batch(x, pts)
-            vol = float(np.prod(measure.widths))
-            return OracleEstimate(
-                value=float(np.dot(wgt, vals)) / vol,
-                stderr=0.0,
-                method=method,
-                n=pts.shape[0],
-            )
-        if isinstance(measure, GaussianMeasure) and measure.dim == 1:
-            lo, hi = _gauss_interval(measure)
-            t, w = _line_rule(kernel, float(x[0]), lo, hi, budget)
-            vals = kernel.batch(x, t[:, None])
-            mu = measure.mean[0]
-            sd = float(measure.stds()[0])
-            pdf = np.exp(-0.5 * ((t - mu) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-            return OracleEstimate(
-                value=float(np.dot(w, vals * pdf)),
-                stderr=0.0,
-                method=method,
-                n=t.size,
-            )
-        raise UnsupportedPairError(
-            "gauss_legendre applies to 1-d/2-d boxes and 1-d Gaussians"
-        )
-
-    if method == "gauss_hermite":
-        if not (isinstance(measure, GaussianMeasure) and measure.dim == 1):
-            raise UnsupportedPairError("gauss_hermite requires a 1-d Gaussian measure")
-        t, w = gauss_hermite_nodes(budget)
-        mu = measure.mean[0]
-        sd = float(measure.stds()[0])
-        pts = mu + math.sqrt(2.0) * sd * t
-        vals = kernel.batch(x, pts[:, None])
-        return OracleEstimate(
-            value=float(np.dot(w, vals)) / math.sqrt(math.pi),
-            stderr=0.0,
-            method=method,
-            n=budget,
-        )
-
-    # Monte Carlo: plain mean over a seeded sample.
-    pts = measure.sample(budget, seed)
-    vals = kernel.batch(x, pts)
-    value, stderr = _mc_mean(vals)
-    return OracleEstimate(value=value, stderr=stderr, method=method, n=budget, seed=seed)
+    if method in _MC_METHODS:
+        # plain mean over a seeded sample
+        vals = kernel.batch(x, measure.sample(budget, seed))
+        value, stderr = _mc_mean(vals)
+        return OracleEstimate(value=value, stderr=stderr, method=method, n=budget, seed=seed)
+    _, inner = _rules(kernel, measure, method, budget, DEFAULT_QUAD_NODES)
+    t, w, norm = inner(x)
+    value = float(np.dot(w, kernel.batch(x, t))) / norm
+    return OracleEstimate(value=value, stderr=0.0, method=method, n=w.size)
 
 
 def estimate_kpp(
@@ -376,119 +376,34 @@ def estimate_kpp(
     quadrature (budget = nodes per axis); Monte Carlo uses the
     diagonal-excluding U-statistic over ~sqrt(budget) points with a
     jackknife standard error."""
-    _check_scalar_kernel(kernel)
-    if method is None:
-        method = _auto_method(kernel, measure)
-    if method not in ("gauss_legendre", "gauss_hermite", "monte_carlo", "sphere_mc"):
-        raise InvalidSpecError(f"unknown oracle method '{method}'")
-    budget = _resolve_budget(budget, method)
-
-    if method == "gauss_legendre":
-        if isinstance(measure, UniformBoxMeasure) and measure.dim == 1:
-            lo, hi = measure.lows[0], measure.highs[0]
-            obreaks = kernel.outer_breaks(lo, hi)
-            if obreaks is None:
-                raise UnsupportedPairError(
-                    f"kernel family '{kernel.family}' is not safe for panel quadrature"
-                )
-            opoints, ograded = _panel_points(lo, hi, obreaks)
-            s, ws = _composite_rule(opoints, ograded, budget)
-            total = 0.0
-            n_evals = 0
-            for si, wi in zip(s, ws):
-                t, wt = _line_rule(kernel, float(si), lo, hi, budget)
-                vals = kernel.batch(np.array([si]), t[:, None])
-                total += wi * float(np.dot(wt, vals))
-                n_evals += t.size
-            r = hi - lo
-            return OracleEstimate(
-                value=total / (r * r), stderr=0.0, method=method, n=n_evals
-            )
-        if isinstance(measure, UniformBoxMeasure) and measure.dim == 2:
-            if not kernel.smooth:
-                raise UnsupportedPairError(
-                    "2-d panel quadrature supports analytic kernels only"
-                )
-            n_ax = min(budget, 40)
-            x0, w0 = gauss_legendre_nodes(n_ax)
-            grids = []
-            wts = []
-            for a, b in zip(measure.lows, measure.highs):
-                half = 0.5 * (b - a)
-                grids.append(0.5 * (a + b) + half * x0)
-                wts.append(half * w0)
-            T1, T2 = np.meshgrid(grids[0], grids[1], indexing="ij")
-            pts = np.column_stack([T1.ravel(), T2.ravel()])
-            wgt = np.outer(wts[0], wts[1]).ravel()
-            total = 0.0
-            for i in range(pts.shape[0]):
-                row = kernel.batch(pts[i], pts)
-                total += wgt[i] * float(np.dot(wgt, row))
-            vol = float(np.prod(measure.widths))
-            return OracleEstimate(
-                value=total / (vol * vol),
-                stderr=0.0,
-                method=method,
-                n=pts.shape[0] ** 2,
-            )
-        if isinstance(measure, GaussianMeasure) and measure.dim == 1:
-            # outer integrand s -> integral K(s, .) dP is a convolution
-            # with a Gaussian, hence smooth: plain panels outside,
-            # kink-split panels inside.
-            lo, hi = _gauss_interval(measure)
-            mu = measure.mean[0]
-            sd = float(measure.stds()[0])
-            x0, w0 = gauss_legendre_nodes(budget)
-            half = 0.5 * (hi - lo)
-            s = 0.5 * (lo + hi) + half * x0
-            ws = half * w0
-            norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
-            total = 0.0
-            n_evals = 0
-            for si, wi in zip(s, ws):
-                t, wt = _line_rule(kernel, float(si), lo, hi, budget)
-                vals = kernel.batch(np.array([si]), t[:, None])
-                pdf_t = np.exp(-0.5 * ((t - mu) / sd) ** 2) * norm
-                pdf_s = math.exp(-0.5 * ((si - mu) / sd) ** 2) * norm
-                total += wi * pdf_s * float(np.dot(wt, vals * pdf_t))
-                n_evals += t.size
-            return OracleEstimate(value=total, stderr=0.0, method=method, n=n_evals)
-        raise UnsupportedPairError(
-            "gauss_legendre applies to 1-d/2-d boxes and 1-d Gaussians"
-        )
-
-    if method == "gauss_hermite":
-        if not (isinstance(measure, GaussianMeasure) and measure.dim == 1):
-            raise UnsupportedPairError("gauss_hermite requires a 1-d Gaussian measure")
-        t, w = gauss_hermite_nodes(budget)
-        mu = measure.mean[0]
-        sd = float(measure.stds()[0])
-        pts = mu + math.sqrt(2.0) * sd * t
-        total = 0.0
-        for i in range(budget):
-            row = kernel.batch(np.array([pts[i]]), pts[:, None])
-            total += w[i] * float(np.dot(w, row))
-        return OracleEstimate(
-            value=total / math.pi, stderr=0.0, method=method, n=budget * budget
-        )
-
-    # U-statistic over m ~ sqrt(budget) sample points.
-    m = max(2, int(math.isqrt(budget)))
-    pts = measure.sample(m, seed)
-    row_sums = np.zeros(m)
-    for i in range(m):
-        row = kernel.batch(pts[i], pts)
-        row_sums[i] = float(np.sum(row)) - float(row[i])
-    total = float(np.sum(row_sums))
-    value = total / (m * (m - 1))
-    if m > 2:
-        # jackknife: removing point i removes its row and column
-        loo = (total - 2.0 * row_sums) / ((m - 1) * (m - 2))
-        var = (m - 1) / m * float(np.sum((loo - np.mean(loo)) ** 2))
-        stderr = math.sqrt(max(0.0, var))
-    else:
+    method, budget = _method_and_budget(kernel, measure, method, budget)
+    if method in _MC_METHODS:
+        # U-statistic over m ~ sqrt(budget) sample points; the Gram rows
+        # are summed one at a time, so the m x m matrix is never held
+        m = max(2, int(math.isqrt(budget)))
+        pts = measure.sample(m, seed)
+        row_sums = np.zeros(m)
+        for i in range(m):
+            row = kernel.batch(pts[i], pts)
+            row_sums[i] = float(np.sum(row)) - float(row[i])
+        total = float(np.sum(row_sums))
+        value = total / (m * (m - 1))
         stderr = 0.0
-    return OracleEstimate(value=value, stderr=stderr, method=method, n=m, seed=seed)
+        if m > 2:
+            # jackknife: removing point i removes its row and column
+            loo = (total - 2.0 * row_sums) / ((m - 1) * (m - 2))
+            var = (m - 1) / m * float(np.sum((loo - np.mean(loo)) ** 2))
+            stderr = math.sqrt(max(0.0, var))
+        return OracleEstimate(value=value, stderr=stderr, method=method, n=m, seed=seed)
+    outer, inner = _rules(kernel, measure, method, budget, _DOUBLE_GRID_NODES)
+    s, ws, norm = outer()
+    total = 0.0
+    n = 0
+    for si, wi in zip(s, ws):
+        t, wt, _ = inner(si)
+        total += wi * float(np.dot(wt, kernel.batch(si, t)))
+        n += wt.size
+    return OracleEstimate(value=float(total) / norm, stderr=0.0, method=method, n=n)
 
 
 def estimate_mean(

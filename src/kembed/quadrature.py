@@ -62,12 +62,13 @@ class QuadratureProblem:
             scale = float(np.max(np.abs(self.gram))) or 1.0
             if float(np.max(np.abs(self.gram - self.gram.T))) > 1e-10 * scale:
                 raise InvalidSpecError("gram matrix must be symmetric")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if float(np.max(np.abs(self.nodes[i] - self.nodes[j]))) <= _DISTINCT_TOL:
-                    raise InvalidSpecError(
-                        f"nodes {i} and {j} coincide within {_DISTINCT_TOL}"
-                    )
+        for i in range(n - 1):
+            gaps = np.abs(self.nodes[i + 1 :] - self.nodes[i]).reshape(n - i - 1, -1)
+            close = np.flatnonzero(gaps.max(axis=1) <= _DISTINCT_TOL)
+            if close.size:
+                raise InvalidSpecError(
+                    f"nodes {i} and {i + 1 + close[0]} coincide within {_DISTINCT_TOL}"
+                )
 
     @property
     def n(self) -> int:

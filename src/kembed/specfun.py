@@ -215,12 +215,17 @@ def normal_pdf(x: float) -> float:
 def normal_icdf(p: float) -> float:
     """Inverse standard normal CDF on (0, 1).
 
-    Bracketed Newton iteration against ``normal_cdf``; converges to full
-    double precision in a handful of steps and needs no magic constants.
+    Bracketed Newton iteration against ``normal_cdf`` for p <= 1/2, and
+    x(p) = -x(1 - p) above; converges to full double precision in a
+    handful of steps and needs no magic constants.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_icdf requires p in (0, 1), got {p}")
+    if p > 0.5:
+        # Phi(x) = p resolves x only to about eps / phi(x) as p nears 1;
+        # 1 - p is exact here and its root is found to full precision
+        return -normal_icdf(1.0 - p)
     if p < 1e-20:
         # Newton on Phi crawls here (steps ~1/|x|) and stops short of the
         # root; log Phi is concave and nearly linear, so Newton on it from
@@ -234,9 +239,7 @@ def normal_icdf(p: float) -> float:
                 break
         return x
     # crude but monotone starting point from the tail bound
-    q = min(p, 1.0 - p)
-    x = math.sqrt(-2.0 * math.log(q))
-    x = x if p > 0.5 else -x
+    x = -math.sqrt(-2.0 * math.log(p))
     lo, hi = -40.0, 40.0
     for _ in range(80):
         f = normal_cdf(x) - p

@@ -80,6 +80,14 @@ def _gaussian_derivatives(kernel: GaussianKernel, x, Y):
 register_derivatives("gaussian", _gaussian_derivatives)
 
 
+def _precision_rows(cov: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """cov^{-1} d for each row d of D. The precision matrix multiplies
+    each row elementwise and sums over the last axis, so a row's bits do
+    not depend on how many rows share the call (a multi-right-hand-side
+    solve's do)."""
+    return np.sum(np.linalg.inv(cov)[None, :, :] * D[:, None, :], axis=2)
+
+
 def _score_rows(measure: Measure, Y: np.ndarray) -> np.ndarray:
     """Scores of the target at the rows of Y, vectorized when the
     measure allows it."""
@@ -87,7 +95,7 @@ def _score_rows(measure: Measure, Y: np.ndarray) -> np.ndarray:
         D = Y - np.asarray(measure.mean)[None, :]
         if measure.diagonal:
             return -D / np.asarray(measure.cov_diag)[None, :]
-        return -np.linalg.solve(measure.cov, D.T).T
+        return -_precision_rows(measure.cov, D)
     if isinstance(measure, MixtureMeasure) and all(
         isinstance(c, GaussianMeasure) for c in measure.components
     ):
@@ -102,7 +110,7 @@ def _score_rows(measure: Measure, Y: np.ndarray) -> np.ndarray:
                 q = np.sum(D * D / var, axis=1)
                 scores[j] = -D / var
             else:
-                sol = np.linalg.solve(comp.cov, D.T).T
+                sol = _precision_rows(comp.cov, D)
                 q = np.sum(D * sol, axis=1)
                 scores[j] = -sol
             logdet = 2.0 * np.sum(np.log(np.diag(comp.chol)))
@@ -157,9 +165,7 @@ class SteinKernel(Kernel):
     def _pairs(self, X, Y):
         k, gx, gy, tr = base_derivatives(self.base, X, Y)
         sy = _score_rows(self.target, Y)
-        # one point takes the target's own score (a Cholesky solve for a
-        # full covariance), so values against a point stay put
-        sx = self.target.score(X[0]) if len(X) == 1 else _score_rows(self.target, X)
+        sx = _score_rows(self.target, X)
         return (
             k * np.sum(sy * sx, axis=1)
             + np.sum(gx * sy, axis=1)

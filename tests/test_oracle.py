@@ -1,6 +1,7 @@
 """Numerical oracle: quadrature node exactness, convergence under
 budget doubling, Monte Carlo unbiasedness, and method selection."""
 
+import ast
 import math
 import random
 
@@ -28,6 +29,7 @@ from kembed.measures import (
     SphereUniformMeasure,
     UniformBoxMeasure,
 )
+from kembed import oracle
 from kembed.oracle import (
     estimate_kp,
     estimate_kpp,
@@ -371,3 +373,23 @@ def test_out_of_domain_input_raises_alike_everywhere(kernel, inside, outside, me
     outcomes = _entry_point_outcomes(kernel, x, y)
     assert len(set(outcomes.values())) == 1, outcomes
     assert message in outcomes["call"]
+
+
+def test_oracle_imports_no_closed_form():
+    # the oracle checks the closed forms, so it must never reach them
+    modules = set()
+    for node in ast.walk(ast.parse(open(oracle.__file__, encoding="utf-8").read())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                module = "kembed" + (f".{module}" if module else "")
+            if module == "kembed":
+                modules.update(f"kembed.{alias.name}" for alias in node.names)
+            else:
+                modules.add(module)
+    assert "kembed" not in modules
+    used = {m.split(".")[1] for m in modules if m.startswith("kembed.")}
+    assert used == {"errors", "kernels", "measures"}
+    assert not used & {"dictionary", "combinators", "stein", "quadrature"}

@@ -196,6 +196,21 @@ def test_duplicate_nodes_rejected():
         _gauss_setup([[0.5], [0.5 + 1e-13]])
 
 
+def test_first_coincident_pair_is_reported_among_many_nodes():
+    # the first pair in (i, j) order is named, however deep in the set
+    k = GaussianKernel(lengthscales=(1.0, 1.0))
+    e = embed(k, GaussianMeasure(mean=(0.0, 0.0), cov=(1.0, 1.0)))
+    nodes = np.random.default_rng(7).uniform(-2.0, 2.0, size=(1200, 2))
+    nodes[990] = nodes[700] + [4e-13, 0.0]
+    nodes[912] = nodes[700] - [0.0, 9e-13]
+    nodes[1100] = nodes[805]
+    with pytest.raises(InvalidSpecError, match=r"^nodes 700 and 912 coincide within 1e-12$"):
+        make_problem(e, nodes)
+    nodes[912] += [0.0, 2e-12]
+    with pytest.raises(InvalidSpecError, match=r"^nodes 700 and 990 coincide within 1e-12$"):
+        make_problem(e, nodes)
+
+
 def test_jitter_ladder_rescues_near_singular():
     nodes = [[0.5], [0.5 + 1e-11]]
     prob = _gauss_setup(nodes, values=[0.1, 0.1])

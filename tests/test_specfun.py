@@ -229,11 +229,6 @@ def test_specfun_against_scipy():
             assert lower_incomplete_gamma_int(m, x) == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="normal_icdf solves Phi(x) = p, which resolves x only to about "
-    "eps / phi(x) as p nears 1; scipy's ndtri uses the symmetric form",
-)
 def test_normal_icdf_upper_tail_against_scipy():
     special = pytest.importorskip("scipy.special")
     import numpy as np

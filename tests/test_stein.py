@@ -189,6 +189,37 @@ def test_full_covariance_target():
     assert abs(mean) <= 3.0 * stderr
 
 
+_FULL_COV = np.array([[1.0, 0.4], [0.4, 2.0]])
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        GaussianMeasure(mean=(0.0, 1.0), cov=_FULL_COV),
+        MixtureMeasure(
+            components=[
+                GaussianMeasure(mean=(0.0, 1.0), cov=_FULL_COV),
+                GaussianMeasure(mean=(1.0, -0.5), cov=(0.7, 0.5)),
+            ],
+            weights=(0.3, 0.7),
+        ),
+    ],
+    ids=["gaussian", "mixture"],
+)
+def test_full_covariance_entry_points_agree_bitwise(target):
+    # a row's score must not depend on how many rows share the call
+    k = SteinKernel(base=GaussianKernel(lengthscales=(1.0, 0.7)), target=target)
+    pts = target.sample(30, 37)
+    gram = k.gram(pts)
+    paired = k.pairs(pts, pts[::-1])
+    for i, x in enumerate(pts):
+        row = k.batch(x, pts)
+        for j, y in enumerate(pts):
+            one = k(x, y)
+            assert row[j] == one and gram[i, j] == one, (i, j)
+        assert paired[i] == k(x, pts[-1 - i]), i
+
+
 def test_embedding_is_the_constant_only_under_the_target():
     k = SteinKernel(
         base=GaussianKernel(lengthscales=(1.0,)),
