@@ -163,9 +163,7 @@ def _cross_kpq(
         and isinstance(mj, GaussianMeasure)
         and isinstance(mk, GaussianMeasure)
     ):
-        lam = np.asarray(kernel.lengthscales) ** 2 if kernel.diagonal else kernel.matrix
-        value = gauss_cross_kpq(lam, mj.mean, mj.cov, mk.mean, mk.cov)
-        return value, 0.0, CLOSED_FORM
+        return gauss_cross_kpq(kernel, mj, mk), 0.0, CLOSED_FORM
     if isinstance(mk, EmpiricalMeasure):
         wts = np.asarray(mk.weights)
         total = 0.0

@@ -6,7 +6,9 @@ per-part provenance: ``closed_form`` when an exact expression exists,
 ``numeric_fallback`` when the value is produced by the quadrature or
 Monte Carlo oracle. :func:`embed` dispatches a (kernel, measure) pair
 to the right construction and falls back to the oracle for pairs with
-no known expression.
+no known expression. Each closed-form builder takes the kernel and
+measure objects themselves and leaves a part it has no expression for
+as None, which :func:`embed` fills in from the oracle.
 """
 
 from __future__ import annotations
@@ -110,15 +112,11 @@ class Embedding:
 # --- Gaussian kernel ------------------------------------------------------
 
 
-def gauss_uniform(lengthscales, lows, highs) -> Embedding:
+def gauss_uniform(kernel: GaussianKernel, measure: UniformBoxMeasure) -> Embedding:
     """Gaussian kernel with diagonal lengthscales against a uniform box.
 
     Both integrals factorize over dimensions into erf differences.
     """
-    kernel = GaussianKernel(lengthscales=tuple(np.atleast_1d(lengthscales)))
-    measure = UniformBoxMeasure(tuple(np.atleast_1d(lows)), tuple(np.atleast_1d(highs)))
-    if kernel.dim != measure.dim:
-        raise InvalidSpecError("kernel and box dimensions differ")
     ls = np.asarray(kernel.lengthscales)
     a = np.asarray(measure.lows)
     b = np.asarray(measure.highs)
@@ -154,23 +152,13 @@ def gauss_uniform(lengthscales, lows, highs) -> Embedding:
     )
 
 
-def gauss_gauss(lam, mean, cov) -> Embedding:
+def gauss_gauss(kernel: GaussianKernel, measure: GaussianMeasure) -> Embedding:
     """Gaussian kernel (lengthscale matrix Lambda) against N(mean, cov).
 
     kp(x) = det(I + Sigma Lambda^{-1})^{-1/2}
             exp(-1/2 (x-mu)^T (Lambda+Sigma)^{-1} (x-mu)),
     kpp = sqrt(det Lambda / det(Lambda + 2 Sigma)).
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 1:
-        kernel = GaussianKernel(lengthscales=tuple(np.sqrt(lam)))
-    else:
-        kernel = GaussianKernel(matrix=lam)
-    measure = GaussianMeasure(tuple(np.atleast_1d(mean)), cov)
-    if kernel.dim != measure.dim:
-        raise InvalidSpecError("kernel and measure dimensions differ")
-    L = kernel.lam()
-    S = measure.cov
     mu = np.asarray(measure.mean)
     d = measure.dim
 
@@ -187,6 +175,8 @@ def gauss_gauss(lam, mean, cov) -> Embedding:
 
         kpp = float(np.prod(np.asarray(kernel.lengthscales) / np.sqrt(l2 + 2.0 * s2)))
     else:
+        L = kernel.lam()
+        S = measure.cov
         ls_sum = L + S
         sign, logdet_ls = np.linalg.slogdet(ls_sum)
         _, logdet_l = np.linalg.slogdet(L)
@@ -209,40 +199,21 @@ def gauss_gauss(lam, mean, cov) -> Embedding:
     )
 
 
-def gauss_cross_kpq(lam, mean_p, cov_p, mean_q, cov_q) -> float:
+def gauss_cross_kpq(kernel: GaussianKernel, p: GaussianMeasure, q: GaussianMeasure) -> float:
     """Double integral of the Gaussian kernel against two Gaussian
     measures, one in each argument:
     sqrt(det Lambda / det(Lambda + Sigma_P + Sigma_Q))
     * exp(-1/2 delta^T (Lambda + Sigma_P + Sigma_Q)^{-1} delta)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 1:
-        lam = np.diag(lam)
-    mp = np.atleast_1d(np.asarray(mean_p, dtype=float))
-    mq = np.atleast_1d(np.asarray(mean_q, dtype=float))
-    sp = _cov_matrix(cov_p, mp.size)
-    sq = _cov_matrix(cov_q, mq.size)
-    if not (lam.shape[0] == mp.size == mq.size):
+    if not kernel.dim == p.dim == q.dim:
         raise InvalidSpecError("dimension mismatch between kernel and measures")
-    total = lam + sp + sq
+    lam = kernel.lam()
+    total = lam + p.cov + q.cov
     _, logdet_l = np.linalg.slogdet(lam)
     _, logdet_t = np.linalg.slogdet(total)
-    delta = mp - mq
+    delta = np.asarray(p.mean) - np.asarray(q.mean)
     return math.exp(0.5 * (logdet_l - logdet_t)) * math.exp(
         -0.5 * float(delta @ np.linalg.solve(total, delta))
     )
-
-
-def _cov_matrix(cov, d: int) -> np.ndarray:
-    c = np.asarray(cov, dtype=float)
-    if c.ndim == 0:
-        return np.eye(d) * float(c)
-    if c.ndim == 1:
-        if c.size != d:
-            raise InvalidSpecError("diagonal covariance length mismatch")
-        return np.diag(c)
-    if c.shape != (d, d):
-        raise InvalidSpecError("covariance shape mismatch")
-    return c
 
 
 # --- Matern kernels, uniform measure --------------------------------------
@@ -293,12 +264,11 @@ class MaternUniformCoefficients:
         )
 
 
-def matern_uniform_general(n: int, lengthscale: float, a: float, b: float) -> Embedding:
+def matern_uniform_general(kernel: MaternKernel, measure: UniformBoxMeasure) -> Embedding:
     """Half-integer Matern kernel against the uniform measure on [a, b],
     via the general formulas in Q and the incomplete gamma function."""
-    co = MaternUniformCoefficients(n, lengthscale, a, b)
-    kernel = MaternKernel(nu=n + 0.5, lengthscale=lengthscale)
-    measure = UniformBoxMeasure((a,), (b,))
+    n, (a,), (b,) = kernel.n, measure.lows, measure.highs
+    co = MaternUniformCoefficients(n, kernel.lengthscale, a, b)
     r = b - a
     lead = math.factorial(n) / math.factorial(2 * n)
 
@@ -323,12 +293,11 @@ def matern_uniform_general(n: int, lengthscale: float, a: float, b: float) -> Em
     )
 
 
-def matern_uniform_special(n: int, lengthscale: float, a: float, b: float) -> Embedding:
+def matern_uniform_special(kernel: MaternKernel, measure: UniformBoxMeasure) -> Embedding:
     """The four explicit Matern/uniform embeddings, used as a mutual
     cross-check of the general formulas."""
-    co = MaternUniformCoefficients(n, lengthscale, a, b)
-    kernel = MaternKernel(nu=n + 0.5, lengthscale=lengthscale)
-    measure = UniformBoxMeasure((a,), (b,))
+    n, (a,), (b,) = kernel.n, measure.lows, measure.highs
+    co = MaternUniformCoefficients(n, kernel.lengthscale, a, b)
     rho = co.rho
 
     def kp(x):
@@ -415,26 +384,12 @@ def _matern_gauss_term(
     return math.exp(exponent) * (p_coef * normal_cdf(q) + r_coef * sigma * phi)
 
 
-def matern_gauss_kp(
-    nu: float,
-    lengthscale: float,
-    mu: float,
-    sigma: float,
-    budget: int | None = None,
-    seed: int = 0,
-) -> Embedding:
+def matern_gauss_kp(kernel: MaternKernel, measure: GaussianMeasure) -> Embedding:
     """Matern kernel (nu in {1/2, 3/2, 5/2}) against N(mu, sigma^2):
-    closed-form mean embedding; the double integral has no known
-    expression and is estimated by panel quadrature."""
-    n = nu - 0.5
-    if abs(n - round(n)) > 1e-12 or round(n) not in (0, 1, 2):
-        raise InvalidSpecError(f"nu must be 1/2, 3/2 or 5/2, got {nu}")
-    n = int(round(n))
-    if sigma <= 0 or lengthscale <= 0:
-        raise InvalidSpecError("sigma and lengthscale must be positive")
-    kernel = MaternKernel(nu=nu, lengthscale=lengthscale)
-    measure = GaussianMeasure((mu,), sigma**2)
-    beta = math.sqrt(2 * n + 1) / lengthscale
+    closed-form mean embedding. The double integral has no known
+    expression and is left out (None) for :func:`embed` to estimate."""
+    n, mu, sigma = kernel.n, measure.mean[0], float(measure.stds()[0])
+    beta = math.sqrt(2 * n + 1) / kernel.lengthscale
 
     def kp(x):
         x = float(as_point(x, 1)[0])
@@ -442,30 +397,21 @@ def matern_gauss_kp(
             n, beta, sigma, x, mu, -1.0
         )
 
-    est = oracle.estimate_kpp(kernel, measure, budget=budget, seed=seed)
     return Embedding(
         kp_fn=kp,
-        kpp=est.value,
+        kpp=None,
         pair_id="matern/gaussian",
-        kpp_provenance=NUMERIC_FALLBACK,
         kernel=kernel,
         measure=measure,
-        kpp_stderr=est.stderr,
     )
 
 
 # --- Wendland kernels ------------------------------------------------------
 
 
-def wendland0_uniform(lengthscale: float, a: float, b: float) -> Embedding:
+def wendland0_uniform(kernel: WendlandKernel, measure: UniformBoxMeasure) -> Embedding:
     """Order-0 Wendland kernel against the uniform measure on [a, b]."""
-    if lengthscale <= 0:
-        raise InvalidSpecError("lengthscale must be positive")
-    if not b > a:
-        raise InvalidSpecError("need b > a")
-    kernel = WendlandKernel(order=0, lengthscale=lengthscale)
-    measure = UniformBoxMeasure((a,), (b,))
-    ls = lengthscale
+    ls, (a,), (b,) = kernel.lengthscale, measure.lows, measure.highs
     r = b - a
 
     def kp(x):
@@ -505,26 +451,15 @@ def wendland0_uniform(lengthscale: float, a: float, b: float) -> Embedding:
     )
 
 
-def wendland_gauss_kp(
-    order: int,
-    lengthscale: float,
-    sigma: float,
-    mu: float = 0.0,
-    budget: int | None = None,
-    seed: int = 0,
-) -> Embedding:
+def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embedding:
     """Wendland kernel of order 0 or 2 against N(mu, sigma^2):
     closed-form mean embedding (the kernel is translation invariant, so
     a non-centered measure reduces to the centered expressions via
-    x -> x - mu); the double integral is estimated by panel quadrature.
+    x -> x - mu). The double integral is left out (None) for
+    :func:`embed` to estimate.
     """
-    if order not in (0, 2):
-        raise InvalidSpecError(f"order must be 0 or 2, got {order}")
-    if sigma <= 0 or lengthscale <= 0:
-        raise InvalidSpecError("sigma and lengthscale must be positive")
-    kernel = WendlandKernel(order=order, lengthscale=lengthscale)
-    measure = GaussianMeasure((mu,), sigma**2)
-    ls = lengthscale
+    order, ls = kernel.order, kernel.lengthscale
+    mu, sigma = measure.mean[0], float(measure.stds()[0])
     s = math.sqrt(2.0) * sigma
     s2 = sigma**2
 
@@ -565,31 +500,23 @@ def wendland_gauss_kp(
             + 16.0 * ls * x * (3.0 * s2 + x2) * erf(x / s)
         ) / (2.0 * ls**4)
 
-    est = oracle.estimate_kpp(kernel, measure, budget=budget, seed=seed)
     return Embedding(
         kp_fn=kp,
-        kpp=est.value,
+        kpp=None,
         pair_id="wendland/gaussian",
-        kpp_provenance=NUMERIC_FALLBACK,
         kernel=kernel,
         measure=measure,
-        kpp_stderr=est.stderr,
     )
 
 
 # --- Fractional Brownian motion --------------------------------------------
 
 
-def fbm_uniform(hurst: float, a: float, b: float) -> Embedding:
+def fbm_uniform(kernel: FbmKernel, measure: UniformBoxMeasure) -> Embedding:
     """Fractional Brownian motion kernel against the uniform measure on
     [a, b] with 0 <= a < b."""
-    if not 0.0 < hurst < 1.0:
-        raise InvalidSpecError(f"hurst must lie in (0, 1), got {hurst}")
-    if not (0.0 <= a < b):
-        raise InvalidSpecError(f"need 0 <= a < b, got [{a}, {b}]")
-    kernel = FbmKernel(hurst=hurst, domain=(a, b))
-    measure = UniformBoxMeasure((a,), (b,))
-    h = 2.0 * hurst + 1.0
+    (a,), (b,) = measure.lows, measure.highs
+    h = 2.0 * kernel.hurst + 1.0
     r = b - a
 
     def kp(x):
@@ -612,13 +539,9 @@ def fbm_uniform(hurst: float, a: float, b: float) -> Embedding:
 # --- Power series kernels ---------------------------------------------------
 
 
-def powerseries_uniform(terms, lows, highs) -> Embedding:
+def powerseries_uniform(kernel: PowerSeriesKernel, measure: UniformBoxMeasure) -> Embedding:
     """Power series kernel against a uniform box: per-dimension moment
     factors (b^{alpha+1} - a^{alpha+1}) / ((alpha+1)(b - a))."""
-    kernel = terms if isinstance(terms, PowerSeriesKernel) else PowerSeriesKernel(terms)
-    measure = UniformBoxMeasure(tuple(np.atleast_1d(lows)), tuple(np.atleast_1d(highs)))
-    if kernel.dim != measure.dim:
-        raise InvalidSpecError("kernel and box dimensions differ")
     a = np.asarray(measure.lows)
     b = np.asarray(measure.highs)
 
@@ -647,17 +570,11 @@ def powerseries_uniform(terms, lows, highs) -> Embedding:
     )
 
 
-def powerseries_gauss(terms, sigmas) -> Embedding:
+def powerseries_gauss(kernel: PowerSeriesKernel, measure: GaussianMeasure) -> Embedding:
     """Power series kernel against a centered diagonal Gaussian: only
     even multi-indices contribute, with moment factors
     sigma^alpha (alpha - 1)!!."""
-    kernel = terms if isinstance(terms, PowerSeriesKernel) else PowerSeriesKernel(terms)
-    sig = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if np.any(sig <= 0):
-        raise InvalidSpecError("sigmas must be positive")
-    if kernel.dim != sig.size:
-        raise InvalidSpecError("kernel and measure dimensions differ")
-    measure = GaussianMeasure(tuple(0.0 for _ in sig), sig**2)
+    sig = measure.stds()
 
     factors = []
     for alpha, c in kernel.terms:
@@ -689,19 +606,16 @@ def powerseries_gauss(terms, sigmas) -> Embedding:
 # --- Sphere and periodic kernels --------------------------------------------
 
 
-def sphere_embed(kind: str) -> Embedding:
+def sphere_embed(
+    kernel: SphereSobolevKernel | SphereSmoothKernel, measure: SphereUniformMeasure
+) -> Embedding:
     """Stationary kernels on the unit sphere S^2 under the uniform
     spherical measure have constant embeddings: 2/3 for the Sobolev-3/2
     kernel 2 - ||x - y||, and 1 - exp(-48) for the smooth kernel."""
-    if kind == "sobolev32":
-        kernel: Kernel = SphereSobolevKernel()
+    if isinstance(kernel, SphereSobolevKernel):
         const = 2.0 / 3.0
-    elif kind == "smooth":
-        kernel = SphereSmoothKernel()
-        const = 1.0 - math.exp(-48.0)
     else:
-        raise InvalidSpecError(f"kind must be 'sobolev32' or 'smooth', got {kind!r}")
-    measure = SphereUniformMeasure(2)
+        const = 1.0 - math.exp(-48.0)
 
     def kp(x):
         _check_unit(as_point(x, 3)[None, :])
@@ -716,21 +630,19 @@ def sphere_embed(kind: str) -> Embedding:
     )
 
 
-def periodic_sobolev_embed(r: int, on_circle: bool = False) -> Embedding:
+def periodic_sobolev_embed(
+    kernel: PeriodicSobolevKernel, measure: UniformBoxMeasure | SphereUniformMeasure
+) -> Embedding:
     """Periodic Sobolev kernel of order 2r under the uniform measure on
     [0, 1] (or the circle S^1): every Fourier term integrates to zero,
     so both embeddings equal 1."""
-    kernel = PeriodicSobolevKernel(r=r)
-    measure: Measure
-    if on_circle:
-        measure = SphereUniformMeasure(1)
+    if isinstance(measure, SphereUniformMeasure):
 
         def kp(x):
             _check_unit(as_point(x, 2)[None, :])
             return 1.0
 
     else:
-        measure = UniformBoxMeasure((0.0,), (1.0,))
 
         def kp(x):
             _scalar_in_box(x, 0.0, 1.0)
@@ -785,21 +697,32 @@ def numeric_embedding(
     kernel: Kernel, measure: Measure, budget: int | None = None, seed: int = 0
 ) -> Embedding:
     """Oracle-backed embedding for pairs without a closed form."""
-    est = oracle.estimate_kpp(kernel, measure, budget=budget, seed=seed)
-
-    def kp(x):
-        return oracle.estimate_kp(kernel, measure, x, budget=budget, seed=seed).value
-
-    return Embedding(
-        kp_fn=kp,
-        kpp=est.value,
+    empty = Embedding(
+        kp_fn=None,
+        kpp=None,
         pair_id=f"{kernel.family}/{measure.family}",
-        kp_provenance=NUMERIC_FALLBACK,
-        kpp_provenance=NUMERIC_FALLBACK,
         kernel=kernel,
         measure=measure,
-        kpp_stderr=est.stderr,
     )
+    return _oracle_fill(empty, budget, seed)
+
+
+def _oracle_fill(e: Embedding, budget: int | None, seed: int) -> Embedding:
+    """Fill in each part a builder left out (None) from the oracle, with
+    the given budget and seed: K_PP once, K_P at each point asked for."""
+    kernel, measure = e.kernel, e.measure
+    if e.kpp is None:
+        est = oracle.estimate_kpp(kernel, measure, budget=budget, seed=seed)
+        e = replace(
+            e, kpp=est.value, kpp_provenance=NUMERIC_FALLBACK, kpp_stderr=est.stderr
+        )
+    if e.kp_fn is None:
+
+        def kp(x):
+            return oracle.estimate_kp(kernel, measure, x, budget=budget, seed=seed).value
+
+        e = replace(e, kp_fn=kp, kp_provenance=NUMERIC_FALLBACK)
+    return e
 
 
 def embed(
@@ -820,14 +743,15 @@ def embed(
 
     from . import combinators, stein
 
+    # Embeddings built by another module are rebuilt to carry the
+    # requested kernel and measure, which their consumers (Gram
+    # matrices, cross terms) use.
     if isinstance(kernel, stein.SteinKernel) and kernel.is_target(measure):
-        return stein.stein_embed(kernel)
+        return replace(stein.stein_embed(kernel), measure=measure)
     if isinstance(measure, ScoreMeasure):
         raise UnsupportedPairError(
             "score-only measures pair only with a Stein kernel targeting them"
         )
-    # Combinator results are rebuilt to carry the requested kernel and
-    # measure, which their consumers (Gram matrices, cross terms) use.
     if isinstance(kernel, MatrixValuedKernel):
         inner = embed(kernel.base, measure, budget=budget, seed=seed)
         built = combinators.matrix_valued_embed(inner, kernel.matrix)
@@ -864,102 +788,60 @@ def embed(
     if isinstance(measure, EmpiricalMeasure):
         return empirical_embed(kernel, measure)
 
-    pair = _closed_form_pair(kernel, measure, budget, seed)
-    if pair is not None:
-        return pair
-    return numeric_embedding(kernel, measure, budget=budget, seed=seed)
+    pair = _closed_form_pair(kernel, measure)
+    if pair is None:
+        return numeric_embedding(kernel, measure, budget=budget, seed=seed)
+    return _oracle_fill(pair, budget, seed)
 
 
-def _closed_form_pair(
-    kernel: Kernel, measure: Measure, budget: int | None, seed: int
-) -> Embedding | None:
-    if isinstance(kernel, GaussianKernel) and isinstance(measure, UniformBoxMeasure):
-        if kernel.diagonal:
-            return gauss_uniform(kernel.lengthscales, measure.lows, measure.highs)
-        return None  # no known expression for full lengthscale matrices
-    if isinstance(kernel, GaussianKernel) and isinstance(measure, GaussianMeasure):
-        lam = (
-            np.asarray(kernel.lengthscales) ** 2 if kernel.diagonal else kernel.matrix
-        )
-        cov = np.asarray(measure.cov_diag) if measure.diagonal else measure.cov
-        return gauss_gauss(lam, measure.mean, cov)
-    if isinstance(kernel, MaternKernel) and isinstance(measure, UniformBoxMeasure):
-        if measure.dim == 1:
-            return matern_uniform_general(
-                kernel.n, kernel.lengthscale, measure.lows[0], measure.highs[0]
-            )
-        return None
-    if isinstance(kernel, MaternKernel) and isinstance(measure, GaussianMeasure):
-        if measure.dim == 1 and kernel.n <= 2:
-            return matern_gauss_kp(
-                kernel.nu,
-                kernel.lengthscale,
-                measure.mean[0],
-                float(measure.stds()[0]),
-                budget=budget,
-                seed=seed,
-            )
-        return None
-    if isinstance(kernel, WendlandKernel) and isinstance(measure, UniformBoxMeasure):
-        if measure.dim == 1 and kernel.order == 0:
-            return wendland0_uniform(
-                kernel.lengthscale, measure.lows[0], measure.highs[0]
-            )
-        return None
-    if isinstance(kernel, WendlandKernel) and isinstance(measure, GaussianMeasure):
-        if measure.dim == 1 and kernel.order in (0, 2):
-            return wendland_gauss_kp(
-                kernel.order,
-                kernel.lengthscale,
-                float(measure.stds()[0]),
-                mu=measure.mean[0],
-                budget=budget,
-                seed=seed,
-            )
-        return None
+def _closed_form_pair(kernel: Kernel, measure: Measure) -> Embedding | None:
+    """The closed form of a pair whose dimensions :func:`embed` has
+    matched, or None when none is known. Each arm is the condition under
+    which its builder's formulas hold."""
+    box = isinstance(measure, UniformBoxMeasure)
+    gauss = isinstance(measure, GaussianMeasure)
+    one_d = measure.dim == 1
+    if isinstance(kernel, GaussianKernel) and box and kernel.diagonal:
+        return gauss_uniform(kernel, measure)
+    if isinstance(kernel, GaussianKernel) and gauss:
+        return gauss_gauss(kernel, measure)
+    if isinstance(kernel, MaternKernel) and box and one_d:
+        return matern_uniform_general(kernel, measure)
+    if isinstance(kernel, MaternKernel) and gauss and one_d and kernel.n <= 2:
+        return matern_gauss_kp(kernel, measure)
+    if isinstance(kernel, WendlandKernel) and box and one_d and kernel.order == 0:
+        return wendland0_uniform(kernel, measure)
+    if isinstance(kernel, WendlandKernel) and gauss and one_d and kernel.order in (0, 2):
+        return wendland_gauss_kp(kernel, measure)
     if isinstance(kernel, FbmKernel):
-        if isinstance(measure, UniformBoxMeasure) and measure.dim == 1:
-            a, b = measure.lows[0], measure.highs[0]
-            if a < 0:
-                raise InvalidSpecError("fbm requires a box within [0, inf)")
-            if kernel.domain is not None and (
-                a < kernel.domain[0] or b > kernel.domain[1]
-            ):
-                raise InvalidSpecError("box exceeds the kernel's declared domain")
-            return fbm_uniform(kernel.hurst, a, b)
-        raise UnsupportedPairError("fbm kernels pair with uniform boxes only")
-    if isinstance(kernel, PowerSeriesKernel):
-        if isinstance(measure, UniformBoxMeasure):
-            return powerseries_uniform(kernel, measure.lows, measure.highs)
-        if (
-            isinstance(measure, GaussianMeasure)
-            and measure.diagonal
-            and all(m == 0.0 for m in measure.mean)
-        ):
-            return powerseries_gauss(kernel, np.sqrt(np.asarray(measure.cov_diag)))
-        return None
+        if not box:
+            raise UnsupportedPairError("fbm kernels pair with uniform boxes only")
+        (a,), (b,) = measure.lows, measure.highs
+        if a < 0:
+            raise InvalidSpecError("fbm requires a box within [0, inf)")
+        if kernel.domain is not None and (a < kernel.domain[0] or b > kernel.domain[1]):
+            raise InvalidSpecError("box exceeds the kernel's declared domain")
+        return fbm_uniform(kernel, measure)
+    if isinstance(kernel, PowerSeriesKernel) and box:
+        return powerseries_uniform(kernel, measure)
+    if (
+        isinstance(kernel, PowerSeriesKernel)
+        and gauss
+        and measure.diagonal
+        and all(m == 0.0 for m in measure.mean)
+    ):
+        return powerseries_gauss(kernel, measure)
     if isinstance(kernel, (SphereSobolevKernel, SphereSmoothKernel)):
-        if isinstance(measure, SphereUniformMeasure) and measure.d == 2:
-            kind = "sobolev32" if isinstance(kernel, SphereSobolevKernel) else "smooth"
-            return sphere_embed(kind)
-        raise UnsupportedPairError(
-            "sphere kernels pair with the uniform measure on S^2 only"
-        )
-    if isinstance(kernel, PeriodicSobolevKernel):
-        if isinstance(measure, SphereUniformMeasure) and measure.d == 1:
-            return periodic_sobolev_embed(kernel.r, on_circle=True)
-        if (
-            isinstance(measure, UniformBoxMeasure)
-            and measure.dim == 1
-            and measure.lows[0] == 0.0
-            and measure.highs[0] == 1.0
-        ):
-            return periodic_sobolev_embed(kernel.r)
-        if isinstance(measure, UniformBoxMeasure) and (
-            measure.lows[0] < 0.0 or measure.highs[0] > 1.0
-        ):
+        if not isinstance(measure, SphereUniformMeasure):
+            raise UnsupportedPairError(
+                "sphere kernels pair with the uniform measure on S^2 only"
+            )
+        return sphere_embed(kernel, measure)
+    if isinstance(kernel, PeriodicSobolevKernel) and box:
+        if measure.lows[0] == 0.0 and measure.highs[0] == 1.0:
+            return periodic_sobolev_embed(kernel, measure)
+        if measure.lows[0] < 0.0 or measure.highs[0] > 1.0:
             raise InvalidSpecError("periodic Sobolev kernels live on [0, 1]")
-        return None
     return None
 
 

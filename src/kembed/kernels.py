@@ -67,6 +67,14 @@ def as_points(X, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _precision_rows(cov: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """cov^{-1} d for each row d of D. The precision matrix multiplies
+    each row elementwise and sums over the last axis, so a row's bits do
+    not depend on how many rows share the call (a multi-right-hand-side
+    solve's do)."""
+    return np.sum(np.linalg.inv(cov)[None, :, :] * D[:, None, :], axis=2)
+
+
 class Kernel:
     """Base kernel interface.
 
@@ -207,8 +215,7 @@ class GaussianKernel(Kernel):
         if self.diagonal:
             Z = D / np.asarray(self.lengthscales)
             return np.exp(-0.5 * np.sum(Z * Z, axis=1))
-        S = np.linalg.solve(self.matrix, D.T)
-        return np.exp(-0.5 * np.sum(D.T * S, axis=0))
+        return np.exp(-0.5 * np.sum(D * _precision_rows(self.matrix, D), axis=1))
 
 
 def matern_half_integer(n: int, tau: float) -> float:

@@ -250,11 +250,8 @@ def mmd2(
         and isinstance(kernel, GaussianKernel)
         and isinstance(embedding.measure, GaussianMeasure)
     ):
-        p = embedding.measure
-        lam = np.asarray(kernel.lengthscales) ** 2 if kernel.diagonal else kernel.matrix
-        kpq = gauss_cross_kpq(lam, p.mean, p.cov, q.mean, q.cov)
-        q_cov = np.asarray(q.cov_diag) if q.diagonal else q.cov
-        kqq = gauss_gauss(lam, q.mean, q_cov).kpp
+        kpq = gauss_cross_kpq(kernel, embedding.measure, q)
+        kqq = gauss_gauss(kernel, q).kpp
         return kpp - 2.0 * kpq + kqq
     raise UnsupportedPairError(
         f"mmd2 supports empirical Q, or Gaussian Q with a Gaussian kernel; "

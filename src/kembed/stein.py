@@ -23,7 +23,7 @@ import numpy as np
 
 from .dictionary import Embedding
 from .errors import InvalidSpecError, UnsupportedPairError
-from .kernels import GaussianKernel, Kernel, as_point, as_points
+from .kernels import GaussianKernel, Kernel, _precision_rows, as_point, as_points
 from .measures import GaussianMeasure, Measure, MixtureMeasure
 
 __all__ = [
@@ -78,14 +78,6 @@ def _gaussian_derivatives(kernel: GaussianKernel, x, Y):
 
 
 register_derivatives("gaussian", _gaussian_derivatives)
-
-
-def _precision_rows(cov: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """cov^{-1} d for each row d of D. The precision matrix multiplies
-    each row elementwise and sums over the last axis, so a row's bits do
-    not depend on how many rows share the call (a multi-right-hand-side
-    solve's do)."""
-    return np.sum(np.linalg.inv(cov)[None, :, :] * D[:, None, :], axis=2)
 
 
 def _score_rows(measure: Measure, Y: np.ndarray) -> np.ndarray:

@@ -166,8 +166,10 @@ def test_criterion_3_matern_general_vs_special():
         width = 10.0 ** rng.uniform(-0.5, 1.0)
         b = a + width
         ell = width / 10.0 ** rng.uniform(-1.0, 2.0)
-        gen = matern_uniform_general(n, ell, a, b)
-        spe = matern_uniform_special(n, ell, a, b)
+        kernel = MaternKernel(nu=n + 0.5, lengthscale=ell)
+        box = UniformBoxMeasure((a,), (b,))
+        gen = matern_uniform_general(kernel, box)
+        spe = matern_uniform_special(kernel, box)
         x = [rng.uniform(a, b)]
         gkp, skp = gen.kp_at(x), spe.kp_at(x)
         assert abs(gkp - skp) <= 1e-12 * max(abs(gkp), abs(skp), 1e-300)

@@ -383,6 +383,18 @@ _WELL_FORMED_MEASURES = [
 ]
 
 
+def test_eval_kpp_fbm_under_box_mixture(spec_file, capsys):
+    box2 = {"family": "uniform_box", "lows": [1.0], "highs": [2.0]}
+    doc = {
+        "schema_version": 1,
+        "kernel": {"family": "fbm", "hurst": 0.7},
+        "measure": {"family": "mixture", "components": [_BOX1, box2], "weights": [0.5, 0.5]},
+    }
+    code, out = _run(capsys, ["eval", "--spec", spec_file(doc), "--what", "kpp"])
+    assert code == 0
+    assert json.loads(out.out)["provenance"] == "numeric_fallback"
+
+
 def test_every_family_has_a_well_formed_example():
     assert {k["family"] for k in _WELL_FORMED_KERNELS} == set(cli._KERNELS[0])
     assert {m["family"] for m in _WELL_FORMED_MEASURES} == set(cli._MEASURES[0])

@@ -21,6 +21,7 @@ from kembed.errors import InvalidSpecError
 from kembed.kernels import (
     AffineMap,
     ComposedKernel,
+    FbmKernel,
     GaussianKernel,
     MaternKernel,
     MatrixValuedKernel,
@@ -158,6 +159,18 @@ def test_stein_kernel_under_mixture_cross_term():
     assert e.kpp_provenance == NUMERIC_FALLBACK
     assert e.kpp_stderr > 0.0
     assert abs(e.kpp - 1.0 / math.sqrt(3.0)) <= 4.0 * e.kpp_stderr
+
+
+def test_fbm_kernel_under_box_mixture():
+    # the Monte Carlo cross term evaluates the requested kernel, which
+    # declares no domain, on draws from both boxes
+    k = FbmKernel(hurst=0.7)
+    mix = MixtureMeasure(
+        [UniformBoxMeasure((0.0,), (1.0,)), UniformBoxMeasure((1.0,), (2.0,))], [0.5, 0.5]
+    )
+    e = embed(k, mix)
+    o = estimate_kpp(k, mix)
+    assert abs(e.kpp - o.value) <= max(1e-6, 4.0 * math.hypot(e.kpp_stderr, o.stderr))
 
 
 def test_mixture_embed_shape_validation():

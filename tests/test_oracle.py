@@ -219,6 +219,7 @@ def _product(d):
 # kernel family -> kernel of a given input dimension
 _ROUTE_KERNELS = {
     "gaussian": _gauss,
+    "gaussian_matrix": lambda d: GaussianKernel(matrix=0.5 * np.eye(d) + 0.2),
     "matern": lambda d: MaternKernel(nu=1.5, lengthscale=0.8),
     "wendland": lambda d: WendlandKernel(order=2, lengthscale=0.6),
     "fbm": lambda d: FbmKernel(hurst=0.3),
@@ -242,6 +243,10 @@ _ROUTES = {
     ("gaussian", "gauss1"): (("gauss_hermite", 20), ("gauss_hermite", 400)),
     ("gaussian", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
     ("gaussian", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("gaussian_matrix", "box1"): (("gauss_legendre", 20), ("gauss_legendre", 400)),
+    ("gaussian_matrix", "gauss1"): (("gauss_hermite", 20), ("gauss_hermite", 400)),
+    ("gaussian_matrix", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
+    ("gaussian_matrix", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
     ("matern", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
     ("matern", "gauss1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
     ("matern", "box2"): (("monte_carlo", 20), ("monte_carlo", 4)),
