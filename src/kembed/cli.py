@@ -455,9 +455,7 @@ def cmd_bq(args) -> int:
     kernel, measure, budget, seed = _problem(args)
     points, values = _read_rows(args.data, with_values=True)
     embedding = embed(kernel, measure, budget=budget, seed=seed)
-    problem = quadrature.make_problem(
-        embedding, points, values, kernel=kernel, jitter=args.jitter
-    )
+    problem = quadrature.make_problem(embedding, points, values, jitter=args.jitter)
     posterior = quadrature.bq_posterior(problem)
     _emit(
         {
@@ -475,7 +473,7 @@ def cmd_mmd(args) -> int:
     points, _ = _read_rows(args.samples, with_values=False)
     embedding = embed(kernel, measure, budget=budget, seed=seed)
     empirical = EmpiricalMeasure(points)
-    value = quadrature.mmd2(embedding, empirical, kernel=kernel)
+    value = quadrature.mmd2(embedding, empirical)
     _emit({"mmd2": float(value)})
     return EXIT_OK
 

@@ -1,6 +1,9 @@
-"""Compositional rules that build new embeddings out of existing ones:
-products over independent blocks, mixtures, change of variables, change
-of measure, and matrix-valued lifts."""
+"""Compositional rules that build the embedding of a combined kernel or
+measure out of the embeddings of its parts: products over independent
+blocks, sums, mixtures, change of variables, change of measure, and
+matrix-valued lifts. Each builder takes the pair it embeds, makes the
+recursive :func:`~kembed.dictionary.embed` calls for the parts, and
+returns an embedding that carries that pair."""
 
 from __future__ import annotations
 
@@ -15,20 +18,31 @@ from .dictionary import (
     NUMERIC_FALLBACK,
     Embedding,
     _recognize_pushforward,
+    embed,
     gauss_cross_kpq,
 )
 from .errors import InvalidSpecError
-from .kernels import ComposedKernel, GaussianKernel, Map, as_point
+from .kernels import (
+    ComposedKernel,
+    GaussianKernel,
+    Kernel,
+    MatrixValuedKernel,
+    ProductKernel,
+    SumKernel,
+    as_point,
+)
 from .measures import (
     EmpiricalMeasure,
     GaussianMeasure,
     Measure,
+    MixtureMeasure,
     PushforwardMeasure,
     UniformBoxMeasure,
 )
 
 __all__ = [
     "product_embed",
+    "sum_embed",
     "mixture_embed",
     "pushforward_embed",
     "change_of_measure",
@@ -41,20 +55,23 @@ __all__ = [
 CROSS_TERM_BUDGET = 200_000
 
 
-def product_embed(parts: Sequence[Embedding], block_dims: Sequence[int]) -> Embedding:
-    """Embedding of a tensor product kernel under a product measure:
-    both integrals factorize across blocks."""
-    parts = list(parts)
-    dims = tuple(int(d) for d in block_dims)
-    if len(parts) != len(dims):
-        raise InvalidSpecError("one embedding per block is required")
-    if any(d <= 0 for d in dims):
-        raise InvalidSpecError("block dimensions must be positive")
-    total_dim = sum(dims)
-    offsets = np.cumsum((0,) + dims)
+def product_embed(
+    kernel: ProductKernel,
+    measure: Measure,
+    factors: Sequence[Measure],
+    budget: int | None = None,
+    seed: int = 0,
+) -> Embedding:
+    """Embedding of a tensor product kernel under a product measure,
+    given the measure's factors on the kernel's blocks (from
+    :func:`split_product_measure`): both integrals factorize."""
+    parts = [
+        embed(k, m, budget=budget, seed=seed) for k, m in zip(kernel.children, factors)
+    ]
+    offsets = np.cumsum((0,) + kernel.block_dims)
 
     def kp(x):
-        x = as_point(x, total_dim)
+        x = as_point(x, kernel.dim)
         value = 1.0
         for i, part in enumerate(parts):
             block = x[offsets[i] : offsets[i + 1]]
@@ -76,71 +93,72 @@ def product_embed(parts: Sequence[Embedding], block_dims: Sequence[int]) -> Embe
         kp_fn=kp,
         kpp=kpp,
         pair_id="product/" + "*".join(p.pair_id for p in parts),
+        kernel=kernel,
+        measure=measure,
         kp_provenance=_combine(p.kp_provenance for p in parts),
         kpp_provenance=_combine(p.kpp_provenance for p in parts),
         kpp_stderr=math.sqrt(var),
     )
 
 
-def mixture_embed(
-    parts: Sequence[Sequence[Embedding]],
-    weights: Sequence[float],
-    gammas: Sequence[float] = (1.0,),
-    budget: int | None = None,
-    seed: int = 0,
+def sum_embed(
+    kernel: SumKernel, measure: Measure, budget: int | None = None, seed: int = 0
 ) -> Embedding:
-    """Embedding of a weighted sum of kernels under a mixture measure.
+    """Embedding of a weighted sum of kernels: both integrals are the
+    same weighted sum of the children's."""
+    parts = [embed(c, measure, budget=budget, seed=seed) for c in kernel.children]
+    terms = [(g, p.kpp, p.kpp_stderr, p.kpp_provenance) for g, p in zip(kernel.weights, parts)]
+    pair_id = "sum/" + "+".join(p.pair_id for p in parts)
+    return _weighted(kernel, measure, pair_id, parts, kernel.weights, terms)
 
-    ``parts[j][q]`` is the embedding of kernel component q against
-    mixture component j. The mean embedding is the double sum
-    sum_j sum_q w_j gamma_q kp_{j,q}(x); the double integral adds the
-    cross terms between distinct mixture components, which are computed
-    in closed form for Gaussian kernels against Gaussian components,
+
+def mixture_embed(
+    kernel: Kernel, measure: MixtureMeasure, budget: int | None = None, seed: int = 0
+) -> Embedding:
+    """Embedding of a kernel under a mixture measure sum_j w_j P_j.
+
+    The mean embedding is sum_j w_j kp_j(x); the double integral adds
+    the cross terms between distinct components, which are computed in
+    closed form for Gaussian kernels against Gaussian components,
     exactly for empirical components, and by Monte Carlo otherwise.
     """
-    parts = [list(row) for row in parts]
-    w = [float(v) for v in weights]
-    g = [float(v) for v in gammas]
-    if len(parts) != len(w):
-        raise InvalidSpecError("one row of embeddings per mixture component")
-    if any(len(row) != len(g) for row in parts):
-        raise InvalidSpecError("one embedding per kernel component in each row")
+    parts = [embed(kernel, c, budget=budget, seed=seed) for c in measure.components]
+    w = measure.weights
+    n = len(parts)
+    terms = [(wj * wj, p.kpp, p.kpp_stderr, p.kpp_provenance) for wj, p in zip(w, parts)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            pair_seed = seed + 104729 * (j * n + k)
+            value, stderr, prov = _cross_kpq(parts[j], parts[k], budget=budget, seed=pair_seed)
+            terms.append((2.0 * w[j] * w[k], value, stderr, prov))
+    return _weighted(kernel, measure, "mixture", parts, w, terms)
+
+
+def _weighted(kernel, measure, pair_id, parts, weights, terms) -> Embedding:
+    """The embedding whose mean embedding is sum_i weights_i kp_i(x) over
+    the parts, and whose double integral sums coef * value over the
+    (coef, value, stderr, provenance) terms."""
 
     def kp(x):
         total = 0.0
-        for j, row in enumerate(parts):
-            for q, part in enumerate(row):
-                total += w[j] * g[q] * part.kp_at(x)
+        for w, part in zip(weights, parts):
+            total += w * part.kp_at(x)
         return total
 
     kpp = 0.0
     var = 0.0
-    provs = [p.kpp_provenance for row in parts for p in row]
-    kp_provs = [p.kp_provenance for row in parts for p in row]
-    n = len(parts)
-    for j in range(n):
-        for q in range(len(g)):
-            coef = w[j] * w[j] * g[q]
-            kpp += coef * parts[j][q].kpp
-            var += (coef * parts[j][q].kpp_stderr) ** 2
-    for j in range(n):
-        for k in range(j + 1, n):
-            for q in range(len(g)):
-                coef = 2.0 * w[j] * w[k] * g[q]
-                pair_seed = seed + 104729 * (q + len(g) * (j * n + k))
-                value, stderr, prov = _cross_kpq(
-                    parts[j][q], parts[k][q], budget=budget, seed=pair_seed
-                )
-                kpp += coef * value
-                var += (coef * stderr) ** 2
-                provs.append(prov)
+    for coef, value, stderr, _ in terms:
+        kpp += coef * value
+        var += (coef * stderr) ** 2
 
     return Embedding(
         kp_fn=kp,
         kpp=kpp,
-        pair_id="mixture",
-        kp_provenance=_combine(kp_provs),
-        kpp_provenance=_combine(provs),
+        pair_id=pair_id,
+        kernel=kernel,
+        measure=measure,
+        kp_provenance=_combine(p.kp_provenance for p in parts),
+        kpp_provenance=_combine(t[3] for t in terms),
         kpp_stderr=math.sqrt(var),
     )
 
@@ -148,8 +166,8 @@ def mixture_embed(
 def _cross_kpq(
     part_j: Embedding, part_k: Embedding, budget: int | None, seed: int
 ) -> tuple[float, float, str]:
-    """Double integral of one kernel component against two distinct
-    mixture components, one in each argument."""
+    """Double integral of the kernel against two distinct mixture
+    components, one in each argument."""
     kernel = part_j.kernel
     mj, mk = part_j.measure, part_k.measure
     if isinstance(kernel, ComposedKernel):
@@ -183,11 +201,6 @@ def _cross_kpq(
         return total, math.sqrt(var), prov
     if isinstance(mj, EmpiricalMeasure):
         return _cross_kpq(part_k, part_j, budget, seed)
-    if kernel is None or mj is None or mk is None:
-        raise InvalidSpecError(
-            "mixture cross terms need embeddings built from a kernel and "
-            "a sampleable measure"
-        )
     # raw double Monte Carlo: independent draws in each argument, so
     # support-restricted closed forms are never evaluated out of range
     n = budget if budget is not None else CROSS_TERM_BUDGET
@@ -197,23 +210,28 @@ def _cross_kpq(
     return value, stderr, NUMERIC_FALLBACK
 
 
-def pushforward_embed(inner: Embedding, map: Map) -> Embedding:
-    """Embedding under a change of variables: the kernel composed with
-    a map phi, against any measure whose pushforward by phi is the one
-    ``inner`` was built for. The mean embedding is evaluated at phi(x)
-    and the double integral is unchanged."""
+def pushforward_embed(
+    kernel: ComposedKernel, measure: Measure, budget: int | None = None, seed: int = 0
+) -> Embedding:
+    """Embedding of a composed kernel K(phi(x), phi(y)) under a measure
+    P: the base kernel's embedding under the image of P by phi,
+    evaluated at phi(x). The double integral is the image's."""
+    inner = embed(
+        kernel.base, PushforwardMeasure(measure, kernel.map), budget=budget, seed=seed
+    )
+    forward = kernel.map.forward
 
     def kp(x):
-        return inner.kp_at(map.forward(as_point(x)))
+        return inner.kp_at(forward(as_point(x)))
 
     return Embedding(
         kp_fn=kp,
         kpp=inner.kpp,
-        pair_id=f"pushforward[{map.name}]/" + inner.pair_id,
+        pair_id=f"pushforward[{kernel.map.name}]/" + inner.pair_id,
+        kernel=kernel,
+        measure=measure,
         kp_provenance=inner.kp_provenance,
         kpp_provenance=inner.kpp_provenance,
-        kernel=inner.kernel,
-        measure=inner.measure,
         kpp_stderr=inner.kpp_stderr,
     )
 
@@ -241,12 +259,13 @@ def change_of_measure(
     return g
 
 
-def matrix_valued_embed(inner: Embedding, matrix) -> Embedding:
+def matrix_valued_embed(
+    kernel: MatrixValuedKernel, measure: Measure, budget: int | None = None, seed: int = 0
+) -> Embedding:
     """Embedding of a matrix-valued kernel B K(x, y): both integrals
-    are the scalar ones scaled by B."""
-    b = np.asarray(matrix, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise InvalidSpecError("matrix must be square")
+    are the scalar ones of K scaled by B."""
+    inner = embed(kernel.base, measure, budget=budget, seed=seed)
+    b = kernel.matrix
 
     def kp(x):
         return b * inner.kp_at(x)
@@ -255,10 +274,10 @@ def matrix_valued_embed(inner: Embedding, matrix) -> Embedding:
         kp_fn=kp,
         kpp=b * inner.kpp,
         pair_id="matrix_valued/" + inner.pair_id,
+        kernel=kernel,
+        measure=measure,
         kp_provenance=inner.kp_provenance,
         kpp_provenance=inner.kpp_provenance,
-        kernel=inner.kernel,
-        measure=inner.measure,
         kpp_stderr=inner.kpp_stderr * float(np.max(np.abs(b))),
     )
 

@@ -87,15 +87,16 @@ _STABLE_EXPONENT = 40.0
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """A kernel mean embedding: x -> integral K(x, y) dP(y), plus the
-    double integral of K against P in both arguments."""
+    double integral of K against P in both arguments, with the kernel K
+    and measure P it was built for."""
 
     kp_fn: Callable
     kpp: object
     pair_id: str
+    kernel: Kernel
+    measure: Measure
     kp_provenance: str = CLOSED_FORM
     kpp_provenance: str = CLOSED_FORM
-    kernel: Kernel | None = None
-    measure: Measure | None = None
     kpp_stderr: float = 0.0
 
     def kp_at(self, x):
@@ -630,28 +631,19 @@ def sphere_embed(
     )
 
 
-def periodic_sobolev_embed(
-    kernel: PeriodicSobolevKernel, measure: UniformBoxMeasure | SphereUniformMeasure
-) -> Embedding:
+def periodic_sobolev_embed(kernel: PeriodicSobolevKernel, measure: UniformBoxMeasure) -> Embedding:
     """Periodic Sobolev kernel of order 2r under the uniform measure on
-    [0, 1] (or the circle S^1): every Fourier term integrates to zero,
-    so both embeddings equal 1."""
-    if isinstance(measure, SphereUniformMeasure):
+    [0, 1]: every Fourier term integrates to zero, so both embeddings
+    equal 1."""
 
-        def kp(x):
-            _check_unit(as_point(x, 2)[None, :])
-            return 1.0
-
-    else:
-
-        def kp(x):
-            _scalar_in_box(x, 0.0, 1.0)
-            return 1.0
+    def kp(x):
+        _scalar_in_box(x, 0.0, 1.0)
+        return 1.0
 
     return Embedding(
         kp_fn=kp,
         kpp=1.0,
-        pair_id=f"periodic_sobolev/{measure.family}",
+        pair_id="periodic_sobolev/uniform_box",
         kernel=kernel,
         measure=measure,
     )
@@ -743,48 +735,28 @@ def embed(
 
     from . import combinators, stein
 
-    # Embeddings built by another module are rebuilt to carry the
-    # requested kernel and measure, which their consumers (Gram
-    # matrices, cross terms) use.
     if isinstance(kernel, stein.SteinKernel) and kernel.is_target(measure):
-        return replace(stein.stein_embed(kernel), measure=measure)
+        return stein.stein_embed(kernel, measure)
     if isinstance(measure, ScoreMeasure):
         raise UnsupportedPairError(
             "score-only measures pair only with a Stein kernel targeting them"
         )
     if isinstance(kernel, MatrixValuedKernel):
-        inner = embed(kernel.base, measure, budget=budget, seed=seed)
-        built = combinators.matrix_valued_embed(inner, kernel.matrix)
-        return replace(built, kernel=kernel, measure=measure)
+        return combinators.matrix_valued_embed(kernel, measure, budget, seed)
     if isinstance(kernel, SumKernel):
-        parts = [embed(c, measure, budget=budget, seed=seed) for c in kernel.children]
-        built = combinators.mixture_embed(
-            [parts], [1.0], kernel.weights, budget=budget, seed=seed
-        )
-        pair_id = "sum/" + "+".join(p.pair_id for p in parts)
-        return replace(built, pair_id=pair_id, kernel=kernel, measure=measure)
+        return combinators.sum_embed(kernel, measure, budget, seed)
     if isinstance(measure, MixtureMeasure):
-        parts = [[embed(kernel, comp, budget=budget, seed=seed)] for comp in measure.components]
-        built = combinators.mixture_embed(parts, measure.weights, budget=budget, seed=seed)
-        return replace(built, kernel=kernel, measure=measure)
+        return combinators.mixture_embed(kernel, measure, budget, seed)
     if isinstance(measure, PushforwardMeasure):
         recognized = _recognize_pushforward(measure)
         if recognized is not None:
             return embed(kernel, recognized, budget=budget, seed=seed)
     if isinstance(kernel, ComposedKernel):
-        image = PushforwardMeasure(measure, kernel.map)
-        inner = embed(kernel.base, image, budget=budget, seed=seed)
-        built = combinators.pushforward_embed(inner, kernel.map)
-        return replace(built, kernel=kernel, measure=measure)
+        return combinators.pushforward_embed(kernel, measure, budget, seed)
     if isinstance(kernel, ProductKernel):
         factors = combinators.split_product_measure(measure, kernel.block_dims)
         if factors is not None:
-            parts = [
-                embed(k, m, budget=budget, seed=seed)
-                for k, m in zip(kernel.children, factors)
-            ]
-            built = combinators.product_embed(parts, kernel.block_dims)
-            return replace(built, kernel=kernel, measure=measure)
+            return combinators.product_embed(kernel, measure, factors, budget, seed)
     if isinstance(measure, EmpiricalMeasure):
         return empirical_embed(kernel, measure)
 

@@ -716,8 +716,18 @@ def NormalICDFMap() -> Map:
     # bits of math.exp and math.log, which np.exp and np.log do not
     fwd = np.vectorize(normal_icdf, otypes=[float])
     inv = np.vectorize(normal_cdf, otypes=[float])
+
+    def forward(x):
+        p = np.atleast_1d(np.asarray(x, dtype=float))
+        outside = ~((p > 0.0) & (p < 1.0))
+        if np.any(outside):
+            raise InvalidSpecError(
+                f"the normal_icdf map takes values in (0, 1), got {p[outside][0]}"
+            )
+        return fwd(p)
+
     return Map(
-        forward=lambda x: fwd(np.atleast_1d(np.asarray(x, dtype=float))),
+        forward=forward,
         inverse=lambda z: inv(np.atleast_1d(np.asarray(z, dtype=float))),
         name="normal_icdf",
     )

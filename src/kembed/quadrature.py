@@ -12,7 +12,7 @@ import numpy as np
 
 from .dictionary import Embedding, gauss_cross_kpq, gauss_gauss
 from .errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
-from .kernels import GaussianKernel, Kernel, as_points
+from .kernels import GaussianKernel, as_points
 from .measures import EmpiricalMeasure, GaussianMeasure, Measure
 
 __all__ = [
@@ -95,17 +95,11 @@ class BQPosterior:
 
 
 def make_problem(
-    embedding: Embedding,
-    nodes,
-    values=None,
-    kernel: Kernel | None = None,
-    jitter: float | None = None,
+    embedding: Embedding, nodes, values=None, jitter: float | None = None
 ) -> QuadratureProblem:
-    """Assemble a quadrature problem: Gram matrix over the nodes and
-    the mean embedding evaluated at each node."""
-    kernel = kernel if kernel is not None else embedding.kernel
-    if kernel is None:
-        raise InvalidSpecError("a kernel is required to build the Gram matrix")
+    """Assemble a quadrature problem: Gram matrix of the embedding's
+    kernel over the nodes and the mean embedding at each node."""
+    kernel = embedding.kernel
     nodes = np.asarray(nodes, dtype=float)
     if nodes.size == 0:
         nodes = nodes.reshape(0, 1)
@@ -207,17 +201,13 @@ def _clamp_variance(value: float, label: str) -> float:
     return value
 
 
-def mmd2(
-    embedding: Embedding,
-    q,
-    kernel: Kernel | None = None,
-    weights=None,
-) -> float:
-    """Squared maximum mean discrepancy K_PP - 2 K_PQ + K_QQ between
-    the embedded measure P and a second measure Q: an empirical measure,
-    a raw point array with optional (possibly signed) weights, or a
-    Gaussian measure under a Gaussian kernel."""
-    kernel = kernel if kernel is not None else embedding.kernel
+def mmd2(embedding: Embedding, q, weights=None) -> float:
+    """Squared maximum mean discrepancy K_PP - 2 K_PQ + K_QQ, under the
+    embedding's kernel, between the embedded measure P and a second
+    measure Q: an empirical measure, a raw point array with optional
+    (possibly signed) weights, or a Gaussian measure under a Gaussian
+    kernel."""
+    kernel = embedding.kernel
     kpp = embedding.kpp
     if isinstance(kpp, np.ndarray):
         raise InvalidSpecError("mmd2 requires a scalar-valued embedding")
@@ -231,15 +221,13 @@ def mmd2(
             points = q.points
             w = np.asarray(q.weights)
         else:
-            points = as_points(q, kernel.dim if kernel is not None else None)
+            points = as_points(q, kernel.dim)
             if weights is None:
                 w = np.full(points.shape[0], 1.0 / points.shape[0])
             else:
                 w = np.atleast_1d(np.asarray(weights, dtype=float))
                 if w.shape != (points.shape[0],):
                     raise InvalidSpecError("one weight per point is required")
-        if kernel is None:
-            raise InvalidSpecError("a kernel is required for empirical Q")
         kpq = float(
             np.dot(w, [float(embedding.kp_at(row)) for row in points])
         )

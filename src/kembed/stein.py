@@ -189,7 +189,7 @@ def stein_eval(kernel: SteinKernel, x, y) -> float:
     return kernel(x, y)
 
 
-def stein_embed(kernel: SteinKernel) -> Embedding:
+def stein_embed(kernel: SteinKernel, measure: Measure) -> Embedding:
     """Both embeddings of a Stein kernel against its own target are
     identically the additive constant c. They hold under that target
     only; :func:`kembed.dictionary.embed` checks the measure first."""
@@ -207,5 +207,5 @@ def stein_embed(kernel: SteinKernel) -> Embedding:
         kpp=c,
         pair_id=f"stein/{kernel.target.family}",
         kernel=kernel,
-        measure=kernel.target,
+        measure=measure,
     )

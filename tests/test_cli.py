@@ -395,6 +395,26 @@ def test_eval_kpp_fbm_under_box_mixture(spec_file, capsys):
     assert json.loads(out.out)["provenance"] == "numeric_fallback"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--what", "kp", "--x", "1.0"],
+    ["--what", "kp", "--x", "1.7"],
+    ["--what", "kernel", "--x", "1.7", "--y", "0.5"],
+])
+def test_exit_3_normal_icdf_outside_unit_interval(spec_file, capsys, argv):
+    doc = {
+        "schema_version": 1,
+        "kernel": {
+            "family": "composed",
+            "base": {"family": "gaussian", "lengthscales": [0.8]},
+            "map": {"kind": "normal_icdf"},
+        },
+        "measure": {"family": "uniform_box", "lows": [0.0], "highs": [1.0]},
+    }
+    code, out = _run(capsys, ["eval", "--spec", spec_file(doc), *argv])
+    assert code == 3
+    assert out.err.startswith("invalid input: ") and "normal_icdf" in out.err
+
+
 def test_every_family_has_a_well_formed_example():
     assert {k["family"] for k in _WELL_FORMED_KERNELS} == set(cli._KERNELS[0])
     assert {m["family"] for m in _WELL_FORMED_MEASURES} == set(cli._MEASURES[0])

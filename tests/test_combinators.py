@@ -11,7 +11,6 @@ import pytest
 from kembed.combinators import (
     change_of_measure,
     matrix_valued_embed,
-    mixture_embed,
     product_embed,
     pushforward_embed,
     split_product_measure,
@@ -33,6 +32,7 @@ from kembed.measures import (
     EmpiricalMeasure,
     GaussianMeasure,
     MixtureMeasure,
+    PushforwardMeasure,
     UniformBoxMeasure,
 )
 from kembed.oracle import estimate_kpp, estimate_mean
@@ -46,7 +46,11 @@ def test_product_embed_tensorizes():
     p1 = UniformBoxMeasure(lows=(0.0,), highs=(2.0,))
     p2 = UniformBoxMeasure(lows=(-1.0,), highs=(1.0,))
     e1, e2 = embed(k1, p1), embed(k2, p2)
-    prod = product_embed([e1, e2], [1, 1])
+    prod = product_embed(
+        ProductKernel([k1, k2], [1, 1]),
+        UniformBoxMeasure(lows=(0.0, -1.0), highs=(2.0, 1.0)),
+        [p1, p2],
+    )
     rng = random.Random(22)
     for _ in range(20):
         x = [rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0)]
@@ -173,18 +177,8 @@ def test_fbm_kernel_under_box_mixture():
     assert abs(e.kpp - o.value) <= max(1e-6, 4.0 * math.hypot(e.kpp_stderr, o.stderr))
 
 
-def test_mixture_embed_shape_validation():
-    e = embed(GaussianKernel(lengthscales=(1.0,)),
-              GaussianMeasure(mean=(0.0,), cov=(1.0,)))
-    with pytest.raises(InvalidSpecError):
-        mixture_embed([[e], [e]], weights=(1.0,))
-    with pytest.raises(InvalidSpecError):
-        mixture_embed([[e, e], [e]], weights=(0.5, 0.5))
-
-
 def test_sum_kernel_under_mixture():
-    # two kernel components against two mixture components exercises
-    # the full grid
+    # two kernel components, each embedded under two mixture components
     g = GaussianKernel(lengthscales=(1.0,))
     m = MaternKernel(nu=0.5, lengthscale=1.0)
     s = SumKernel([g, m], [0.3, 0.7])
@@ -208,7 +202,11 @@ def test_sum_kernel_under_mixture():
 def test_pushforward_embed_wraps_kp():
     inner = embed(GaussianKernel(lengthscales=(1.0,)),
                   UniformBoxMeasure(lows=(1.0,), highs=(3.0,)))
-    pf = pushforward_embed(inner, AffineMap(2.0, 1.0))
+    # the image of [0, 1] under x -> 2x+1 is [1, 3]
+    pf = pushforward_embed(
+        ComposedKernel(GaussianKernel(lengthscales=(1.0,)), AffineMap(2.0, 1.0)),
+        UniformBoxMeasure(lows=(0.0,), highs=(1.0,)),
+    )
     # x in base coordinates maps to 2x+1 in image coordinates
     assert pf.kp_at([0.5]) == pytest.approx(inner.kp_at([2.0]), rel=1e-15)
     assert pf.kpp == inner.kpp
@@ -240,7 +238,10 @@ def test_matrix_valued_embed_scales():
     inner = embed(GaussianKernel(lengthscales=(1.0,)),
                   GaussianMeasure(mean=(0.0,), cov=(1.0,)))
     b = np.array([[2.0, 0.5], [0.5, 1.0]])
-    mv = matrix_valued_embed(inner, b)
+    mv = matrix_valued_embed(
+        MatrixValuedKernel(GaussianKernel(lengthscales=(1.0,)), b),
+        GaussianMeasure(mean=(0.0,), cov=(1.0,)),
+    )
     np.testing.assert_allclose(mv.kp_at([0.3]), b * inner.kp_at([0.3]), rtol=1e-15)
     np.testing.assert_allclose(mv.kpp, b * inner.kpp, rtol=1e-15)
 
@@ -335,29 +336,75 @@ def test_composed_kernel_under_gaussian_mixture_keeps_closed_cross_terms():
     assert e.kpp == pytest.approx(image.kpp, rel=1e-14)
 
 
-@pytest.mark.parametrize("route", ["product", "sum", "mixture"])
-def test_combinator_embeddings_carry_the_requested_pair(route):
+def _combined_route(route):
+    """(kernel, measure, pair_id) of one dispatch route through a
+    combinator."""
     g = GaussianKernel(lengthscales=(0.8,))
     box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
+    boxes = MixtureMeasure(
+        components=[box, UniformBoxMeasure(lows=(0.5,), highs=(2.0,))],
+        weights=(0.5, 0.5),
+    )
+    normals = MixtureMeasure(
+        [GaussianMeasure((0.0,), 1.0), GaussianMeasure((2.0,), 1.0)], [0.5, 0.5]
+    )
     if route == "product":
         kernel = ProductKernel(children=[g, MaternKernel(nu=1.5)], block_dims=[1, 1])
         measure = UniformBoxMeasure(lows=(0.0, -1.0), highs=(1.0, 1.0))
-        pair_id = "product/gaussian/uniform_box*matern/uniform_box"
-    elif route == "sum":
+        return kernel, measure, "product/gaussian/uniform_box*matern/uniform_box"
+    if route == "sum":
         kernel = SumKernel(children=[g, MaternKernel(nu=1.5)], weights=[0.5, 0.5])
-        measure = box
-        pair_id = "sum/gaussian/uniform_box+matern/uniform_box"
-    else:
-        kernel = g
-        measure = MixtureMeasure(
-            components=[box, UniformBoxMeasure(lows=(0.5,), highs=(2.0,))],
-            weights=(0.5, 0.5),
+        return kernel, box, "sum/gaussian/uniform_box+matern/uniform_box"
+    if route == "mixture":
+        return g, boxes, "mixture"
+    if route == "matrix_valued":
+        kernel = MatrixValuedKernel(base=g, matrix=np.array([[2.0, 0.5], [0.5, 1.0]]))
+        return kernel, box, "matrix_valued/gaussian/uniform_box"
+    if route == "composed_affine":
+        kernel = ComposedKernel(base=g, map=AffineMap([2.0], [1.0]))
+        return kernel, box, "pushforward[affine(scale=[2.0], shift=[1.0])]/gaussian/uniform_box"
+    if route == "sum_under_mixture":
+        # Gaussian components: the Matern closed form on a box is defined
+        # on that box only, so its mixture of boxes fails at nodes outside
+        kernel = SumKernel(children=[g, MaternKernel(nu=1.5)], weights=[0.5, 0.5])
+        return kernel, normals, "sum/mixture+mixture"
+    if route == "stein_under_mixture":
+        kernel = SteinKernel(GaussianKernel((1.0,)), target=GaussianMeasure((0.0,), 1.0))
+        return kernel, normals, "mixture"
+    if route == "product_block_gaussian":
+        kernel = ProductKernel(
+            [GaussianKernel(matrix=np.array([[1.0, 0.1], [0.1, 1.5]])), g], [2, 1]
         )
-        pair_id = "mixture"
+        block = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        measure = GaussianMeasure(mean=(0.1, -0.2, 0.5), cov=block)
+        return kernel, measure, "product/gaussian/gaussian*gaussian/gaussian"
+    assert route == "pushforward_measure"
+    measure = PushforwardMeasure(GaussianMeasure((0.0,), 1.0), AffineMap(2.0, 1.0))
+    return g, measure, "gaussian/gaussian"
+
+
+@pytest.mark.parametrize("route", [
+    "product", "sum", "mixture", "matrix_valued", "composed_affine",
+    "sum_under_mixture", "stein_under_mixture", "product_block_gaussian",
+    "pushforward_measure",
+])
+def test_combinator_embeddings_carry_the_requested_pair(route):
+    kernel, measure, pair_id = _combined_route(route)
     e = embed(kernel, measure, budget=400)
     assert e.kernel is kernel
-    assert e.measure is measure
+    if route == "pushforward_measure":
+        # a recognized image is embedded as the measure it is, N(1, 4),
+        # which the mixture cross terms read back from the embedding
+        assert e.measure.family == "gaussian"
+        assert e.measure.mean == (1.0,) and e.measure.cov_diag == (4.0,)
+    else:
+        assert e.measure is measure
     assert e.pair_id == pair_id
+    if route == "matrix_valued":
+        return
     nodes = measure.sample(5, seed=1)
     problem = make_problem(e, nodes)
-    assert problem.gram == pytest.approx(kernel.gram(nodes), rel=0.0, abs=0.0)
+    # make_problem symmetrizes the Gram matrix, which for a Stein kernel
+    # is symmetric only to rounding; for the others this is kernel.gram
+    gram = kernel.gram(nodes)
+    assert problem.gram == pytest.approx(0.5 * (gram + gram.T), rel=0.0, abs=0.0)

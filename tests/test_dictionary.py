@@ -12,7 +12,6 @@ from kembed.dictionary import (
     NUMERIC_FALLBACK,
     embed,
     gauss_cross_kpq,
-    periodic_sobolev_embed,
 )
 from kembed.errors import InvalidSpecError, UnsupportedPairError
 from kembed.kernels import (
@@ -501,7 +500,6 @@ _CARRIED = {
     "sphere_sobolev32": (SphereSobolevKernel(), SphereUniformMeasure(d=2)),
     "sphere_smooth": (SphereSmoothKernel(), SphereUniformMeasure(d=2)),
     "periodic_box": (PeriodicSobolevKernel(r=2), UniformBoxMeasure(lows=(0.0,), highs=(1.0,))),
-    "periodic_circle": (PeriodicSobolevKernel(r=2), SphereUniformMeasure(d=1)),
     # the measure equals the target but is a separate object
     "stein_target": (SteinKernel(GaussianKernel(lengthscales=(1.0,)),
                                  GaussianMeasure(mean=(0.0,), cov=(1.0,)), c=1.0),
@@ -514,12 +512,7 @@ _CARRIED = {
 @pytest.mark.parametrize("route", sorted(_CARRIED))
 def test_embeddings_carry_the_requested_pair(route):
     kernel, measure = _CARRIED[route]
-    if route == "periodic_circle":
-        # points of S^1 lie in R^2, so embed's dimension check stops this
-        # 1-d kernel; the route is reached through its builder
-        e = periodic_sobolev_embed(kernel, measure)
-    else:
-        e = embed(kernel, measure, budget=20)
+    e = embed(kernel, measure, budget=20)
     assert e.kp_provenance == CLOSED_FORM
     assert e.kernel is kernel and e.measure is measure
 

@@ -134,6 +134,8 @@ def test_mixture_density_and_score():
     assert m.score(x)[0] == pytest.approx(fd, rel=1e-6)
     with pytest.raises(InvalidSpecError):
         MixtureMeasure(components=comps, weights=(0.5, 0.6))
+    with pytest.raises(InvalidSpecError):
+        MixtureMeasure(components=comps, weights=(1.0,))
 
 
 def test_mixture_sampling_law():

@@ -26,7 +26,7 @@ def _gauss_setup(nodes, values=None):
     k = GaussianKernel(lengthscales=(1.0,))
     p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
     e = embed(k, p)
-    return make_problem(e, np.asarray(nodes, dtype=float), values=values, kernel=k)
+    return make_problem(e, np.asarray(nodes, dtype=float), values=values)
 
 
 def test_single_node_posterior():
@@ -48,7 +48,7 @@ def test_reproducing_property():
     e = embed(k, p)
     for j in range(6):
         values = k.batch(nodes[j], nodes)
-        prob = make_problem(e, nodes, values=values, kernel=k)
+        prob = make_problem(e, nodes, values=values)
         post = bq_posterior(prob)
         assert post.mean == pytest.approx(e.kp_at(nodes[j]), abs=1e-10)
 
@@ -78,7 +78,7 @@ def test_zero_nodes_convention():
     k = GaussianKernel(lengthscales=(1.0,))
     p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
     e = embed(k, p)
-    prob = make_problem(e, np.empty((0, 1)), kernel=k)
+    prob = make_problem(e, np.empty((0, 1)))
     post = bq_posterior(prob)
     assert post.mean == 0.0
     assert post.variance == e.kpp
@@ -112,7 +112,7 @@ def test_integral_bounded_by_wce():
     e = embed(k, p)
     rng = np.random.default_rng(46)
     nodes = rng.normal(size=(5, 1))
-    prob = make_problem(e, nodes, kernel=k)
+    prob = make_problem(e, nodes)
     w = optimal_weights(prob)
     err = wce(prob, w)
     for _ in range(10):
@@ -132,7 +132,7 @@ def test_mmd_same_measure_is_zero():
     k = GaussianKernel(lengthscales=(1.0,))
     p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
     e = embed(k, p)
-    assert mmd2(e, p, kernel=k) == pytest.approx(0.0, abs=1e-12)
+    assert mmd2(e, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mmd_equals_wce_for_weighted_points():
@@ -141,8 +141,7 @@ def test_mmd_equals_wce_for_weighted_points():
     prob = _gauss_setup(nodes)
     w = optimal_weights(prob)
     e = prob.embedding
-    k = GaussianKernel(lengthscales=(1.0,))
-    val = mmd2(e, nodes, kernel=k, weights=w)
+    val = mmd2(e, nodes, weights=w)
     assert val == pytest.approx(wce(prob, w) ** 2, abs=1e-12)
 
 
@@ -153,13 +152,13 @@ def test_mmd_empirical_measure():
     k = GaussianKernel(lengthscales=(1.0,))
     p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
     e = embed(k, p)
-    prob = make_problem(e, pts, kernel=k)
+    prob = make_problem(e, pts)
     uniform = np.full(6, 1.0 / 6.0)
-    assert mmd2(e, emp, kernel=k) == pytest.approx(
+    assert mmd2(e, emp) == pytest.approx(
         wce(prob, uniform) ** 2, abs=1e-12
     )
     with pytest.raises(InvalidSpecError):
-        mmd2(e, emp, kernel=k, weights=uniform)
+        mmd2(e, emp, weights=uniform)
 
 
 def test_mmd_between_gaussians():
@@ -167,7 +166,7 @@ def test_mmd_between_gaussians():
     p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
     q = GaussianMeasure(mean=(1.0,), cov=(1.0,))
     e = embed(k, p)
-    val = mmd2(e, q, kernel=k)
+    val = mmd2(e, q)
     # closed form: 2/sqrt(3) (1 - exp(-1/6))
     expected = 2.0 / math.sqrt(3.0) * (1.0 - math.exp(-1.0 / 6.0))
     assert val == pytest.approx(expected, rel=1e-12)
@@ -182,8 +181,8 @@ def test_mmd_shrinks_with_sample_size():
     for seed in range(10):
         xs = p.sample(100, seed)
         ys = p.sample(10_000, seed + 100)
-        small.append(mmd2(e, EmpiricalMeasure(points=xs), kernel=k))
-        large.append(mmd2(e, EmpiricalMeasure(points=ys), kernel=k))
+        small.append(mmd2(e, EmpiricalMeasure(points=xs)))
+        large.append(mmd2(e, EmpiricalMeasure(points=ys)))
     assert np.median(large) < np.median(small)
     assert min(small + large) >= -1e-10
 
@@ -225,7 +224,7 @@ def test_forced_jitter_failure():
     p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
     e = embed(k, p)
     prob = make_problem(e, np.array([[0.5], [0.5 + 1e-11]]), values=[0.1, 0.1],
-                        kernel=k, jitter=0.0)
+                        jitter=0.0)
     with pytest.raises(NumericalFailure):
         bq_posterior(prob)
 
@@ -233,7 +232,7 @@ def test_forced_jitter_failure():
 def test_forced_jitter_is_applied_verbatim():
     prob = _gauss_setup([[0.0], [1.0]])
     forced = make_problem(prob.embedding, prob.nodes, values=[0.0, 0.0],
-                          kernel=prob.embedding.kernel, jitter=1e-3)
+                          jitter=1e-3)
     post = bq_posterior(forced)
     assert post.jitter == 1e-3
 
@@ -243,11 +242,11 @@ def test_problem_validation():
     p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
     e = embed(k, p)
     with pytest.raises(InvalidSpecError):
-        make_problem(e, np.array([[math.nan]]), kernel=k)
+        make_problem(e, np.array([[math.nan]]))
     with pytest.raises(InvalidSpecError):
-        make_problem(e, np.array([[0.0]]), values=[1.0, 2.0], kernel=k)
+        make_problem(e, np.array([[0.0]]), values=[1.0, 2.0])
     with pytest.raises(InvalidSpecError):
-        make_problem(e, np.array([[0.0]]), kernel=k, jitter=-1e-9)
+        make_problem(e, np.array([[0.0]]), jitter=-1e-9)
     nodes = np.array([[0.0], [1.0]])
     gram = k.gram(nodes)
     m = np.array([e.kp_at(x) for x in nodes])
@@ -269,7 +268,7 @@ def test_matern_problem_roundtrip():
     p = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
     e = embed(k, p)
     nodes = np.array([[0.2], [0.5], [0.8]])
-    prob = make_problem(e, nodes, values=[0.1, 0.4, 0.2], kernel=k)
+    prob = make_problem(e, nodes, values=[0.1, 0.4, 0.2])
     post = bq_posterior(prob)
     assert math.isfinite(post.mean)
     assert post.variance >= 0.0
