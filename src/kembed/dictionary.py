@@ -98,10 +98,21 @@ class Embedding:
     kp_provenance: str = CLOSED_FORM
     kpp_provenance: str = CLOSED_FORM
     kpp_stderr: float = 0.0
+    # K_P at every row of an array at once, when that is cheaper than
+    # kp_fn row by row; None means row by row
+    kp_rows_fn: Callable | None = None
 
     def kp_at(self, x):
         """Evaluate the mean embedding at a point."""
         return self.kp_fn(x)
+
+    def kp_rows(self, X) -> list:
+        """The mean embedding at each row of X, as ``kp_at`` gives it.
+        The numeric fallback integrates every row against one Monte
+        Carlo sample or rule; closed forms evaluate ``kp_at`` per row."""
+        if self.kp_rows_fn is None:
+            return [self.kp_at(row) for row in X]
+        return self.kp_rows_fn(X)
 
     @property
     def provenance(self) -> str:
@@ -701,7 +712,8 @@ def numeric_embedding(
 
 def _oracle_fill(e: Embedding, budget: int | None, seed: int) -> Embedding:
     """Fill in each part a builder left out (None) from the oracle, with
-    the given budget and seed: K_PP once, K_P at each point asked for."""
+    the given budget and seed: K_PP once, K_P at each point asked for,
+    with one sample or rule shared by the rows of a ``kp_rows`` call."""
     kernel, measure = e.kernel, e.measure
     if e.kpp is None:
         est = oracle.estimate_kpp(kernel, measure, budget=budget, seed=seed)
@@ -713,7 +725,11 @@ def _oracle_fill(e: Embedding, budget: int | None, seed: int) -> Embedding:
         def kp(x):
             return oracle.estimate_kp(kernel, measure, x, budget=budget, seed=seed).value
 
-        e = replace(e, kp_fn=kp, kp_provenance=NUMERIC_FALLBACK)
+        def kp_rows(X):
+            rows = oracle.estimate_kp_rows(kernel, measure, X, budget=budget, seed=seed)
+            return [est.value for est in rows]
+
+        e = replace(e, kp_fn=kp, kp_rows_fn=kp_rows, kp_provenance=NUMERIC_FALLBACK)
     return e
 
 

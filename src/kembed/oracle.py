@@ -46,6 +46,7 @@ from .measures import (
 __all__ = [
     "OracleEstimate",
     "estimate_kp",
+    "estimate_kp_rows",
     "estimate_kpp",
     "estimate_mean",
     "gauss_legendre_nodes",
@@ -350,18 +351,40 @@ def estimate_kp(
     method: str | None = None,
 ) -> OracleEstimate:
     """Numerically estimate the single integral of K(x, .) against the
-    measure. The method is auto-selected unless overridden."""
+    measure: the one-row case of :func:`estimate_kp_rows`."""
+    return estimate_kp_rows(kernel, measure, [x], budget, seed, method)[0]
+
+
+def estimate_kp_rows(
+    kernel: Kernel,
+    measure: Measure,
+    X,
+    budget: int | None = None,
+    seed: int = 0,
+    method: str | None = None,
+) -> list[OracleEstimate]:
+    """Numerically estimate the single integral of K(x, .) against the
+    measure at each row x of X. The method is auto-selected unless
+    overridden. The Monte Carlo sample, and any rule that does not
+    depend on x, is made once and shared by every row; each row is one
+    ``kernel.batch`` against it, so a row's estimate has the bits it
+    would have alone."""
     method, budget = _method_and_budget(kernel, measure, method, budget)
-    x = as_point(x, measure.dim if measure.dim else None)
+    rows = [as_point(x, measure.dim if measure.dim else None) for x in X]
     if method in _MC_METHODS:
-        # plain mean over a seeded sample
-        vals = kernel.batch(x, measure.sample(budget, seed))
-        value, stderr = _mc_mean(vals)
-        return OracleEstimate(value=value, stderr=stderr, method=method, n=budget, seed=seed)
+        # plain mean over one seeded sample
+        sample = measure.sample(budget, seed)
+        return [
+            OracleEstimate(*_mc_mean(kernel.batch(x, sample)), method, budget, seed)
+            for x in rows
+        ]
     _, inner = _rules(kernel, measure, method, budget, DEFAULT_QUAD_NODES)
-    t, w, norm = inner(x)
-    value = float(np.dot(w, kernel.batch(x, t))) / norm
-    return OracleEstimate(value=value, stderr=0.0, method=method, n=w.size)
+    out = []
+    for x in rows:
+        t, w, norm = inner(x)
+        value = float(np.dot(w, kernel.batch(x, t))) / norm
+        out.append(OracleEstimate(value=value, stderr=0.0, method=method, n=w.size))
+    return out
 
 
 def estimate_kpp(

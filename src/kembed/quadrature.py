@@ -76,10 +76,16 @@ class QuadratureProblem:
 
     @property
     def kpp(self) -> float:
-        kpp = self.embedding.kpp
-        if isinstance(kpp, np.ndarray):
-            raise InvalidSpecError("quadrature requires a scalar-valued embedding")
-        return float(kpp)
+        return _scalar_kpp(self.embedding, "quadrature")
+
+
+def _scalar_kpp(embedding: Embedding, consumer: str) -> float:
+    """The embedding's K_PP, which must be a scalar: the consumers below
+    solve and weigh scalar embeddings only."""
+    kpp = embedding.kpp
+    if isinstance(kpp, np.ndarray):
+        raise InvalidSpecError(f"{consumer} requires a scalar-valued embedding")
+    return float(kpp)
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,8 @@ def make_problem(
 ) -> QuadratureProblem:
     """Assemble a quadrature problem: Gram matrix of the embedding's
     kernel over the nodes and the mean embedding at each node."""
+    # a matrix-valued embedding has no scalar Gram to build
+    _scalar_kpp(embedding, "quadrature")
     kernel = embedding.kernel
     nodes = np.asarray(nodes, dtype=float)
     if nodes.size == 0:
@@ -109,7 +117,7 @@ def make_problem(
     if n:
         gram = kernel.gram(nodes)
         gram = 0.5 * (gram + gram.T)
-        m = np.array([float(embedding.kp_at(row)) for row in nodes])
+        m = np.array([float(v) for v in embedding.kp_rows(nodes)])
     else:
         gram = np.zeros((0, 0))
         m = np.zeros(0)
@@ -208,10 +216,7 @@ def mmd2(embedding: Embedding, q, weights=None) -> float:
     (possibly signed) weights, or a Gaussian measure under a Gaussian
     kernel."""
     kernel = embedding.kernel
-    kpp = embedding.kpp
-    if isinstance(kpp, np.ndarray):
-        raise InvalidSpecError("mmd2 requires a scalar-valued embedding")
-    kpp = float(kpp)
+    kpp = _scalar_kpp(embedding, "mmd2")
     if isinstance(q, EmpiricalMeasure) or not isinstance(q, Measure):
         if isinstance(q, EmpiricalMeasure):
             if weights is not None:
@@ -228,9 +233,7 @@ def mmd2(embedding: Embedding, q, weights=None) -> float:
                 w = np.atleast_1d(np.asarray(weights, dtype=float))
                 if w.shape != (points.shape[0],):
                     raise InvalidSpecError("one weight per point is required")
-        kpq = float(
-            np.dot(w, [float(embedding.kp_at(row)) for row in points])
-        )
+        kpq = float(np.dot(w, [float(v) for v in embedding.kp_rows(points)]))
         kqq = float(w @ kernel.gram(points) @ w)
         return kpp - 2.0 * kpq + kqq
     if (

@@ -415,6 +415,25 @@ def test_exit_3_normal_icdf_outside_unit_interval(spec_file, capsys, argv):
     assert out.err.startswith("invalid input: ") and "normal_icdf" in out.err
 
 
+def test_bq_matrix_valued_exits_3(spec_file, capsys, tmp_path):
+    # a matrix-valued embedding is rejected before its Gram is built,
+    # as mmd rejects it
+    doc = {
+        "schema_version": 1,
+        "kernel": {
+            "family": "matrix_valued",
+            "base": _G1,
+            "matrix": [[1.0, 0.2], [0.2, 1.0]],
+        },
+        "measure": _N1,
+    }
+    data = tmp_path / "three.csv"
+    data.write_text("x1,y\n0.1,1.0\n0.5,2.0\n-0.3,0.5\n")
+    code, out = _run(capsys, ["bq", "--spec", spec_file(doc), "--data", str(data)])
+    assert code == 3
+    assert out.err == "invalid input: quadrature requires a scalar-valued embedding\n"
+
+
 def test_every_family_has_a_well_formed_example():
     assert {k["family"] for k in _WELL_FORMED_KERNELS} == set(cli._KERNELS[0])
     assert {m["family"] for m in _WELL_FORMED_MEASURES} == set(cli._MEASURES[0])

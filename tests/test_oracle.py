@@ -32,6 +32,7 @@ from kembed.measures import (
 from kembed import oracle
 from kembed.oracle import (
     estimate_kp,
+    estimate_kp_rows,
     estimate_kpp,
     estimate_mean,
     gauss_hermite_nodes,
@@ -354,6 +355,57 @@ def test_entry_points_agree_bitwise(pair):
     for x, y in zip(pts[:20], pts[20:]):
         outcomes = _entry_point_outcomes(kernel, x, y)
         assert len(set(outcomes.values())) == 1, (x, y, outcomes)
+
+
+def _fields(est):
+    return est.value, est.stderr, est.method, est.n, est.seed
+
+
+def _outcome(run):
+    """The fields of an estimate, or the type and message of the
+    error it raises."""
+    try:
+        return _fields(run())
+    except (InvalidSpecError, UnsupportedPairError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("pair", sorted(_ROUTES), ids="-".join)
+def test_rows_equal_points_bitwise(pair, count_draws):
+    # one sample or rule for all rows, and each row keeps the bits (or
+    # the error) of its own estimate_kp call
+    family, measure_name = pair
+    measure, _ = _ROUTE_MEASURES[measure_name]
+    kernel = _ROUTE_KERNELS[family](measure.dim)
+    rows = measure.sample(5, seed=11)
+    singles = [_outcome(lambda: estimate_kp(kernel, measure, x, budget=20, seed=4))
+               for x in rows]
+    errors = [o for o in singles if isinstance(o[0], type)]
+    if errors:
+        # the rows run in order, so the first failing row raises
+        assert _outcome(
+            lambda: estimate_kp_rows(kernel, measure, rows, budget=20, seed=4)[0]
+        ) == errors[0]
+        return
+    sample = measure.sample(20, seed=4)
+    draws = count_draws(measure)
+    batch = estimate_kp_rows(kernel, measure, rows, budget=20, seed=4)
+    assert [_fields(est) for est in batch] == singles
+    if batch[0].method in ("monte_carlo", "sphere_mc"):
+        # the mean over the seeded sample of the budget's size
+        assert [est.value for est in batch] == [
+            float(np.mean(kernel.batch(x, sample))) for x in rows
+        ]
+        assert len(draws) == 1
+    else:
+        assert draws == []
+
+    wrong = np.zeros((5, measure.dim + 1))
+    with pytest.raises(InvalidSpecError) as single:
+        estimate_kp(kernel, measure, wrong[0], budget=20)
+    with pytest.raises(InvalidSpecError) as many:
+        estimate_kp_rows(kernel, measure, wrong, budget=20)
+    assert str(many.value) == str(single.value)
 
 
 _NORTH = [0.0, 0.0, 1.0]

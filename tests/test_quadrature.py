@@ -12,6 +12,7 @@ from kembed.dictionary import embed
 from kembed.errors import InvalidSpecError, NumericalFailure
 from kembed.kernels import GaussianKernel, MaternKernel
 from kembed.measures import EmpiricalMeasure, GaussianMeasure, UniformBoxMeasure
+from kembed.oracle import estimate_kp
 from kembed.quadrature import (
     QuadratureProblem,
     bq_posterior,
@@ -274,3 +275,31 @@ def test_matern_problem_roundtrip():
     assert post.variance >= 0.0
     w = optimal_weights(prob)
     assert post.variance == pytest.approx(wce(prob, w) ** 2, abs=1e-9)
+
+
+def test_numeric_fallback_consumers_share_one_sample(count_draws):
+    # Matern on a 2-d box has no closed form: K_P at the nodes comes
+    # from one Monte Carlo sample, with the bits of per-node estimates
+    k = MaternKernel(nu=1.5, lengthscale=0.6)
+    p = UniformBoxMeasure(lows=(0.0, -0.5), highs=(1.0, 1.0))
+    e = embed(k, p, budget=2000, seed=5)
+    assert e.kp_provenance == "numeric_fallback"
+    nodes = p.sample(30, seed=9)
+    per_node = [estimate_kp(k, p, x, budget=2000, seed=5).value for x in nodes]
+    draws = count_draws(p)
+    prob = make_problem(e, nodes)
+    assert prob.m.tolist() == per_node
+    assert len(draws) == 1
+    w = np.full(30, 1.0 / 30)
+    want = e.kpp - 2.0 * float(np.dot(w, per_node)) + float(w @ k.gram(nodes) @ w)
+    assert mmd2(e, nodes) == want
+    assert len(draws) == 2
+
+
+def test_closed_form_rows_are_per_row_kp_at():
+    k = GaussianKernel(lengthscales=(0.8, 1.3))
+    p = GaussianMeasure(mean=(0.1, -0.2), cov=(1.0, 0.5))
+    e = embed(k, p)
+    nodes = p.sample(30, seed=9)
+    assert e.kp_rows(nodes) == [e.kp_at(row) for row in nodes]
+
