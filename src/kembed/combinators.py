@@ -139,11 +139,13 @@ def _weighted(kernel, measure, pair_id, parts, weights, terms) -> Embedding:
     the parts, and whose double integral sums coef * value over the
     (coef, value, stderr, provenance) terms."""
 
-    def kp(x):
-        total = 0.0
+    def kp_rows(X):
+        # each part's rows at once (one oracle sample per numeric part)
+        totals = [0.0] * len(X)
         for w, part in zip(weights, parts):
-            total += w * part.kp_at(x)
-        return total
+            for i, value in enumerate(part.kp_rows(X)):
+                totals[i] += w * value
+        return totals
 
     kpp = 0.0
     var = 0.0
@@ -152,7 +154,7 @@ def _weighted(kernel, measure, pair_id, parts, weights, terms) -> Embedding:
         var += (coef * stderr) ** 2
 
     return Embedding(
-        kp_fn=kp,
+        kp_fn=lambda x: kp_rows([x])[0],
         kpp=kpp,
         pair_id=pair_id,
         kernel=kernel,
@@ -160,6 +162,7 @@ def _weighted(kernel, measure, pair_id, parts, weights, terms) -> Embedding:
         kp_provenance=_combine(p.kp_provenance for p in parts),
         kpp_provenance=_combine(t[3] for t in terms),
         kpp_stderr=math.sqrt(var),
+        kp_rows_fn=kp_rows,
     )
 
 

@@ -67,6 +67,41 @@ def as_points(X, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _finite_points(X, dim: int | None = None) -> np.ndarray:
+    """:func:`as_points`, with the finiteness check that :func:`as_point`
+    makes on a single point, made once for the whole array."""
+    arr = as_points(X, dim)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidSpecError("points must be finite")
+    return arr
+
+
+def _sq_dist(X: np.ndarray, Y: np.ndarray, scale=None) -> np.ndarray:
+    """Squared distance |(y_i - x_i) / scale|^2 of matched rows of two
+    (n, d) arrays, either of which may be a single row, in the bits of
+    ``np.sum(((Y - X) / scale) ** 2, axis=1)``. Below 8 columns numpy
+    sums sequentially, so the columns are added one at a time, which
+    avoids its slow reduction along a short axis; from 8 up numpy sums
+    pairwise, and np.sum itself is used."""
+    d = X.shape[1]
+    if not 0 < d < 8:
+        Z = Y - X
+        if scale is not None:
+            Z = Z / np.asarray(scale)
+        return np.sum(Z * Z, axis=1)
+    out = None
+    for j in range(d):
+        z = Y[:, j] - X[:, j]
+        if scale is not None:
+            z /= scale[j]
+        z *= z
+        if out is None:
+            out = z
+        else:
+            out += z
+    return out
+
+
 def _precision_rows(cov: np.ndarray, D: np.ndarray) -> np.ndarray:
     """cov^{-1} d for each row d of D. The precision matrix multiplies
     each row elementwise and sums over the last axis, so a row's bits do
@@ -124,9 +159,32 @@ class Kernel:
         return self._pairs(X, Y)
 
     def gram(self, X) -> np.ndarray:
-        """Kernel matrix over rows of X."""
-        X = as_points(X, self.dim)
-        return np.stack([self.batch(X[i], X) for i in range(X.shape[0])])
+        """Kernel matrix over rows of X, filled row by row into one
+        array; a matrix-valued kernel gives an (n, n, k, k) array."""
+        X = _finite_points(X, self.dim)
+        out = np.zeros((0, 0))
+        for i, row in enumerate(self._rows(X)):
+            if i == 0:
+                out = np.empty((len(X),) + row.shape)
+            out[i] = row
+        return out
+
+    def gram_form(self, X, w) -> float:
+        """w^T K(X, X) w for a scalar kernel, summed over one Gram row at
+        a time, so memory grows with n and not n^2: each row gives
+        v_i = K(x_i, X) @ w, and the result is w @ v."""
+        X = _finite_points(X, self.dim)
+        w = np.asarray(w, dtype=float)
+        v = np.empty(len(X))
+        for i, row in enumerate(self._rows(X)):
+            v[i] = row @ w
+        return float(w @ v)
+
+    def _rows(self, X: np.ndarray):
+        """The rows K(x_i, X) of the Gram over checked points X, each
+        with the bits of ``batch(x_i, X)``."""
+        for i in range(len(X)):
+            yield self._pairs(X[i : i + 1], X)
 
     def _pairs(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -211,10 +269,9 @@ class GaussianKernel(Kernel):
         return math.exp(-0.5 * float(d @ np.linalg.solve(self.matrix, d)))
 
     def _pairs(self, X, Y):
-        D = Y - X
         if self.diagonal:
-            Z = D / np.asarray(self.lengthscales)
-            return np.exp(-0.5 * np.sum(Z * Z, axis=1))
+            return np.exp(-0.5 * _sq_dist(X, Y, self.lengthscales))
+        D = Y - X
         return np.exp(-0.5 * np.sum(D * _precision_rows(self.matrix, D), axis=1))
 
 
@@ -262,7 +319,7 @@ class MaternKernel(Kernel):
         return int(round(self.nu - 0.5))
 
     def _pairs(self, X, Y):
-        t = np.sqrt(np.sum((Y - X) ** 2, axis=1)) / self.lengthscale
+        t = np.sqrt(_sq_dist(X, Y)) / self.lengthscale
         if self.n == 0:
             return np.exp(-t)
         if self.n == 1:
@@ -299,7 +356,7 @@ class WendlandKernel(Kernel):
         object.__setattr__(self, "lengthscale", float(self.lengthscale))
 
     def _pairs(self, X, Y):
-        t = np.sqrt(np.sum((Y - X) ** 2, axis=1)) / self.lengthscale
+        t = np.sqrt(_sq_dist(X, Y)) / self.lengthscale
         base = np.maximum(0.0, 1.0 - t)
         if self.order == 0:
             return base
@@ -451,10 +508,7 @@ def _sphere_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     _check_unit(Y)
     # the batched matmul gives each row the bits of x / sqrt(x @ x)
     X = X / np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, :])
-    D = Y - X
-    D *= D
-    # np.sum's order over three columns, without its slow short-axis reduction
-    return D[:, 0] + D[:, 1] + D[:, 2]
+    return _sq_dist(X, Y)
 
 
 @dataclass(frozen=True, eq=False)

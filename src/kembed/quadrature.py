@@ -32,6 +32,9 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 _DISTINCT_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8
 _VARIANCE_SLACK = -1e-10
+# Rows per diagonal block of the triangular solves; a Gram of at most
+# this many nodes is one diagonal block, solved by a single np.linalg.solve.
+_SOLVE_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +155,7 @@ def _solve_gram(problem: QuadratureProblem) -> tuple[np.ndarray, float]:
             chol = np.linalg.cholesky(sys)
         except np.linalg.LinAlgError:
             continue
-        w = np.linalg.solve(chol.T, np.linalg.solve(chol, m))
+        w = _back_substitute(chol, _forward_substitute(chol, m))
         residual = float(np.linalg.norm(sys @ w - m))
         if residual <= _RESIDUAL_TOL * max(m_norm, 1e-300):
             return w, jit
@@ -160,6 +163,33 @@ def _solve_gram(problem: QuadratureProblem) -> tuple[np.ndarray, float]:
         "gram matrix is ill-conditioned beyond the allowed jitter; "
         "the nodes are numerically degenerate"
     )
+
+
+def _forward_substitute(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L y = b for the lower-triangular Cholesky factor L, one
+    diagonal block at a time: a block's right-hand side subtracts the
+    rows already solved with one matrix product, so the work is O(n^2)
+    where a general solve of L is O(n^3)."""
+    n = len(b)
+    y = np.empty(n)
+    for lo in range(0, n, _SOLVE_BLOCK):
+        hi = min(lo + _SOLVE_BLOCK, n)
+        rhs = b[lo:hi] - chol[lo:hi, :lo] @ y[:lo]
+        y[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi], rhs)
+    return y
+
+
+def _back_substitute(chol: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve L^T w = y for the Cholesky factor L, from the last diagonal
+    block up, as :func:`_forward_substitute` does from the first down."""
+    n = len(y)
+    upper = chol.T
+    w = np.empty(n)
+    for hi in range(n, 0, -_SOLVE_BLOCK):
+        lo = max(hi - _SOLVE_BLOCK, 0)
+        rhs = y[lo:hi] - upper[lo:hi, hi:] @ w[hi:]
+        w[lo:hi] = np.linalg.solve(upper[lo:hi, lo:hi], rhs)
+    return w
 
 
 def optimal_weights(problem: QuadratureProblem) -> np.ndarray:
@@ -234,7 +264,9 @@ def mmd2(embedding: Embedding, q, weights=None) -> float:
                 if w.shape != (points.shape[0],):
                     raise InvalidSpecError("one weight per point is required")
         kpq = float(np.dot(w, [float(v) for v in embedding.kp_rows(points)]))
-        kqq = float(w @ kernel.gram(points) @ w)
+        # K_QQ row by row (Gretton et al., JMLR 2012): the n x n Gram is
+        # never held
+        kqq = kernel.gram_form(points, w)
         return kpp - 2.0 * kpq + kqq
     if (
         isinstance(q, GaussianMeasure)

@@ -23,6 +23,7 @@ from kembed.kernels import (
     SphereSobolevKernel,
     SumKernel,
     WendlandKernel,
+    _sq_dist,
     matern_half_integer,
     periodic_sobolev_series,
 )
@@ -264,3 +265,17 @@ def test_gaussian_psd_full_matrix():
     k = GaussianKernel(matrix=lam)
     rng = np.random.default_rng(4)
     _psd_check(k, rng.normal(size=(10, 2)))
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_sq_dist_has_the_bits_of_np_sum(d):
+    # magnitudes spread over many decades, so that any other summation
+    # order than np.sum's (sequential below 8 columns, pairwise from 8)
+    # shows in the last bits
+    rng = np.random.default_rng(d)
+    X, Y = (rng.normal(size=(60, d)) * 10.0 ** rng.integers(-6, 7, size=(60, d)) for _ in range(2))
+    s = tuple(float(v) for v in rng.uniform(0.1, 3.0, d))
+    for A, B in ((X, Y), (X[:1], Y), (X, Y[:1]), (X[:1], Y[:1])):
+        assert _sq_dist(A, B).tobytes() == np.sum((B - A) ** 2, axis=1).tobytes()
+        want = np.sum(((B - A) / np.asarray(s)) ** 2, axis=1)
+        assert _sq_dist(A, B, s).tobytes() == want.tobytes()

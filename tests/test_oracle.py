@@ -357,6 +357,27 @@ def test_entry_points_agree_bitwise(pair):
         assert len(set(outcomes.values())) == 1, (x, y, outcomes)
 
 
+def _array_or_error(make) -> tuple:
+    try:
+        out = make()
+    except InvalidSpecError as exc:
+        return str(exc), None
+    return out.tobytes(), out.shape
+
+
+@pytest.mark.parametrize("pair", sorted(_ROUTES), ids="-".join)
+def test_gram_is_stacked_batch_rows_bitwise(pair):
+    # one preallocated array, filled with the bits of batch row by row;
+    # or the same error (fbm under a Gaussian draws negative inputs)
+    family, measure_name = pair
+    measure, _ = _ROUTE_MEASURES[measure_name]
+    kernel = _ROUTE_KERNELS[family](measure.dim)
+    X = measure.sample(25, seed=4)
+    got = _array_or_error(lambda: kernel.gram(X))
+    want = _array_or_error(lambda: np.stack([kernel.batch(x, X) for x in X]))
+    assert got == want
+
+
 def _fields(est):
     return est.value, est.stderr, est.method, est.n, est.seed
 

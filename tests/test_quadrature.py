@@ -4,6 +4,7 @@ numerical-safety machinery around the Gram solve."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,18 @@ import pytest
 from kembed.dictionary import embed
 from kembed.errors import InvalidSpecError, NumericalFailure
 from kembed.kernels import GaussianKernel, MaternKernel
-from kembed.measures import EmpiricalMeasure, GaussianMeasure, UniformBoxMeasure
+from kembed.measures import (
+    EmpiricalMeasure,
+    GaussianMeasure,
+    MixtureMeasure,
+    UniformBoxMeasure,
+)
 from kembed.oracle import estimate_kp
 from kembed.quadrature import (
+    _SOLVE_BLOCK,
     QuadratureProblem,
+    _back_substitute,
+    _forward_substitute,
     bq_posterior,
     make_problem,
     mmd2,
@@ -238,6 +247,22 @@ def test_forced_jitter_is_applied_verbatim():
     assert post.jitter == 1e-3
 
 
+@pytest.mark.parametrize("n", [1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 3 * _SOLVE_BLOCK + 17])
+def test_blocked_substitution_solves_the_cholesky_factors(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    chol = np.linalg.cholesky(a @ a.T / n + np.eye(n))
+    b = rng.normal(size=n)
+    y = _forward_substitute(chol, b)
+    w = _back_substitute(chol, y)
+    if n <= _SOLVE_BLOCK:
+        # one block: the general solve itself, bit for bit
+        assert y.tobytes() == np.linalg.solve(chol, b).tobytes()
+        assert w.tobytes() == np.linalg.solve(chol.T, y).tobytes()
+    assert np.linalg.norm(chol @ y - b) <= 1e-13 * np.linalg.norm(b)
+    assert np.linalg.norm(chol.T @ w - y) <= 1e-13 * np.linalg.norm(y)
+
+
 def test_problem_validation():
     k = GaussianKernel(lengthscales=(1.0,))
     p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
@@ -294,6 +319,64 @@ def test_numeric_fallback_consumers_share_one_sample(count_draws):
     want = e.kpp - 2.0 * float(np.dot(w, per_node)) + float(w @ k.gram(nodes) @ w)
     assert mmd2(e, nodes) == want
     assert len(draws) == 2
+
+
+def test_numeric_fallback_mixture_draws_once_per_component(count_draws):
+    # neither box has a closed form for Matern in 2-d: the mixture's rows
+    # take one sample per component, not one per node and component
+    k = MaternKernel(nu=1.5, lengthscale=0.6)
+    boxes = (
+        UniformBoxMeasure(lows=(0.0, 0.0), highs=(1.0, 1.0)),
+        UniformBoxMeasure(lows=(0.5, -1.0), highs=(2.0, 0.5)),
+    )
+    p = MixtureMeasure(components=boxes, weights=(0.3, 0.7))
+    e = embed(k, p, budget=2000, seed=5)
+    assert e.kp_provenance == "numeric_fallback"
+    nodes = boxes[0].sample(10, seed=9)
+    per_node = [e.kp_at(x) for x in nodes]
+    draws = count_draws(boxes[0])
+    prob = make_problem(e, nodes)
+    assert draws == [2000, 2000]
+    assert prob.m.tolist() == per_node
+
+
+@pytest.mark.parametrize("n", [3, 4000])
+def test_mmd2_kqq_without_the_gram(n):
+    # K_QQ is summed over Gram rows; at n = 3 the bits are those of
+    # w @ gram @ w. At n = 4 000 a per-row dot product and numpy's
+    # vector-matrix product sum in different orders, so they agree to
+    # rounding (a few ulps of the sum of |w_i w_j K_ij|), not bitwise.
+    k = GaussianKernel(lengthscales=(0.8, 1.2))
+    p = GaussianMeasure(mean=(0.1, -0.2), cov=(1.0, 0.5))
+    e = embed(k, p)
+    q = p.sample(n, seed=n)
+    signed = np.random.default_rng(n).normal(size=n)
+    for w in (np.full(n, 1.0 / n), signed):
+        kpq = float(np.dot(w, [float(v) for v in e.kp_rows(q)]))
+        gram = k.gram(q)
+        want = e.kpp - 2.0 * kpq + float(w @ gram @ w)
+        got = mmd2(e, q, weights=w)
+        if n == 3:
+            assert got == want
+        else:
+            scale = float(np.abs(w) @ gram @ np.abs(w))
+            assert abs(got - want) <= 1e-14 * scale
+
+
+def test_mmd2_memory_grows_with_n_not_n_squared():
+    k = GaussianKernel(lengthscales=(1.0,))
+    p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
+    e = embed(k, p)
+    q = p.sample(10_000, seed=3)
+    tracemalloc.start()
+    try:
+        value = mmd2(e, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the Gram over 10 000 points would take 800 MB
+    assert peak < 20e6
+    assert 0.0 <= value < 1e-3
 
 
 def test_closed_form_rows_are_per_row_kp_at():
