@@ -36,7 +36,6 @@ from .kernels import (
     SumKernel,
     WendlandKernel,
     as_point,
-    _check_unit,
 )
 from .measures import (
     EmpiricalMeasure,
@@ -630,7 +629,7 @@ def sphere_embed(
         const = 1.0 - math.exp(-48.0)
 
     def kp(x):
-        _check_unit(as_point(x, 3)[None, :])
+        kernel._check(as_point(x, 3)[None, :])
         return const
 
     return Embedding(
@@ -672,8 +671,8 @@ def empirical_embed(kernel: Kernel, measure: EmpiricalMeasure) -> Embedding:
         return float(np.dot(w, kernel.batch(x, pts)))
 
     kpp = 0.0
-    for i in range(pts.shape[0]):
-        kpp += w[i] * float(np.dot(w, kernel.batch(pts[i], pts)))
+    for i, row in enumerate(kernel.rows(pts, pts)):
+        kpp += w[i] * float(np.dot(w, row))
 
     return Embedding(
         kp_fn=kp,

@@ -82,23 +82,26 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray, scale=None) -> np.ndarray:
     ``np.sum(((Y - X) / scale) ** 2, axis=1)``. Below 8 columns numpy
     sums sequentially, so the columns are added one at a time, which
     avoids its slow reduction along a short axis; from 8 up numpy sums
-    pairwise, and np.sum itself is used."""
+    pairwise, and np.sum itself is used. Each column's temporary is
+    freed once it is added, so at most two rows of the result's length
+    are held at a time."""
     d = X.shape[1]
     if not 0 < d < 8:
         Z = Y - X
         if scale is not None:
             Z = Z / np.asarray(scale)
         return np.sum(Z * Z, axis=1)
-    out = None
-    for j in range(d):
+
+    def column(j):
         z = Y[:, j] - X[:, j]
         if scale is not None:
             z /= scale[j]
         z *= z
-        if out is None:
-            out = z
-        else:
-            out += z
+        return z
+
+    out = column(0)
+    for j in range(1, d):
+        out += column(j)
     return out
 
 
@@ -116,14 +119,17 @@ class Kernel:
     Each family states its formula, its spec-file form and its
     quadrature hints here, once. ``_pairs(X, Y)`` returns K(X_i, Y_i)
     for matched rows of two (n, d) arrays, either of which may be a
-    single row, and raises :class:`InvalidSpecError` for an input outside
-    the family's domain; ``__call__``, ``batch``, ``pairs`` and ``gram``
-    check their arguments and call it. ``spec`` maps each key of the
-    family's spec object to the name of its value converter in
-    :mod:`kembed.cli` (a trailing ``?`` marks an optional key); it is
-    None for kernels with no spec form. The hints tell the oracle where ``y -> K(x, y)`` is not
-    analytic, so it can split its panels there without consulting any
-    closed form.
+    single row; it is pure arithmetic on inputs already checked.
+    ``_check(V)`` raises :class:`InvalidSpecError` when a row of V lies
+    outside the family's domain. ``__call__``, ``batch``, ``pairs``,
+    ``rows``, ``gram`` and ``gram_form`` share one prologue: finite
+    points of the right dimension, then ``_check``, once for each
+    argument array, then ``_pairs``; they agree bit for bit. ``spec``
+    maps each key of the family's spec object to the name of its value
+    converter in :mod:`kembed.cli` (a trailing ``?`` marks an optional
+    key); it is None for kernels with no spec form. The hints tell the
+    oracle where ``y -> K(x, y)`` is not analytic, so it can split its
+    panels there without consulting any closed form.
     """
 
     family: str = "kernel"
@@ -141,29 +147,39 @@ class Kernel:
         y = as_point(y, self.dim)
         if x.size != y.size:
             raise InvalidSpecError("x and y must have the same dimension")
-        return self._pairs(x[None, :], y[None, :])[0]
+        return self._checked_pairs(x[None, :], y[None, :])[0]
 
     def batch(self, x, Y) -> np.ndarray:
         """K(x, y_i) for rows y_i of Y."""
         x = as_point(x, self.dim)
-        Y = as_points(Y, x.size)
-        return self._pairs(x[None, :], Y)
+        return self._checked_pairs(x[None, :], _finite_points(Y, x.size))
 
     def pairs(self, X, Y) -> np.ndarray:
         """K(x_i, y_i) for matched rows of X and Y; a single row of
         either broadcasts against the other."""
-        X = as_points(X, self.dim)
-        Y = as_points(Y, X.shape[1])
+        X = _finite_points(X, self.dim)
+        Y = _finite_points(Y, X.shape[1])
         if len(X) != len(Y) and 1 not in (len(X), len(Y)):
             raise InvalidSpecError(f"pairs needs matched rows, got {len(X)} and {len(Y)}")
-        return self._pairs(X, Y)
+        return self._checked_pairs(X, Y)
+
+    def rows(self, X, Y):
+        """K(x_i, Y) for each row x_i of X, one row at a time, each with
+        the bits of ``batch(x_i, Y)``. Both arrays are checked once, here;
+        a domain error is the one the first failing ``batch(x_i, Y)``
+        would raise."""
+        X = _finite_points(X, self.dim)
+        Y = _finite_points(Y, X.shape[1])
+        for V in (X[:1], Y, X[1:]):
+            self._check(V)
+        return self._rows(X, Y)
 
     def gram(self, X) -> np.ndarray:
         """Kernel matrix over rows of X, filled row by row into one
         array; a matrix-valued kernel gives an (n, n, k, k) array."""
-        X = _finite_points(X, self.dim)
+        X = self._checked_points(X)
         out = np.zeros((0, 0))
-        for i, row in enumerate(self._rows(X)):
+        for i, row in enumerate(self._rows(X, X)):
             if i == 0:
                 out = np.empty((len(X),) + row.shape)
             out[i] = row
@@ -173,18 +189,34 @@ class Kernel:
         """w^T K(X, X) w for a scalar kernel, summed over one Gram row at
         a time, so memory grows with n and not n^2: each row gives
         v_i = K(x_i, X) @ w, and the result is w @ v."""
-        X = _finite_points(X, self.dim)
+        X = self._checked_points(X)
         w = np.asarray(w, dtype=float)
         v = np.empty(len(X))
-        for i, row in enumerate(self._rows(X)):
+        for i, row in enumerate(self._rows(X, X)):
             v[i] = row @ w
         return float(w @ v)
 
-    def _rows(self, X: np.ndarray):
-        """The rows K(x_i, X) of the Gram over checked points X, each
-        with the bits of ``batch(x_i, X)``."""
+    def _checked_points(self, X) -> np.ndarray:
+        """X as finite (n, d) points in the kernel's domain."""
+        X = _finite_points(X, self.dim)
+        self._check(X)
+        return X
+
+    def _checked_pairs(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """``_pairs`` on finite points of matching dimension, after the
+        domain check of each argument."""
+        self._check(X)
+        self._check(Y)
+        return self._pairs(X, Y)
+
+    def _rows(self, X: np.ndarray, Y: np.ndarray):
+        """The rows K(x_i, Y) over checked points."""
         for i in range(len(X)):
-            yield self._pairs(X[i : i + 1], X)
+            yield self._pairs(X[i : i + 1], Y)
+
+    def _check(self, V: np.ndarray) -> None:
+        """Raise InvalidSpecError for a row of V outside the family's
+        domain; the default domain is all of R^d."""
 
     def _pairs(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -417,8 +449,6 @@ class FbmKernel(Kernel):
             )
 
     def _pairs(self, X, Y):
-        self._check(X)
-        self._check(Y)
         h = 2.0 * self.hurst
         xv, yv = X[:, 0], Y[:, 0]
         # one x takes Python's pow so values against a point stay put; numpy's
@@ -489,54 +519,55 @@ class PowerSeriesKernel(Kernel):
         return out
 
 
-def _check_unit(V: np.ndarray) -> None:
-    """Check that every row of V has unit norm within tolerance."""
-    nrm = np.sqrt(np.einsum("ij,ij->i", V, V))
-    bad = np.abs(nrm - 1.0) > _SPHERE_NORM_TOL
-    if np.any(bad):
-        raise InvalidSpecError(
-            f"sphere kernel inputs must have unit norm within {_SPHERE_NORM_TOL}, "
-            f"got norm {float(nrm[bad][0])}"
-        )
+class _SphereKernel(Kernel):
+    """A kernel on the unit sphere S^2 in R^3."""
+
+    @property
+    def dim(self):
+        return 3
+
+    def _check(self, V):
+        # in place, so that checking a large sample holds two rows of
+        # its length, not three
+        nrm = np.einsum("ij,ij->i", V, V)
+        np.sqrt(nrm, out=nrm)
+        dev = nrm - 1.0
+        bad = np.abs(dev, out=dev) > _SPHERE_NORM_TOL
+        if np.any(bad):
+            raise InvalidSpecError(
+                f"sphere kernel inputs must have unit norm within {_SPHERE_NORM_TOL}, "
+                f"got norm {float(nrm[bad][0])}"
+            )
 
 
 def _sphere_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Squared distances between matched rows on the unit sphere. Rows
-    of X are projected onto the sphere; rows of Y are only checked, so
-    that a large batch of second arguments is not copied."""
-    _check_unit(X)
-    _check_unit(Y)
+    """Squared distances between matched rows of checked points on the
+    unit sphere. Rows of X are projected onto the sphere; rows of Y are
+    used as they are, so that a large batch of second arguments is not
+    copied."""
     # the batched matmul gives each row the bits of x / sqrt(x @ x)
     X = X / np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, :])
     return _sq_dist(X, Y)
 
 
 @dataclass(frozen=True, eq=False)
-class SphereSobolevKernel(Kernel):
+class SphereSobolevKernel(_SphereKernel):
     """K(x, y) = 2 - ||x - y|| on the unit sphere S^2 in R^3."""
 
     family = "sphere_sobolev32"
     spec = {}
-
-    @property
-    def dim(self):
-        return 3
 
     def _pairs(self, X, Y):
         return 2.0 - np.sqrt(_sphere_sq_dist(X, Y))
 
 
 @dataclass(frozen=True, eq=False)
-class SphereSmoothKernel(Kernel):
+class SphereSmoothKernel(_SphereKernel):
     """Analytic kernel 48 exp(-12 ||x - y||^2) on the unit sphere S^2."""
 
     family = "sphere_smooth"
     spec = {}
     smooth = True
-
-    @property
-    def dim(self):
-        return 3
 
     def _pairs(self, X, Y):
         return 48.0 * np.exp(-12.0 * _sphere_sq_dist(X, Y))
@@ -563,11 +594,12 @@ class PeriodicSobolevKernel(Kernel):
     def dim(self):
         return 1
 
+    def _check(self, V):
+        if np.any(V < 0.0) or np.any(V > 1.0):
+            v = float(V[(V < 0.0) | (V > 1.0)][0])
+            raise InvalidSpecError(f"inputs must lie in [0, 1], got {v}")
+
     def _pairs(self, X, Y):
-        for V in (X, Y):
-            if np.any(V < 0.0) or np.any(V > 1.0):
-                v = float(V[(V < 0.0) | (V > 1.0)][0])
-                raise InvalidSpecError(f"inputs must lie in [0, 1], got {v}")
         r = self.r
         scale = (-1.0) ** (r + 1) * (2.0 * math.pi) ** (2 * r) / math.factorial(2 * r)
         return 1.0 + scale * bernoulli_poly(2 * r, np.abs(Y[:, 0] - X[:, 0]))
@@ -622,6 +654,10 @@ class SumKernel(Kernel):
                 return c.dim
         return None
 
+    def _check(self, V):
+        for c in self.children:
+            c._check(V)
+
     def _pairs(self, X, Y):
         return sum(w * c._pairs(X, Y) for c, w in zip(self.children, self.weights))
 
@@ -674,12 +710,16 @@ class ProductKernel(Kernel):
     def dim(self):
         return sum(self.block_dims)
 
-    def _pairs(self, X, Y):
+    def _blocks(self):
         edges = np.cumsum((0,) + self.block_dims)
-        return math.prod(
-            c._pairs(X[:, a:b], Y[:, a:b])
-            for c, a, b in zip(self.children, edges[:-1], edges[1:])
-        )
+        return zip(self.children, edges[:-1], edges[1:])
+
+    def _check(self, V):
+        for c, a, b in self._blocks():
+            c._check(V[:, a:b])
+
+    def _pairs(self, X, Y):
+        return math.prod(c._pairs(X[:, a:b], Y[:, a:b]) for c, a, b in self._blocks())
 
     @property
     def smooth(self):
@@ -718,6 +758,9 @@ class MatrixValuedKernel(Kernel):
     @property
     def dim(self):
         return self.base.dim
+
+    def _check(self, V):
+        self.base._check(V)
 
     def _pairs(self, X, Y):
         return self.base._pairs(X, Y)[:, None, None] * self.matrix
@@ -810,8 +853,9 @@ class ComposedKernel(Kernel):
         return self.base.dim
 
     def _pairs(self, X, Y):
+        # the mapped image exists only here, so it is checked here
         FX, FY = (as_points(self.map(V), self.base.dim) for V in (X, Y))
         if not (np.all(np.isfinite(FX)) and np.all(np.isfinite(FY))):
             raise InvalidSpecError("points must be finite")
-        return self.base._pairs(FX, FY)
+        return self.base._checked_pairs(FX, FY)
 

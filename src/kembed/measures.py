@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidSpecError
-from .kernels import Map, as_point, as_points
+from .kernels import Map, _sq_dist, as_point, as_points
 
 __all__ = [
     "Measure",
@@ -239,7 +239,13 @@ class SphereUniformMeasure(Measure):
 
     def _draw(self, n, gen):
         z = gen.standard_normal((n, self.dim))
-        return z / np.sqrt(np.sum(z * z, axis=1))[:, None]
+        # the bits of z / sqrt(np.sum(z * z, axis=1)), with the squares
+        # summed a column at a time and z divided in place, so the draw
+        # holds one copy of the sample
+        norm = _sq_dist(np.zeros((1, self.dim)), z)
+        np.sqrt(norm, out=norm)
+        z /= norm[:, None]
+        return z
 
 
 @dataclass(frozen=True, eq=False)

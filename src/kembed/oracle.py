@@ -264,15 +264,16 @@ def _method_and_budget(
 
 
 def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int):
-    """The deterministic rules of ``method`` on ``measure``, as a pair of
-    functions ``(outer, inner)``. ``inner(x)`` integrates y -> K(x, y);
-    ``outer()`` integrates the outer variable of the double integral,
-    s -> integral of K(s, .), which that inner integration has smoothed.
-    Each returns (nodes (n, d), weights, normalizer): the single
-    integral is the weighted sum divided by inner's normalizer, and the
-    double integral the sum of both weightings divided by outer's. Rules
-    that do not depend on x are built once, here; the 2-d grid has at
-    most ``grid`` nodes per axis."""
+    """The deterministic rules of ``method`` on ``measure``, as a pair
+    ``(outer, inner)``. ``inner`` integrates y -> K(x, y): it is a
+    function of x, or, for a rule that does not depend on x, the rule
+    itself, built once here. ``outer()`` integrates the outer variable
+    of the double integral, s -> integral of K(s, .), which that inner
+    integration has smoothed. A rule is (nodes (n, d), weights,
+    normalizer): the single integral is the weighted sum divided by
+    inner's normalizer, and the double integral the sum of both
+    weightings divided by outer's. The 2-d grid has at most ``grid``
+    nodes per axis."""
     gauss_1d = isinstance(measure, GaussianMeasure) and measure.dim == 1
     if method == "gauss_hermite" and not gauss_1d:
         raise UnsupportedPairError("gauss_hermite requires a 1-d Gaussian measure")
@@ -283,7 +284,7 @@ def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int
             z, w = gauss_hermite_nodes(budget)
             t = (mu + math.sqrt(2.0) * sd * z)[:, None]
             # the weights sum to sqrt(pi) in each variable
-            return (lambda: (t, w, math.pi)), (lambda x: (t, w, math.sqrt(math.pi)))
+            return (lambda: (t, w, math.pi)), (t, w, math.sqrt(math.pi))
         # Legendre panels on the truncated line, the pdf folded into the
         # weights; the outer integrand is a convolution with a Gaussian,
         # hence smooth, so its panels need no split.
@@ -314,7 +315,7 @@ def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int
         t = np.column_stack([T1.ravel(), T2.ravel()])
         w = np.outer(w1, w2).ravel()
         vol = float(np.prod(measure.widths))
-        return (lambda: (t, w, vol * vol)), (lambda x: (t, w, vol))
+        return (lambda: (t, w, vol * vol)), (t, w, vol)
     if box and measure.dim == 1:
         lo, hi = measure.lows[0], measure.highs[0]
         r = hi - lo
@@ -330,6 +331,22 @@ def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int
     raise UnsupportedPairError(
         "gauss_legendre applies to 1-d/2-d boxes and 1-d Gaussians"
     )
+
+
+def _rule_rows(kernel: Kernel, X: np.ndarray, inner):
+    """For each row x of X: the kernel values K(x, t) at the nodes t of
+    ``inner``'s rule (see :func:`_rules`), its weights and normalizer. A
+    rule that does not depend on x serves every row through one
+    ``kernel.rows`` call; the 1-d panels, split at the kinks of
+    y -> K(x, y), are a rule and a ``kernel.batch`` per row."""
+    if callable(inner):
+        for x in X:
+            t, w, norm = inner(x)
+            yield kernel.batch(x, t), w, norm
+    else:
+        t, w, norm = inner
+        for row in kernel.rows(X, t):
+            yield row, w, norm
 
 
 def _mc_mean(vals: np.ndarray) -> tuple[float, float]:
@@ -366,25 +383,25 @@ def estimate_kp_rows(
     """Numerically estimate the single integral of K(x, .) against the
     measure at each row x of X. The method is auto-selected unless
     overridden. The Monte Carlo sample, and any rule that does not
-    depend on x, is made once and shared by every row; each row is one
-    ``kernel.batch`` against it, so a row's estimate has the bits it
-    would have alone."""
+    depend on x, is made once and shared by every row, and its rows of
+    kernel values come from one ``kernel.rows`` call, which checks the
+    sample once; each row has the bits of ``kernel.batch``, so a row's
+    estimate has the bits it would have alone."""
     method, budget = _method_and_budget(kernel, measure, method, budget)
-    rows = [as_point(x, measure.dim if measure.dim else None) for x in X]
+    X = np.reshape([as_point(x, measure.dim) for x in X], (-1, measure.dim))
     if method in _MC_METHODS:
-        # plain mean over one seeded sample
+        # plain mean over one seeded sample; map lets go of each row
+        # before the next is computed, so one row is held at a time
         sample = measure.sample(budget, seed)
         return [
-            OracleEstimate(*_mc_mean(kernel.batch(x, sample)), method, budget, seed)
-            for x in rows
+            OracleEstimate(value, stderr, method, budget, seed)
+            for value, stderr in map(_mc_mean, kernel.rows(X, sample))
         ]
     _, inner = _rules(kernel, measure, method, budget, DEFAULT_QUAD_NODES)
-    out = []
-    for x in rows:
-        t, w, norm = inner(x)
-        value = float(np.dot(w, kernel.batch(x, t))) / norm
-        out.append(OracleEstimate(value=value, stderr=0.0, method=method, n=w.size))
-    return out
+    return [
+        OracleEstimate(value=float(np.dot(w, row)) / norm, stderr=0.0, method=method, n=w.size)
+        for row, w, norm in _rule_rows(kernel, X, inner)
+    ]
 
 
 def estimate_kpp(
@@ -406,8 +423,7 @@ def estimate_kpp(
         m = max(2, int(math.isqrt(budget)))
         pts = measure.sample(m, seed)
         row_sums = np.zeros(m)
-        for i in range(m):
-            row = kernel.batch(pts[i], pts)
+        for i, row in enumerate(kernel.rows(pts, pts)):
             row_sums[i] = float(np.sum(row)) - float(row[i])
         total = float(np.sum(row_sums))
         value = total / (m * (m - 1))
@@ -422,9 +438,8 @@ def estimate_kpp(
     s, ws, norm = outer()
     total = 0.0
     n = 0
-    for si, wi in zip(s, ws):
-        t, wt, _ = inner(si)
-        total += wi * float(np.dot(wt, kernel.batch(si, t)))
+    for wi, (row, wt, _) in zip(ws, _rule_rows(kernel, s, inner)):
+        total += wi * float(np.dot(wt, row))
         n += wt.size
     return OracleEstimate(value=float(total) / norm, stderr=0.0, method=method, n=n)
 

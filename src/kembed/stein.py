@@ -154,6 +154,9 @@ class SteinKernel(Kernel):
         and a measure parsed from separate spec objects still match."""
         return _same_parameters(self.target, measure)
 
+    def _check(self, V):
+        self.base._check(V)
+
     def _pairs(self, X, Y):
         k, gx, gy, tr = base_derivatives(self.base, X, Y)
         sy = _score_rows(self.target, Y)

@@ -260,6 +260,35 @@ def test_kernel_input_validation():
         g([math.nan, 0.0], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad_first", [False, True], ids=["second", "first"])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        GaussianKernel(lengthscales=(0.7, 0.7, 0.7)),
+        SphereSobolevKernel(),
+        ComposedKernel(GaussianKernel(lengthscales=(0.7,) * 3), AffineMap([2.0] * 3, [0.0] * 3)),
+    ],
+    ids=["gaussian", "sphere", "composed"],
+)
+def test_non_finite_input_raises_alike_everywhere(kernel, bad_first, bad):
+    good = np.array([0.0, 0.0, 1.0])
+    worse = good.copy()
+    worse[1] = bad
+    x, y = (worse, good) if bad_first else (good, worse)
+    paths = {
+        "call": lambda: kernel(x, y),
+        "batch": lambda: kernel.batch(x, [good, y]),
+        "pairs": lambda: kernel.pairs([x, good], [y, good]),
+        "rows": lambda: kernel.rows([good, x], [good, y]),
+        "gram": lambda: kernel.gram([good, x, y]),
+        "gram_form": lambda: kernel.gram_form([good, x, y], [1.0, 1.0, 1.0]),
+    }
+    for path in paths.values():
+        with pytest.raises(InvalidSpecError, match="^points must be finite$"):
+            path()
+
+
 def test_gaussian_psd_full_matrix():
     lam = np.array([[2.0, 0.3], [0.3, 1.0]])
     k = GaussianKernel(matrix=lam)

@@ -16,6 +16,7 @@ from kembed.measures import (
     ScoreMeasure,
     SphereUniformMeasure,
     UniformBoxMeasure,
+    make_generator,
 )
 from kembed.oracle import estimate_mean
 from kembed.specfun import normal_cdf
@@ -118,6 +119,16 @@ def test_sphere_samples_on_unit_sphere():
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
     # symmetry: each coordinate has mean zero
     assert np.abs(xs.mean(axis=0)).max() < 5.0 / math.sqrt(500)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sphere_sample_keeps_the_bits_of_np_sum(d):
+    # the norms are summed a column at a time, in np.sum's own order
+    m = SphereUniformMeasure(d=d)
+    for seed in range(6):
+        z = make_generator(seed).standard_normal((1000, d + 1))
+        want = z / np.sqrt(np.sum(z * z, axis=1))[:, None]
+        assert m.sample(1000, seed).tobytes() == want.tobytes()
 
 
 def test_mixture_density_and_score():

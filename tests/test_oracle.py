@@ -4,6 +4,7 @@ budget doubling, Monte Carlo unbiasedness, and method selection."""
 import ast
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,7 @@ def _entry_point_outcomes(kernel, x, y) -> dict:
         "call": lambda: kernel(x, y),
         "batch": lambda: kernel.batch(x, [y])[0],
         "pairs": lambda: kernel.pairs([x], [y])[0],
+        "rows": lambda: next(kernel.rows([x], [y]))[0],
         "gram": lambda: kernel.gram([x, y])[0, 1],
     }
     if isinstance(kernel, GaussianKernel):
@@ -376,6 +378,61 @@ def test_gram_is_stacked_batch_rows_bitwise(pair):
     got = _array_or_error(lambda: kernel.gram(X))
     want = _array_or_error(lambda: np.stack([kernel.batch(x, X) for x in X]))
     assert got == want
+
+
+@pytest.mark.parametrize("pair", sorted(_ROUTES), ids="-".join)
+def test_rows_are_batch_rows_bitwise(pair):
+    # each row keeps the bits of its batch; an error is the first failing
+    # batch's (fbm and periodic under a Gaussian draw inputs outside
+    # their domains, in both arrays)
+    family, measure_name = pair
+    measure, _ = _ROUTE_MEASURES[measure_name]
+    kernel = _ROUTE_KERNELS[family](measure.dim)
+    for seed in range(4):
+        X, Y = measure.sample(6, seed=seed), measure.sample(30, seed=seed + 10)
+        got = _array_or_error(lambda: np.stack(list(kernel.rows(X, Y))))
+        want = _array_or_error(lambda: np.stack([kernel.batch(x, Y) for x in X]))
+        assert got == want
+
+
+def test_sphere_oracle_checks_each_array_once(count_calls):
+    # one call of estimate_kp_rows or estimate_kpp checks every row of
+    # its points and of its sample once, not the sample once per row
+    kernel, measure = SphereSobolevKernel(), SphereUniformMeasure(2)
+    X = measure.sample(20, seed=1)
+    checked = count_calls(SphereSobolevKernel, "_check")
+    estimate_kp_rows(kernel, measure, X, budget=5000, seed=2)
+    # the first row, the sample, the other rows: the order in which the
+    # first failing row would report its error
+    assert [len(V) for V in checked] == [1, 5000, 19]
+    checked.clear()
+    estimate_kpp(kernel, measure, budget=10_000, seed=2)
+    assert [len(V) for V in checked] == [1, 100, 99]
+
+
+def test_monte_carlo_rows_hold_one_row_at_a_time(monkeypatch):
+    # a consumer that keeps the previous row alive while the next is
+    # computed would add a row to the peak
+    kernel, measure = SphereSobolevKernel(), SphereUniformMeasure(2)
+    X = measure.sample(10, seed=1)
+    n = 200_000
+    draw = SphereUniformMeasure.sample
+
+    def sample(self, size, seed):
+        # the peak from here on: the sample is held, its draw is not counted
+        out = draw(self, size, seed)
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(SphereUniformMeasure, "sample", sample)
+    tracemalloc.start()
+    try:
+        estimate_kp_rows(kernel, measure, X, budget=n, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sample_bytes, row_bytes = n * 3 * 8, n * 8
+    assert peak < sample_bytes + 3 * row_bytes
 
 
 def _fields(est):
