@@ -421,7 +421,7 @@ def cmd_verify(args) -> int:
         # the oracle first: it rejects a pair it cannot integrate (a
         # matrix-valued kernel) with a typed error
         estimates = oracle.estimate_kp_rows(kernel, measure, points, budget=budget, seed=seed)
-        closed_values = [float(v) for v in embedding.kp_rows(points)]
+        closed_values = embedding.kp_rows(points).tolist()
         for row, closed, est in zip(points, closed_values, estimates):
             ok = bool(abs(closed - est.value) <= max(args.tol, 3.0 * est.stderr))
             all_pass = all_pass and ok

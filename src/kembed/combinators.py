@@ -29,7 +29,6 @@ from .kernels import (
     MatrixValuedKernel,
     ProductKernel,
     SumKernel,
-    as_point,
 )
 from .measures import (
     EmpiricalMeasure,
@@ -70,12 +69,10 @@ def product_embed(
     ]
     offsets = np.cumsum((0,) + kernel.block_dims)
 
-    def kp(x):
-        x = as_point(x, kernel.dim)
+    def kp_rows(X):
         value = 1.0
-        for i, part in enumerate(parts):
-            block = x[offsets[i] : offsets[i + 1]]
-            value *= part.kp_at(block if block.size > 1 else float(block[0]))
+        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            value = value * part.kp_rows(X[:, lo:hi])
         return value
 
     kpp = 1.0
@@ -90,7 +87,7 @@ def product_embed(
         var += (part.kpp_stderr * others) ** 2
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id="product/" + "*".join(p.pair_id for p in parts),
         kernel=kernel,
@@ -141,11 +138,10 @@ def _weighted(kernel, measure, pair_id, parts, weights, terms) -> Embedding:
 
     def kp_rows(X):
         # each part's rows at once (one oracle sample per numeric part)
-        totals = [0.0] * len(X)
+        total = 0.0
         for w, part in zip(weights, parts):
-            for i, value in enumerate(part.kp_rows(X)):
-                totals[i] += w * value
-        return totals
+            total = total + w * part.kp_rows(X)
+        return total
 
     kpp = 0.0
     var = 0.0
@@ -154,7 +150,7 @@ def _weighted(kernel, measure, pair_id, parts, weights, terms) -> Embedding:
         var += (coef * stderr) ** 2
 
     return Embedding(
-        kp_fn=lambda x: kp_rows([x])[0],
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id=pair_id,
         kernel=kernel,
@@ -162,7 +158,6 @@ def _weighted(kernel, measure, pair_id, parts, weights, terms) -> Embedding:
         kp_provenance=_combine(p.kp_provenance for p in parts),
         kpp_provenance=_combine(t[3] for t in terms),
         kpp_stderr=math.sqrt(var),
-        kp_rows_fn=kp_rows,
     )
 
 
@@ -224,11 +219,11 @@ def pushforward_embed(
     )
     forward = kernel.map.forward
 
-    def kp(x):
-        return inner.kp_at(forward(as_point(x)))
+    def kp_rows(X):
+        return inner.kp_rows(forward(X))
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=inner.kpp,
         pair_id=f"pushforward[{kernel.map.name}]/" + inner.pair_id,
         kernel=kernel,
@@ -270,11 +265,11 @@ def matrix_valued_embed(
     inner = embed(kernel.base, measure, budget=budget, seed=seed)
     b = kernel.matrix
 
-    def kp(x):
-        return b * inner.kp_at(x)
+    def kp_rows(X):
+        return inner.kp_rows(X)[:, None, None] * b
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=b * inner.kpp,
         pair_id="matrix_valued/" + inner.pair_id,
         kernel=kernel,

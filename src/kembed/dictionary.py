@@ -1,7 +1,9 @@
 """Closed-form kernel mean embeddings for supported kernel/measure pairs.
 
-An :class:`Embedding` bundles the single integral ``kp_at(x)`` of a
-kernel against a measure with the double integral ``kpp``, tagged with
+An :class:`Embedding` bundles the single integral K_P of a kernel
+against a measure, stated once on the rows of an array (``kp_rows``,
+with ``kp_at`` its one-row case), with the double integral ``kpp``,
+tagged with
 per-part provenance: ``closed_form`` when an exact expression exists,
 ``numeric_fallback`` when the value is produced by the quadrature or
 Monte Carlo oracle. :func:`embed` dispatches a (kernel, measure) pair
@@ -35,6 +37,7 @@ from .kernels import (
     SphereSobolevKernel,
     SumKernel,
     WendlandKernel,
+    _finite_points,
     as_point,
 )
 from .measures import (
@@ -51,8 +54,10 @@ from .specfun import (
     double_factorial,
     erf,
     erfcx,
+    exp_each,
     lower_incomplete_gamma_int,
     normal_cdf,
+    pow_each,
 )
 
 __all__ = [
@@ -87,9 +92,15 @@ _STABLE_EXPONENT = 40.0
 class Embedding:
     """A kernel mean embedding: x -> integral K(x, y) dP(y), plus the
     double integral of K against P in both arguments, with the kernel K
-    and measure P it was built for."""
+    and measure P it was built for.
 
-    kp_fn: Callable
+    ``kp_rows_fn`` states K_P once, on the rows of a finite (n, d) array
+    with d the measure's dimension: it returns an array of n values, or
+    of n k x k matrices for a matrix-valued kernel, and raises
+    InvalidSpecError for a row outside its formula's domain, with the
+    message ``kp_at`` gives for the first such row."""
+
+    kp_rows_fn: Callable[[np.ndarray], np.ndarray]
     kpp: object
     pair_id: str
     kernel: Kernel
@@ -97,21 +108,21 @@ class Embedding:
     kp_provenance: str = CLOSED_FORM
     kpp_provenance: str = CLOSED_FORM
     kpp_stderr: float = 0.0
-    # K_P at every row of an array at once, when that is cheaper than
-    # kp_fn row by row; None means row by row
-    kp_rows_fn: Callable | None = None
 
     def kp_at(self, x):
-        """Evaluate the mean embedding at a point."""
-        return self.kp_fn(x)
+        """Evaluate the mean embedding at a point: the one-row case of
+        :meth:`kp_rows`."""
+        value = self.kp_rows_fn(as_point(x, self.measure.dim)[None, :])[0]
+        return float(value) if np.ndim(value) == 0 else value
 
-    def kp_rows(self, X) -> list:
-        """The mean embedding at each row of X, as ``kp_at`` gives it.
-        The numeric fallback integrates every row against one Monte
-        Carlo sample or rule; closed forms evaluate ``kp_at`` per row."""
-        if self.kp_rows_fn is None:
-            return [self.kp_at(row) for row in X]
-        return self.kp_rows_fn(X)
+    def kp_rows(self, X) -> np.ndarray:
+        """The mean embedding at each row of X, each with the bits of
+        ``kp_at`` at that row. Closed forms evaluate every row in one
+        pass over the array; the numeric fallback integrates every row
+        against one Monte Carlo sample or rule."""
+        X = np.asarray(X, dtype=float)
+        d = self.measure.dim
+        return self.kp_rows_fn(_finite_points(X.reshape(0, d) if X.size == 0 else X, d))
 
     @property
     def provenance(self) -> str:
@@ -133,15 +144,14 @@ def gauss_uniform(kernel: GaussianKernel, measure: UniformBoxMeasure) -> Embeddi
     b = np.asarray(measure.highs)
     r = b - a
 
-    def kp(x):
-        x = as_point(x, measure.dim)
+    def kp_rows(X):
         total = 1.0
-        for i in range(x.size):
+        for i in range(measure.dim):
             s = ls[i] * math.sqrt(2.0)
-            total *= (
+            total = total * (
                 math.sqrt(math.pi / 2.0)
                 * (ls[i] / r[i])
-                * (erf((b[i] - x[i]) / s) - erf((a[i] - x[i]) / s))
+                * (erf((b[i] - X[:, i]) / s) - erf((a[i] - X[:, i]) / s))
             )
         return total
 
@@ -155,7 +165,7 @@ def gauss_uniform(kernel: GaussianKernel, measure: UniformBoxMeasure) -> Embeddi
         kpp *= math.sqrt(2.0 * math.pi) * (ls[i] / r[i] ** 2) * bracket
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id="gaussian/uniform_box",
         kernel=kernel,
@@ -171,18 +181,15 @@ def gauss_gauss(kernel: GaussianKernel, measure: GaussianMeasure) -> Embedding:
     kpp = sqrt(det Lambda / det(Lambda + 2 Sigma)).
     """
     mu = np.asarray(measure.mean)
-    d = measure.dim
 
     if kernel.diagonal and measure.diagonal:
         l2 = np.asarray(kernel.lengthscales) ** 2
         s2 = np.asarray(measure.cov_diag)
+        pref = np.prod(np.sqrt(l2 / (l2 + s2)))
 
-        def kp(x):
-            x = as_point(x, d)
-            z = (x - mu) ** 2 / (l2 + s2)
-            return float(
-                np.prod(np.sqrt(l2 / (l2 + s2))) * math.exp(-0.5 * float(np.sum(z)))
-            )
+        def kp_rows(X):
+            z = (X - mu) ** 2 / (l2 + s2)
+            return pref * exp_each(-0.5 * np.sum(z, axis=1))
 
         kpp = float(np.prod(np.asarray(kernel.lengthscales) / np.sqrt(l2 + 2.0 * s2)))
     else:
@@ -193,16 +200,18 @@ def gauss_gauss(kernel: GaussianKernel, measure: GaussianMeasure) -> Embedding:
         _, logdet_l = np.linalg.slogdet(L)
         pref = math.exp(0.5 * (logdet_l - logdet_ls))
 
-        def kp(x):
-            x = as_point(x, d)
-            v = x - mu
-            return pref * math.exp(-0.5 * float(v @ np.linalg.solve(ls_sum, v)))
+        def kp_rows(X):
+            V = (X - mu)[:, :, None]
+            # one solve and one dot product per row, stacked: each row has
+            # the bits of the single-vector solve and v @ u
+            q = np.matmul(V.transpose(0, 2, 1), np.linalg.solve(ls_sum, V))[:, 0, 0]
+            return pref * exp_each(-0.5 * q)
 
         _, logdet_l2s = np.linalg.slogdet(L + 2.0 * S)
         kpp = math.exp(0.5 * (logdet_l - logdet_l2s))
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id="gaussian/gaussian",
         kernel=kernel,
@@ -263,11 +272,12 @@ class MaternUniformCoefficients:
             c.append(s / math.factorial(m))
         object.__setattr__(self, "c", tuple(float(v) for v in c))
 
-    def d(self, x: float, y: float) -> float:
+    def d(self, x, y):
         return (x - y) / self.alpha
 
-    def q_poly(self, z: float) -> float:
-        return math.exp(-z) * sum(cm * z**m for m, cm in enumerate(self.c))
+    def q_poly(self, z: np.ndarray) -> np.ndarray:
+        """Q at each element of an array."""
+        return exp_each(-z) * sum(cm * pow_each(z, m) for m, cm in enumerate(self.c))
 
     def gammas(self) -> tuple[float, ...]:
         return tuple(
@@ -283,8 +293,8 @@ def matern_uniform_general(kernel: MaternKernel, measure: UniformBoxMeasure) -> 
     r = b - a
     lead = math.factorial(n) / math.factorial(2 * n)
 
-    def kp(x):
-        x = _scalar_in_box(x, a, b)
+    def kp_rows(X):
+        x = _column_in_box(X, a, b)
         return (
             (co.alpha / r)
             * lead
@@ -296,7 +306,7 @@ def matern_uniform_general(kernel: MaternKernel, measure: UniformBoxMeasure) -> 
     kpp = 2.0 * co.alpha**2 / r**2 * lead * bracket
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id="matern/uniform_box",
         kernel=kernel,
@@ -311,26 +321,23 @@ def matern_uniform_special(kernel: MaternKernel, measure: UniformBoxMeasure) -> 
     co = MaternUniformCoefficients(n, kernel.lengthscale, a, b)
     rho = co.rho
 
-    def kp(x):
-        x = _scalar_in_box(x, a, b)
+    def kp_rows(X):
+        x = _column_in_box(X, a, b)
         u = co.d(a, x)  # (a - x) / alpha <= 0
         v = co.d(x, b)  # (x - b) / alpha <= 0
+        eu, ev = exp_each(u), exp_each(v)
         if n == 0:
-            return (2.0 - math.exp(u) - math.exp(v)) / rho
+            return (2.0 - eu - ev) / rho
         if n == 1:
-            return (
-                4.0 - math.exp(v) * (2.0 - v) - math.exp(u) * (2.0 - u)
-            ) / rho
+            return (4.0 - ev * (2.0 - v) - eu * (2.0 - u)) / rho
         if n == 2:
             return (
-                16.0
-                - math.exp(v) * (8.0 - 5.0 * v + v * v)
-                - math.exp(u) * (8.0 - 5.0 * u + u * u)
+                16.0 - ev * (8.0 - 5.0 * v + v * v) - eu * (8.0 - 5.0 * u + u * u)
             ) / (3.0 * rho)
         return (
             96.0
-            - math.exp(v) * (48.0 - 33.0 * v + 9.0 * v * v - v**3)
-            - math.exp(u) * (48.0 - 33.0 * u + 9.0 * u * u - u**3)
+            - ev * (48.0 - 33.0 * v + 9.0 * v * v - pow_each(v, 3))
+            - eu * (48.0 - 33.0 * u + 9.0 * u * u - pow_each(u, 3))
         ) / (15.0 * rho)
 
     e = math.exp(-rho)
@@ -348,7 +355,7 @@ def matern_uniform_special(kernel: MaternKernel, measure: UniformBoxMeasure) -> 
         )
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id="matern/uniform_box",
         kernel=kernel,
@@ -360,15 +367,18 @@ def matern_uniform_special(kernel: MaternKernel, measure: UniformBoxMeasure) -> 
 
 
 def _matern_gauss_term(
-    n: int, beta: float, sigma: float, x: float, mu: float, sign: float
-) -> float:
-    """One of the two exp * Phi branches of the Matern-Gauss embedding.
+    n: int, beta: float, sigma: float, x: np.ndarray, mu: float, sign: float
+) -> np.ndarray:
+    """One of the two exp * Phi branches of the Matern-Gauss embedding,
+    at each element of x.
 
     sign = +1 is the branch whose Gaussian tail argument is
-    (mu - beta sigma^2 - x) / sigma; sign = -1 mirrors it. When the
+    (mu - beta sigma^2 - x) / sigma; sign = -1 mirrors it. Where the
     naive exponent exceeds the stability threshold the product is
     rewritten with the scaled complementary error function, whose
     combined exponent collapses to -(x - mu)^2 / (2 sigma^2) exactly.
+    Each form is evaluated on its own elements only: the naive one
+    overflows on the others.
     """
     if sign > 0:
         m = (mu - beta * sigma**2) - x
@@ -376,23 +386,29 @@ def _matern_gauss_term(
         m = x - (mu + beta * sigma**2)
     q = m / sigma
     if n == 0:
-        p_coef, r_coef = 1.0, 0.0
+        p_coef, r_coef = np.ones_like(x), np.zeros_like(x)
     elif n == 1:
-        p_coef, r_coef = 1.0 + beta * m, beta
+        p_coef, r_coef = 1.0 + beta * m, np.full_like(x, beta)
     else:
         b23 = beta**2 / 3.0
         p_coef = 1.0 + beta * m + b23 * (m * m + sigma**2)
         r_coef = beta + b23 * m
     exponent = 0.5 * beta**2 * sigma**2 + sign * beta * (x - mu)
-    if exponent > _STABLE_EXPONENT:
-        # here q < 0 necessarily (a positive q forces a negative exponent)
-        collapsed = math.exp(-((x - mu) ** 2) / (2.0 * sigma**2))
-        return collapsed * (
-            p_coef * 0.5 * erfcx(-q / math.sqrt(2.0))
-            + r_coef * sigma / math.sqrt(2.0 * math.pi)
-        )
-    phi = math.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
-    return math.exp(exponent) * (p_coef * normal_cdf(q) + r_coef * sigma * phi)
+    out = np.empty_like(x)
+    # here q < 0 necessarily (a positive q forces a negative exponent)
+    big = exponent > _STABLE_EXPONENT
+    collapsed = exp_each(-pow_each(x[big] - mu, 2) / (2.0 * sigma**2))
+    out[big] = collapsed * (
+        p_coef[big] * 0.5 * erfcx(-q[big] / math.sqrt(2.0))
+        + r_coef[big] * sigma / math.sqrt(2.0 * math.pi)
+    )
+    small = ~big
+    q, p_coef, r_coef = q[small], p_coef[small], r_coef[small]
+    phi = exp_each(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
+    out[small] = exp_each(exponent[small]) * (
+        p_coef * normal_cdf(q) + r_coef * sigma * phi
+    )
+    return out
 
 
 def matern_gauss_kp(kernel: MaternKernel, measure: GaussianMeasure) -> Embedding:
@@ -402,14 +418,14 @@ def matern_gauss_kp(kernel: MaternKernel, measure: GaussianMeasure) -> Embedding
     n, mu, sigma = kernel.n, measure.mean[0], float(measure.stds()[0])
     beta = math.sqrt(2 * n + 1) / kernel.lengthscale
 
-    def kp(x):
-        x = float(as_point(x, 1)[0])
+    def kp_rows(X):
+        x = X[:, 0]
         return _matern_gauss_term(n, beta, sigma, x, mu, +1.0) + _matern_gauss_term(
             n, beta, sigma, x, mu, -1.0
         )
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=None,
         pair_id="matern/gaussian",
         kernel=kernel,
@@ -425,17 +441,20 @@ def wendland0_uniform(kernel: WendlandKernel, measure: UniformBoxMeasure) -> Emb
     ls, (a,), (b,) = kernel.lengthscale, measure.lows, measure.highs
     r = b - a
 
-    def kp(x):
-        x = _scalar_in_box(x, a, b)
-        if b >= x + ls and a + ls < x:
-            return ls / r
-        if b >= x + ls and a + ls >= x:
-            return (2 * x * (a + ls) + ls**2 - a**2 - 2 * a * ls - x**2) / (2 * r * ls)
-        if b < x + ls and a + ls < x:
-            return (2 * b * (ls + x) + ls**2 - b**2 - 2 * ls * x - x**2) / (2 * r * ls)
-        return (
-            2 * (b * ls + b * x + a * x) - a**2 - b**2 - 2 * (a * ls + x**2)
-        ) / (2 * r * ls)
+    def kp_rows(X):
+        x = _column_in_box(X, a, b)
+        x2 = pow_each(x, 2)
+        # whether the support [x - ls, x + ls] clears each end of the box
+        clear_b, clear_a = b >= x + ls, a + ls < x
+        return np.select(
+            [clear_b & clear_a, clear_b, clear_a],
+            [
+                np.full_like(x, ls / r),
+                (2 * x * (a + ls) + ls**2 - a**2 - 2 * a * ls - x2) / (2 * r * ls),
+                (2 * b * (ls + x) + ls**2 - b**2 - 2 * ls * x - x2) / (2 * r * ls),
+            ],
+            (2 * (b * ls + b * x + a * x) - a**2 - b**2 - 2 * (a * ls + x2)) / (2 * r * ls),
+        )
 
     # The printed branch conditions for the double integral overlap: the
     # short-support case l < r captures everything its sibling branch
@@ -454,7 +473,7 @@ def wendland0_uniform(kernel: WendlandKernel, measure: UniformBoxMeasure) -> Emb
         kpp = ls * (9.0 * r - 2.0 * ls) / (3.0 * r**2) + r / (3.0 * ls) - 2.0
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id="wendland/uniform_box",
         kernel=kernel,
@@ -474,11 +493,11 @@ def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embed
     s = math.sqrt(2.0) * sigma
     s2 = sigma**2
 
-    def phi(t: float) -> float:
-        return math.exp(-t * t / (2.0 * s2))
+    def phi(t: np.ndarray) -> np.ndarray:
+        return exp_each(-t * t / (2.0 * s2))
 
-    def kp(x):
-        x = float(as_point(x, 1)[0]) - mu
+    def kp_rows(X):
+        x = X[:, 0] - mu
         if order == 0:
             return (
                 (ls - x) * erf((ls - x) / s)
@@ -487,6 +506,7 @@ def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embed
                 + s / math.sqrt(math.pi) * (phi(ls - x) + phi(ls + x) - 2.0 * phi(x))
             ) / (2.0 * ls)
         x2 = x * x
+        x3 = pow_each(x, 3)
         gauss_part = (
             (phi(x - ls) + phi(x + ls)) * (ls**3 - ls * (7.0 * s2 + 5.0 * x2))
             + 16.0 * ls * (2.0 * s2 + x2) * phi(x)
@@ -495,13 +515,13 @@ def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embed
         erf_minus = (
             ls**4
             - 6.0 * ls**2 * (s2 + x2)
-            + 8.0 * ls * (3.0 * s2 * x + x**3)
+            + 8.0 * ls * (3.0 * s2 * x + x3)
             - 3.0 * (3.0 * s2**2 + 6.0 * s2 * x2 + x2 * x2)
         )
         erf_plus = (
             ls**4
             - 6.0 * ls**2 * (s2 + x2)
-            - 8.0 * ls * (3.0 * s2 * x + x**3)
+            - 8.0 * ls * (3.0 * s2 * x + x3)
             - 3.0 * (3.0 * s2**2 + 6.0 * s2 * x2 + x2 * x2)
         )
         return (
@@ -512,7 +532,7 @@ def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embed
         ) / (2.0 * ls**4)
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=None,
         pair_id="wendland/gaussian",
         kernel=kernel,
@@ -530,16 +550,16 @@ def fbm_uniform(kernel: FbmKernel, measure: UniformBoxMeasure) -> Embedding:
     h = 2.0 * kernel.hurst + 1.0
     r = b - a
 
-    def kp(x):
-        x = _scalar_in_box(x, a, b)
-        return (b**h - a**h - (b - x) ** h - (x - a) ** h) / (2.0 * h * r) + x ** (
-            h - 1.0
-        ) / 2.0
+    def kp_rows(X):
+        x = _column_in_box(X, a, b)
+        return (
+            b**h - a**h - pow_each(b - x, h) - pow_each(x - a, h)
+        ) / (2.0 * h * r) + pow_each(x, h - 1.0) / 2.0
 
     kpp = ((h + 1.0) * (b**h - a**h) - r**h) / (h * (h + 1.0) * r)
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id="fbm/uniform_box",
         kernel=kernel,
@@ -563,17 +583,13 @@ def powerseries_uniform(kernel: PowerSeriesKernel, measure: UniformBoxMeasure) -
             f *= (b[i] ** (ai + 1) - a[i] ** (ai + 1)) / ((ai + 1) * (b[i] - a[i]))
         factors.append((alpha, c, f))
 
-    def kp(x):
-        x = as_point(x, measure.dim)
-        total = 0.0
-        for alpha, c, f in factors:
-            total += c * float(np.prod(x ** np.asarray(alpha))) * f
-        return total
+    def kp_rows(X):
+        return _power_series_rows(X, factors)
 
     kpp = sum(c * f * f for _, c, f in factors)
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id="power_series/uniform_box",
         kernel=kernel,
@@ -596,22 +612,26 @@ def powerseries_gauss(kernel: PowerSeriesKernel, measure: GaussianMeasure) -> Em
             f *= sig[i] ** ai * double_factorial(ai - 1)
         factors.append((alpha, c, f))
 
-    def kp(x):
-        x = as_point(x, measure.dim)
-        total = 0.0
-        for alpha, c, f in factors:
-            total += c * float(np.prod(x ** np.asarray(alpha))) * f
-        return total
+    def kp_rows(X):
+        return _power_series_rows(X, factors)
 
     kpp = sum(c * f * f for _, c, f in factors)
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id="power_series/gaussian",
         kernel=kernel,
         measure=measure,
     )
+
+
+def _power_series_rows(X: np.ndarray, factors) -> np.ndarray:
+    """sum c x^alpha f over the (alpha, c, f) factors, at each row x."""
+    total = np.zeros(len(X))
+    for alpha, c, f in factors:
+        total = total + c * np.prod(X ** np.asarray(alpha), axis=1) * f
+    return total
 
 
 # --- Sphere and periodic kernels --------------------------------------------
@@ -628,12 +648,12 @@ def sphere_embed(
     else:
         const = 1.0 - math.exp(-48.0)
 
-    def kp(x):
-        kernel._check(as_point(x, 3)[None, :])
-        return const
+    def kp_rows(X):
+        kernel._check(X)
+        return np.full(len(X), const)
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=const,
         pair_id=f"{kernel.family}/sphere_uniform",
         kernel=kernel,
@@ -646,12 +666,11 @@ def periodic_sobolev_embed(kernel: PeriodicSobolevKernel, measure: UniformBoxMea
     [0, 1]: every Fourier term integrates to zero, so both embeddings
     equal 1."""
 
-    def kp(x):
-        _scalar_in_box(x, 0.0, 1.0)
-        return 1.0
+    def kp_rows(X):
+        return np.ones_like(_column_in_box(X, 0.0, 1.0))
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=1.0,
         pair_id="periodic_sobolev/uniform_box",
         kernel=kernel,
@@ -667,15 +686,18 @@ def empirical_embed(kernel: Kernel, measure: EmpiricalMeasure) -> Embedding:
     pts = measure.points
     w = np.asarray(measure.weights)
 
-    def kp(x):
-        return float(np.dot(w, kernel.batch(x, pts)))
+    def kp_rows(X):
+        out = np.empty(len(X))
+        for i, row in enumerate(kernel.rows(X, pts)):
+            out[i] = np.dot(w, row)
+        return out
 
     kpp = 0.0
     for i, row in enumerate(kernel.rows(pts, pts)):
         kpp += w[i] * float(np.dot(w, row))
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=kp_rows,
         kpp=kpp,
         pair_id=f"{kernel.family}/empirical",
         kernel=kernel,
@@ -686,13 +708,15 @@ def empirical_embed(kernel: Kernel, measure: EmpiricalMeasure) -> Embedding:
 # --- generic fallback and dispatch ------------------------------------------
 
 
-def _scalar_in_box(x, a: float, b: float) -> float:
-    v = float(as_point(x, 1)[0])
-    if not a <= v <= b:
+def _column_in_box(X: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The one column of X, after checking that each row lies in [a, b]."""
+    x = X[:, 0]
+    outside = ~((a <= x) & (x <= b))
+    if np.any(outside):
         raise InvalidSpecError(
-            f"the embedding is defined for x in [{a}, {b}], got {v}"
+            f"the embedding is defined for x in [{a}, {b}], got {float(x[outside][0])}"
         )
-    return v
+    return x
 
 
 def numeric_embedding(
@@ -700,7 +724,7 @@ def numeric_embedding(
 ) -> Embedding:
     """Oracle-backed embedding for pairs without a closed form."""
     empty = Embedding(
-        kp_fn=None,
+        kp_rows_fn=None,
         kpp=None,
         pair_id=f"{kernel.family}/{measure.family}",
         kernel=kernel,
@@ -719,16 +743,13 @@ def _oracle_fill(e: Embedding, budget: int | None, seed: int) -> Embedding:
         e = replace(
             e, kpp=est.value, kpp_provenance=NUMERIC_FALLBACK, kpp_stderr=est.stderr
         )
-    if e.kp_fn is None:
-
-        def kp(x):
-            return oracle.estimate_kp(kernel, measure, x, budget=budget, seed=seed).value
+    if e.kp_rows_fn is None:
 
         def kp_rows(X):
             rows = oracle.estimate_kp_rows(kernel, measure, X, budget=budget, seed=seed)
-            return [est.value for est in rows]
+            return np.array([est.value for est in rows])
 
-        e = replace(e, kp_fn=kp, kp_rows_fn=kp_rows, kp_provenance=NUMERIC_FALLBACK)
+        e = replace(e, kp_rows_fn=kp_rows, kp_provenance=NUMERIC_FALLBACK)
     return e
 
 

@@ -809,10 +809,9 @@ def NormalICDFMap() -> Map:
     """Coordinatewise standard normal quantile transform."""
     from .specfun import normal_cdf, normal_icdf
 
-    # elementwise on any shape; the scalar special functions keep the
+    # elementwise on any shape; the scalar special function keeps the
     # bits of math.exp and math.log, which np.exp and np.log do not
     fwd = np.vectorize(normal_icdf, otypes=[float])
-    inv = np.vectorize(normal_cdf, otypes=[float])
 
     def forward(x):
         p = np.atleast_1d(np.asarray(x, dtype=float))
@@ -825,7 +824,7 @@ def NormalICDFMap() -> Map:
 
     return Map(
         forward=forward,
-        inverse=lambda z: inv(np.atleast_1d(np.asarray(z, dtype=float))),
+        inverse=lambda z: normal_cdf(np.atleast_1d(np.asarray(z, dtype=float))),
         name="normal_icdf",
     )
 
@@ -852,10 +851,33 @@ class ComposedKernel(Kernel):
     def dim(self):
         return self.base.dim
 
+    def gram(self, X):
+        return self.base.gram(self.map(self._checked_points(X)))
+
+    def gram_form(self, X, w):
+        return self.base.gram_form(self.map(self._checked_points(X)), w)
+
+    def _images(self, *arrays):
+        """The map's image of each array, as the base kernel's checked
+        points: all are mapped, then all checked finite, then each
+        checked against the base kernel's domain."""
+        images = [as_points(self.map(V), self.base.dim) for V in arrays]
+        if not all(np.all(np.isfinite(F)) for F in images):
+            raise InvalidSpecError("points must be finite")
+        for F in images:
+            self.base._check(F)
+        return images
+
     def _pairs(self, X, Y):
         # the mapped image exists only here, so it is checked here
-        FX, FY = (as_points(self.map(V), self.base.dim) for V in (X, Y))
-        if not (np.all(np.isfinite(FX)) and np.all(np.isfinite(FY))):
-            raise InvalidSpecError("points must be finite")
-        return self.base._checked_pairs(FX, FY)
+        FX, FY = self._images(X, Y)
+        return self.base._pairs(FX, FY)
+
+    def _rows(self, X, Y):
+        # each array is mapped once, not once per row, and checked in the
+        # order the rows meet it: x_0 with Y, then the other rows of X
+        FX, FY = self._images(X[:1], Y)
+        if len(X) > 1:
+            FX = np.concatenate([FX, *self._images(X[1:])])
+        return self.base._rows(FX, FY)
 

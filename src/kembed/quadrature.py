@@ -35,6 +35,8 @@ _VARIANCE_SLACK = -1e-10
 # Rows per diagonal block of the triangular solves; a Gram of at most
 # this many nodes is one diagonal block, solved by a single np.linalg.solve.
 _SOLVE_BLOCK = 128
+# Candidate pairs compared at a time by the node-distinctness check.
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,13 +67,11 @@ class QuadratureProblem:
             scale = float(np.max(np.abs(self.gram))) or 1.0
             if float(np.max(np.abs(self.gram - self.gram.T))) > 1e-10 * scale:
                 raise InvalidSpecError("gram matrix must be symmetric")
-        for i in range(n - 1):
-            gaps = np.abs(self.nodes[i + 1 :] - self.nodes[i]).reshape(n - i - 1, -1)
-            close = np.flatnonzero(gaps.max(axis=1) <= _DISTINCT_TOL)
-            if close.size:
-                raise InvalidSpecError(
-                    f"nodes {i} and {i + 1 + close[0]} coincide within {_DISTINCT_TOL}"
-                )
+        pair = _first_coincident_pair(self.nodes.reshape(n, -1)) if n > 1 else None
+        if pair is not None:
+            raise InvalidSpecError(
+                f"nodes {pair[0]} and {pair[1]} coincide within {_DISTINCT_TOL}"
+            )
 
     @property
     def n(self) -> int:
@@ -80,6 +80,43 @@ class QuadratureProblem:
     @property
     def kpp(self) -> float:
         return _scalar_kpp(self.embedding, "quadrature")
+
+
+def _first_coincident_pair(nodes: np.ndarray) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, in lexicographic order, of rows of
+    nodes within _DISTINCT_TOL of each other in every coordinate, or
+    None. Sorted on one coordinate, each node is compared only with the
+    nodes after it whose coordinate lies within the tolerance, a window
+    that ``searchsorted`` finds, so distinct nodes cost O(n log n); each
+    candidate pair is then compared as the definition says. The
+    coordinate is the one whose windows hold the fewest candidates, so
+    nodes that share a coordinate (a tensor grid, a line) stay cheap."""
+    n = len(nodes)
+    plans = []
+    for axis in range(nodes.shape[1]):
+        order = np.argsort(nodes[:, axis], kind="stable")
+        sorted_axis = nodes[order, axis]
+        # one ulp past v + tol, so that rounding the bound leaves out no
+        # pair the comparison would accept
+        bound = np.nextafter(sorted_axis + _DISTINCT_TOL, np.inf)
+        counts = np.searchsorted(sorted_axis, bound, side="right") - np.arange(n) - 1
+        plans.append((int(counts.sum()), axis, order, counts))
+    _, _, order, counts = min(plans, key=lambda plan: plan[:2])
+    best = None
+    # at most _PAIR_BLOCK candidate pairs at a time, which bounds memory
+    # when many nodes share every coordinate
+    step = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, n, step):
+        c = counts[lo : lo + step]
+        p = np.repeat(np.arange(lo, lo + c.size), c)
+        q = p + 1 + np.arange(p.size) - np.repeat(np.cumsum(c) - c, c)
+        i, j = order[p], order[q]
+        close = np.abs(nodes[j] - nodes[i]).max(axis=1) <= _DISTINCT_TOL
+        i, j = np.minimum(i, j)[close], np.maximum(i, j)[close]
+        if i.size:
+            k = np.lexsort((j, i))[0]
+            best = min(best or (n, n), (int(i[k]), int(j[k])))
+    return best
 
 
 def _scalar_kpp(embedding: Embedding, consumer: str) -> float:
@@ -120,7 +157,7 @@ def make_problem(
     if n:
         gram = kernel.gram(nodes)
         gram = 0.5 * (gram + gram.T)
-        m = np.array([float(v) for v in embedding.kp_rows(nodes)])
+        m = embedding.kp_rows(nodes)
     else:
         gram = np.zeros((0, 0))
         m = np.zeros(0)
@@ -263,7 +300,7 @@ def mmd2(embedding: Embedding, q, weights=None) -> float:
                 w = np.atleast_1d(np.asarray(weights, dtype=float))
                 if w.shape != (points.shape[0],):
                     raise InvalidSpecError("one weight per point is required")
-        kpq = float(np.dot(w, [float(v) for v in embedding.kp_rows(points)]))
+        kpq = float(np.dot(w, embedding.kp_rows(points)))
         # K_QQ row by row (Gretton et al., JMLR 2012): the n x n Gram is
         # never held
         kqq = kernel.gram_form(points, w)

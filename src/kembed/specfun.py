@@ -1,7 +1,8 @@
 """Self-contained special functions backing the closed-form embeddings.
 
-Everything here is scalar float64 math (``bernoulli_poly`` also takes
-arrays) with pinned accuracy contracts:
+The error functions and ``bernoulli_poly`` take a scalar, giving a
+float, or an array, elementwise; the rest is scalar float64 math. The
+accuracy contracts are pinned:
 ``erf`` is a rational minimax approximation good to ~1e-15 relative,
 ``normal_cdf`` switches to a scaled-complementary-error-function path in
 the far left tail so that its logarithm stays accurate, and the
@@ -89,6 +90,30 @@ _Q = (
 )
 
 
+def _each(fn, a: np.ndarray) -> np.ndarray:
+    """The scalar function fn at each element of an array."""
+    return np.fromiter(map(fn, a.ravel().tolist()), float, count=a.size).reshape(a.shape)
+
+
+def exp_each(a: np.ndarray) -> np.ndarray:
+    """``math.exp`` at each element of an array, in its bits: np.exp can
+    differ from it in the last place."""
+    return _each(math.exp, a)
+
+
+def pow_each(a: np.ndarray, p) -> np.ndarray:
+    """Python's ``v ** p`` at each element v of an array, in its bits:
+    numpy's power can differ from it in the last place."""
+    return _each(lambda v: v**p, a)
+
+
+def _elementwise(fn, x):
+    """The scalar function fn at x as a float, or at each element of an
+    array x, with the same bits."""
+    a = np.asarray(x, dtype=float)
+    return fn(float(a)) if a.ndim == 0 else _each(fn, a)
+
+
 def _erf_small(x: float) -> float:
     # |x| <= 0.46875
     y = x * x
@@ -131,24 +156,52 @@ def _exp_neg_sq(y: float) -> float:
     return math.exp(-hi * hi) * math.exp(-lo)
 
 
-def erf(x: float) -> float:
-    """Error function, rational minimax evaluation.
+def erf(x):
+    """Error function, rational minimax evaluation, at a scalar or
+    elementwise on an array.
 
     Relative error is below 1e-14 everywhere (about 5e-16 in practice).
     """
-    x = float(x)
+    return _elementwise(_erf, x)
+
+
+def erfc(x):
+    """Complementary error function 1 - erf(x), at a scalar or
+    elementwise on an array."""
+    return _elementwise(_erfc, x)
+
+
+def erfcx(x):
+    """Scaled complementary error function exp(x^2) * erfc(x), at a
+    scalar or elementwise on an array.
+
+    Stays order-one for large positive x, which is what makes the
+    far-tail Gaussian integrals finite to evaluate.
+    """
+    return _elementwise(_erfcx, x)
+
+
+def normal_cdf(x):
+    """Standard normal CDF Phi(x) = (1 + erf(x/sqrt 2))/2, at a scalar or
+    elementwise on an array.
+
+    Computed through erfc so the left tail keeps full relative accuracy
+    down to the underflow threshold rather than saturating at 0.
+    """
+    return _elementwise(_normal_cdf, x)
+
+
+def _erf(x: float) -> float:
     if math.isnan(x):
         return x
     if abs(x) <= 0.46875:
         return _erf_small(x)
     if x > 0:
-        return 1.0 - erfc(x)
-    return erfc(-x) - 1.0
+        return 1.0 - _erfc(x)
+    return _erfc(-x) - 1.0
 
 
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x)."""
-    x = float(x)
+def _erfc(x: float) -> float:
     if math.isnan(x):
         return x
     y = abs(x)
@@ -161,19 +214,13 @@ def erfc(x: float) -> float:
     return 2.0 - r if x < 0.0 else r
 
 
-def erfcx(x: float) -> float:
-    """Scaled complementary error function exp(x^2) * erfc(x).
-
-    Stays order-one for large positive x, which is what makes the
-    far-tail Gaussian integrals finite to evaluate.
-    """
-    x = float(x)
+def _erfcx(x: float) -> float:
     if math.isnan(x):
         return x
     if x < 0.0:
         if x < -26.62:
             return math.inf
-        return 2.0 * math.exp(x * x) - erfcx(-x)
+        return 2.0 * math.exp(x * x) - _erfcx(-x)
     if x <= 0.46875:
         return math.exp(x * x) * (1.0 - _erf_small(x))
     if x <= 4.0:
@@ -181,13 +228,8 @@ def erfcx(x: float) -> float:
     return _erfcx_large(x)
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x) = (1 + erf(x/sqrt 2))/2.
-
-    Computed through erfc so the left tail keeps full relative accuracy
-    down to the underflow threshold rather than saturating at 0.
-    """
-    return 0.5 * erfc(-float(x) / _SQRT2)
+def _normal_cdf(x: float) -> float:
+    return 0.5 * _erfc(-x / _SQRT2)
 
 
 def log_normal_cdf(x: float) -> float:
@@ -198,11 +240,11 @@ def log_normal_cdf(x: float) -> float:
     """
     x = float(x)
     if x <= -8.0:
-        return _LOG_HALF - 0.5 * x * x + math.log(erfcx(-x / _SQRT2))
-    p = normal_cdf(x)
+        return _LOG_HALF - 0.5 * x * x + math.log(_erfcx(-x / _SQRT2))
+    p = _normal_cdf(x)
     if p >= 1.0:
         # -log(2) tail bound keeps the sign right for huge x
-        return -0.5 * erfc(x / _SQRT2)
+        return -0.5 * _erfc(x / _SQRT2)
     return math.log(p)
 
 
@@ -242,7 +284,7 @@ def normal_icdf(p: float) -> float:
     x = -math.sqrt(-2.0 * math.log(p))
     lo, hi = -40.0, 40.0
     for _ in range(80):
-        f = normal_cdf(x) - p
+        f = _normal_cdf(x) - p
         if f > 0.0:
             hi = min(hi, x)
         elif f < 0.0:

@@ -199,14 +199,9 @@ def stein_embed(kernel: SteinKernel, measure: Measure) -> Embedding:
     if not isinstance(kernel, SteinKernel):
         raise InvalidSpecError("stein_embed expects a Stein kernel")
     c = float(kernel.c)
-    d = kernel.dim
-
-    def kp(x):
-        as_point(x, d)
-        return c
 
     return Embedding(
-        kp_fn=kp,
+        kp_rows_fn=lambda X: np.full(len(X), c),
         kpp=c,
         pair_id=f"stein/{kernel.target.family}",
         kernel=kernel,

@@ -12,6 +12,7 @@ from kembed.dictionary import (
     NUMERIC_FALLBACK,
     embed,
     gauss_cross_kpq,
+    matern_uniform_special,
 )
 from kembed.errors import InvalidSpecError, UnsupportedPairError
 from kembed.kernels import (
@@ -20,9 +21,11 @@ from kembed.kernels import (
     FbmKernel,
     GaussianKernel,
     MaternKernel,
+    MatrixValuedKernel,
     NormalICDFMap,
     PeriodicSobolevKernel,
     PowerSeriesKernel,
+    ProductKernel,
     SphereSmoothKernel,
     SphereSobolevKernel,
     SumKernel,
@@ -524,3 +527,118 @@ def test_embedding_metadata():
     assert e.kp_provenance == CLOSED_FORM
     assert e.kpp_provenance == CLOSED_FORM
     assert e.kpp_stderr == 0.0
+
+
+_BOX1 = UniformBoxMeasure(lows=(-0.5,), highs=(1.5,))
+_GAUSS1 = GaussianMeasure(mean=(0.3,), cov=(0.7,))
+_MATERN = MaternKernel(nu=2.5, lengthscale=0.6)
+_TERMS = {(0, 0): 1.0, (1, 0): 0.5, (2, 1): 0.25, (0, 3): 0.1}
+
+
+def _in(lows, highs):
+    return lambda rng, n: rng.uniform(lows, highs, (n, len(lows)))
+
+
+def _on_sphere(rng, n):
+    z = rng.normal(size=(n, 3))
+    return z / np.linalg.norm(z, axis=1)[:, None]
+
+
+# Every closed-form arm of the dispatch, the special Matern formulas and
+# each combinator route: (embedding, points, a row outside its domain).
+_ROWS = {
+    "gauss_uniform": (lambda: embed(GaussianKernel(lengthscales=(0.7, 1.4)),
+                                    UniformBoxMeasure(lows=(0.0, -1.0), highs=(2.0, 1.0))),
+                      _in((-1.0, -2.0), (3.0, 2.0)), [math.nan, 0.0]),
+    "gauss_gauss_diagonal": (lambda: embed(GaussianKernel(lengthscales=(0.7, 1.4)),
+                                           GaussianMeasure(mean=(0.1, -0.2), cov=(1.0, 0.5))),
+                             _in((-6.0, -6.0), (6.0, 6.0)), [0.0, math.inf]),
+    "gauss_gauss_full": (lambda: embed(GaussianKernel(matrix=[[1.0, 0.3], [0.3, 0.8]]),
+                                       GaussianMeasure(mean=(0.1, -0.2),
+                                                       cov=[[1.0, -0.4], [-0.4, 0.9]])),
+                         _in((-6.0, -6.0), (6.0, 6.0)), [math.nan, 0.0]),
+    **{
+        f"matern_uniform_nu{nu}": (lambda nu=nu: embed(MaternKernel(nu=nu, lengthscale=0.4), _BOX1),
+                                   _in((-0.5,), (1.5,)), [1.75])
+        for nu in (0.5, 1.5, 2.5, 3.5)
+    },
+    **{
+        f"matern_uniform_special_nu{nu}": (
+            lambda nu=nu: matern_uniform_special(MaternKernel(nu=nu, lengthscale=0.4), _BOX1),
+            _in((-0.5,), (1.5,)), [-0.75])
+        for nu in (0.5, 1.5, 2.5, 3.5)
+    },
+    # past _STABLE_EXPONENT on both sides of the mean
+    **{
+        f"matern_gauss_nu{nu}": (lambda nu=nu: embed(MaternKernel(nu=nu, lengthscale=0.5), _GAUSS1),
+                                 _in((-40.0,), (40.0,)), [math.nan])
+        for nu in (0.5, 1.5, 2.5)
+    },
+    "wendland0_uniform": (lambda: embed(WendlandKernel(order=0, lengthscale=0.7), _BOX1),
+                          _in((-0.5,), (1.5,)), [2.0]),
+    **{
+        f"wendland_gauss_order{order}": (
+            lambda order=order: embed(WendlandKernel(order=order, lengthscale=1.2), _GAUSS1),
+            _in((-5.0,), (5.0,)), [math.inf])
+        for order in (0, 2)
+    },
+    "fbm_uniform": (lambda: embed(FbmKernel(hurst=0.7), UniformBoxMeasure(lows=(0.5,), highs=(2.0,))),
+                    _in((0.5,), (2.0,)), [0.25]),
+    "power_series_uniform": (lambda: embed(PowerSeriesKernel(terms=_TERMS),
+                                           UniformBoxMeasure(lows=(-1.0, 0.0), highs=(1.0, 2.0))),
+                             _in((-2.0, -2.0), (2.0, 2.0)), [0.0, math.nan]),
+    "power_series_gauss": (lambda: embed(PowerSeriesKernel(terms=_TERMS),
+                                         GaussianMeasure(mean=(0.0, 0.0), cov=(0.5, 1.5))),
+                           _in((-2.0, -2.0), (2.0, 2.0)), [math.nan, 0.0]),
+    "sphere_sobolev32": (lambda: embed(SphereSobolevKernel(), SphereUniformMeasure(d=2)),
+                         _on_sphere, [0.0, 0.6, 0.9]),
+    "sphere_smooth": (lambda: embed(SphereSmoothKernel(), SphereUniformMeasure(d=2)),
+                      _on_sphere, [1.0, 0.1, 0.0]),
+    "periodic_sobolev": (lambda: embed(PeriodicSobolevKernel(r=2),
+                                       UniformBoxMeasure(lows=(0.0,), highs=(1.0,))),
+                         _in((0.0,), (1.0,)), [1.5]),
+    "sum": (lambda: embed(SumKernel([GaussianKernel(lengthscales=(0.8,)), _MATERN], [0.4, 0.6]),
+                          _BOX1),
+            _in((-0.5,), (1.5,)), [-1.0]),
+    "mixture": (lambda: embed(_MATERN, MixtureMeasure(
+                    components=[GaussianMeasure(mean=(-1.0,), cov=(0.5,)), _GAUSS1],
+                    weights=(0.3, 0.7)), budget=200),
+                _in((-30.0,), (30.0,)), [math.nan]),
+    "product": (lambda: embed(ProductKernel([GaussianKernel(lengthscales=(0.6,)), _MATERN], [1, 1]),
+                              UniformBoxMeasure(lows=(0.0, -0.5), highs=(1.0, 1.5))),
+                _in((0.0, -0.5), (1.0, 1.5)), [0.5, 1.6]),
+    "pushforward": (lambda: embed(ComposedKernel(base=_MATERN, map=AffineMap(2.0, -1.0)),
+                                  UniformBoxMeasure(lows=(0.0,), highs=(1.0,))),
+                    _in((0.0,), (1.0,)), [1.5]),
+    "matrix_valued": (lambda: embed(MatrixValuedKernel(base=_MATERN,
+                                                       matrix=[[2.0, 0.3], [0.3, 1.0]]), _BOX1),
+                      _in((-0.5,), (1.5,)), [1.6]),
+    "stein": (lambda: embed(SteinKernel(GaussianKernel(lengthscales=(1.0,)), _GAUSS1, c=0.5),
+                            _GAUSS1),
+              _in((-4.0,), (4.0,)), [math.nan]),
+    "empirical": (lambda: embed(FbmKernel(hurst=0.3),
+                                EmpiricalMeasure(points=np.array([[0.2], [0.9], [1.4]]))),
+                  _in((0.0,), (2.0,)), [-0.5]),
+    "numeric_fallback": (lambda: embed(_MATERN, UniformBoxMeasure(lows=(0.0, 0.0), highs=(1.0, 1.0)),
+                                       budget=2_000, seed=4),
+                         _in((0.0, 0.0), (1.0, 1.0)), [0.5, math.nan]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROWS))
+def test_kp_rows_has_the_bits_of_kp_at(route):
+    make, points, bad = _ROWS[route]
+    e = make()
+    X = points(np.random.default_rng(17), 60)
+    rows = e.kp_rows(X)
+    assert isinstance(rows, np.ndarray) and rows.shape[0] == len(X)
+    assert rows.tobytes() == np.array([e.kp_at(x) for x in X]).tobytes()
+    empty = e.kp_rows(np.empty((0, X.shape[1])))
+    assert empty.shape == (0,) + rows.shape[1:]
+    # a row outside the domain raises what kp_at raises at that row
+    X[3] = bad
+    with pytest.raises(InvalidSpecError) as at_row:
+        e.kp_at(X[3])
+    with pytest.raises(InvalidSpecError) as in_rows:
+        e.kp_rows(X)
+    assert str(in_rows.value) == str(at_row.value)

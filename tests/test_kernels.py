@@ -13,6 +13,7 @@ from kembed.kernels import (
     ComposedKernel,
     FbmKernel,
     GaussianKernel,
+    Map,
     MaternKernel,
     MatrixValuedKernel,
     NormalICDFMap,
@@ -250,6 +251,52 @@ def test_composed_kernel_and_maps():
     )
     with pytest.raises(InvalidSpecError):
         AffineMap(0.0, 1.0)
+
+
+@pytest.mark.parametrize("make_map", [lambda: AffineMap(1.5, -0.2), NormalICDFMap])
+def test_composed_kernel_maps_each_argument_once_per_call(make_map):
+    inner = make_map()
+    calls = []
+
+    def forward(x):
+        calls.append(np.shape(x))
+        return inner.forward(x)
+
+    k = ComposedKernel(base=MaternKernel(nu=1.5, lengthscale=0.7),
+                       map=Map(forward, inner.inverse, "counted"))
+    rng = np.random.default_rng(5)
+    Y = rng.uniform(0.01, 0.99, (300, 1))
+    for n in (2, 7, 40):
+        X = rng.uniform(0.01, 0.99, (n, 1))
+        calls.clear()
+        rows = list(k.rows(X, Y))
+        # x_0, Y and the other rows of X: three maps, whatever len(X)
+        assert len(calls) == 3
+        calls.clear()
+        G = k.gram(X)
+        assert len(calls) == 1
+        calls.clear()
+        w = rng.uniform(size=n)
+        value = k.gram_form(X, w)
+        assert len(calls) == 1
+        for i, x in enumerate(X):
+            assert rows[i].tobytes() == k.batch(x, Y).tobytes()
+            assert G[i].tobytes() == k.batch(x, X).tobytes()
+        assert value == float(w @ np.array([k.batch(x, X) @ w for x in X]))
+
+
+def test_composed_kernel_rows_raise_the_row_by_row_error():
+    k = ComposedKernel(base=GaussianKernel(lengthscales=(1.0,)), map=NormalICDFMap())
+    # row by row, batch(x_0, Y) meets the bad Y before the bad x_2
+    X, Y = [[0.3], [0.5], [1.7]], [[0.2], [2.5]]
+    with pytest.raises(InvalidSpecError, match="got 2.5$"):
+        k.batch(X[0], Y)
+    with pytest.raises(InvalidSpecError, match="got 2.5$"):
+        list(k.rows(X, Y))
+    with pytest.raises(InvalidSpecError, match="got 1.7$"):
+        list(k.rows(X, [[0.2]]))
+    with pytest.raises(InvalidSpecError, match="got 1.7$"):
+        k.gram(X)
 
 
 def test_kernel_input_validation():

@@ -220,6 +220,52 @@ def test_first_coincident_pair_is_reported_among_many_nodes():
         make_problem(e, nodes)
 
 
+def _first_pair_by_loop(nodes):
+    """The pairwise loop the distinctness check used to run: the first
+    i with a later node within 1e-12 in every coordinate, and the first
+    such j."""
+    n = len(nodes)
+    for i in range(n - 1):
+        gaps = np.abs(nodes[i + 1 :] - nodes[i]).reshape(n - i - 1, -1)
+        close = np.flatnonzero(gaps.max(axis=1) <= 1e-12)
+        if close.size:
+            return f"nodes {i} and {i + 1 + close[0]} coincide within 1e-12"
+    return None
+
+
+def _grid(m, d):
+    axis = np.linspace(-1.0, 1.0, m)
+    return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+@pytest.mark.parametrize("layout", ["uniform", "tensor_grid", "rounded_far"])
+def test_distinctness_check_agrees_with_the_pairwise_loop(layout):
+    e = embed(GaussianKernel(lengthscales=(1.0, 1.0)),
+              GaussianMeasure(mean=(0.0, 0.0), cov=(1.0, 1.0)))
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(2, 400))
+        if layout == "uniform":
+            nodes = rng.uniform(-1.0, 1.0, (n, 2))
+        elif layout == "tensor_grid":
+            # many nodes share each first coordinate
+            nodes = rng.permutation(_grid(int(math.isqrt(n)) + 1, 2))
+        else:
+            # coarse values far from 0, where 1e-12 is below an ulp
+            nodes = np.round(rng.uniform(-1.0, 1.0, (n, 2)), 1) + 1e6
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = rng.integers(0, len(nodes), 2)
+            nodes[j] = nodes[i] + rng.uniform(-1.5e-12, 1.5e-12, 2)
+        want = _first_pair_by_loop(nodes)
+        gram, m = np.eye(len(nodes)), np.zeros(len(nodes))
+        if want is None:
+            QuadratureProblem(embedding=e, nodes=nodes, gram=gram, m=m)
+        else:
+            with pytest.raises(InvalidSpecError) as err:
+                QuadratureProblem(embedding=e, nodes=nodes, gram=gram, m=m)
+            assert str(err.value) == want
+
+
 def test_jitter_ladder_rescues_near_singular():
     nodes = [[0.5], [0.5 + 1e-11]]
     prob = _gauss_setup(nodes, values=[0.1, 0.1])
@@ -384,5 +430,5 @@ def test_closed_form_rows_are_per_row_kp_at():
     p = GaussianMeasure(mean=(0.1, -0.2), cov=(1.0, 0.5))
     e = embed(k, p)
     nodes = p.sample(30, seed=9)
-    assert e.kp_rows(nodes) == [e.kp_at(row) for row in nodes]
+    assert e.kp_rows(nodes).tobytes() == np.array([e.kp_at(row) for row in nodes]).tobytes()
 
