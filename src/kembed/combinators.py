@@ -29,6 +29,7 @@ from .kernels import (
     MatrixValuedKernel,
     ProductKernel,
     SumKernel,
+    as_points,
 )
 from .measures import (
     EmpiricalMeasure,
@@ -235,24 +236,27 @@ def pushforward_embed(
 
 
 def change_of_measure(
-    f: Callable[[np.ndarray], float], p: Measure, q: Measure
-) -> Callable[[np.ndarray], float]:
+    f: Callable[[np.ndarray], np.ndarray], p: Measure, q: Measure
+) -> Callable[[np.ndarray], np.ndarray]:
     """Importance reweighting of an integrand: returns g = f * (p/q),
     so that the integral of g under q equals the integral of f under p.
-    This transforms the integrand, not the embedding."""
+    f maps an (n, d) array of rows to n values, and so does g. This
+    transforms the integrand, not the embedding."""
     if p.dim != q.dim:
         raise InvalidSpecError("measures must share a dimension")
 
-    def g(x):
-        qx = q.density(x)
-        px = p.density(x)
-        if qx == 0.0:
-            if px == 0.0:
-                return 0.0
+    def g(X):
+        X = as_points(X, p.dim)
+        qx = q.density_rows(X)
+        px = p.density_rows(X)
+        bad = (qx == 0.0) & (px != 0.0)
+        if np.any(bad):
             raise InvalidSpecError(
-                "the reweighting measure must dominate the original one"
+                "the reweighting measure must dominate the original one "
+                f"(first failing row: {int(np.argmax(bad))})"
             )
-        return f(x) * px / qx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(qx == 0.0, 0.0, f(X) * px / qx)
 
     return g
 

@@ -136,6 +136,11 @@ class Kernel:
     spec: dict[str, str] | None = None
     #: True when y -> K(x, y) is analytic, so Gauss-Hermite quadrature applies.
     smooth: bool = False
+    #: ``_derivatives(x, Y)`` returns (K, grad_x K, grad_y K,
+    #: tr grad_x grad_y K), of shapes (n,), (n, d), (n, d), (n,), against
+    #: the rows y_i of Y, at one point x or at the matched rows of an
+    #: (n, d) x; None for a family with no analytic rule.
+    _derivatives = None
 
     @property
     def dim(self) -> int | None:
@@ -305,6 +310,24 @@ class GaussianKernel(Kernel):
             return np.exp(-0.5 * _sq_dist(X, Y, self.lengthscales))
         D = Y - X
         return np.exp(-0.5 * np.sum(D * _precision_rows(self.matrix, D), axis=1))
+
+    def _derivatives(self, x, Y):
+        X = as_points(x, self.dim) if np.ndim(x) == 2 else as_point(x, self.dim)[None, :]
+        Y = as_points(Y, X.shape[1])
+        U = X - Y
+        if self.diagonal:
+            inv = 1.0 / np.asarray(self.lengthscales) ** 2
+            Q = U * inv[None, :]
+            trace_inv = float(np.sum(inv))
+        else:
+            lam_inv = np.linalg.inv(self.lam())
+            Q = U @ lam_inv
+            trace_inv = float(np.trace(lam_inv))
+        k = np.exp(-0.5 * np.sum(U * Q, axis=1))
+        grad_x = -k[:, None] * Q
+        grad_y = k[:, None] * Q
+        trace = k * (trace_inv - np.sum(Q * Q, axis=1))
+        return k, grad_x, grad_y, trace
 
 
 def matern_half_integer(n: int, tau: float) -> float:

@@ -1,5 +1,11 @@
 """Probability measure descriptions: density, score, and seeded sampling.
 
+Each family states its density (or log density) and its score once, on
+rows: ``_density_rows(Y)`` or ``_log_density_rows(Y)``, and
+``_score_rows(Y)``, for a checked (n, d) array Y. The one-point
+``density``, ``log_density`` and ``score`` of :class:`Measure` are the
+one-row case.
+
 Sampling is deterministic given a 64-bit seed. All randomness flows
 through a counter-based Philox generator keyed by
 ``SeedSequence([seed, *stream_ids])``; composite measures (mixtures)
@@ -19,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidSpecError
-from .kernels import Map, _sq_dist, as_point, as_points
+from .kernels import Map, _finite_points, _precision_rows, _sq_dist, as_point, as_points
 
 __all__ = [
     "Measure",
@@ -53,17 +59,31 @@ class Measure:
         raise NotImplementedError
 
     def density(self, x) -> float:
+        return float(self._density_rows(self._row(x))[0])
+
+    def log_density(self, x) -> float:
+        return float(self._log_density_rows(self._row(x))[0])
+
+    def score(self, x) -> np.ndarray:
+        return self._score_rows(self._row(x))[0]
+
+    def density_rows(self, X) -> np.ndarray:
+        """The density at each row of X, an (n, d) array checked once."""
+        return self._density_rows(_finite_points(X, self.dim))
+
+    def _row(self, x) -> np.ndarray:
+        return as_point(x, self.dim)[None, :]
+
+    def _density_rows(self, Y: np.ndarray) -> np.ndarray:
         raise InvalidSpecError(
             f"measure family '{self.family}' has no Lebesgue density"
         )
 
-    def log_density(self, x) -> float:
-        d = self.density(x)
-        if d <= 0.0:
-            return -math.inf
-        return math.log(d)
+    def _log_density_rows(self, Y: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self._density_rows(Y))
 
-    def score(self, x) -> np.ndarray:
+    def _score_rows(self, Y: np.ndarray) -> np.ndarray:
         raise InvalidSpecError(
             f"measure family '{self.family}' has no differentiable density"
         )
@@ -114,11 +134,9 @@ class UniformBoxMeasure(Measure):
     def widths(self) -> np.ndarray:
         return np.asarray(self.highs) - np.asarray(self.lows)
 
-    def density(self, x):
-        x = as_point(x, self.dim)
-        if np.all(x >= self.lows) and np.all(x <= self.highs):
-            return float(1.0 / np.prod(self.widths))
-        return 0.0
+    def _density_rows(self, Y):
+        inside = np.all((Y >= self.lows) & (Y <= self.highs), axis=1)
+        return np.where(inside, 1.0 / np.prod(self.widths), 0.0)
 
     def _draw(self, n, gen):
         return np.asarray(self.lows) + self.widths * gen.random((n, self.dim))
@@ -177,9 +195,8 @@ class GaussianMeasure(Measure):
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "cov", full)
         object.__setattr__(self, "chol", chol)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         object.__setattr__(
-            self, "_log_norm", -0.5 * (d * math.log(2.0 * math.pi) + logdet)
+            self, "_logdet", 2.0 * float(np.sum(np.log(np.diag(chol))))
         )
 
     @property
@@ -196,24 +213,22 @@ class GaussianMeasure(Measure):
             raise InvalidSpecError("stds requires a diagonal covariance")
         return np.sqrt(np.asarray(self.cov_diag))
 
-    def _solve(self, v: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} v via the cached Cholesky factor."""
+    def _log_density_rows(self, Y):
+        D = Y - np.asarray(self.mean)
         if self.diagonal:
-            return v / np.asarray(self.cov_diag)
-        w = np.linalg.solve(self.chol, v)
-        return np.linalg.solve(self.chol.T, w)
+            q = np.sum(D * D / np.asarray(self.cov_diag), axis=1)
+        else:
+            q = np.sum(D * _precision_rows(self.cov, D), axis=1)
+        return -0.5 * (q + self._logdet + self.dim * math.log(2.0 * math.pi))
 
-    def log_density(self, x):
-        x = as_point(x, self.dim)
-        d = x - np.asarray(self.mean)
-        return self._log_norm - 0.5 * float(d @ self._solve(d))
+    def _density_rows(self, Y):
+        return np.exp(self._log_density_rows(Y))
 
-    def density(self, x):
-        return math.exp(self.log_density(x))
-
-    def score(self, x):
-        x = as_point(x, self.dim)
-        return -self._solve(x - np.asarray(self.mean))
+    def _score_rows(self, Y):
+        D = Y - np.asarray(self.mean)
+        if self.diagonal:
+            return -D / np.asarray(self.cov_diag)
+        return -_precision_rows(self.cov, D)
 
     def _draw(self, n, gen):
         z = gen.standard_normal((n, self.dim))
@@ -277,29 +292,37 @@ class MixtureMeasure(Measure):
     def dim(self):
         return self.components[0].dim
 
-    def density(self, x):
-        return sum(w * c.density(x) for c, w in zip(self.components, self.weights))
+    def _density_rows(self, Y):
+        return sum(w * c._density_rows(Y) for c, w in zip(self.components, self.weights))
 
-    def log_density(self, x):
-        logs = np.array(
-            [c.log_density(x) for c in self.components]
-        ) + np.log(self.weights)
-        hi = float(np.max(logs))
-        if hi == -math.inf:
-            return -math.inf
-        return hi + math.log(float(np.sum(np.exp(logs - hi))))
+    def _shifted_logs(self, Y):
+        """log w_j + log p_j(y) over the components of positive weight,
+        a (k, n) array shifted per row by its largest entry, and that
+        shift (0 in a row where every term is -inf)."""
+        logs = np.array([
+            c._log_density_rows(Y) + math.log(w)
+            for c, w in zip(self.components, self.weights)
+            if w > 0.0
+        ])
+        hi = logs.max(axis=0, keepdims=True)
+        hi[np.isneginf(hi)] = 0.0
+        return logs - hi, hi[0]
 
-    def score(self, x):
-        # Responsibility-weighted component scores: grad log sum w_j p_j.
-        x = as_point(x, self.dim)
-        logs = np.array(
-            [c.log_density(x) for c in self.components]
-        ) + np.log(self.weights)
-        hi = float(np.max(logs))
-        resp = np.exp(logs - hi)
-        resp /= np.sum(resp)
-        scores = np.vstack([c.score(x) for c in self.components])
-        return resp @ scores
+    def _log_density_rows(self, Y):
+        logs, hi = self._shifted_logs(Y)
+        with np.errstate(divide="ignore"):
+            return hi + np.log(np.sum(np.exp(logs), axis=0))
+
+    def _score_rows(self, Y):
+        # responsibility-weighted component scores: grad log sum w_j p_j
+        scores = np.array([
+            c._score_rows(Y)
+            for c, w in zip(self.components, self.weights)
+            if w > 0.0
+        ])
+        resp = np.exp(self._shifted_logs(Y)[0])
+        resp /= resp.sum(axis=0, keepdims=True)
+        return np.einsum("jn,jnd->nd", resp, scores)
 
     def sample(self, n, seed):
         # Stream 0 is the categorical draw, stream j+1 belongs to
@@ -314,11 +337,13 @@ class MixtureMeasure(Measure):
             where = np.nonzero(idx == j)[0]
             if where.size == 0:
                 continue
+            gen = make_generator(seed, j + 1)
             if comp._draw is None:
-                raise InvalidSpecError(
-                    f"mixture component family '{comp.family}' is not sampleable"
-                )
-            out[where] = comp._draw(where.size, make_generator(seed, j + 1))
+                # a family that draws through its own sample (empirical,
+                # pushforward, mixture) takes its seed from its substream
+                out[where] = comp.sample(where.size, int(gen.integers(1 << 63)))
+            else:
+                out[where] = comp._draw(where.size, gen)
         return out
 
 
@@ -384,11 +409,13 @@ class EmpiricalMeasure(Measure):
 @dataclass(frozen=True, eq=False)
 class ScoreMeasure(Measure):
     """Target known only through its score, with an optional unnormalized
-    log density. Not sampleable; pairs only with Stein constructions."""
+    log density. Both handles act on rows: ``score_fn`` maps an (n, d)
+    array to (n, d) scores, ``log_density_fn`` to n values. Not
+    sampleable; pairs only with Stein constructions."""
 
     score_fn: Callable[[np.ndarray], np.ndarray]
     dimension: int = 1
-    log_density_fn: Callable[[np.ndarray], float] | None = None
+    log_density_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     family = "unnormalized_score"
 
@@ -400,17 +427,20 @@ class ScoreMeasure(Measure):
     def dim(self):
         return self.dimension
 
-    def score(self, x):
-        x = as_point(x, self.dim)
-        s = np.atleast_1d(np.asarray(self.score_fn(x), dtype=float))
-        if s.size != self.dim:
-            raise InvalidSpecError(
-                f"score handle returned dimension {s.size}, expected {self.dim}"
-            )
-        return s
+    def _score_rows(self, Y):
+        return _handle_rows("score", self.score_fn, Y, Y.shape)
 
-    def log_density(self, x):
+    def _log_density_rows(self, Y):
         if self.log_density_fn is None:
             raise InvalidSpecError("no density handle was provided")
-        return float(self.log_density_fn(as_point(x, self.dim)))
+        return _handle_rows("density", self.log_density_fn, Y, Y.shape[:1])
 
+
+def _handle_rows(name, fn, Y, shape):
+    """A user handle's values on the rows of Y, checked to have ``shape``."""
+    out = np.asarray(fn(Y), dtype=float)
+    if out.shape != shape:
+        raise InvalidSpecError(
+            f"{name} handle returned shape {out.shape}, expected {shape}"
+        )
+    return out

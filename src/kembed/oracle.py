@@ -449,23 +449,17 @@ def estimate_mean(
     measure: Measure,
     budget: int = DEFAULT_MC_BUDGET,
     seed: int = 0,
-    vectorized: bool = False,
 ) -> OracleEstimate:
     """Monte Carlo mean of an arbitrary scalar function under a
-    sampleable measure. With ``vectorized`` the function is called once
-    on the full (n, d) sample and must return n values."""
+    sampleable measure. The function is called once, on the full (n, d)
+    sample, and must return n values."""
     if budget < 10:
         raise InvalidSpecError(f"budget must be >= 10, got {budget}")
-    pts = measure.sample(budget, seed)
-    if vectorized:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape != (budget,):
-            raise InvalidSpecError(
-                f"vectorized integrand returned shape {vals.shape}, "
-                f"expected ({budget},)"
-            )
-    else:
-        vals = np.array([float(f(p)) for p in pts])
+    vals = np.asarray(f(measure.sample(budget, seed)), dtype=float)
+    if vals.shape != (budget,):
+        raise InvalidSpecError(
+            f"integrand returned shape {vals.shape}, expected ({budget},)"
+        )
     value, stderr = _mc_mean(vals)
     return OracleEstimate(
         value=value, stderr=stderr, method="monte_carlo", n=budget, seed=seed

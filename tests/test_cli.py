@@ -454,3 +454,22 @@ def test_gaussian_kernel_needs_one_of_its_keys():
         cli.parse_kernel({"family": "gaussian"})
     with pytest.raises(InvalidSpecError, match="exactly one"):
         cli.parse_kernel({"family": "gaussian", "lengthscales": [1.0], "matrix": [[1.0]]})
+
+
+def test_verify_under_a_mixture_with_an_empirical_component(spec_file, capsys):
+    # the oracle samples the mixture, drawing the empirical component
+    # through its own sampler
+    doc = {
+        "schema_version": 1,
+        "kernel": _G1,
+        "measure": {
+            "family": "mixture",
+            "components": [_N1, {"family": "empirical", "points": [[0.0], [1.0]]}],
+            "weights": [0.5, 0.5],
+        },
+    }
+    path = spec_file(doc)
+    for seed in ("0", "1"):
+        code, out = _run(capsys, ["verify", "--spec", path, "--seed", seed])
+        assert code == 0, out.err
+        assert json.loads(out.out)["pass"] is True

@@ -215,7 +215,7 @@ def test_pushforward_embed_wraps_kp():
 def test_change_of_measure_reweights():
     p = GaussianMeasure(mean=(0.0,), cov=(0.25,))
     q = GaussianMeasure(mean=(0.0,), cov=(1.0,))
-    f = lambda x: float(x[0] ** 2)
+    f = lambda X: X[:, 0] ** 2
     g = change_of_measure(f, p, q)
     est = estimate_mean(g, q, budget=400_000, seed=17)
     # E_p[X^2] = 0.25
@@ -232,6 +232,20 @@ def test_change_of_measure_domination():
     # the reverse direction is fine: q's support is inside p's
     h = change_of_measure(lambda x: 1.0, q, p)
     assert h([1.5]) == 0.0
+
+
+def test_change_of_measure_acts_on_rows():
+    p = MixtureMeasure([GaussianMeasure((0.0,), 0.25), UniformBoxMeasure((0.0,), (1.0,))], [0.5, 0.5])
+    q = GaussianMeasure(mean=(0.5,), cov=(1.0,))
+    X = np.linspace(-3.0, 3.0, 61)[:, None]
+    g = change_of_measure(lambda X: X[:, 0] ** 2 + 1.0, p, q)
+    each = [(x[0] ** 2 + 1.0) * p.density(x) / q.density(x) for x in X]
+    assert g(X).tobytes() == np.array(each).tobytes()
+    # the domination error names the first row where q has no mass
+    box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
+    h = change_of_measure(lambda X: np.ones(len(X)), p, box)
+    with pytest.raises(InvalidSpecError, match=r"\(first failing row: 2\)$"):
+        h([[0.5], [1.0], [1.5], [-2.0]])
 
 
 def test_matrix_valued_embed_scales():

@@ -201,11 +201,10 @@ def test_unsampleable_families_keep_their_errors():
     target = ScoreMeasure(score_fn=lambda x: -x)
     with pytest.raises(InvalidSpecError, match="^measure family 'unnormalized_score' is not"):
         target.sample(5, seed=0)
-    mix = MixtureMeasure(
-        components=[GaussianMeasure(mean=(0.0,)), EmpiricalMeasure(np.array([[1.0]]))],
-        weights=(0.5, 0.5),
-    )
-    with pytest.raises(InvalidSpecError, match="^mixture component family 'empirical' is not"):
+    # a mixture draws each component through that component's sampler,
+    # so an unsampleable component keeps its own error
+    mix = MixtureMeasure(components=[GaussianMeasure(mean=(0.0,)), target], weights=(0.5, 0.5))
+    with pytest.raises(InvalidSpecError, match="^measure family 'unnormalized_score' is not"):
         mix.sample(20, seed=0)
 
 
@@ -252,5 +251,134 @@ def test_density_normalizes():
         ),
     ]
     for t in targets:
-        est = estimate_mean(lambda x, t=t: t.density(x) * 16.0, box, budget=400)
+        est = estimate_mean(lambda X, t=t: t.density_rows(X) * 16.0, box, budget=400)
         assert est.value == pytest.approx(1.0, abs=max(1e-9, 3 * est.stderr))
+
+
+_FULL_COV = np.array([[2.0, 0.6], [0.6, 1.0]])
+_BOX = UniformBoxMeasure(lows=(0.0, -1.0), highs=(2.0, 1.0))
+_GAUSS_DIAG = GaussianMeasure(mean=(0.5, -0.5), cov=(2.0, 0.7))
+_GAUSS_FULL = GaussianMeasure(mean=(0.5, -0.5), cov=_FULL_COV)
+# (measure, has a density, has a score)
+_ROWS_FAMILIES = {
+    "box": (_BOX, True, False),
+    "gaussian_diag": (_GAUSS_DIAG, True, True),
+    "gaussian_full": (_GAUSS_FULL, True, True),
+    "mixture_gaussian": (
+        MixtureMeasure(components=[_GAUSS_DIAG, _GAUSS_FULL], weights=(0.3, 0.7)), True, True
+    ),
+    "mixture_box": (
+        MixtureMeasure(
+            components=[_BOX, UniformBoxMeasure(lows=(1.0, 0.0), highs=(3.0, 2.0))],
+            weights=(0.4, 0.6),
+        ),
+        True,
+        False,
+    ),
+    "score": (
+        ScoreMeasure(
+            score_fn=lambda X: -np.asarray(X) ** 3,
+            dimension=2,
+            log_density_fn=lambda X: -0.25 * np.sum(np.asarray(X) ** 4, axis=1),
+        ),
+        False,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROWS_FAMILIES))
+def test_rows_have_the_bits_of_each_point(name):
+    m, has_density, has_score = _ROWS_FAMILIES[name]
+    # rows inside and outside the boxes, and far out in the tails
+    X = np.vstack([
+        np.random.default_rng(3).uniform(-3.0, 4.0, size=(200, 2)),
+        [[1.0, 0.0], [2.0, 1.0], [-30.0, 25.0]],
+    ])
+    if has_density:
+        rows = m.density_rows(X)
+        assert rows.shape == (len(X),)
+        assert rows.tobytes() == np.array([m.density(x) for x in X]).tobytes()
+        assert m.density_rows(np.empty((0, 2))).shape == (0,)
+    else:
+        with pytest.raises(InvalidSpecError, match=f"^measure family '{m.family}' has no Lebesgue density$"):
+            m.density_rows(X)
+    logs = m._log_density_rows(X)
+    assert logs.tobytes() == np.array([m.log_density(x) for x in X]).tobytes()
+    if has_score:
+        rows = m._score_rows(X)
+        assert rows.shape == X.shape
+        assert rows.tobytes() == np.vstack([m.score(x) for x in X]).tobytes()
+        assert m._score_rows(np.empty((0, 2))).shape == (0, 2)
+    else:
+        with pytest.raises(InvalidSpecError, match="^measure family 'uniform_box' has no differentiable density$"):
+            m.score(X[0])
+
+
+@pytest.mark.parametrize("m", [
+    SphereUniformMeasure(d=2),
+    EmpiricalMeasure(points=np.array([[0.0], [1.0]])),
+    PushforwardMeasure(base=UniformBoxMeasure(lows=(0.0,), highs=(1.0,)), map=AffineMap(2.0, 1.0)),
+], ids=lambda m: m.family)
+def test_families_without_a_density_keep_their_messages(m):
+    x = np.zeros(m.dim)
+    for method in (m.density, m.log_density, m.density_rows):
+        with pytest.raises(InvalidSpecError, match=f"^measure family '{m.family}' has no Lebesgue density$"):
+            method(x)
+    with pytest.raises(InvalidSpecError, match=f"^measure family '{m.family}' has no differentiable density$"):
+        m.score(x)
+
+
+def test_score_handles_are_checked_on_rows():
+    m = ScoreMeasure(score_fn=lambda X: -X[:, 0], dimension=1)
+    with pytest.raises(InvalidSpecError, match=r"^score handle returned shape \(3,\), expected \(3, 1\)$"):
+        m._score_rows(np.zeros((3, 1)))
+    with pytest.raises(InvalidSpecError, match=r"^score handle returned shape \(1,\), expected \(1, 1\)$"):
+        m.score([0.0])
+    with pytest.raises(InvalidSpecError, match="^no density handle was provided$"):
+        m.log_density([0.0])
+    m = ScoreMeasure(score_fn=lambda X: -X, dimension=1, log_density_fn=lambda X: -0.5 * X ** 2)
+    with pytest.raises(InvalidSpecError, match=r"^density handle returned shape \(4, 1\), expected \(4,\)$"):
+        m._log_density_rows(np.zeros((4, 1)))
+    with pytest.raises(InvalidSpecError, match="^measure family 'unnormalized_score' has no Lebesgue density$"):
+        m.density([0.0])
+
+
+def test_density_rows_checks_its_points():
+    m = GaussianMeasure(mean=(0.0, 0.0))
+    with pytest.raises(InvalidSpecError, match="^points must be finite$"):
+        m.density_rows([[0.0, 1.0], [np.nan, 0.0]])
+    with pytest.raises(InvalidSpecError, match="^expected points of dimension 2, got 3$"):
+        m.density_rows(np.zeros((4, 3)))
+
+
+def test_mixture_samples_components_drawn_through_their_own_sampler():
+    gauss = GaussianMeasure(mean=(0.0,))
+    atoms = EmpiricalMeasure(points=np.array([[0.0], [1.0]]))
+    drawn = MixtureMeasure(components=[gauss, GaussianMeasure(mean=(1e6,))], weights=(0.5, 0.5))
+    for other in (
+        atoms,
+        PushforwardMeasure(base=UniformBoxMeasure(lows=(0.0,), highs=(1.0,)), map=AffineMap(2.0, 10.0)),
+        MixtureMeasure(components=[atoms, gauss], weights=(0.5, 0.5)),
+    ):
+        mix = MixtureMeasure(components=[gauss, other], weights=(0.5, 0.5))
+        for seed in (0, 1, 2):
+            xs = mix.sample(400, seed)
+            np.testing.assert_array_equal(xs, mix.sample(400, seed))
+            # the categorical stream and component 0's stream are those
+            # of a mixture whose components all draw directly
+            ref = drawn.sample(400, seed)
+            first = ref[:, 0] < 5e5
+            assert xs[first].tobytes() == ref[first].tobytes()
+            # component 1 draws with a seed taken from its own substream
+            sub = int(make_generator(seed, 2).integers(1 << 63))
+            assert xs[~first].tobytes() == other.sample(int(np.sum(~first)), sub).tobytes()
+
+
+def test_mixture_component_of_zero_weight_adds_nothing():
+    kept = GaussianMeasure(mean=(0.5, -0.5), cov=_FULL_COV)
+    mix = MixtureMeasure(components=[_GAUSS_DIAG, kept], weights=(0.0, 1.0))
+    X = np.random.default_rng(4).normal(size=(50, 2))
+    assert mix.density_rows(X).tobytes() == kept.density_rows(X).tobytes()
+    assert mix._log_density_rows(X).tobytes() == kept._log_density_rows(X).tobytes()
+    assert mix._score_rows(X).tobytes() == kept._score_rows(X).tobytes()

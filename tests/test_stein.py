@@ -245,3 +245,36 @@ def test_other_score_only_measure_is_unsupported():
     assert embed(k, target).kpp == 0.0
     with pytest.raises(UnsupportedPairError):
         embed(k, ScoreMeasure(score_fn=lambda x: -2.0 * x))
+
+
+def test_stein_imports_no_family_class():
+    # the derivative rule belongs to the base kernel's class and the
+    # score to the target's, so Stein names neither family
+    import ast
+    import importlib
+
+    from kembed import stein
+    from kembed.kernels import Kernel
+    from kembed.measures import Measure
+
+    imported = []
+    for node in ast.walk(ast.parse(open(stein.__file__, encoding="utf-8").read())):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module in ("kernels", "measures"):
+            module = importlib.import_module(f"kembed.{node.module}")
+            imported += [getattr(module, alias.name) for alias in node.names]
+    assert Kernel in imported and Measure in imported
+    families = [
+        obj for obj in imported
+        if isinstance(obj, type) and issubclass(obj, (Kernel, Measure))
+        and obj not in (Kernel, Measure)
+    ]
+    assert families == []
+
+
+def test_base_without_a_derivative_rule_is_rejected_by_name():
+    base = MaternKernel(nu=1.5, lengthscale=1.0)
+    message = "^no analytic derivatives registered for kernel family 'matern'$"
+    with pytest.raises(UnsupportedPairError, match=message):
+        base_derivatives(base, [0.0], np.zeros((2, 1)))
+    with pytest.raises(UnsupportedPairError, match=message):
+        SteinKernel(base=base, target=GaussianMeasure(mean=(0.0,)))
