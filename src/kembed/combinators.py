@@ -19,12 +19,11 @@ from .dictionary import (
     Embedding,
     _recognize_pushforward,
     embed,
-    gauss_cross_kpq,
+    stationary_cross_kpq,
 )
 from .errors import InvalidSpecError
 from .kernels import (
     ComposedKernel,
-    GaussianKernel,
     Kernel,
     MatrixValuedKernel,
     ProductKernel,
@@ -116,9 +115,11 @@ def mixture_embed(
     """Embedding of a kernel under a mixture measure sum_j w_j P_j.
 
     The mean embedding is sum_j w_j kp_j(x); the double integral adds
-    the cross terms between distinct components, which are computed in
-    closed form for Gaussian kernels against Gaussian components,
-    exactly for empirical components, and by Monte Carlo otherwise.
+    the cross terms between distinct components. Those are computed in
+    closed form for a stationary kernel against two Gaussian components
+    when K_D has one, D the law of the difference of their draws
+    (:func:`~kembed.dictionary.stationary_cross_kpq`), exactly for
+    empirical components, and by Monte Carlo otherwise.
     """
     parts = [embed(kernel, c, budget=budget, seed=seed) for c in measure.components]
     w = measure.weights
@@ -175,12 +176,10 @@ def _cross_kpq(
         images = [_recognize_pushforward(PushforwardMeasure(m, kernel.map)) for m in (mj, mk)]
         if None not in images:
             kernel, (mj, mk) = kernel.base, images
-    if (
-        isinstance(kernel, GaussianKernel)
-        and isinstance(mj, GaussianMeasure)
-        and isinstance(mk, GaussianMeasure)
-    ):
-        return gauss_cross_kpq(kernel, mj, mk), 0.0, CLOSED_FORM
+    if isinstance(mj, GaussianMeasure) and isinstance(mk, GaussianMeasure):
+        value = stationary_cross_kpq(kernel, mj, mk)
+        if value is not None:
+            return value, 0.0, CLOSED_FORM
     if isinstance(mk, EmpiricalMeasure):
         wts = np.asarray(mk.weights)
         total = 0.0

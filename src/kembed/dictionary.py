@@ -9,14 +9,19 @@ per-part provenance: ``closed_form`` when an exact expression exists,
 Monte Carlo oracle. :func:`embed` dispatches a (kernel, measure) pair
 to the right construction and falls back to the oracle for pairs with
 no known expression. Each closed-form builder takes the kernel and
-measure objects themselves and leaves a part it has no expression for
-as None, which :func:`embed` fills in from the oracle.
+measure objects themselves and gives both parts, so a dictionary
+pair's provenance is all closed form or all oracle. A stationary
+kernel phi(x - y) integrated against independent Gaussians X ~ P and
+Y ~ Q is K_D(0), D = N(mu_P - mu_Q, Sigma_P + Sigma_Q) the law of
+X - Y (the convolution view of Nishiyama & Fukumizu, JMLR 2016):
+:func:`stationary_cross_kpq` reads every such cross term from the
+closed form of K_D.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -66,7 +71,7 @@ __all__ = [
     "embed",
     "gauss_uniform",
     "gauss_gauss",
-    "gauss_cross_kpq",
+    "stationary_cross_kpq",
     "matern_uniform_general",
     "matern_uniform_special",
     "matern_gauss_kp",
@@ -219,21 +224,26 @@ def gauss_gauss(kernel: GaussianKernel, measure: GaussianMeasure) -> Embedding:
     )
 
 
-def gauss_cross_kpq(kernel: GaussianKernel, p: GaussianMeasure, q: GaussianMeasure) -> float:
-    """Double integral of the Gaussian kernel against two Gaussian
-    measures, one in each argument:
-    sqrt(det Lambda / det(Lambda + Sigma_P + Sigma_Q))
-    * exp(-1/2 delta^T (Lambda + Sigma_P + Sigma_Q)^{-1} delta)."""
-    if not kernel.dim == p.dim == q.dim:
+def _gauss_difference(p: GaussianMeasure, q: GaussianMeasure) -> GaussianMeasure:
+    """The law N(mu_P - mu_Q, Sigma_P + Sigma_Q) of X - Y for independent
+    X ~ P and Y ~ Q; it is stored diagonal when both covariances are."""
+    if p.dim != q.dim:
         raise InvalidSpecError("dimension mismatch between kernel and measures")
-    lam = kernel.lam()
-    total = lam + p.cov + q.cov
-    _, logdet_l = np.linalg.slogdet(lam)
-    _, logdet_t = np.linalg.slogdet(total)
-    delta = np.asarray(p.mean) - np.asarray(q.mean)
-    return math.exp(0.5 * (logdet_l - logdet_t)) * math.exp(
-        -0.5 * float(delta @ np.linalg.solve(total, delta))
-    )
+    return GaussianMeasure(tuple(np.asarray(p.mean) - np.asarray(q.mean)), p.cov + q.cov)
+
+
+def stationary_cross_kpq(kernel: Kernel, p: GaussianMeasure, q: GaussianMeasure) -> float | None:
+    """Double integral of a stationary kernel K(x, y) = phi(x - y)
+    against two Gaussian measures, one in each argument: E phi(X - Y) =
+    K_D(0) for D the law of X - Y. None when the kernel is not
+    stationary or K_D has no closed form."""
+    d = _gauss_difference(p, q)
+    if kernel.dim is not None and kernel.dim != d.dim:
+        raise InvalidSpecError("dimension mismatch between kernel and measures")
+    pair = _closed_form_pair(kernel, d) if kernel.stationary else None
+    if pair is None:
+        return None
+    return float(pair.kp_rows(np.zeros((1, d.dim)))[0])
 
 
 # --- Matern kernels, uniform measure --------------------------------------
@@ -412,21 +422,20 @@ def _matern_gauss_term(
 
 
 def matern_gauss_kp(kernel: MaternKernel, measure: GaussianMeasure) -> Embedding:
-    """Matern kernel (nu in {1/2, 3/2, 5/2}) against N(mu, sigma^2):
-    closed-form mean embedding. The double integral has no known
-    expression and is left out (None) for :func:`embed` to estimate."""
+    """Matern kernel (nu in {1/2, 3/2, 5/2}) against N(mu, sigma^2). The
+    double integral is the mean embedding at 0 under N(0, 2 sigma^2),
+    the law of the difference of two independent draws."""
     n, mu, sigma = kernel.n, measure.mean[0], float(measure.stds()[0])
     beta = math.sqrt(2 * n + 1) / kernel.lengthscale
 
-    def kp_rows(X):
-        x = X[:, 0]
+    def kp(x, mu, sigma):
         return _matern_gauss_term(n, beta, sigma, x, mu, +1.0) + _matern_gauss_term(
             n, beta, sigma, x, mu, -1.0
         )
 
     return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=None,
+        kp_rows_fn=lambda X: kp(X[:, 0], mu, sigma),
+        kpp=float(kp(np.zeros(1), 0.0, math.sqrt(2.0 * measure.cov_diag[0]))[0]),
         pair_id="matern/gaussian",
         kernel=kernel,
         measure=measure,
@@ -482,22 +491,22 @@ def wendland0_uniform(kernel: WendlandKernel, measure: UniformBoxMeasure) -> Emb
 
 
 def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embedding:
-    """Wendland kernel of order 0 or 2 against N(mu, sigma^2):
-    closed-form mean embedding (the kernel is translation invariant, so
-    a non-centered measure reduces to the centered expressions via
-    x -> x - mu). The double integral is left out (None) for
-    :func:`embed` to estimate.
+    """Wendland kernel of order 0 or 2 against N(mu, sigma^2). The kernel
+    is translation invariant, so a non-centered measure reduces to the
+    centered expressions via x -> x - mu, and the double integral is the
+    mean embedding at 0 under N(0, 2 sigma^2), the law of the difference
+    of two independent draws.
     """
     order, ls = kernel.order, kernel.lengthscale
-    mu, sigma = measure.mean[0], float(measure.stds()[0])
-    s = math.sqrt(2.0) * sigma
-    s2 = sigma**2
 
-    def phi(t: np.ndarray) -> np.ndarray:
-        return exp_each(-t * t / (2.0 * s2))
+    def kp(x: np.ndarray, sigma: float) -> np.ndarray:
+        """The embedding under N(0, sigma^2) at each element of x."""
+        s = math.sqrt(2.0) * sigma
+        s2 = sigma**2
 
-    def kp_rows(X):
-        x = X[:, 0] - mu
+        def phi(t: np.ndarray) -> np.ndarray:
+            return exp_each(-t * t / (2.0 * s2))
+
         if order == 0:
             return (
                 (ls - x) * erf((ls - x) / s)
@@ -531,9 +540,10 @@ def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embed
             + 16.0 * ls * x * (3.0 * s2 + x2) * erf(x / s)
         ) / (2.0 * ls**4)
 
+    mu, sigma = measure.mean[0], float(measure.stds()[0])
     return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=None,
+        kp_rows_fn=lambda X: kp(X[:, 0] - mu, sigma),
+        kpp=float(kp(np.zeros(1), math.sqrt(2.0 * measure.cov_diag[0]))[0]),
         pair_id="wendland/gaussian",
         kernel=kernel,
         measure=measure,
@@ -692,13 +702,9 @@ def empirical_embed(kernel: Kernel, measure: EmpiricalMeasure) -> Embedding:
             out[i] = np.dot(w, row)
         return out
 
-    kpp = 0.0
-    for i, row in enumerate(kernel.rows(pts, pts)):
-        kpp += w[i] * float(np.dot(w, row))
-
     return Embedding(
         kp_rows_fn=kp_rows,
-        kpp=kpp,
+        kpp=kernel.gram_form(pts, w),
         pair_id=f"{kernel.family}/empirical",
         kernel=kernel,
         measure=measure,
@@ -722,35 +728,25 @@ def _column_in_box(X: np.ndarray, a: float, b: float) -> np.ndarray:
 def numeric_embedding(
     kernel: Kernel, measure: Measure, budget: int | None = None, seed: int = 0
 ) -> Embedding:
-    """Oracle-backed embedding for pairs without a closed form."""
-    empty = Embedding(
-        kp_rows_fn=None,
-        kpp=None,
+    """Oracle-backed embedding for pairs without a closed form, with the
+    given budget and seed: K_PP once, K_P at each point asked for, with
+    one sample or rule shared by the rows of a ``kp_rows`` call."""
+    est = oracle.estimate_kpp(kernel, measure, budget=budget, seed=seed)
+
+    def kp_rows(X):
+        rows = oracle.estimate_kp_rows(kernel, measure, X, budget=budget, seed=seed)
+        return np.array([e.value for e in rows])
+
+    return Embedding(
+        kp_rows_fn=kp_rows,
+        kpp=est.value,
         pair_id=f"{kernel.family}/{measure.family}",
         kernel=kernel,
         measure=measure,
+        kp_provenance=NUMERIC_FALLBACK,
+        kpp_provenance=NUMERIC_FALLBACK,
+        kpp_stderr=est.stderr,
     )
-    return _oracle_fill(empty, budget, seed)
-
-
-def _oracle_fill(e: Embedding, budget: int | None, seed: int) -> Embedding:
-    """Fill in each part a builder left out (None) from the oracle, with
-    the given budget and seed: K_PP once, K_P at each point asked for,
-    with one sample or rule shared by the rows of a ``kp_rows`` call."""
-    kernel, measure = e.kernel, e.measure
-    if e.kpp is None:
-        est = oracle.estimate_kpp(kernel, measure, budget=budget, seed=seed)
-        e = replace(
-            e, kpp=est.value, kpp_provenance=NUMERIC_FALLBACK, kpp_stderr=est.stderr
-        )
-    if e.kp_rows_fn is None:
-
-        def kp_rows(X):
-            rows = oracle.estimate_kp_rows(kernel, measure, X, budget=budget, seed=seed)
-            return np.array([est.value for est in rows])
-
-        e = replace(e, kp_rows_fn=kp_rows, kp_provenance=NUMERIC_FALLBACK)
-    return e
 
 
 def embed(
@@ -799,7 +795,7 @@ def embed(
     pair = _closed_form_pair(kernel, measure)
     if pair is None:
         return numeric_embedding(kernel, measure, budget=budget, seed=seed)
-    return _oracle_fill(pair, budget, seed)
+    return pair
 
 
 def _closed_form_pair(kernel: Kernel, measure: Measure) -> Embedding | None:

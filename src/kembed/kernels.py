@@ -136,6 +136,9 @@ class Kernel:
     spec: dict[str, str] | None = None
     #: True when y -> K(x, y) is analytic, so Gauss-Hermite quadrature applies.
     smooth: bool = False
+    #: True when K(x, y) = phi(x - y) on R^d, so the double integral of K
+    #: against independent X ~ P and Y ~ Q is K_D(0), D the law of X - Y.
+    stationary: bool = False
     #: ``_derivatives(x, Y)`` returns (K, grad_x K, grad_y K,
     #: tr grad_x grad_y K), of shapes (n,), (n, d), (n, d), (n,), against
     #: the rows y_i of Y, at one point x or at the matched rows of an
@@ -255,6 +258,7 @@ class GaussianKernel(Kernel):
     family = "gaussian"
     spec = {"lengthscales": "numbers?", "matrix": "array?"}
     smooth = True
+    stationary = True
 
     def __post_init__(self):
         if (self.lengthscales is None) == (self.matrix is None):
@@ -357,6 +361,7 @@ class MaternKernel(Kernel):
 
     family = "matern"
     spec = {"nu": "number", "lengthscale": "number"}
+    stationary = True
 
     def __post_init__(self):
         n = self.nu - 0.5
@@ -402,6 +407,7 @@ class WendlandKernel(Kernel):
 
     family = "wendland"
     spec = {"order": "integer", "lengthscale": "number"}
+    stationary = True
 
     def __post_init__(self):
         if self.order not in (0, 2, 4):

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Embedding, gauss_cross_kpq, gauss_gauss
+from .dictionary import Embedding, _closed_form_pair, stationary_cross_kpq
 from .errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
-from .kernels import GaussianKernel, as_points
+from .kernels import as_points
 from .measures import EmpiricalMeasure, GaussianMeasure, Measure
 
 __all__ = [
@@ -280,8 +280,10 @@ def mmd2(embedding: Embedding, q, weights=None) -> float:
     """Squared maximum mean discrepancy K_PP - 2 K_PQ + K_QQ, under the
     embedding's kernel, between the embedded measure P and a second
     measure Q: an empirical measure, a raw point array with optional
-    (possibly signed) weights, or a Gaussian measure under a Gaussian
-    kernel."""
+    (possibly signed) weights, or a Gaussian measure when P is Gaussian
+    too and the kernel is stationary with a closed form under Gaussians
+    (Gaussian, Matern nu <= 5/2, Wendland order 0 or 2); K_PQ is then
+    K_D(0), D the law of X - Y."""
     kernel = embedding.kernel
     kpp = _scalar_kpp(embedding, "mmd2")
     if isinstance(q, EmpiricalMeasure) or not isinstance(q, Measure):
@@ -305,15 +307,12 @@ def mmd2(embedding: Embedding, q, weights=None) -> float:
         # never held
         kqq = kernel.gram_form(points, w)
         return kpp - 2.0 * kpq + kqq
-    if (
-        isinstance(q, GaussianMeasure)
-        and isinstance(kernel, GaussianKernel)
-        and isinstance(embedding.measure, GaussianMeasure)
-    ):
-        kpq = gauss_cross_kpq(kernel, embedding.measure, q)
-        kqq = gauss_gauss(kernel, q).kpp
-        return kpp - 2.0 * kpq + kqq
+    if isinstance(q, GaussianMeasure) and isinstance(embedding.measure, GaussianMeasure):
+        kpq = stationary_cross_kpq(kernel, embedding.measure, q)
+        if kpq is not None:
+            return kpp - 2.0 * kpq + _closed_form_pair(kernel, q).kpp
     raise UnsupportedPairError(
-        f"mmd2 supports empirical Q, or Gaussian Q with a Gaussian kernel; "
+        "mmd2 supports empirical Q, or Gaussian Q against a Gaussian P with a "
+        "stationary kernel that has a closed form under Gaussians; "
         f"got measure family '{q.family}'"
     )

@@ -86,12 +86,20 @@ class SteinKernel(Kernel):
         self.base._check(V)
 
     def _pairs(self, X, Y):
-        # the rows forms on points already checked: Kernel.rows calls
-        # _pairs once per row of X, and a check here would rerun over all
-        # of Y on every call
-        k, gx, gy, tr = self.base._derivatives(X, Y)
-        sy = self.target._score_rows(Y)
-        sx = self.target._score_rows(X)
+        # the rows forms on points already checked, so no check here
+        sx, sy = self.target._score_rows(X), self.target._score_rows(Y)
+        return self._value(self.base._derivatives(X, Y), sx, sy)
+
+    def _rows(self, X, Y):
+        # each array is scored once, not once per row of X
+        sx, sy = self.target._score_rows(X), self.target._score_rows(Y)
+        for i in range(len(X)):
+            yield self._value(self.base._derivatives(X[i : i + 1], Y), sx[i : i + 1], sy)
+
+    def _value(self, derivatives, sx, sy):
+        """The Stein kernel from the base kernel's (K, grad_x K, grad_y K,
+        tr grad_x grad_y K) and the scores of the matched rows."""
+        k, gx, gy, tr = derivatives
         return (
             k * np.sum(sy * sx, axis=1)
             + np.sum(gx * sy, axis=1)

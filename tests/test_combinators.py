@@ -132,9 +132,10 @@ def test_mixture_empirical_cross_terms_exact():
 
 
 def test_mixture_mc_cross_terms_flagged():
-    # matern kernel on gaussian components: cross terms have no closed
-    # form and fall back to Monte Carlo with a reported stderr
-    k = MaternKernel(nu=1.5, lengthscale=1.0)
+    # Matern-7/2 has no closed form under a Gaussian, so its cross terms
+    # between gaussian components fall back to Monte Carlo with a
+    # reported stderr
+    k = MaternKernel(nu=3.5, lengthscale=1.0)
     comps = [
         GaussianMeasure(mean=(0.0,), cov=(1.0,)),
         GaussianMeasure(mean=(1.5,), cov=(0.5,)),

@@ -11,8 +11,8 @@ from kembed.dictionary import (
     CLOSED_FORM,
     NUMERIC_FALLBACK,
     embed,
-    gauss_cross_kpq,
     matern_uniform_special,
+    stationary_cross_kpq,
 )
 from kembed.errors import InvalidSpecError, UnsupportedPairError
 from kembed.kernels import (
@@ -155,7 +155,7 @@ def test_matern_gauss_frozen(nu):
     p = GaussianMeasure(mean=(0.3,), cov=(1.44,))
     e = embed(k, p)
     assert e.kp_provenance == CLOSED_FORM
-    assert e.kpp_provenance == NUMERIC_FALLBACK
+    assert e.kpp_provenance == CLOSED_FORM
     for x, expected in MATERN_GAUSS_KP[nu].items():
         assert e.kp_at(list(x)) == pytest.approx(expected, rel=1e-13)
     o = estimate_kpp(k, p, budget=300)
@@ -283,8 +283,8 @@ def test_gauss_cross_term_symmetry_and_diagonal():
     mq, cq = np.array([1.0]), np.array([[0.25]])
     kernel = GaussianKernel(matrix=lam)
     p, q = GaussianMeasure(mp, cp), GaussianMeasure(mq, cq)
-    ab = gauss_cross_kpq(kernel, p, q)
-    ba = gauss_cross_kpq(kernel, q, p)
+    ab = stationary_cross_kpq(kernel, p, q)
+    ba = stationary_cross_kpq(kernel, q, p)
     assert ab == pytest.approx(ba, rel=1e-15)
     assert ab == pytest.approx(
         math.sqrt(1.0 / 2.25) * math.exp(-0.5 / 2.25), rel=1e-14
@@ -292,8 +292,89 @@ def test_gauss_cross_term_symmetry_and_diagonal():
     # P = Q reduces to the double integral
     e = embed(GaussianKernel(lengthscales=(1.0,)),
               GaussianMeasure(mean=(0.0,), cov=(1.0,)))
-    same = gauss_cross_kpq(kernel, p, p)
+    same = stationary_cross_kpq(kernel, p, p)
     assert same == pytest.approx(e.kpp, rel=1e-14)
+
+
+# the stationary kernels with a closed form under a 1-d Gaussian, by
+# lengthscale
+STATIONARY_GAUSS = {
+    "matern12": lambda ls: MaternKernel(nu=0.5, lengthscale=ls),
+    "matern32": lambda ls: MaternKernel(nu=1.5, lengthscale=ls),
+    "matern52": lambda ls: MaternKernel(nu=2.5, lengthscale=ls),
+    "wendland0": lambda ls: WendlandKernel(order=0, lengthscale=ls),
+    "wendland2": lambda ls: WendlandKernel(order=2, lengthscale=ls),
+}
+
+
+@pytest.mark.parametrize("ratio", [0.125, 1.0, 8.0])
+@pytest.mark.parametrize("name", sorted(STATIONARY_GAUSS))
+def test_stationary_kpp_is_k_d_at_zero(name, ratio):
+    # K_PP under N(mu, sigma^2) is K_P at 0 under D = N(0, 2 sigma^2),
+    # sigma_D / l = ratio; the oracle integrates K(0, .) against D and
+    # reads no closed form
+    sigma = 0.7
+    k = STATIONARY_GAUSS[name](math.sqrt(2.0) * sigma / ratio)
+    e = embed(k, GaussianMeasure(mean=(0.4,), cov=(sigma**2,)))
+    assert e.provenance == CLOSED_FORM
+    assert e.kpp_stderr == 0.0
+    o = estimate_kp(k, GaussianMeasure(mean=(0.0,), cov=(2.0 * sigma**2,)), x=[0.0])
+    assert e.kpp == pytest.approx(o.value, rel=1e-10)
+
+
+@pytest.mark.parametrize("ratio", [0.125, 0.5, 2.0])
+@pytest.mark.parametrize("name", sorted(STATIONARY_GAUSS))
+def test_stationary_cross_terms_match_the_oracle(name, ratio):
+    # E K(X, Y) for X ~ P, Y ~ Q is K_D(0), D = N(mu_P - mu_Q, var_P +
+    # var_Q), with means up to 20 sigma_Q apart and sigma_D / l = ratio.
+    # The tolerance is 1e-10 of the largest cross term, the one with equal
+    # means: far apart, the Wendland closed forms keep that absolute
+    # accuracy but not a relative one
+    sp, sq = 0.6, 0.8
+    k = STATIONARY_GAUSS[name](math.sqrt(sp**2 + sq**2) / ratio)
+    largest = estimate_kp(k, GaussianMeasure((0.0,), sp**2 + sq**2), x=[0.0]).value
+    p = GaussianMeasure(mean=(0.3,), cov=(sp**2,))
+    for apart in (0.0, 1.0, 5.0, 20.0):
+        q = GaussianMeasure(mean=(0.3 + apart * sq,), cov=(sq**2,))
+        d = GaussianMeasure(mean=(-apart * sq,), cov=(sp**2 + sq**2,))
+        o = estimate_kp(k, d, x=[0.0])
+        assert stationary_cross_kpq(k, p, q) == pytest.approx(
+            o.value, rel=1e-10, abs=1e-10 * largest
+        ), apart
+
+
+@pytest.mark.parametrize("name", sorted(STATIONARY_GAUSS))
+def test_gaussian_mixture_kpp_sums_difference_measures(name, count_draws):
+    # K_PP of sum_j w_j N(m_j, v_j) is sum_jk w_j w_k K_{D_jk}(0), every
+    # term in closed form: no draw, no standard error
+    k = STATIONARY_GAUSS[name](0.9)
+    means, variances, w = (-1.0, 0.5, 9.0), (0.25, 0.5, 0.2), (0.2, 0.5, 0.3)
+    comps = [GaussianMeasure(mean=(m,), cov=(v,)) for m, v in zip(means, variances)]
+    draws = count_draws(comps[0])
+    e = embed(k, MixtureMeasure(components=comps, weights=w))
+    assert draws == []
+    assert e.provenance == CLOSED_FORM
+    assert e.kpp_stderr == 0.0
+    expected = sum(
+        w[j] * w[i] * embed(
+            k, GaussianMeasure(mean=(means[j] - means[i],), cov=(variances[j] + variances[i],))
+        ).kp_at([0.0])
+        for j in range(3)
+        for i in range(3)
+    )
+    assert e.kpp == pytest.approx(expected, rel=1e-14)
+
+
+def test_stationary_cross_term_needs_a_closed_route():
+    p, q = GaussianMeasure((0.0,), 1.0), GaussianMeasure((1.0,), 0.5)
+    # not stationary, though it has a centred-Gaussian closed form
+    assert stationary_cross_kpq(PowerSeriesKernel({(0,): 1.0, (2,): 0.5}), p, q) is None
+    # stationary, with no closed form under a Gaussian
+    assert stationary_cross_kpq(MaternKernel(nu=3.5), p, q) is None
+    with pytest.raises(InvalidSpecError, match="dimension mismatch"):
+        stationary_cross_kpq(GaussianKernel((1.0, 1.0)), p, q)
+    with pytest.raises(InvalidSpecError, match="dimension mismatch"):
+        stationary_cross_kpq(GaussianKernel((1.0,)), p, GaussianMeasure((0.0, 0.0), 1.0))
 
 
 def test_wendland_uniform_branch_coverage():

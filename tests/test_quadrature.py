@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from kembed.dictionary import embed
-from kembed.errors import InvalidSpecError, NumericalFailure
-from kembed.kernels import GaussianKernel, MaternKernel
+from kembed.errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
+from kembed.kernels import GaussianKernel, MaternKernel, PowerSeriesKernel, WendlandKernel
 from kembed.measures import (
     EmpiricalMeasure,
     GaussianMeasure,
@@ -181,6 +181,28 @@ def test_mmd_between_gaussians():
     expected = 2.0 / math.sqrt(3.0) * (1.0 - math.exp(-1.0 / 6.0))
     assert val == pytest.approx(expected, rel=1e-12)
     assert val >= -1e-10
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [MaternKernel(nu=2.5, lengthscale=0.8), WendlandKernel(order=2, lengthscale=1.5)],
+    ids=["matern52", "wendland2"],
+)
+def test_mmd_between_gaussians_under_a_stationary_kernel(kernel):
+    # each of K_PP, K_PQ and K_QQ is E k(X - Y) under a difference
+    # measure, integrated here by the oracle, which reads no closed form
+    p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
+    q = GaussianMeasure(mean=(1.5,), cov=(0.5,))
+    e = embed(kernel, p)
+
+    def at_zero(mean, var):
+        return estimate_kp(kernel, GaussianMeasure(mean=(mean,), cov=(var,)), x=[0.0]).value
+
+    expected = at_zero(0.0, 2.0) - 2.0 * at_zero(-1.5, 1.5) + at_zero(0.0, 1.0)
+    assert mmd2(e, q) == pytest.approx(expected, abs=1e-12)
+    assert mmd2(e, p) == 0.0
+    with pytest.raises(UnsupportedPairError, match="stationary"):
+        mmd2(embed(PowerSeriesKernel({(0,): 1.0, (2,): 0.5}), p), p)
 
 
 def test_mmd_shrinks_with_sample_size():

@@ -192,7 +192,7 @@ def test_full_covariance_target():
 _FULL_COV = np.array([[1.0, 0.4], [0.4, 2.0]])
 
 
-@pytest.mark.parametrize(
+_FULL_COV_TARGETS = pytest.mark.parametrize(
     "target",
     [
         GaussianMeasure(mean=(0.0, 1.0), cov=_FULL_COV),
@@ -206,6 +206,9 @@ _FULL_COV = np.array([[1.0, 0.4], [0.4, 2.0]])
     ],
     ids=["gaussian", "mixture"],
 )
+
+
+@_FULL_COV_TARGETS
 def test_full_covariance_entry_points_agree_bitwise(target):
     # a row's score must not depend on how many rows share the call
     k = SteinKernel(base=GaussianKernel(lengthscales=(1.0, 0.7)), target=target)
@@ -218,6 +221,20 @@ def test_full_covariance_entry_points_agree_bitwise(target):
             one = k(x, y)
             assert row[j] == one and gram[i, j] == one, (i, j)
         assert paired[i] == k(x, pts[-1 - i]), i
+
+
+@_FULL_COV_TARGETS
+def test_gram_scores_each_array_once(target, count_calls):
+    # the rows of a Gram share one score pass over each argument array,
+    # where a pass per row of X made an n-point Gram cost n passes
+    k = SteinKernel(base=GaussianKernel(lengthscales=(1.0, 0.7)), target=target)
+    pts = target.sample(40, 38)
+    scored = count_calls(type(target), "_score_rows")
+    k.gram(pts)
+    assert len(scored) == 2
+    k.gram_form(pts, np.ones(40))
+    list(k.rows(pts[:5], pts))
+    assert len(scored) == 6
 
 
 def test_embedding_is_the_constant_only_under_the_target():
