@@ -12,7 +12,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import oracle
 from .dictionary import (
     CLOSED_FORM,
     NUMERIC_FALLBACK,
@@ -118,8 +117,9 @@ def mixture_embed(
     the cross terms between distinct components. Those are computed in
     closed form for a stationary kernel against two Gaussian components
     when K_D has one, D the law of the difference of their draws
-    (:func:`~kembed.dictionary.stationary_cross_kpq`), exactly for
-    empirical components, and by Monte Carlo otherwise.
+    (:func:`~kembed.dictionary.stationary_cross_kpq`), exactly for an
+    empirical component (the other component's K_P summed over its
+    atoms, wherever they lie), and by Monte Carlo otherwise.
     """
     parts = [embed(kernel, c, budget=budget, seed=seed) for c in measure.components]
     w = measure.weights
@@ -181,26 +181,11 @@ def _cross_kpq(
         if value is not None:
             return value, 0.0, CLOSED_FORM
     if isinstance(mk, EmpiricalMeasure):
-        wts = np.asarray(mk.weights)
-        total = 0.0
-        var = 0.0
-        prov = part_j.kp_provenance
-        for i in range(len(wts)):
-            try:
-                v, s = part_j.kp_at(mk.points[i]), 0.0
-            except InvalidSpecError:
-                # closed form restricted to its own support; integrate
-                # K(., atom) against the other component directly
-                est = oracle.estimate_kp(kernel, mj, x=mk.points[i], seed=seed)
-                v, s = est.value, est.stderr
-                prov = NUMERIC_FALLBACK
-            total += float(wts[i]) * v
-            var += (float(wts[i]) * s) ** 2
-        return total, math.sqrt(var), prov
+        value = float(np.dot(mk.weights, part_j.kp_rows(mk.points)))
+        return value, 0.0, part_j.kp_provenance
     if isinstance(mj, EmpiricalMeasure):
         return _cross_kpq(part_k, part_j, budget, seed)
-    # raw double Monte Carlo: independent draws in each argument, so
-    # support-restricted closed forms are never evaluated out of range
+    # raw double Monte Carlo: independent draws in each argument
     n = budget if budget is not None else CROSS_TERM_BUDGET
     vals = kernel.pairs(mj.sample(n, seed), mk.sample(n, seed + 1))
     value = float(np.mean(vals))

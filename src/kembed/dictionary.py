@@ -15,7 +15,9 @@ kernel phi(x - y) integrated against independent Gaussians X ~ P and
 Y ~ Q is K_D(0), D = N(mu_P - mu_Q, Sigma_P + Sigma_Q) the law of
 X - Y (the convolution view of Nishiyama & Fukumizu, JMLR 2016):
 :func:`stationary_cross_kpq` reads every such cross term from the
-closed form of K_D.
+closed form of K_D. A stationary kernel under U[a, b] in 1-d has K_P(x)
+= (F(x - a) - F(x - b)) / (b - a), F the odd antiderivative of phi, at
+every x on the line: only the kernel's own domain bounds x.
 """
 
 from __future__ import annotations
@@ -148,25 +150,21 @@ def gauss_uniform(kernel: GaussianKernel, measure: UniformBoxMeasure) -> Embeddi
     a = np.asarray(measure.lows)
     b = np.asarray(measure.highs)
     r = b - a
+    s = ls * math.sqrt(2.0)
 
     def kp_rows(X):
+        diff = erf((b - X) / s) - erf((a - X) / s)
         total = 1.0
         for i in range(measure.dim):
-            s = ls[i] * math.sqrt(2.0)
-            total = total * (
-                math.sqrt(math.pi / 2.0)
-                * (ls[i] / r[i])
-                * (erf((b[i] - X[:, i]) / s) - erf((a[i] - X[:, i]) / s))
-            )
+            total = total * (math.sqrt(math.pi / 2.0) * (ls[i] / r[i]) * diff[:, i])
         return total
 
     kpp = 1.0
     for i in range(measure.dim):
-        s = ls[i] * math.sqrt(2.0)
         # expm1 keeps the bracket accurate when r << l
         bracket = ls[i] * math.sqrt(2.0 / math.pi) * math.expm1(
             -r[i] ** 2 / (2.0 * ls[i] ** 2)
-        ) + r[i] * erf(r[i] / s)
+        ) + r[i] * erf(r[i] / s[i])
         kpp *= math.sqrt(2.0 * math.pi) * (ls[i] / r[i] ** 2) * bracket
 
     return Embedding(
@@ -249,6 +247,12 @@ def stationary_cross_kpq(kernel: Kernel, p: GaussianMeasure, q: GaussianMeasure)
 # --- Matern kernels, uniform measure --------------------------------------
 
 
+def _edge_signs(x: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The signs of x - a and of b - x, taken +1 at the edges, so that
+    both are +1 in the box [a, b]."""
+    return np.where(x >= a, 1.0, -1.0), np.where(x <= b, 1.0, -1.0)
+
+
 @dataclass(frozen=True)
 class MaternUniformCoefficients:
     """Shared quantities of the half-integer Matern embeddings on [a, b]:
@@ -282,9 +286,6 @@ class MaternUniformCoefficients:
             c.append(s / math.factorial(m))
         object.__setattr__(self, "c", tuple(float(v) for v in c))
 
-    def d(self, x, y):
-        return (x - y) / self.alpha
-
     def q_poly(self, z: np.ndarray) -> np.ndarray:
         """Q at each element of an array."""
         return exp_each(-z) * sum(cm * pow_each(z, m) for m, cm in enumerate(self.c))
@@ -297,18 +298,25 @@ class MaternUniformCoefficients:
 
 def matern_uniform_general(kernel: MaternKernel, measure: UniformBoxMeasure) -> Embedding:
     """Half-integer Matern kernel against the uniform measure on [a, b],
-    via the general formulas in Q and the incomplete gamma function."""
+    via the general formulas in Q and the incomplete gamma function:
+    F(t) = sign(t) alpha n!/(2n)! (c_0 - Q(|t| / alpha)), defined on the
+    whole line."""
     n, (a,), (b,) = kernel.n, measure.lows, measure.highs
     co = MaternUniformCoefficients(n, kernel.lengthscale, a, b)
     r = b - a
     lead = math.factorial(n) / math.factorial(2 * n)
 
     def kp_rows(X):
-        x = _column_in_box(X, a, b)
+        x = X[:, 0]
+        sa, sb = _edge_signs(x, a, b)
         return (
             (co.alpha / r)
             * lead
-            * (2.0 * co.c[0] - co.q_poly((x - a) / co.alpha) - co.q_poly((b - x) / co.alpha))
+            * (
+                co.c[0] * (sa + sb)
+                - sa * co.q_poly(np.abs(x - a) / co.alpha)
+                - sb * co.q_poly(np.abs(b - x) / co.alpha)
+            )
         )
 
     gam = co.gammas()
@@ -326,26 +334,27 @@ def matern_uniform_general(kernel: MaternKernel, measure: UniformBoxMeasure) -> 
 
 def matern_uniform_special(kernel: MaternKernel, measure: UniformBoxMeasure) -> Embedding:
     """The four explicit Matern/uniform embeddings, used as a mutual
-    cross-check of the general formulas."""
+    cross-check of the general formulas, on the whole line as well."""
     n, (a,), (b,) = kernel.n, measure.lows, measure.highs
     co = MaternUniformCoefficients(n, kernel.lengthscale, a, b)
     rho = co.rho
 
     def kp_rows(X):
-        x = _column_in_box(X, a, b)
-        u = co.d(a, x)  # (a - x) / alpha <= 0
-        v = co.d(x, b)  # (x - b) / alpha <= 0
-        eu, ev = exp_each(u), exp_each(v)
+        x = X[:, 0]
+        sa, sb = _edge_signs(x, a, b)
+        u = -np.abs(x - a) / co.alpha  # (a - x) / alpha in the box
+        v = -np.abs(b - x) / co.alpha  # (x - b) / alpha in the box
+        eu, ev = sa * exp_each(u), sb * exp_each(v)
         if n == 0:
-            return (2.0 - eu - ev) / rho
+            return (sa + sb - eu - ev) / rho
         if n == 1:
-            return (4.0 - ev * (2.0 - v) - eu * (2.0 - u)) / rho
+            return (2.0 * (sa + sb) - ev * (2.0 - v) - eu * (2.0 - u)) / rho
         if n == 2:
             return (
-                16.0 - ev * (8.0 - 5.0 * v + v * v) - eu * (8.0 - 5.0 * u + u * u)
+                8.0 * (sa + sb) - ev * (8.0 - 5.0 * v + v * v) - eu * (8.0 - 5.0 * u + u * u)
             ) / (3.0 * rho)
         return (
-            96.0
+            48.0 * (sa + sb)
             - ev * (48.0 - 33.0 * v + 9.0 * v * v - pow_each(v, 3))
             - eu * (48.0 - 33.0 * u + 9.0 * u * u - pow_each(u, 3))
         ) / (15.0 * rho)
@@ -446,40 +455,23 @@ def matern_gauss_kp(kernel: MaternKernel, measure: GaussianMeasure) -> Embedding
 
 
 def wendland0_uniform(kernel: WendlandKernel, measure: UniformBoxMeasure) -> Embedding:
-    """Order-0 Wendland kernel against the uniform measure on [a, b]."""
+    """Order-0 Wendland kernel against the uniform measure on [a, b], on
+    the whole line: F(t) = sign(t) (m - m^2 / 2l), m = min(|t|, l)."""
     ls, (a,), (b,) = kernel.lengthscale, measure.lows, measure.highs
     r = b - a
 
-    def kp_rows(X):
-        x = _column_in_box(X, a, b)
-        x2 = pow_each(x, 2)
-        # whether the support [x - ls, x + ls] clears each end of the box
-        clear_b, clear_a = b >= x + ls, a + ls < x
-        return np.select(
-            [clear_b & clear_a, clear_b, clear_a],
-            [
-                np.full_like(x, ls / r),
-                (2 * x * (a + ls) + ls**2 - a**2 - 2 * a * ls - x2) / (2 * r * ls),
-                (2 * b * (ls + x) + ls**2 - b**2 - 2 * ls * x - x2) / (2 * r * ls),
-            ],
-            (2 * (b * ls + b * x + a * x) - a**2 - b**2 - 2 * (a * ls + x2)) / (2 * r * ls),
-        )
+    def area(t):
+        """|F(t)|, the integral of the profile over [0, |t|]."""
+        m = np.minimum(np.abs(t), ls)
+        return m - m * m / (2.0 * ls)
 
-    # The printed branch conditions for the double integral overlap: the
-    # short-support case l < r captures everything its sibling branch
-    # r > l would, leaving that branch's formula (valid for wide
-    # support, r < l) unreachable as written. Ordering the branches by
-    # the partition {r = 2l, l < r, r < l, r = l} applies each formula
-    # on the region where it reproduces direct integration of the
-    # kernel; the r = 2l and r = l cases agree with their neighbours.
-    if r == 2.0 * ls:
-        kpp = 5.0 / 12.0
-    elif ls < r:
-        kpp = ls * (3.0 * r - ls) / (3.0 * r**2)
-    elif r < ls:
-        kpp = 1.0 - r / (3.0 * ls)
-    else:
-        kpp = ls * (9.0 * r - 2.0 * ls) / (3.0 * r**2) + r / (3.0 * ls) - 2.0
+    def kp_rows(X):
+        x = X[:, 0]
+        sa, sb = _edge_signs(x, a, b)
+        return (sa * area(x - a) + sb * area(b - x)) / r
+
+    # 2 G(r) / r^2, with G the even antiderivative of F, G(0) = 0
+    kpp = 1.0 - r / (3.0 * ls) if r <= ls else ls * (3.0 * r - ls) / (3.0 * r**2)
 
     return Embedding(
         kp_rows_fn=kp_rows,
@@ -555,15 +547,19 @@ def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embed
 
 def fbm_uniform(kernel: FbmKernel, measure: UniformBoxMeasure) -> Embedding:
     """Fractional Brownian motion kernel against the uniform measure on
-    [a, b] with 0 <= a < b."""
+    [a, b] with 0 <= a < b, at any x in the kernel's domain: the
+    |x - y|^{2H} term integrates to (F(x - a) - F(x - b)), F(t) =
+    sign(t) |t|^{2H+1} / (2H+1)."""
     (a,), (b,) = measure.lows, measure.highs
     h = 2.0 * kernel.hurst + 1.0
     r = b - a
 
     def kp_rows(X):
-        x = _column_in_box(X, a, b)
+        kernel._check(X)
+        x = X[:, 0]
+        sa, sb = _edge_signs(x, a, b)
         return (
-            b**h - a**h - pow_each(b - x, h) - pow_each(x - a, h)
+            b**h - a**h - sb * pow_each(np.abs(b - x), h) - sa * pow_each(np.abs(x - a), h)
         ) / (2.0 * h * r) + pow_each(x, h - 1.0) / 2.0
 
     kpp = ((h + 1.0) * (b**h - a**h) - r**h) / (h * (h + 1.0) * r)
@@ -674,10 +670,11 @@ def sphere_embed(
 def periodic_sobolev_embed(kernel: PeriodicSobolevKernel, measure: UniformBoxMeasure) -> Embedding:
     """Periodic Sobolev kernel of order 2r under the uniform measure on
     [0, 1]: every Fourier term integrates to zero, so both embeddings
-    equal 1."""
+    equal 1 on the kernel's domain [0, 1]."""
 
     def kp_rows(X):
-        return np.ones_like(_column_in_box(X, 0.0, 1.0))
+        kernel._check(X)
+        return np.ones(len(X))
 
     return Embedding(
         kp_rows_fn=kp_rows,
@@ -712,17 +709,6 @@ def empirical_embed(kernel: Kernel, measure: EmpiricalMeasure) -> Embedding:
 
 
 # --- generic fallback and dispatch ------------------------------------------
-
-
-def _column_in_box(X: np.ndarray, a: float, b: float) -> np.ndarray:
-    """The one column of X, after checking that each row lies in [a, b]."""
-    x = X[:, 0]
-    outside = ~((a <= x) & (x <= b))
-    if np.any(outside):
-        raise InvalidSpecError(
-            f"the embedding is defined for x in [{a}, {b}], got {float(x[outside][0])}"
-        )
-    return x
 
 
 def numeric_embedding(

@@ -395,6 +395,27 @@ def test_eval_kpp_fbm_under_box_mixture(spec_file, capsys):
     assert json.loads(out.out)["provenance"] == "numeric_fallback"
 
 
+@pytest.mark.parametrize("kernel", [
+    {"family": "fbm", "hurst": 0.7},
+    {"family": "matern", "nu": 1.5, "lengthscale": 1.0},
+])
+def test_verify_under_two_adjacent_boxes(spec_file, capsys, kernel):
+    # each box's closed form is evaluated at points of the other box
+    box2 = {"family": "uniform_box", "lows": [1.0], "highs": [2.0]}
+    doc = {
+        "schema_version": 1,
+        "kernel": kernel,
+        "measure": {"family": "mixture", "components": [_BOX1, box2], "weights": [0.5, 0.5]},
+    }
+    path = spec_file(doc)
+    code, out = _run(capsys, ["verify", "--spec", path])
+    assert code == 0, out.err
+    assert json.loads(out.out)["pass"] is True
+    code, out = _run(capsys, ["eval", "--spec", path, "--what", "kp", "--x", "0.5"])
+    assert code == 0, out.err
+    assert json.loads(out.out)["provenance"] == "closed_form"
+
+
 @pytest.mark.parametrize("argv", [
     ["--what", "kp", "--x", "1.0"],
     ["--what", "kp", "--x", "1.7"],

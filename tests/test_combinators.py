@@ -35,7 +35,7 @@ from kembed.measures import (
     PushforwardMeasure,
     UniformBoxMeasure,
 )
-from kembed.oracle import estimate_kpp, estimate_mean
+from kembed.oracle import estimate_kp, estimate_kpp, estimate_mean
 from kembed.quadrature import bq_posterior, make_problem
 from kembed.stein import SteinKernel
 
@@ -176,6 +176,34 @@ def test_fbm_kernel_under_box_mixture():
     e = embed(k, mix)
     o = estimate_kpp(k, mix)
     assert abs(e.kpp - o.value) <= max(1e-6, 4.0 * math.hypot(e.kpp_stderr, o.stderr))
+
+
+@pytest.mark.parametrize("kernel", [FbmKernel(hurst=0.7), MaternKernel(nu=1.5)])
+def test_box_mixture_kp_on_both_boxes(kernel):
+    # each box's K_P is read at points of the other box too
+    boxes = [UniformBoxMeasure((0.0,), (1.0,)), UniformBoxMeasure((1.0,), (2.0,))]
+    e = embed(kernel, MixtureMeasure(boxes, [0.5, 0.5]))
+    assert e.kp_provenance == CLOSED_FORM
+    for x in ([0.5], [1.5]):
+        o = estimate_kp(kernel, boxes[1], x=x)
+        want = 0.5 * embed(kernel, boxes[0]).kp_at(x) + 0.5 * o.value
+        assert e.kp_at(x) == pytest.approx(want, rel=1e-13, abs=4 * o.stderr)
+
+
+def test_box_and_empirical_cross_term_is_exact_outside_the_box(count_draws):
+    # the atoms lie on both sides of the box, so the cross term reads the
+    # box's K_P outside it: a finite sum, with no draw
+    k = MaternKernel(nu=2.5, lengthscale=0.5)
+    box = UniformBoxMeasure((0.0,), (1.0,))
+    atoms = EmpiricalMeasure(points=np.array([[-0.7], [0.4], [1.6], [3.0]]), weights=(0.1, 0.2, 0.3, 0.4))
+    draws = count_draws(box)
+    e = embed(k, MixtureMeasure([box, atoms], [0.6, 0.4]))
+    assert draws == []
+    assert e.provenance == CLOSED_FORM
+    assert e.kpp_stderr == 0.0
+    cross = sum(w * estimate_kp(k, box, x=p).value for w, p in zip(atoms.weights, atoms.points))
+    want = 0.36 * embed(k, box).kpp + 0.16 * embed(k, atoms).kpp + 2 * 0.24 * cross
+    assert e.kpp == pytest.approx(want, rel=1e-13)
 
 
 def test_sum_kernel_under_mixture():
@@ -379,8 +407,6 @@ def _combined_route(route):
         kernel = ComposedKernel(base=g, map=AffineMap([2.0], [1.0]))
         return kernel, box, "pushforward[affine(scale=[2.0], shift=[1.0])]/gaussian/uniform_box"
     if route == "sum_under_mixture":
-        # Gaussian components: the Matern closed form on a box is defined
-        # on that box only, so its mixture of boxes fails at nodes outside
         kernel = SumKernel(children=[g, MaternKernel(nu=1.5)], weights=[0.5, 0.5])
         return kernel, normals, "sum/mixture+mixture"
     if route == "stein_under_mixture":

@@ -10,6 +10,7 @@ import pytest
 from kembed.dictionary import (
     CLOSED_FORM,
     NUMERIC_FALLBACK,
+    MaternUniformCoefficients,
     embed,
     matern_uniform_special,
     stationary_cross_kpq,
@@ -40,6 +41,7 @@ from kembed.measures import (
     UniformBoxMeasure,
 )
 from kembed.oracle import estimate_kp, estimate_kpp
+from kembed.specfun import exp_each, pow_each
 from kembed.stein import SteinKernel
 
 # Reference values computed independently by panel quadrature and
@@ -140,9 +142,9 @@ def test_oracle_agreement(name):
                  for lo, hi in zip(measure.lows, measure.highs)]
         else:
             x = [m + 2.0 * (rng.random() - 0.5) * 3.0 for m in measure.mean]
-        if kernel.family in ("fbm", "matern", "wendland"):
-            # these embeddings are defined for x inside the box
-            x = [min(max(v, measure.lows[0]), measure.highs[0]) for v in x]
+        if kernel.family == "fbm":
+            # the fbm kernel lives on the half line
+            x = [max(v, 0.0) for v in x]
         o = estimate_kp(kernel, measure, x=x, budget=300)
         assert e.kp_at(x) == pytest.approx(o.value, abs=max(1e-10, 3 * o.stderr))
     o2 = estimate_kpp(kernel, measure, budget=300)
@@ -394,16 +396,14 @@ def test_wendland_uniform_branch_coverage():
 
 
 def test_wendland_uniform_kp_positions():
-    # interior, near-edge, and support-spanning evaluation points
+    # interior, near-edge, support-spanning and outside evaluation points
     box = UniformBoxMeasure(lows=(0.0,), highs=(2.0,))
     for ell in (0.5, 3.0):
         k = WendlandKernel(order=0, lengthscale=ell)
         e = embed(k, box)
-        for x in (1.0, 0.1, 1.95, 0.0, 2.0):
+        for x in (1.0, 0.1, 1.95, 0.0, 2.0, -0.4, 2.6):
             o = estimate_kp(k, box, x=[x], budget=300)
             assert e.kp_at([x]) == pytest.approx(o.value, abs=1e-12)
-        with pytest.raises(InvalidSpecError):
-            e.kp_at([-0.4])
 
 
 def test_fbm_half_hurst_analytic():
@@ -413,9 +413,17 @@ def test_fbm_half_hurst_analytic():
 
 
 def test_fbm_domain_errors():
-    e = embed(FbmKernel(hurst=0.7), UniformBoxMeasure(lows=(0.0,), highs=(1.0,)))
-    with pytest.raises(InvalidSpecError):
-        e.kp_at([1.5])
+    box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
+    e = embed(FbmKernel(hurst=0.7), box)
+    # past the box, but on the kernel's half line
+    o = estimate_kp(FbmKernel(hurst=0.7), box, x=[1.5])
+    assert e.kp_at([1.5]) == pytest.approx(o.value, abs=max(1e-13, 4 * o.stderr))
+    with pytest.raises(InvalidSpecError, match="nonnegative"):
+        e.kp_at([-0.5])
+    inside = embed(FbmKernel(hurst=0.7, domain=(0.0, 2.0)), box)
+    inside.kp_at([1.5])
+    with pytest.raises(InvalidSpecError, match="declared domain"):
+        inside.kp_at([2.5])
     with pytest.raises(InvalidSpecError):
         embed(FbmKernel(hurst=0.7), UniformBoxMeasure(lows=(-1.0,), highs=(1.0,)))
 
@@ -627,6 +635,7 @@ def _on_sphere(rng, n):
 
 # Every closed-form arm of the dispatch, the special Matern formulas and
 # each combinator route: (embedding, points, a row outside its domain).
+# The 1-d box routes draw points past both edges of their box.
 _ROWS = {
     "gauss_uniform": (lambda: embed(GaussianKernel(lengthscales=(0.7, 1.4)),
                                     UniformBoxMeasure(lows=(0.0, -1.0), highs=(2.0, 1.0))),
@@ -640,13 +649,13 @@ _ROWS = {
                          _in((-6.0, -6.0), (6.0, 6.0)), [math.nan, 0.0]),
     **{
         f"matern_uniform_nu{nu}": (lambda nu=nu: embed(MaternKernel(nu=nu, lengthscale=0.4), _BOX1),
-                                   _in((-0.5,), (1.5,)), [1.75])
+                                   _in((-1.5,), (2.5,)), [math.nan])
         for nu in (0.5, 1.5, 2.5, 3.5)
     },
     **{
         f"matern_uniform_special_nu{nu}": (
             lambda nu=nu: matern_uniform_special(MaternKernel(nu=nu, lengthscale=0.4), _BOX1),
-            _in((-0.5,), (1.5,)), [-0.75])
+            _in((-1.5,), (2.5,)), [math.nan])
         for nu in (0.5, 1.5, 2.5, 3.5)
     },
     # past _STABLE_EXPONENT on both sides of the mean
@@ -656,7 +665,7 @@ _ROWS = {
         for nu in (0.5, 1.5, 2.5)
     },
     "wendland0_uniform": (lambda: embed(WendlandKernel(order=0, lengthscale=0.7), _BOX1),
-                          _in((-0.5,), (1.5,)), [2.0]),
+                          _in((-1.5,), (2.5,)), [math.nan]),
     **{
         f"wendland_gauss_order{order}": (
             lambda order=order: embed(WendlandKernel(order=order, lengthscale=1.2), _GAUSS1),
@@ -664,7 +673,7 @@ _ROWS = {
         for order in (0, 2)
     },
     "fbm_uniform": (lambda: embed(FbmKernel(hurst=0.7), UniformBoxMeasure(lows=(0.5,), highs=(2.0,))),
-                    _in((0.5,), (2.0,)), [0.25]),
+                    _in((0.0,), (3.0,)), [-0.25]),
     "power_series_uniform": (lambda: embed(PowerSeriesKernel(terms=_TERMS),
                                            UniformBoxMeasure(lows=(-1.0, 0.0), highs=(1.0, 2.0))),
                              _in((-2.0, -2.0), (2.0, 2.0)), [0.0, math.nan]),
@@ -680,20 +689,20 @@ _ROWS = {
                          _in((0.0,), (1.0,)), [1.5]),
     "sum": (lambda: embed(SumKernel([GaussianKernel(lengthscales=(0.8,)), _MATERN], [0.4, 0.6]),
                           _BOX1),
-            _in((-0.5,), (1.5,)), [-1.0]),
+            _in((-1.5,), (2.5,)), [math.nan]),
     "mixture": (lambda: embed(_MATERN, MixtureMeasure(
                     components=[GaussianMeasure(mean=(-1.0,), cov=(0.5,)), _GAUSS1],
                     weights=(0.3, 0.7)), budget=200),
                 _in((-30.0,), (30.0,)), [math.nan]),
     "product": (lambda: embed(ProductKernel([GaussianKernel(lengthscales=(0.6,)), _MATERN], [1, 1]),
                               UniformBoxMeasure(lows=(0.0, -0.5), highs=(1.0, 1.5))),
-                _in((0.0, -0.5), (1.0, 1.5)), [0.5, 1.6]),
+                _in((-1.0, -1.5), (2.0, 2.5)), [0.5, math.nan]),
     "pushforward": (lambda: embed(ComposedKernel(base=_MATERN, map=AffineMap(2.0, -1.0)),
                                   UniformBoxMeasure(lows=(0.0,), highs=(1.0,))),
-                    _in((0.0,), (1.0,)), [1.5]),
+                    _in((-1.0,), (2.0,)), [math.nan]),
     "matrix_valued": (lambda: embed(MatrixValuedKernel(base=_MATERN,
                                                        matrix=[[2.0, 0.3], [0.3, 1.0]]), _BOX1),
-                      _in((-0.5,), (1.5,)), [1.6]),
+                      _in((-1.5,), (2.5,)), [math.nan]),
     "stein": (lambda: embed(SteinKernel(GaussianKernel(lengthscales=(1.0,)), _GAUSS1, c=0.5),
                             _GAUSS1),
               _in((-4.0,), (4.0,)), [math.nan]),
@@ -723,3 +732,123 @@ def test_kp_rows_has_the_bits_of_kp_at(route):
     with pytest.raises(InvalidSpecError) as in_rows:
         e.kp_rows(X)
     assert str(in_rows.value) == str(at_row.value)
+
+
+# 1-d box arms whose K_P is defined on the whole line: (kernel, builder).
+# The box sits 5 lengthscales above 0, the end of fbm's half line (its
+# "lengthscale" is 0.4).
+_BOX_ARMS = {
+    **{f"matern_nu{nu}": (MaternKernel(nu=nu, lengthscale=0.4), embed)
+       for nu in (0.5, 1.5, 2.5, 3.5)},
+    **{f"matern_special_nu{nu}": (MaternKernel(nu=nu, lengthscale=0.4), matern_uniform_special)
+       for nu in (0.5, 1.5, 2.5, 3.5)},
+    **{f"wendland0_l{ell}": (WendlandKernel(order=0, lengthscale=ell), embed)
+       for ell in (0.3, 0.9, 2.5)},
+    **{f"fbm_h{h}": (FbmKernel(hurst=h), embed) for h in (0.2, 0.5, 0.8)},
+}
+
+
+@pytest.mark.parametrize("arm", sorted(_BOX_ARMS))
+def test_box_embeddings_outside_the_box_match_the_oracle(arm):
+    kernel, build = _BOX_ARMS[arm]
+    ell = getattr(kernel, "lengthscale", 0.4)
+    box = UniformBoxMeasure(lows=(2.0,), highs=(3.5,))
+    e = build(kernel, box)
+    for u in (0.0, 0.25, 1.0, 2.0, 3.5, 5.0):
+        for x in (2.0 - u * ell, 3.5 + u * ell):
+            o = estimate_kp(kernel, box, x=[x])
+            assert abs(e.kp_at([x]) - o.value) <= max(1e-13, 4 * o.stderr), (u, x)
+
+
+def _in_box_reference(kernel, a, b, x, special):
+    """K_P inside [a, b] by the in-box formulas the whole-line forms
+    replaced, in their order of operations."""
+    r = b - a
+    if isinstance(kernel, FbmKernel):
+        h = 2.0 * kernel.hurst + 1.0
+        return (
+            b**h - a**h - pow_each(b - x, h) - pow_each(x - a, h)
+        ) / (2.0 * h * r) + pow_each(x, h - 1.0) / 2.0
+    n = kernel.n
+    co = MaternUniformCoefficients(n, kernel.lengthscale, a, b)
+    if not special:
+        lead = math.factorial(n) / math.factorial(2 * n)
+        return (co.alpha / r) * lead * (
+            2.0 * co.c[0] - co.q_poly((x - a) / co.alpha) - co.q_poly((b - x) / co.alpha)
+        )
+    u, v = (a - x) / co.alpha, (x - b) / co.alpha
+    eu, ev = exp_each(u), exp_each(v)
+    if n == 0:
+        return (2.0 - eu - ev) / co.rho
+    if n == 1:
+        return (4.0 - ev * (2.0 - v) - eu * (2.0 - u)) / co.rho
+    if n == 2:
+        return (16.0 - ev * (8.0 - 5.0 * v + v * v) - eu * (8.0 - 5.0 * u + u * u)) / (3.0 * co.rho)
+    return (
+        96.0
+        - ev * (48.0 - 33.0 * v + 9.0 * v * v - pow_each(v, 3))
+        - eu * (48.0 - 33.0 * u + 9.0 * u * u - pow_each(u, 3))
+    ) / (15.0 * co.rho)
+
+
+@pytest.mark.parametrize("family", ["matern", "matern_special", "fbm"])
+def test_box_embeddings_keep_their_in_box_bits(family):
+    # the edges, their neighbours inside the box and random interior
+    # points, over boxes and lengthscales spanning three decades
+    rng = np.random.default_rng(23)
+    for trial in range(100):
+        a = rng.uniform(0.0, 3.0) if family == "fbm" else rng.uniform(-3.0, 3.0)
+        b = a + 10.0 ** rng.uniform(-1.0, 1.0)
+        x = np.concatenate([[a, b, np.nextafter(a, b), np.nextafter(b, a)], rng.uniform(a, b, 60)])
+        if family == "fbm":
+            kernel = FbmKernel(hurst=rng.uniform(0.05, 0.95))
+        else:
+            kernel = MaternKernel(nu=trial % 4 + 0.5, lengthscale=(b - a) / 10.0 ** rng.uniform(-1.0, 1.5))
+        box = UniformBoxMeasure(lows=(a,), highs=(b,))
+        special = family == "matern_special"
+        e = matern_uniform_special(kernel, box) if special else embed(kernel, box)
+        assert e.kp_rows(x[:, None]).tobytes() == _in_box_reference(kernel, a, b, x, special).tobytes()
+
+
+def test_box_embeddings_match_40_digit_quadrature():
+    # Wendland-0 and Matern K_P on random boxes, inside and up to 5
+    # lengthscales outside, against mpmath at 40 digits: within 2e-14
+    # relative, or 1e-15 of the box's central value where a value
+    # outside is tiny; Wendland-0 within 1e-15 relative in the box
+    mp = pytest.importorskip("mpmath")
+
+    def quad_kp(phi, breaks, a, b, x):
+        """(1/r) times the integral of phi(x - y) over [a, b], split
+        where phi kinks."""
+        a, b, x = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+        nodes = sorted({a, b} | {x + c for c in breaks if a < x + c < b})
+        return float(mp.quad(lambda y: phi(x - y), nodes) / (b - a))
+
+    rng = np.random.default_rng(5)
+    with mp.workdps(40):
+        for trial in range(16):
+            a = rng.uniform(-3.0, 3.0)
+            b = a + 10.0 ** rng.uniform(-1.0, 1.0)
+            ell = (b - a) / 10.0 ** rng.uniform(-1.0, 1.5)
+            x = np.concatenate([rng.uniform(a, b, 3), a - rng.uniform(0, 5, 2) * ell,
+                                b + rng.uniform(0, 5, 2) * ell])
+            n = trial % 4
+
+            def matern(t):
+                z = mp.sqrt(2 * n + 1) * abs(t) / ell
+                return (1, 1 + z, 1 + z + z * z / 3, 1 + z + 2 * z * z / 5 + z**3 / 15)[n] * mp.exp(-z)
+
+            def wendland(t):
+                return max(mp.mpf(0), 1 - abs(t) / ell)
+
+            for kernel, phi, breaks in (
+                (MaternKernel(nu=n + 0.5, lengthscale=ell), matern, (0.0,)),
+                (WendlandKernel(order=0, lengthscale=ell), wendland, (-ell, 0.0, ell)),
+            ):
+                values = embed(kernel, UniformBoxMeasure(lows=(a,), highs=(b,))).kp_rows(x[:, None])
+                centre = quad_kp(phi, breaks, a, b, 0.5 * (a + b))
+                for xi, v in zip(x, values):
+                    want = quad_kp(phi, breaks, a, b, xi)
+                    assert abs(v - want) <= 2e-14 * abs(want) + 1e-15 * centre, (kernel, a, b, xi)
+                    if isinstance(kernel, WendlandKernel) and a <= xi <= b:
+                        assert abs(v - want) <= 1e-15 * want, (a, b, ell, xi)
