@@ -101,6 +101,9 @@ class Embedding:
     double integral of K against P in both arguments, with the kernel K
     and measure P it was built for.
 
+    ``pair_id`` names the rule that built it, "kernel family/measure
+    family" unless the builder says otherwise.
+
     ``kp_rows_fn`` states K_P once, on the rows of a finite (n, d) array
     with d the measure's dimension: it returns an array of n values, or
     of n k x k matrices for a matrix-valued kernel, and raises
@@ -109,12 +112,16 @@ class Embedding:
 
     kp_rows_fn: Callable[[np.ndarray], np.ndarray]
     kpp: object
-    pair_id: str
     kernel: Kernel
     measure: Measure
+    pair_id: str = ""
     kp_provenance: str = CLOSED_FORM
     kpp_provenance: str = CLOSED_FORM
     kpp_stderr: float = 0.0
+
+    def __post_init__(self):
+        if not self.pair_id:
+            object.__setattr__(self, "pair_id", f"{self.kernel.family}/{self.measure.family}")
 
     def kp_at(self, x):
         """Evaluate the mean embedding at a point: the one-row case of
@@ -170,7 +177,6 @@ def gauss_uniform(kernel: GaussianKernel, measure: UniformBoxMeasure) -> Embeddi
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=kpp,
-        pair_id="gaussian/uniform_box",
         kernel=kernel,
         measure=measure,
     )
@@ -216,7 +222,6 @@ def gauss_gauss(kernel: GaussianKernel, measure: GaussianMeasure) -> Embedding:
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=kpp,
-        pair_id="gaussian/gaussian",
         kernel=kernel,
         measure=measure,
     )
@@ -326,7 +331,6 @@ def matern_uniform_general(kernel: MaternKernel, measure: UniformBoxMeasure) -> 
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=kpp,
-        pair_id="matern/uniform_box",
         kernel=kernel,
         measure=measure,
     )
@@ -376,7 +380,6 @@ def matern_uniform_special(kernel: MaternKernel, measure: UniformBoxMeasure) -> 
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=kpp,
-        pair_id="matern/uniform_box",
         kernel=kernel,
         measure=measure,
     )
@@ -445,7 +448,6 @@ def matern_gauss_kp(kernel: MaternKernel, measure: GaussianMeasure) -> Embedding
     return Embedding(
         kp_rows_fn=lambda X: kp(X[:, 0], mu, sigma),
         kpp=float(kp(np.zeros(1), 0.0, math.sqrt(2.0 * measure.cov_diag[0]))[0]),
-        pair_id="matern/gaussian",
         kernel=kernel,
         measure=measure,
     )
@@ -476,7 +478,6 @@ def wendland0_uniform(kernel: WendlandKernel, measure: UniformBoxMeasure) -> Emb
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=kpp,
-        pair_id="wendland/uniform_box",
         kernel=kernel,
         measure=measure,
     )
@@ -536,7 +537,6 @@ def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embed
     return Embedding(
         kp_rows_fn=lambda X: kp(X[:, 0] - mu, sigma),
         kpp=float(kp(np.zeros(1), math.sqrt(2.0 * measure.cov_diag[0]))[0]),
-        pair_id="wendland/gaussian",
         kernel=kernel,
         measure=measure,
     )
@@ -567,7 +567,6 @@ def fbm_uniform(kernel: FbmKernel, measure: UniformBoxMeasure) -> Embedding:
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=kpp,
-        pair_id="fbm/uniform_box",
         kernel=kernel,
         measure=measure,
     )
@@ -597,7 +596,6 @@ def powerseries_uniform(kernel: PowerSeriesKernel, measure: UniformBoxMeasure) -
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=kpp,
-        pair_id="power_series/uniform_box",
         kernel=kernel,
         measure=measure,
     )
@@ -626,7 +624,6 @@ def powerseries_gauss(kernel: PowerSeriesKernel, measure: GaussianMeasure) -> Em
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=kpp,
-        pair_id="power_series/gaussian",
         kernel=kernel,
         measure=measure,
     )
@@ -661,7 +658,6 @@ def sphere_embed(
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=const,
-        pair_id=f"{kernel.family}/sphere_uniform",
         kernel=kernel,
         measure=measure,
     )
@@ -679,7 +675,6 @@ def periodic_sobolev_embed(kernel: PeriodicSobolevKernel, measure: UniformBoxMea
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=1.0,
-        pair_id="periodic_sobolev/uniform_box",
         kernel=kernel,
         measure=measure,
     )
@@ -702,7 +697,6 @@ def empirical_embed(kernel: Kernel, measure: EmpiricalMeasure) -> Embedding:
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=kernel.gram_form(pts, w),
-        pair_id=f"{kernel.family}/empirical",
         kernel=kernel,
         measure=measure,
     )
@@ -726,7 +720,6 @@ def numeric_embedding(
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=est.value,
-        pair_id=f"{kernel.family}/{measure.family}",
         kernel=kernel,
         measure=measure,
         kp_provenance=NUMERIC_FALLBACK,

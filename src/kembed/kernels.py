@@ -838,10 +838,6 @@ def NormalICDFMap() -> Map:
     """Coordinatewise standard normal quantile transform."""
     from .specfun import normal_cdf, normal_icdf
 
-    # elementwise on any shape; the scalar special function keeps the
-    # bits of math.exp and math.log, which np.exp and np.log do not
-    fwd = np.vectorize(normal_icdf, otypes=[float])
-
     def forward(x):
         p = np.atleast_1d(np.asarray(x, dtype=float))
         outside = ~((p > 0.0) & (p < 1.0))
@@ -849,7 +845,7 @@ def NormalICDFMap() -> Map:
             raise InvalidSpecError(
                 f"the normal_icdf map takes values in (0, 1), got {p[outside][0]}"
             )
-        return fwd(p)
+        return normal_icdf(p)
 
     return Map(
         forward=forward,

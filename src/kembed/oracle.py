@@ -63,6 +63,7 @@ _GRADE_RATIO = 0.15
 _GRADE_LEVELS = 14
 _GRADED_PANEL_NODES = 20
 _GAUSS_TAIL_SIGMAS = 12.0
+_GAUSS_PDF_SIGMAS = 39.0
 # nodes per axis of the 2-d grid in a double integral
 _DOUBLE_GRID_NODES = 40
 _MC_METHODS = ("monte_carlo", "sphere_mc")
@@ -175,7 +176,10 @@ def _panel_points(
     """Panel boundaries on [lo, hi]: split at interior break points and
     geometrically refine toward graded ones."""
     base = sorted({lo, hi} | {p for p, _ in breaks if lo < p < hi})
-    graded = {p for p, g in breaks if g and lo <= p <= hi}
+    # a singular point less than hi - lo outside [lo, hi] grades the
+    # nearer end: an end panel's rule would feel it
+    reach = hi - lo
+    graded = {min(max(p, lo), hi) for p, g in breaks if g and lo - reach <= p <= hi + reach}
     pts = set(base)
     for u, v in zip(base[:-1], base[1:]):
         width = v - u
@@ -288,19 +292,30 @@ def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int
         # Legendre panels on the truncated line, the pdf folded into the
         # weights; the outer integrand is a convolution with a Gaussian,
         # hence smooth, so its panels need no split.
-        lo = mu - _GAUSS_TAIL_SIGMAS * sd
-        hi = mu + _GAUSS_TAIL_SIGMAS * sd
+        tail = _GAUSS_TAIL_SIGMAS * sd
+        lo, hi = mu - tail, mu + tail
 
         def with_pdf(t, w):
             pdf = np.exp(-0.5 * ((t - mu) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
             return t[:, None], w * pdf, 1.0
 
-        return (
-            lambda: with_pdf(*_panels([lo, hi], budget)),
-            lambda x: with_pdf(
-                *_split_panels(kernel, lo, hi, kernel.inner_breaks(float(x[0])), budget)
-            ),
-        )
+        def inner(x):
+            x = float(x[0])
+            breaks = kernel.inner_breaks(x)
+            if lo <= x <= hi or breaks is None:
+                return with_pdf(*_split_panels(kernel, lo, hi, breaks, budget))
+            # x outside the window: K(x, y) pdf(y) peaks between the
+            # window and x, or at x, so the window grows to cover x. It
+            # is cut into panels one sd apart from c, the point nearest
+            # to x, which the panels grade toward; the pdf is 0 past 39 sd
+            a = max(min(lo, x - tail), mu - _GAUSS_PDF_SIGMAS * sd)
+            b = min(max(hi, x + tail), mu + _GAUSS_PDF_SIGMAS * sd)
+            c = min(max(x, a), b)
+            steps = range(-int((c - a) / sd), int((b - c) / sd) + 1)
+            grid = [(c + k * sd, k == 0) for k in steps]
+            return with_pdf(*_split_panels(kernel, a, b, [*breaks, *grid], budget))
+
+        return (lambda: with_pdf(*_panels([lo, hi], budget))), inner
     box = isinstance(measure, UniformBoxMeasure)
     if box and measure.dim == 2:
         if not kernel.smooth:

@@ -142,7 +142,6 @@ def stein_embed(kernel: SteinKernel, measure: Measure) -> Embedding:
     return Embedding(
         kp_rows_fn=lambda X: np.full(len(X), c),
         kpp=c,
-        pair_id=f"stein/{kernel.target.family}",
         kernel=kernel,
         measure=measure,
     )

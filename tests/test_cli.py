@@ -305,6 +305,25 @@ def test_console_script_smoke(spec_file, tmp_path):
     assert proc.stdout == _golden("eval_gg_kpp.json")
 
 
+def test_eval_kp_where_erf_arguments_overflow(spec_file):
+    # (b - x) / (sqrt 2 l) overflows to +-inf, where erf takes its limits
+    doc = {
+        "schema_version": 1,
+        "kernel": {"family": "gaussian", "lengthscales": [1e-300]},
+        "measure": {"family": "uniform_box", "lows": [0.0], "highs": [1e10]},
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "kembed.cli", "eval", "--spec", spec_file(doc),
+         "--what", "kp", "--x", "0.5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    value = json.loads(proc.stdout)["value"]
+    # sqrt(2 pi) l / r
+    assert value == pytest.approx(math.sqrt(2.0 * math.pi) * 1e-300 / 1e10, rel=1e-12)
+
+
 _G1 = {"family": "gaussian", "lengthscales": [1.0]}
 _BOX1 = {"family": "uniform_box", "lows": [0.0], "highs": [1.0]}
 _N1 = {"family": "gaussian", "mean": [0.0], "cov": [1.0]}

@@ -530,3 +530,70 @@ def test_oracle_imports_no_closed_form():
     used = {m.split(".")[1] for m in modules if m.startswith("kembed.")}
     assert used == {"errors", "kernels", "measures"}
     assert not used & {"dictionary", "combinators", "stein", "quadrature"}
+
+
+def test_gaussian_legendre_window_covers_x_far_outside():
+    # x outside mu +- 12 sd: the mass of K(x, y) pdf(y) lies between the
+    # window and x. Against mpmath at 30 digits, with the integrand
+    # scaled by pdf(x) so that quad's absolute tolerance is a relative one.
+    mp = pytest.importorskip("mpmath")
+    mu, sd = 0.3, 1.7
+    normal = GaussianMeasure(mean=(mu,), cov=((sd * sd,),))
+
+    def true_kp(profile, breaks, x):
+        X, m, s = mp.mpf(x), mp.mpf(mu), mp.mpf(sd)
+        zx = (X - m) / s
+        scaled = lambda y: profile(abs(X - y)) * mp.exp((zx**2 - ((y - m) / s) ** 2) / 2)
+        nodes = sorted({mp.ninf, m, mp.inf} | {X + b for b in breaks})
+        return mp.quad(scaled, nodes) * mp.exp(-zx**2 / 2) / (s * mp.sqrt(2 * mp.pi))
+
+    with mp.workdps(30):
+        for ratio in (4.0, 8.0):
+            ell = sd / ratio
+            l = mp.mpf(ell)
+            cases = [
+                (MaternKernel(nu=2.5, lengthscale=ell), (0,), lambda r: (
+                    1 + mp.sqrt(5) * r / l + 5 * r * r / (3 * l * l)) * mp.exp(-mp.sqrt(5) * r / l)),
+                (MaternKernel(nu=1.5, lengthscale=ell), (0,),
+                 lambda r: (1 + mp.sqrt(3) * r / l) * mp.exp(-mp.sqrt(3) * r / l)),
+                (WendlandKernel(order=0, lengthscale=ell), (-l, 0, l), lambda r: max(0, 1 - r / l)),
+                (WendlandKernel(order=2, lengthscale=ell), (-l, 0, l),
+                 lambda r: max(0, 1 - r / l) ** 3 * (3 * r / l + 1)),
+            ]
+            for kernel, breaks, profile in cases:
+                for z in (14.0, -20.3, 30.0):
+                    x = mu + z * sd
+                    est = estimate_kp(kernel, normal, x=[x])
+                    assert est.method == "gauss_legendre"
+                    want = true_kp(profile, breaks, x)
+                    # 4.3e-43 for Matern-5/2 at sd / l = 8, x = 14 sd;
+                    # the Wendland values were 0 on the old window
+                    assert 0.0 < want < 1e-30
+                    assert abs(est.value - want) <= 1e-12 * want, (kernel, z)
+
+
+def test_gaussian_legendre_window_inside_keeps_its_rule():
+    # for x in mu +- 12 sd the rule is the one window split at the kinks
+    mu, sd = 0.3, 1.7
+    kernel = MaternKernel(nu=2.5, lengthscale=0.5)
+    _, inner = oracle._rules(kernel, GaussianMeasure(mean=(mu,), cov=((sd * sd,),)), "gauss_legendre", 200, 200)
+    for x in (mu - 12.0 * sd, mu, mu + 11.9 * sd, mu + 12.0 * sd):
+        t, w, _ = inner(np.array([x]))
+        lo, hi = mu - 12.0 * sd, mu + 12.0 * sd
+        assert t.size == 200 and lo < t.min() and t.max() < hi
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_box_legendre_grades_toward_a_singularity_just_outside(hurst):
+    # fBm's |x - y|^(2H) is singular at y = x: for x just past an edge the
+    # end panel is graded toward that edge, and the oracle meets the
+    # closed form (it was off by up to 4e-6 relative at x = b + 1e-6)
+    from kembed.dictionary import embed
+
+    kernel = FbmKernel(hurst=hurst)
+    for lo, hi in ((0.0, 1.5), (0.5, 2.0)):
+        box = UniformBoxMeasure(lows=(lo,), highs=(hi,))
+        closed = embed(kernel, box)
+        for x in (hi + 1e-6, hi + 1e-3, hi + 0.1, 2.0 * hi, lo - 1e-4 if lo else hi / 2):
+            want = closed.kp_at([x])
+            assert estimate_kp(kernel, box, x=[x]).value == pytest.approx(want, rel=1e-13)

@@ -4,9 +4,14 @@ and against independent evaluation routes."""
 import math
 import random
 
+import numpy as np
 import pytest
 
+from kembed import specfun
 from kembed.specfun import (
+    _erf_small,
+    _erfcx_large,
+    _erfcx_mid,
     bernoulli_poly,
     double_factorial,
     erf,
@@ -253,3 +258,223 @@ def test_bernoulli_poly_arrays_against_scipy():
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
         # the array path takes the scalar path's Horner steps
         assert got.tobytes() == np.array([bernoulli_poly(degree, v) for v in t]).tobytes()
+
+
+# --- Bitwise reference -------------------------------------------------------
+#
+# The scalar routines below are the float64 evaluation order that every
+# route of kembed.specfun keeps, element by element: Cody's rational
+# forms (Math. Comp. 23, 1969) dispatched on one float at a time, with
+# math.exp, math.log and math.floor. They do not take +-inf or |x| past
+# 1.1e307 (math.floor raises on the infinite 16 |x| there).
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _ref_exp_neg_sq(y):
+    hi = math.floor(y * 16.0) / 16.0
+    lo = (y - hi) * (y + hi)
+    if hi * hi > 745.0:
+        return 0.0
+    return math.exp(-hi * hi) * math.exp(-lo)
+
+
+def _ref_erf(x):
+    if math.isnan(x):
+        return x
+    if abs(x) <= 0.46875:
+        return _erf_small(x)
+    if x > 0:
+        return 1.0 - _ref_erfc(x)
+    return _ref_erfc(-x) - 1.0
+
+
+def _ref_erfc(x):
+    if math.isnan(x):
+        return x
+    y = abs(x)
+    if y <= 0.46875:
+        return 1.0 - _erf_small(x)
+    if y <= 4.0:
+        r = _ref_exp_neg_sq(y) * _erfcx_mid(y)
+    else:
+        r = _ref_exp_neg_sq(y) * _erfcx_large(y)
+    return 2.0 - r if x < 0.0 else r
+
+
+def _ref_erfcx(x):
+    if math.isnan(x):
+        return x
+    if x < 0.0:
+        if x < -26.62:
+            return math.inf
+        return 2.0 * math.exp(x * x) - _ref_erfcx(-x)
+    if x <= 0.46875:
+        return math.exp(x * x) * (1.0 - _erf_small(x))
+    if x <= 4.0:
+        return _erfcx_mid(x)
+    return _erfcx_large(x)
+
+
+def _ref_normal_cdf(x):
+    return 0.5 * _ref_erfc(-x / _SQRT2)
+
+
+def _ref_log_normal_cdf(x):
+    if x <= -8.0:
+        return math.log(0.5) - 0.5 * x * x + math.log(_ref_erfcx(-x / _SQRT2))
+    p = _ref_normal_cdf(x)
+    if p >= 1.0:
+        return -0.5 * _ref_erfc(x / _SQRT2)
+    return math.log(p)
+
+
+def _ref_normal_icdf(p):
+    if p > 0.5:
+        return -_ref_normal_icdf(1.0 - p)
+    if p < 1e-20:
+        x = -math.sqrt(-2.0 * math.log(p))
+        for _ in range(50):
+            log_cdf = _ref_log_normal_cdf(x)
+            step = (log_cdf - math.log(p)) * math.exp(
+                log_cdf + 0.5 * x * x + 0.5 * math.log(2.0 * math.pi)
+            )
+            x -= step
+            if abs(step) <= 1e-16 * abs(x):
+                break
+        return x
+    x = -math.sqrt(-2.0 * math.log(p))
+    lo, hi = -40.0, 40.0
+    for _ in range(80):
+        f = _ref_normal_cdf(x) - p
+        if f > 0.0:
+            hi = min(hi, x)
+        elif f < 0.0:
+            lo = max(lo, x)
+        else:
+            return x
+        d = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        step = f / d if d > 0.0 else 0.0
+        x_new = x - step
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
+            return x_new
+        x = x_new
+    return x
+
+
+_REFERENCES = {
+    erf: _ref_erf,
+    erfc: _ref_erfc,
+    erfcx: _ref_erfcx,
+    normal_cdf: _ref_normal_cdf,
+    log_normal_cdf: _ref_log_normal_cdf,
+}
+
+# the region edges of the tables (|x| = 27.3125 is where hi^2 passes
+# 745), the normal-CDF switch at -8, signed zeros and subnormals
+_EDGES = [0.0, 0.46875, 4.0, 8.0, 26.62, 27.3125, 38.5, 5e-324, 2.2250738585072014e-308]
+
+
+def _edge_values():
+    e = np.array(_EDGES)
+    e = np.concatenate([e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf)])
+    return np.concatenate([e, -e, [math.nan]])
+
+
+def _sweep():
+    """80 016 arguments: the edges with their neighbours, a grid through
+    every region, and heavy-tailed draws reaching 1e300."""
+    rng = np.random.default_rng(20)
+    xs = np.concatenate([
+        _edge_values(),
+        np.linspace(-30.0, 30.0, 40_001),
+        rng.uniform(-1.0, 1.0, 10_000),
+        rng.standard_cauchy(29_960) * 5.0,
+    ])
+    return xs[~(np.abs(xs) >= 1e300)]
+
+
+@pytest.mark.parametrize("fn", list(_REFERENCES), ids=lambda f: f.__name__)
+def test_every_route_has_the_bits_of_the_scalar_reference(fn):
+    xs = _sweep()
+    assert xs.size == 80_016
+    ref = np.array([_REFERENCES[fn](v) for v in xs.tolist()])
+    floats = [fn(v) for v in xs.tolist()]
+    assert all(type(v) is float for v in floats)
+    assert np.array(floats).tobytes() == ref.tobytes()
+    # below the cut-off each element takes the float route; above it,
+    # each region's formula runs on the elements it covers
+    cut = specfun._MASKED_MIN_SIZE
+    bounds = np.cumsum(np.resize(np.arange(1, cut), xs.size))  # sizes 1, 2, ..., cut - 1, 1, ...
+    small = np.split(xs, bounds[bounds < xs.size])
+    assert max(len(s) for s in small) < cut
+    assert np.concatenate([fn(s) for s in small]).tobytes() == ref.tobytes()
+    assert fn(xs).tobytes() == ref.tobytes()
+    # sorted blocks: most lie in one region (the whole-array case),
+    # some straddle an edge
+    order = np.argsort(xs, kind="stable")
+    blocks = np.array_split(xs[order], xs.size // 64)
+    assert np.concatenate([fn(b) for b in blocks]).tobytes() == ref[order].tobytes()
+    assert fn(xs.reshape(-1, 2)).tobytes() == ref.tobytes()
+
+
+def test_normal_icdf_has_the_bits_of_the_scalar_reference():
+    rng = np.random.default_rng(21)
+    ps = np.concatenate([
+        rng.uniform(0.0, 1.0, 96_000),
+        10.0 ** rng.uniform(-300.0, -1.0, 2_000),  # most below 1e-20
+        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 2_000),
+        [0.5, 1e-20, np.nextafter(1e-20, 0.0), 5e-324, np.nextafter(1.0, 0.0)],
+    ])
+    ps = ps[(ps > 0.0) & (ps < 1.0)]
+    assert ps.size >= 100_000 and np.sum(ps < 1e-20) > 1_000
+    ref = np.array([_ref_normal_icdf(v) for v in ps.tolist()])
+    assert normal_icdf(ps).tobytes() == ref.tobytes()
+    assert normal_icdf(ps.reshape(-1, 5)).tobytes() == ref.tobytes()
+    picks = np.linspace(0, ps.size - 1, 300).astype(int).tolist() + list(range(ps.size - 5, ps.size))
+    floats = [normal_icdf(float(ps[i])) for i in picks]
+    assert all(type(v) is float for v in floats)
+    assert np.array(floats).tobytes() == ref[picks].tobytes()
+    assert normal_icdf(ps[:7]).tobytes() == ref[:7].tobytes()
+
+
+def test_arrays_mixing_regions_have_the_bits_of_the_scalar_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    elements = st.one_of(
+        st.sampled_from(_edge_values().tolist()),
+        # 16 |x| overflows from 1.1e307 on, where the reference raises
+        st.floats(-1e300, 1e300, allow_subnormal=True),
+        st.floats(-40.0, 40.0),
+        st.floats(-1.0, 1.0),
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(elements, min_size=0, max_size=100))
+    def check(values):
+        xs = np.array(values, dtype=float)
+        for fn, ref in _REFERENCES.items():
+            got = fn(xs)
+            assert got.shape == xs.shape
+            assert got.tobytes() == np.array([ref(v) for v in values], dtype=float).tobytes()
+
+    check()
+
+
+def test_error_functions_take_their_limits_at_infinity():
+    inf = math.inf
+    limits = {
+        erf: (1.0, -1.0),
+        erfc: (0.0, 2.0),
+        normal_cdf: (1.0, 0.0),
+        erfcx: (0.0, inf),
+    }
+    for fn, (at_plus, at_minus) in limits.items():
+        assert fn(inf) == at_plus and fn(-inf) == at_minus
+        for n in (3, 2 * specfun._MASKED_MIN_SIZE):
+            xs = np.tile([inf, -inf, 0.5], n)
+            got = fn(xs)
+            assert got.tolist() == np.tile([at_plus, at_minus, fn(0.5)], n).tolist()
