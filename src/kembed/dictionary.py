@@ -10,7 +10,10 @@ Monte Carlo oracle. :func:`embed` dispatches a (kernel, measure) pair
 to the right construction and falls back to the oracle for pairs with
 no known expression. Each closed-form builder takes the kernel and
 measure objects themselves and gives both parts, so a dictionary
-pair's provenance is all closed form or all oracle. A stationary
+pair's provenance is all closed form or all oracle. Each builder
+declares the condition under which its formulas hold: called outside
+it, the builder raises UnsupportedPairError, and dispatch answers a
+pair with the first builder whose condition holds. A stationary
 kernel phi(x - y) integrated against independent Gaussians X ~ P and
 Y ~ Q is K_D(0), D = N(mu_P - mu_Q, Sigma_P + Sigma_Q) the law of
 X - Y (the convolution view of Nishiyama & Fukumizu, JMLR 2016):
@@ -22,6 +25,7 @@ every x on the line: only the kernel's own domain bounds x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -145,10 +149,59 @@ class Embedding:
         return NUMERIC_FALLBACK
 
 
+def _check_pair(kernel: Kernel, measure: Measure) -> None:
+    """Raise InvalidSpecError unless the pair is a kernel and a measure of
+    matching dimensions."""
+    if not isinstance(kernel, Kernel):
+        raise InvalidSpecError(f"not a kernel: {kernel!r}")
+    if not isinstance(measure, Measure):
+        raise InvalidSpecError(f"not a measure: {measure!r}")
+    if kernel.dim is not None and kernel.dim != measure.dim:
+        raise InvalidSpecError(
+            f"kernel dimension {kernel.dim} does not match measure dimension "
+            f"{measure.dim}"
+        )
+
+
+def _closed_form(kernel_type, measure_type, when=None):
+    """Declare a closed-form builder and the condition under which its
+    formulas are the pair's embedding: a kernel and a measure of these
+    types for which ``when(kernel, measure)``, if given, holds; ``when``
+    may raise a typed error for a pair that no rule covers. The builder
+    returns ``(kp_rows, kpp)``; the declared function, whose ``holds``
+    is the condition, checks the pair and the condition and returns the
+    pair's :class:`Embedding`."""
+
+    def holds(kernel, measure):
+        return (
+            isinstance(kernel, kernel_type)
+            and isinstance(measure, measure_type)
+            and (when is None or when(kernel, measure))
+        )
+
+    def declare(build):
+        @functools.wraps(build)
+        def builder(kernel, measure):
+            _check_pair(kernel, measure)
+            if not holds(kernel, measure):
+                raise UnsupportedPairError(
+                    f"{build.__name__} does not hold for the pair "
+                    f"{kernel.family}/{measure.family}"
+                )
+            kp_rows, kpp = build(kernel, measure)
+            return Embedding(kp_rows_fn=kp_rows, kpp=kpp, kernel=kernel, measure=measure)
+
+        builder.holds = holds
+        return builder
+
+    return declare
+
+
 # --- Gaussian kernel ------------------------------------------------------
 
 
-def gauss_uniform(kernel: GaussianKernel, measure: UniformBoxMeasure) -> Embedding:
+@_closed_form(GaussianKernel, UniformBoxMeasure, lambda k, m: k.diagonal)
+def gauss_uniform(kernel: GaussianKernel, measure: UniformBoxMeasure):
     """Gaussian kernel with diagonal lengthscales against a uniform box.
 
     Both integrals factorize over dimensions into erf differences.
@@ -174,15 +227,11 @@ def gauss_uniform(kernel: GaussianKernel, measure: UniformBoxMeasure) -> Embeddi
         ) + r[i] * erf(r[i] / s[i])
         kpp *= math.sqrt(2.0 * math.pi) * (ls[i] / r[i] ** 2) * bracket
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=kpp,
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, kpp
 
 
-def gauss_gauss(kernel: GaussianKernel, measure: GaussianMeasure) -> Embedding:
+@_closed_form(GaussianKernel, GaussianMeasure)
+def gauss_gauss(kernel: GaussianKernel, measure: GaussianMeasure):
     """Gaussian kernel (lengthscale matrix Lambda) against N(mean, cov).
 
     kp(x) = det(I + Sigma Lambda^{-1})^{-1/2}
@@ -219,12 +268,7 @@ def gauss_gauss(kernel: GaussianKernel, measure: GaussianMeasure) -> Embedding:
         _, logdet_l2s = np.linalg.slogdet(L + 2.0 * S)
         kpp = math.exp(0.5 * (logdet_l - logdet_l2s))
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=kpp,
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, kpp
 
 
 def _gauss_difference(p: GaussianMeasure, q: GaussianMeasure) -> GaussianMeasure:
@@ -301,7 +345,8 @@ class MaternUniformCoefficients:
         )
 
 
-def matern_uniform_general(kernel: MaternKernel, measure: UniformBoxMeasure) -> Embedding:
+@_closed_form(MaternKernel, UniformBoxMeasure, lambda k, m: m.dim == 1)
+def matern_uniform_general(kernel: MaternKernel, measure: UniformBoxMeasure):
     """Half-integer Matern kernel against the uniform measure on [a, b],
     via the general formulas in Q and the incomplete gamma function:
     F(t) = sign(t) alpha n!/(2n)! (c_0 - Q(|t| / alpha)), defined on the
@@ -328,15 +373,11 @@ def matern_uniform_general(kernel: MaternKernel, measure: UniformBoxMeasure) -> 
     bracket = co.rho * co.c[0] - sum(cm * g for cm, g in zip(co.c, gam))
     kpp = 2.0 * co.alpha**2 / r**2 * lead * bracket
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=kpp,
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, kpp
 
 
-def matern_uniform_special(kernel: MaternKernel, measure: UniformBoxMeasure) -> Embedding:
+@_closed_form(MaternKernel, UniformBoxMeasure, lambda k, m: m.dim == 1)
+def matern_uniform_special(kernel: MaternKernel, measure: UniformBoxMeasure):
     """The four explicit Matern/uniform embeddings, used as a mutual
     cross-check of the general formulas, on the whole line as well."""
     n, (a,), (b,) = kernel.n, measure.lows, measure.highs
@@ -377,12 +418,7 @@ def matern_uniform_special(kernel: MaternKernel, measure: UniformBoxMeasure) -> 
             * (3.0 * (16.0 * rho - 35.0) + e * (rho**3 + 12.0 * rho**2 + 57.0 * rho + 105.0))
         )
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=kpp,
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, kpp
 
 
 # --- Matern kernels, Gaussian measure --------------------------------------
@@ -433,7 +469,8 @@ def _matern_gauss_term(
     return out
 
 
-def matern_gauss_kp(kernel: MaternKernel, measure: GaussianMeasure) -> Embedding:
+@_closed_form(MaternKernel, GaussianMeasure, lambda k, m: m.dim == 1 and k.n <= 2)
+def matern_gauss_kp(kernel: MaternKernel, measure: GaussianMeasure):
     """Matern kernel (nu in {1/2, 3/2, 5/2}) against N(mu, sigma^2). The
     double integral is the mean embedding at 0 under N(0, 2 sigma^2),
     the law of the difference of two independent draws."""
@@ -445,18 +482,15 @@ def matern_gauss_kp(kernel: MaternKernel, measure: GaussianMeasure) -> Embedding
             n, beta, sigma, x, mu, -1.0
         )
 
-    return Embedding(
-        kp_rows_fn=lambda X: kp(X[:, 0], mu, sigma),
-        kpp=float(kp(np.zeros(1), 0.0, math.sqrt(2.0 * measure.cov_diag[0]))[0]),
-        kernel=kernel,
-        measure=measure,
-    )
+    kpp = float(kp(np.zeros(1), 0.0, math.sqrt(2.0 * measure.cov_diag[0]))[0])
+    return lambda X: kp(X[:, 0], mu, sigma), kpp
 
 
 # --- Wendland kernels ------------------------------------------------------
 
 
-def wendland0_uniform(kernel: WendlandKernel, measure: UniformBoxMeasure) -> Embedding:
+@_closed_form(WendlandKernel, UniformBoxMeasure, lambda k, m: m.dim == 1 and k.order == 0)
+def wendland0_uniform(kernel: WendlandKernel, measure: UniformBoxMeasure):
     """Order-0 Wendland kernel against the uniform measure on [a, b], on
     the whole line: F(t) = sign(t) (m - m^2 / 2l), m = min(|t|, l)."""
     ls, (a,), (b,) = kernel.lengthscale, measure.lows, measure.highs
@@ -475,15 +509,11 @@ def wendland0_uniform(kernel: WendlandKernel, measure: UniformBoxMeasure) -> Emb
     # 2 G(r) / r^2, with G the even antiderivative of F, G(0) = 0
     kpp = 1.0 - r / (3.0 * ls) if r <= ls else ls * (3.0 * r - ls) / (3.0 * r**2)
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=kpp,
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, kpp
 
 
-def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embedding:
+@_closed_form(WendlandKernel, GaussianMeasure, lambda k, m: m.dim == 1 and k.order in (0, 2))
+def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure):
     """Wendland kernel of order 0 or 2 against N(mu, sigma^2). The kernel
     is translation invariant, so a non-centered measure reduces to the
     centered expressions via x -> x - mu, and the double integral is the
@@ -534,18 +564,26 @@ def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure) -> Embed
         ) / (2.0 * ls**4)
 
     mu, sigma = measure.mean[0], float(measure.stds()[0])
-    return Embedding(
-        kp_rows_fn=lambda X: kp(X[:, 0] - mu, sigma),
-        kpp=float(kp(np.zeros(1), math.sqrt(2.0 * measure.cov_diag[0]))[0]),
-        kernel=kernel,
-        measure=measure,
-    )
+    kpp = float(kp(np.zeros(1), math.sqrt(2.0 * measure.cov_diag[0]))[0])
+    return lambda X: kp(X[:, 0] - mu, sigma), kpp
 
 
 # --- Fractional Brownian motion --------------------------------------------
 
 
-def fbm_uniform(kernel: FbmKernel, measure: UniformBoxMeasure) -> Embedding:
+def _fbm_box(kernel: FbmKernel, measure: Measure) -> bool:
+    if not isinstance(measure, UniformBoxMeasure):
+        raise UnsupportedPairError("fbm kernels pair with uniform boxes only")
+    (a,), (b,) = measure.lows, measure.highs
+    if a < 0:
+        raise InvalidSpecError("fbm requires a box within [0, inf)")
+    if kernel.domain is not None and (a < kernel.domain[0] or b > kernel.domain[1]):
+        raise InvalidSpecError("box exceeds the kernel's declared domain")
+    return True
+
+
+@_closed_form(FbmKernel, Measure, _fbm_box)
+def fbm_uniform(kernel: FbmKernel, measure: UniformBoxMeasure):
     """Fractional Brownian motion kernel against the uniform measure on
     [a, b] with 0 <= a < b, at any x in the kernel's domain: the
     |x - y|^{2H} term integrates to (F(x - a) - F(x - b)), F(t) =
@@ -564,18 +602,14 @@ def fbm_uniform(kernel: FbmKernel, measure: UniformBoxMeasure) -> Embedding:
 
     kpp = ((h + 1.0) * (b**h - a**h) - r**h) / (h * (h + 1.0) * r)
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=kpp,
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, kpp
 
 
 # --- Power series kernels ---------------------------------------------------
 
 
-def powerseries_uniform(kernel: PowerSeriesKernel, measure: UniformBoxMeasure) -> Embedding:
+@_closed_form(PowerSeriesKernel, UniformBoxMeasure)
+def powerseries_uniform(kernel: PowerSeriesKernel, measure: UniformBoxMeasure):
     """Power series kernel against a uniform box: per-dimension moment
     factors (b^{alpha+1} - a^{alpha+1}) / ((alpha+1)(b - a))."""
     a = np.asarray(measure.lows)
@@ -593,15 +627,13 @@ def powerseries_uniform(kernel: PowerSeriesKernel, measure: UniformBoxMeasure) -
 
     kpp = sum(c * f * f for _, c, f in factors)
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=kpp,
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, kpp
 
 
-def powerseries_gauss(kernel: PowerSeriesKernel, measure: GaussianMeasure) -> Embedding:
+@_closed_form(
+    PowerSeriesKernel, GaussianMeasure, lambda k, m: m.diagonal and all(v == 0.0 for v in m.mean)
+)
+def powerseries_gauss(kernel: PowerSeriesKernel, measure: GaussianMeasure):
     """Power series kernel against a centered diagonal Gaussian: only
     even multi-indices contribute, with moment factors
     sigma^alpha (alpha - 1)!!."""
@@ -621,12 +653,7 @@ def powerseries_gauss(kernel: PowerSeriesKernel, measure: GaussianMeasure) -> Em
 
     kpp = sum(c * f * f for _, c, f in factors)
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=kpp,
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, kpp
 
 
 def _power_series_rows(X: np.ndarray, factors) -> np.ndarray:
@@ -640,9 +667,14 @@ def _power_series_rows(X: np.ndarray, factors) -> np.ndarray:
 # --- Sphere and periodic kernels --------------------------------------------
 
 
-def sphere_embed(
-    kernel: SphereSobolevKernel | SphereSmoothKernel, measure: SphereUniformMeasure
-) -> Embedding:
+def _sphere_uniform(kernel: Kernel, measure: Measure) -> bool:
+    if not isinstance(measure, SphereUniformMeasure):
+        raise UnsupportedPairError("sphere kernels pair with the uniform measure on S^2 only")
+    return True
+
+
+@_closed_form((SphereSobolevKernel, SphereSmoothKernel), Measure, _sphere_uniform)
+def sphere_embed(kernel: SphereSobolevKernel | SphereSmoothKernel, measure: SphereUniformMeasure):
     """Stationary kernels on the unit sphere S^2 under the uniform
     spherical measure have constant embeddings: 2/3 for the Sobolev-3/2
     kernel 2 - ||x - y||, and 1 - exp(-48) for the smooth kernel."""
@@ -655,15 +687,18 @@ def sphere_embed(
         kernel._check(X)
         return np.full(len(X), const)
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=const,
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, const
 
 
-def periodic_sobolev_embed(kernel: PeriodicSobolevKernel, measure: UniformBoxMeasure) -> Embedding:
+def _unit_interval(kernel: PeriodicSobolevKernel, measure: UniformBoxMeasure) -> bool:
+    """True on [0, 1] itself; a box within [0, 1] is left to the oracle."""
+    if measure.lows[0] < 0.0 or measure.highs[0] > 1.0:
+        raise InvalidSpecError("periodic Sobolev kernels live on [0, 1]")
+    return measure.lows[0] == 0.0 and measure.highs[0] == 1.0
+
+
+@_closed_form(PeriodicSobolevKernel, UniformBoxMeasure, _unit_interval)
+def periodic_sobolev_embed(kernel: PeriodicSobolevKernel, measure: UniformBoxMeasure):
     """Periodic Sobolev kernel of order 2r under the uniform measure on
     [0, 1]: every Fourier term integrates to zero, so both embeddings
     equal 1 on the kernel's domain [0, 1]."""
@@ -672,18 +707,14 @@ def periodic_sobolev_embed(kernel: PeriodicSobolevKernel, measure: UniformBoxMea
         kernel._check(X)
         return np.ones(len(X))
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=1.0,
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, 1.0
 
 
 # --- Empirical measures ------------------------------------------------------
 
 
-def empirical_embed(kernel: Kernel, measure: EmpiricalMeasure) -> Embedding:
+@_closed_form(Kernel, EmpiricalMeasure, lambda k, m: not isinstance(k, MatrixValuedKernel))
+def empirical_embed(kernel: Kernel, measure: EmpiricalMeasure):
     """Embedding against a weighted point set: finite sums, exact."""
     pts = measure.points
     w = np.asarray(measure.weights)
@@ -694,12 +725,7 @@ def empirical_embed(kernel: Kernel, measure: EmpiricalMeasure) -> Embedding:
             out[i] = np.dot(w, row)
         return out
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=kernel.gram_form(pts, w),
-        kernel=kernel,
-        measure=measure,
-    )
+    return kp_rows, kernel.gram_form(pts, w)
 
 
 # --- generic fallback and dispatch ------------------------------------------
@@ -734,19 +760,11 @@ def embed(
     """Embedding for a kernel/measure pair: closed form when one is
     known, otherwise an oracle-backed numeric fallback with the given
     budget and seed."""
-    if not isinstance(kernel, Kernel):
-        raise InvalidSpecError(f"not a kernel: {kernel!r}")
-    if not isinstance(measure, Measure):
-        raise InvalidSpecError(f"not a measure: {measure!r}")
-    if kernel.dim is not None and kernel.dim != measure.dim:
-        raise InvalidSpecError(
-            f"kernel dimension {kernel.dim} does not match measure dimension "
-            f"{measure.dim}"
-        )
+    _check_pair(kernel, measure)
 
     from . import combinators, stein
 
-    if isinstance(kernel, stein.SteinKernel) and kernel.is_target(measure):
+    if stein.stein_embed.holds(kernel, measure):
         return stein.stein_embed(kernel, measure)
     if isinstance(measure, ScoreMeasure):
         raise UnsupportedPairError(
@@ -762,14 +780,14 @@ def embed(
         recognized = _recognize_pushforward(measure)
         if recognized is not None:
             return embed(kernel, recognized, budget=budget, seed=seed)
+    if empirical_embed.holds(kernel, measure):
+        return empirical_embed(kernel, measure)
     if isinstance(kernel, ComposedKernel):
         return combinators.pushforward_embed(kernel, measure, budget, seed)
     if isinstance(kernel, ProductKernel):
         factors = combinators.split_product_measure(measure, kernel.block_dims)
         if factors is not None:
             return combinators.product_embed(kernel, measure, factors, budget, seed)
-    if isinstance(measure, EmpiricalMeasure):
-        return empirical_embed(kernel, measure)
 
     pair = _closed_form_pair(kernel, measure)
     if pair is None:
@@ -777,61 +795,35 @@ def embed(
     return pair
 
 
+# The dictionary builders in the order dispatch tries their conditions.
+_DICTIONARY = (
+    gauss_uniform,
+    gauss_gauss,
+    matern_uniform_general,
+    matern_gauss_kp,
+    wendland0_uniform,
+    wendland_gauss_kp,
+    fbm_uniform,
+    powerseries_uniform,
+    powerseries_gauss,
+    sphere_embed,
+    periodic_sobolev_embed,
+)
+
+
 def _closed_form_pair(kernel: Kernel, measure: Measure) -> Embedding | None:
-    """The closed form of a pair whose dimensions :func:`embed` has
-    matched, or None when none is known. Each arm is the condition under
-    which its builder's formulas hold."""
-    box = isinstance(measure, UniformBoxMeasure)
-    gauss = isinstance(measure, GaussianMeasure)
-    one_d = measure.dim == 1
-    if isinstance(kernel, GaussianKernel) and box and kernel.diagonal:
-        return gauss_uniform(kernel, measure)
-    if isinstance(kernel, GaussianKernel) and gauss:
-        return gauss_gauss(kernel, measure)
-    if isinstance(kernel, MaternKernel) and box and one_d:
-        return matern_uniform_general(kernel, measure)
-    if isinstance(kernel, MaternKernel) and gauss and one_d and kernel.n <= 2:
-        return matern_gauss_kp(kernel, measure)
-    if isinstance(kernel, WendlandKernel) and box and one_d and kernel.order == 0:
-        return wendland0_uniform(kernel, measure)
-    if isinstance(kernel, WendlandKernel) and gauss and one_d and kernel.order in (0, 2):
-        return wendland_gauss_kp(kernel, measure)
-    if isinstance(kernel, FbmKernel):
-        if not box:
-            raise UnsupportedPairError("fbm kernels pair with uniform boxes only")
-        (a,), (b,) = measure.lows, measure.highs
-        if a < 0:
-            raise InvalidSpecError("fbm requires a box within [0, inf)")
-        if kernel.domain is not None and (a < kernel.domain[0] or b > kernel.domain[1]):
-            raise InvalidSpecError("box exceeds the kernel's declared domain")
-        return fbm_uniform(kernel, measure)
-    if isinstance(kernel, PowerSeriesKernel) and box:
-        return powerseries_uniform(kernel, measure)
-    if (
-        isinstance(kernel, PowerSeriesKernel)
-        and gauss
-        and measure.diagonal
-        and all(m == 0.0 for m in measure.mean)
-    ):
-        return powerseries_gauss(kernel, measure)
-    if isinstance(kernel, (SphereSobolevKernel, SphereSmoothKernel)):
-        if not isinstance(measure, SphereUniformMeasure):
-            raise UnsupportedPairError(
-                "sphere kernels pair with the uniform measure on S^2 only"
-            )
-        return sphere_embed(kernel, measure)
-    if isinstance(kernel, PeriodicSobolevKernel) and box:
-        if measure.lows[0] == 0.0 and measure.highs[0] == 1.0:
-            return periodic_sobolev_embed(kernel, measure)
-        if measure.lows[0] < 0.0 or measure.highs[0] > 1.0:
-            raise InvalidSpecError("periodic Sobolev kernels live on [0, 1]")
+    """The closed form of the first dictionary builder whose condition
+    holds for the pair, or None when none does."""
+    for build in _DICTIONARY:
+        if build.holds(kernel, measure):
+            return build(kernel, measure)
     return None
 
 
 def _recognize_pushforward(measure: PushforwardMeasure) -> Measure | None:
     """Rewrite the image of a simple measure under a recognizable map
     as an ordinary measure, enabling closed-form dispatch."""
-    from .kernels import AffineMapSpec
+    from .kernels import AffineMapSpec, NormalICDFMapSpec
 
     base = measure.base
     if isinstance(base, PushforwardMeasure):
@@ -857,7 +849,7 @@ def _recognize_pushforward(measure: PushforwardMeasure) -> Measure | None:
             sv = np.broadcast_to(s, mean.shape)
             return GaussianMeasure(tuple(mean), np.asarray(base.cov) * np.outer(sv, sv))
         return None
-    if m.name == "normal_icdf" and isinstance(base, UniformBoxMeasure):
+    if isinstance(m, NormalICDFMapSpec) and isinstance(base, UniformBoxMeasure):
         if all(v == 0.0 for v in base.lows) and all(v == 1.0 for v in base.highs):
             return GaussianMeasure(
                 tuple(0.0 for _ in range(base.dim)), np.ones(base.dim)

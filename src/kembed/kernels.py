@@ -834,6 +834,11 @@ def AffineMap(scale, shift) -> Map:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class NormalICDFMapSpec(Map):
+    """Coordinatewise standard normal quantile map, recognized by type."""
+
+
 def NormalICDFMap() -> Map:
     """Coordinatewise standard normal quantile transform."""
     from .specfun import normal_cdf, normal_icdf
@@ -847,7 +852,7 @@ def NormalICDFMap() -> Map:
             )
         return normal_icdf(p)
 
-    return Map(
+    return NormalICDFMapSpec(
         forward=forward,
         inverse=lambda z: normal_cdf(np.atleast_1d(np.asarray(z, dtype=float))),
         name="normal_icdf",

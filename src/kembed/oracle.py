@@ -14,7 +14,9 @@ power terms additionally get geometrically graded panels toward the
 singular point. Gaussian measures paired with kinked kernels use
 Legendre panels on [mu - 12 sigma, mu + 12 sigma] (the truncated tail
 mass is ~1e-32, far below every tolerance used here) because Hermite
-quadrature converges only polynomially on non-smooth integrands.
+quadrature converges only polynomially on non-smooth integrands; K_P
+at an x more than 10 sigma from the mean takes a window grown to cover
+x, graded toward it.
 
 Both integrals take their deterministic rules from one builder per
 measure and method: the double integral runs the single integral's rule
@@ -63,6 +65,8 @@ _GRADE_RATIO = 0.15
 _GRADE_LEVELS = 14
 _GRADED_PANEL_NODES = 20
 _GAUSS_TAIL_SIGMAS = 12.0
+# K_P at x farther from the mean than this grows the window to cover x
+_GAUSS_INNER_SIGMAS = 10.0
 _GAUSS_PDF_SIGMAS = 39.0
 # nodes per axis of the 2-d grid in a double integral
 _DOUBLE_GRID_NODES = 40
@@ -267,7 +271,7 @@ def _method_and_budget(
     return method, int(budget)
 
 
-def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int):
+def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, double: bool = False):
     """The deterministic rules of ``method`` on ``measure``, as a pair
     ``(outer, inner)``. ``inner`` integrates y -> K(x, y): it is a
     function of x, or, for a rule that does not depend on x, the rule
@@ -276,8 +280,9 @@ def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int
     integration has smoothed. A rule is (nodes (n, d), weights,
     normalizer): the single integral is the weighted sum divided by
     inner's normalizer, and the double integral the sum of both
-    weightings divided by outer's. The 2-d grid has at most ``grid``
-    nodes per axis."""
+    weightings divided by outer's. For the double integral (``double``)
+    the 2-d grid has fewer nodes per axis, and under a 1-d Gaussian each
+    outer node takes the window's rule: past 10 sd its weight is < 2e-23."""
     gauss_1d = isinstance(measure, GaussianMeasure) and measure.dim == 1
     if method == "gauss_hermite" and not gauss_1d:
         raise UnsupportedPairError("gauss_hermite requires a 1-d Gaussian measure")
@@ -294,6 +299,7 @@ def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int
         # hence smooth, so its panels need no split.
         tail = _GAUSS_TAIL_SIGMAS * sd
         lo, hi = mu - tail, mu + tail
+        near = tail if double else _GAUSS_INNER_SIGMAS * sd
 
         def with_pdf(t, w):
             pdf = np.exp(-0.5 * ((t - mu) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
@@ -302,12 +308,13 @@ def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int
         def inner(x):
             x = float(x[0])
             breaks = kernel.inner_breaks(x)
-            if lo <= x <= hi or breaks is None:
+            if abs(x - mu) <= near or breaks is None:
                 return with_pdf(*_split_panels(kernel, lo, hi, breaks, budget))
-            # x outside the window: K(x, y) pdf(y) peaks between the
-            # window and x, or at x, so the window grows to cover x. It
-            # is cut into panels one sd apart from c, the point nearest
-            # to x, which the panels grade toward; the pdf is 0 past 39 sd
+            # x near the window's edge or outside it: K(x, y) pdf(y) may
+            # peak at that edge, between it and x, or at x, so the window
+            # grows to cover x. It is cut into panels one sd apart from c,
+            # the point nearest to x, which the panels grade toward; the
+            # pdf is 0 past 39 sd
             a = max(min(lo, x - tail), mu - _GAUSS_PDF_SIGMAS * sd)
             b = min(max(hi, x + tail), mu + _GAUSS_PDF_SIGMAS * sd)
             c = min(max(x, a), b)
@@ -322,7 +329,7 @@ def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, grid: int
             raise UnsupportedPairError(
                 "2-d panel quadrature supports analytic kernels only"
             )
-        n_ax = min(budget, grid)
+        n_ax = min(budget, _DOUBLE_GRID_NODES if double else DEFAULT_QUAD_NODES)
         (t1, w1), (t2, w2) = (
             _panels([a, b], n_ax) for a, b in zip(measure.lows, measure.highs)
         )
@@ -412,7 +419,7 @@ def estimate_kp_rows(
             OracleEstimate(value, stderr, method, budget, seed)
             for value, stderr in map(_mc_mean, kernel.rows(X, sample))
         ]
-    _, inner = _rules(kernel, measure, method, budget, DEFAULT_QUAD_NODES)
+    _, inner = _rules(kernel, measure, method, budget)
     return [
         OracleEstimate(value=float(np.dot(w, row)) / norm, stderr=0.0, method=method, n=w.size)
         for row, w, norm in _rule_rows(kernel, X, inner)
@@ -449,7 +456,7 @@ def estimate_kpp(
             var = (m - 1) / m * float(np.sum((loo - np.mean(loo)) ** 2))
             stderr = math.sqrt(max(0.0, var))
         return OracleEstimate(value=value, stderr=stderr, method=method, n=m, seed=seed)
-    outer, inner = _rules(kernel, measure, method, budget, _DOUBLE_GRID_NODES)
+    outer, inner = _rules(kernel, measure, method, budget, double=True)
     s, ws, norm = outer()
     total = 0.0
     n = 0

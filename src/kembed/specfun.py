@@ -242,6 +242,8 @@ _ERFCX = (
 _NORMAL_CDF = ((None, lambda x: 0.5 * erfc(-x / _SQRT2)),)
 
 _LOG_NORMAL_CDF = (
+    # erfcx(inf) = 0 has no log
+    (lambda x: x == -math.inf, lambda x: -math.inf),
     # log Phi(x) = log(1/2) - x^2/2 + log erfcx(-x/sqrt 2)
     (
         lambda x: x <= -8.0,

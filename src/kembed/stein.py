@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .dictionary import Embedding
+from .dictionary import _closed_form
 from .errors import InvalidSpecError, UnsupportedPairError
 from .kernels import Kernel
 from .measures import Measure
@@ -131,17 +131,10 @@ def stein_eval(kernel: SteinKernel, x, y) -> float:
     return kernel(x, y)
 
 
-def stein_embed(kernel: SteinKernel, measure: Measure) -> Embedding:
+@_closed_form(SteinKernel, Measure, lambda k, m: k.is_target(m))
+def stein_embed(kernel: SteinKernel, measure: Measure):
     """Both embeddings of a Stein kernel against its own target are
-    identically the additive constant c. They hold under that target
-    only; :func:`kembed.dictionary.embed` checks the measure first."""
-    if not isinstance(kernel, SteinKernel):
-        raise InvalidSpecError("stein_embed expects a Stein kernel")
+    identically the additive constant c; they hold under that target
+    only."""
     c = float(kernel.c)
-
-    return Embedding(
-        kp_rows_fn=lambda X: np.full(len(X), c),
-        kpp=c,
-        kernel=kernel,
-        measure=measure,
-    )
+    return lambda X: np.full(len(X), c), c

@@ -3,6 +3,7 @@ stability limits, branch coverage, and dispatch behavior."""
 
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -12,15 +13,22 @@ from kembed.dictionary import (
     NUMERIC_FALLBACK,
     MaternUniformCoefficients,
     embed,
+    gauss_uniform,
+    matern_gauss_kp,
     matern_uniform_special,
+    periodic_sobolev_embed,
+    powerseries_gauss,
     stationary_cross_kpq,
+    wendland0_uniform,
+    wendland_gauss_kp,
 )
-from kembed.errors import InvalidSpecError, UnsupportedPairError
+from kembed.errors import InvalidSpecError, KembedError, UnsupportedPairError
 from kembed.kernels import (
     AffineMap,
     ComposedKernel,
     FbmKernel,
     GaussianKernel,
+    Map,
     MaternKernel,
     MatrixValuedKernel,
     NormalICDFMap,
@@ -42,7 +50,7 @@ from kembed.measures import (
 )
 from kembed.oracle import estimate_kp, estimate_kpp
 from kembed.specfun import exp_each, pow_each
-from kembed.stein import SteinKernel
+from kembed.stein import SteinKernel, stein_embed
 
 # Reference values computed independently by panel quadrature and
 # frozen; each agreed with the closed form to <1e-14 when generated.
@@ -135,7 +143,8 @@ def test_oracle_agreement(name):
     spec = FROZEN[name]
     kernel, measure = spec["kernel"](), spec["measure"]()
     e = embed(kernel, measure)
-    rng = random.Random(hash(name) & 0xFFFF)
+    # a string's hash() changes with PYTHONHASHSEED; crc32 does not
+    rng = random.Random(zlib.crc32(name.encode()))
     for _ in range(5):
         if measure.family == "uniform_box":
             x = [rng.uniform(lo - 0.3, hi + 0.3)
@@ -497,6 +506,46 @@ def test_unsupported_pairs_raise():
               UniformBoxMeasure(lows=(0.0, 0.0), highs=(1.0, 1.0)))
 
 
+# A builder called directly on a pair outside its condition, and what it
+# used to return: a wrong closed form, or a bare TypeError.
+_OUTSIDE = {
+    "wendland_gauss_order4": (wendland_gauss_kp, WendlandKernel(order=4, lengthscale=1.0),
+                              GaussianMeasure(mean=(0.0,), cov=(1.0,))),
+    "matern_gauss_nu3.5": (matern_gauss_kp, MaternKernel(nu=3.5, lengthscale=1.0),
+                           GaussianMeasure(mean=(0.0,), cov=(1.0,))),
+    "wendland_uniform_order2": (wendland0_uniform, WendlandKernel(order=2, lengthscale=1.0),
+                                UniformBoxMeasure(lows=(0.0,), highs=(1.0,))),
+    "powerseries_noncentered": (powerseries_gauss, PowerSeriesKernel({(0,): 1.0, (2,): 0.5}),
+                                GaussianMeasure(mean=(0.3,), cov=(0.8,))),
+    "periodic_subbox": (periodic_sobolev_embed, PeriodicSobolevKernel(r=1),
+                        UniformBoxMeasure(lows=(0.2,), highs=(0.6,))),
+    "stein_other_measure": (stein_embed, SteinKernel(GaussianKernel(lengthscales=(1.0,)),
+                                                     GaussianMeasure(mean=(0.0,), cov=(1.0,))),
+                            GaussianMeasure(mean=(3.0,), cov=(1.0,))),
+    "gauss_uniform_full_matrix": (gauss_uniform, GaussianKernel(matrix=[[1.0, 0.3], [0.3, 0.8]]),
+                                  UniformBoxMeasure(lows=(0.0, 0.0), highs=(1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTSIDE))
+def test_builders_refuse_pairs_outside_their_condition(case):
+    builder, kernel, measure = _OUTSIDE[case]
+    assert not builder.holds(kernel, measure)
+    with pytest.raises(KembedError, match=builder.__name__):
+        builder(kernel, measure)
+    # embed answers the same pair from another rule or the oracle
+    embed(kernel, measure, budget=200)
+
+
+def test_builders_check_dimensions_as_embed_does():
+    kernel, box = GaussianKernel(lengthscales=(1.0,)), UniformBoxMeasure(lows=(0.0, 0.0), highs=(1.0, 1.0))
+    with pytest.raises(InvalidSpecError) as direct:
+        gauss_uniform(kernel, box)
+    with pytest.raises(InvalidSpecError) as dispatched:
+        embed(kernel, box)
+    assert str(direct.value) == str(dispatched.value)
+
+
 def test_numeric_fallback_pairs():
     e = embed(GaussianKernel(lengthscales=(1.0, 1.0, 1.0)),
               SphereUniformMeasure(d=2), budget=50_000)
@@ -533,6 +582,16 @@ def test_pushforward_recognition_icdf():
     assert e.kpp == 1.0 / math.sqrt(3.0)
 
 
+def test_pushforward_look_alike_map_goes_to_the_oracle():
+    # a map is the normal quantile by type, not by its name
+    identity = Map(forward=lambda x: x, inverse=lambda z: z, name="normal_icdf")
+    base = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
+    k = GaussianKernel(lengthscales=(1.0,))
+    e = embed(k, PushforwardMeasure(base=base, map=identity), budget=20_000, seed=1)
+    assert e.provenance == NUMERIC_FALLBACK
+    assert e.kpp == pytest.approx(embed(k, base).kpp, abs=4.0 * e.kpp_stderr)
+
+
 def test_composed_kernel_dispatch():
     # K(phi(x), phi(y)) against P equals K against the image of P
     base = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
@@ -543,6 +602,16 @@ def test_composed_kernel_dispatch():
     assert e.kpp == 1.0 / math.sqrt(3.0)
     # kp is evaluated in the original coordinates
     assert e.kp_at([0.5]) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+
+
+def test_composed_kernel_under_empirical_measure_is_the_finite_sum():
+    ck = ComposedKernel(base=GaussianKernel(lengthscales=(1.0,)), map=AffineMap(2.0, 0.5))
+    pts = np.array([[0.1], [0.4], [0.9]])
+    e = embed(ck, EmpiricalMeasure(points=pts), budget=2_000, seed=1)
+    assert e.provenance == CLOSED_FORM
+    want = np.mean([[ck([p], [q]) for q in pts[:, 0]] for p in pts[:, 0]])
+    assert e.kpp == pytest.approx(want, rel=1e-14)
+    assert e.kp_at([0.3]) == pytest.approx(np.mean([ck([0.3], [q]) for q in pts[:, 0]]), rel=1e-14)
 
 
 def test_sum_kernel_dispatch():

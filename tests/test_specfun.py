@@ -471,6 +471,7 @@ def test_error_functions_take_their_limits_at_infinity():
         erfc: (0.0, 2.0),
         normal_cdf: (1.0, 0.0),
         erfcx: (0.0, inf),
+        log_normal_cdf: (0.0, -inf),
     }
     for fn, (at_plus, at_minus) in limits.items():
         assert fn(inf) == at_plus and fn(-inf) == at_minus
