@@ -690,14 +690,22 @@ def sphere_embed(kernel: SphereSobolevKernel | SphereSmoothKernel, measure: Sphe
     return kp_rows, const
 
 
-def _unit_interval(kernel: PeriodicSobolevKernel, measure: UniformBoxMeasure) -> bool:
-    """True on [0, 1] itself; a box within [0, 1] is left to the oracle."""
+def _unit_interval(
+    kernel: PeriodicSobolevKernel, measure: UniformBoxMeasure | GaussianMeasure
+) -> bool:
+    """True on [0, 1] itself; a box within [0, 1] is left to the oracle.
+    A Gaussian puts mass outside [0, 1], where the kernel is undefined."""
+    if isinstance(measure, GaussianMeasure):
+        raise InvalidSpecError(
+            f"periodic Sobolev kernels live on [0, 1]; a {measure.family} "
+            "measure puts mass outside it"
+        )
     if measure.lows[0] < 0.0 or measure.highs[0] > 1.0:
         raise InvalidSpecError("periodic Sobolev kernels live on [0, 1]")
     return measure.lows[0] == 0.0 and measure.highs[0] == 1.0
 
 
-@_closed_form(PeriodicSobolevKernel, UniformBoxMeasure, _unit_interval)
+@_closed_form(PeriodicSobolevKernel, (UniformBoxMeasure, GaussianMeasure), _unit_interval)
 def periodic_sobolev_embed(kernel: PeriodicSobolevKernel, measure: UniformBoxMeasure):
     """Periodic Sobolev kernel of order 2r under the uniform measure on
     [0, 1]: every Fourier term integrates to zero, so both embeddings

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _SPHERE_NORM_TOL = 1e-9
+# Kernel entries per row block of a Gram matrix: a block of b rows takes
+# about b * n entries, so the block's memory grows with n, not n^2.
+_GRAM_BLOCK = 1 << 15
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -77,23 +80,25 @@ def _finite_points(X, dim: int | None = None) -> np.ndarray:
 
 
 def _sq_dist(X: np.ndarray, Y: np.ndarray, scale=None) -> np.ndarray:
-    """Squared distance |(y_i - x_i) / scale|^2 of matched rows of two
-    (n, d) arrays, either of which may be a single row, in the bits of
-    ``np.sum(((Y - X) / scale) ** 2, axis=1)``. Below 8 columns numpy
-    sums sequentially, so the columns are added one at a time, which
-    avoids its slow reduction along a short axis; from 8 up numpy sums
-    pairwise, and np.sum itself is used. Each column's temporary is
-    freed once it is added, so at most two rows of the result's length
-    are held at a time."""
-    d = X.shape[1]
+    """Squared distance |(y - x) / scale|^2 of matched rows of two arrays
+    whose last axis holds the coordinates and whose other axes broadcast,
+    in the bits of ``np.sum(((Y - X) / scale) ** 2, axis=-1)``: (n, d)
+    rows against (n, d) or one row give (n,), and (b, 1, d) against
+    (1, m, d) give a (b, m) block. Below 8 columns numpy sums
+    sequentially, so the columns are added one at a time, which avoids
+    its slow reduction along a short axis; from 8 up numpy sums pairwise,
+    and np.sum itself is used. Each column's temporary is freed once it
+    is added, so at most two arrays of the result's shape are held at a
+    time."""
+    d = X.shape[-1]
     if not 0 < d < 8:
         Z = Y - X
         if scale is not None:
             Z = Z / np.asarray(scale)
-        return np.sum(Z * Z, axis=1)
+        return np.sum(Z * Z, axis=-1)
 
     def column(j):
-        z = Y[:, j] - X[:, j]
+        z = Y[..., j] - X[..., j]
         if scale is not None:
             z /= scale[j]
         z *= z
@@ -106,11 +111,11 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray, scale=None) -> np.ndarray:
 
 
 def _precision_rows(cov: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """cov^{-1} d for each row d of D. The precision matrix multiplies
-    each row elementwise and sums over the last axis, so a row's bits do
-    not depend on how many rows share the call (a multi-right-hand-side
-    solve's do)."""
-    return np.sum(np.linalg.inv(cov)[None, :, :] * D[:, None, :], axis=2)
+    """cov^{-1} d for each vector d along the last axis of D. The
+    precision matrix multiplies each vector elementwise and sums over the
+    last axis, so a vector's bits do not depend on how many share the
+    call (a multi-right-hand-side solve's do)."""
+    return np.sum(np.linalg.inv(cov) * D[..., None, :], axis=-1)
 
 
 class Kernel:
@@ -124,7 +129,8 @@ class Kernel:
     outside the family's domain. ``__call__``, ``batch``, ``pairs``,
     ``rows``, ``gram`` and ``gram_form`` share one prologue: finite
     points of the right dimension, then ``_check``, once for each
-    argument array, then ``_pairs``; they agree bit for bit. ``spec``
+    argument array, then ``_pairs``; their kernel values agree bit for
+    bit (``gram_form`` sums them in its own order). ``spec``
     maps each key of the family's spec object to the name of its value
     converter in :mod:`kembed.cli` (a trailing ``?`` marks an optional
     key); it is None for kernels with no spec form. The hints tell the
@@ -139,6 +145,11 @@ class Kernel:
     #: True when K(x, y) = phi(x - y) on R^d, so the double integral of K
     #: against independent X ~ P and Y ~ Q is K_D(0), D the law of X - Y.
     stationary: bool = False
+    #: True when ``_pairs`` broadcasts, (b, 1, d) against (1, m, d) giving
+    #: a (b, m) block with the bits of its ``batch`` rows, and K(x, y) has
+    #: the bits of K(y, x): a Gram matrix is then its upper triangle, one
+    #: block of rows at a time.
+    symmetric: bool = False
     #: ``_derivatives(x, Y)`` returns (K, grad_x K, grad_y K,
     #: tr grad_x grad_y K), of shapes (n,), (n, d), (n, d), (n,), against
     #: the rows y_i of Y, at one point x or at the matched rows of an
@@ -183,26 +194,58 @@ class Kernel:
         return self._rows(X, Y)
 
     def gram(self, X) -> np.ndarray:
-        """Kernel matrix over rows of X, filled row by row into one
-        array; a matrix-valued kernel gives an (n, n, k, k) array."""
+        """Kernel matrix over rows of X, each row with the bits of
+        ``batch(x_i, X)``; a matrix-valued kernel gives an (n, n, k, k)
+        array. A symmetric family computes the upper triangle, one block
+        of rows at a time, and mirrors it; every other family fills one
+        row at a time. Beyond the result, memory grows with n times the
+        block, not n^2."""
         X = self._checked_points(X)
+        n = len(X)
         out = np.zeros((0, 0))
-        for i, row in enumerate(self._rows(X, X)):
-            if i == 0:
-                out = np.empty((len(X),) + row.shape)
-            out[i] = row
+        for lo, hi, block in self._gram_blocks(X):
+            if lo == 0:
+                out = np.empty((n, n) + block.shape[2:])
+            if self.symmetric:
+                out[lo:, lo:hi] = block.T
+                out[lo:hi, lo:] = block
+            else:
+                out[lo:hi] = block
         return out
 
     def gram_form(self, X, w) -> float:
-        """w^T K(X, X) w for a scalar kernel, summed over one Gram row at
-        a time, so memory grows with n and not n^2: each row gives
-        v_i = K(x_i, X) @ w, and the result is w @ v."""
+        """w^T K(X, X) w for a scalar kernel, accumulated over the blocks
+        of :meth:`gram` into v = K(X, X) w, so memory grows with n times
+        the block, not n^2; the result is w @ v. A symmetric family adds
+        each off-diagonal block to v twice, once for its rows and once,
+        transposed, for its columns. This moves the last bits only: the
+        result agrees with ``w @ gram(X) @ w`` within 1e-14 of
+        |w|^T |K(X, X)| |w|."""
         X = self._checked_points(X)
         w = np.asarray(w, dtype=float)
-        v = np.empty(len(X))
-        for i, row in enumerate(self._rows(X, X)):
-            v[i] = row @ w
+        v = np.zeros(len(X))
+        for lo, hi, block in self._gram_blocks(X):
+            if self.symmetric:
+                v[lo:hi] += block @ w[lo:]
+                v[hi:] += w[lo:hi] @ block[:, hi - lo :]
+            else:
+                v[lo:hi] = block @ w
         return float(w @ v)
+
+    def _gram_blocks(self, X: np.ndarray):
+        """(lo, hi, block) over the Gram's rows lo:hi of checked points:
+        for a symmetric family, K(X[lo:hi], X[lo:]) in one ``_pairs``
+        call, over row blocks of about _GRAM_BLOCK entries; for any other,
+        the one row K(x_lo, X) of ``_rows``, as a block of one row."""
+        n = len(X)
+        if not self.symmetric:
+            for i, row in enumerate(self._rows(X, X)):
+                yield i, i + 1, row[None]
+            return
+        step = max(1, _GRAM_BLOCK // n)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            yield lo, hi, self._pairs(X[lo:hi, None, :], X[None, lo:, :])
 
     def _checked_points(self, X) -> np.ndarray:
         """X as finite (n, d) points in the kernel's domain."""
@@ -259,6 +302,7 @@ class GaussianKernel(Kernel):
     spec = {"lengthscales": "numbers?", "matrix": "array?"}
     smooth = True
     stationary = True
+    symmetric = True
 
     def __post_init__(self):
         if (self.lengthscales is None) == (self.matrix is None):
@@ -313,7 +357,7 @@ class GaussianKernel(Kernel):
         if self.diagonal:
             return np.exp(-0.5 * _sq_dist(X, Y, self.lengthscales))
         D = Y - X
-        return np.exp(-0.5 * np.sum(D * _precision_rows(self.matrix, D), axis=1))
+        return np.exp(-0.5 * np.sum(D * _precision_rows(self.matrix, D), axis=-1))
 
     def _derivatives(self, x, Y):
         X = as_points(x, self.dim) if np.ndim(x) == 2 else as_point(x, self.dim)[None, :]
@@ -362,6 +406,7 @@ class MaternKernel(Kernel):
     family = "matern"
     spec = {"nu": "number", "lengthscale": "number"}
     stationary = True
+    symmetric = True
 
     def __post_init__(self):
         n = self.nu - 0.5
@@ -408,6 +453,7 @@ class WendlandKernel(Kernel):
     family = "wendland"
     spec = {"order": "integer", "lengthscale": "number"}
     stationary = True
+    symmetric = True
 
     def __post_init__(self):
         if self.order not in (0, 2, 4):

@@ -156,7 +156,9 @@ def make_problem(
     n = nodes.shape[0]
     if n:
         gram = kernel.gram(nodes)
-        gram = 0.5 * (gram + gram.T)
+        if not kernel.symmetric:
+            # a Stein Gram, for one, is symmetric only to roundoff
+            gram = 0.5 * (gram + gram.T)
         m = embedding.kp_rows(nodes)
     else:
         gram = np.zeros((0, 0))
@@ -186,8 +188,13 @@ def _solve_gram(problem: QuadratureProblem) -> tuple[np.ndarray, float]:
     else:
         ladder = [rel * abs(mean_diag) for rel in _JITTER_LADDER]
     m_norm = float(np.linalg.norm(m))
+    # one copy of C for every rung, each of which sets its diagonal; the
+    # copy is c + 0.0 so that off the diagonal it has the bits of
+    # c + jit * I (a -0.0 becomes 0.0)
+    sys = c + 0.0
+    diagonal = np.diagonal(c)
     for jit in ladder:
-        sys = c + jit * np.eye(n)
+        np.fill_diagonal(sys, diagonal + jit)
         try:
             chol = np.linalg.cholesky(sys)
         except np.linalg.LinAlgError:

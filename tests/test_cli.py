@@ -183,6 +183,17 @@ def test_exit_3_duplicate_nodes(spec_file, capsys, tmp_path):
     assert "coincide" in out.err
 
 
+@pytest.mark.parametrize("what", ["kp", "kpp"])
+def test_exit_3_periodic_sobolev_under_a_gaussian(spec_file, capsys, what):
+    # the error names the measure and the kernel's domain, not an oracle node
+    doc = {"schema_version": 1, "kernel": {"family": "periodic_sobolev", "r": 1},
+           "measure": {"family": "gaussian", "mean": [0.5], "cov": [0.01]}}
+    argv = ["eval", "--spec", spec_file(doc), "--what", what]
+    code, out = _run(capsys, argv + (["--x", "0.5"] if what == "kp" else []))
+    assert code == 3
+    assert "periodic Sobolev kernels live on [0, 1]; a gaussian measure" in out.err
+
+
 def test_exit_3_missing_spec_file(capsys):
     code, out = _run(capsys, ["eval", "--spec", "/nonexistent.json",
                               "--what", "kpp"])

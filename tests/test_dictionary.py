@@ -480,6 +480,24 @@ def test_periodic_sobolev_constant_one():
         assert e.kpp == 1.0
 
 
+def test_periodic_sobolev_needs_a_measure_on_the_unit_interval():
+    k = PeriodicSobolevKernel(r=1)
+    for measure in (
+        GaussianMeasure(mean=(0.0,), cov=(1.0,)),
+        MixtureMeasure(components=[UniformBoxMeasure(lows=(0.0,), highs=(1.0,)),
+                                   GaussianMeasure(mean=(0.5,), cov=(0.01,))],
+                       weights=(0.5, 0.5)),
+    ):
+        with pytest.raises(InvalidSpecError,
+                           match=r"live on \[0, 1\]; a gaussian measure puts mass outside it$"):
+            embed(k, measure)
+    # atoms in [0, 1] keep their exact finite sums
+    emp = EmpiricalMeasure(points=[[0.1], [0.7]], weights=(0.25, 0.75))
+    e = embed(k, emp)
+    assert e.kp_provenance == "closed_form"
+    assert e.kp_at([0.3]) == 0.25 * k([0.3], [0.1]) + 0.75 * k([0.3], [0.7])
+
+
 def test_empirical_exact_sums():
     pts = np.array([[0.1], [0.7], [1.3]])
     w = (0.2, 0.3, 0.5)

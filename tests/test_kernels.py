@@ -253,6 +253,35 @@ def test_composed_kernel_and_maps():
         AffineMap(0.0, 1.0)
 
 
+_GRAM_FORM_KERNELS = {
+    "gaussian": (GaussianKernel(lengthscales=(0.7, 1.3)), "normal2"),
+    "gaussian_matrix": (GaussianKernel(matrix=[[1.0, 0.3], [0.3, 0.5]]), "normal2"),
+    "matern": (MaternKernel(nu=2.5, lengthscale=0.4), "normal2"),
+    "wendland": (WendlandKernel(order=2, lengthscale=1.1), "normal2"),
+    "sum": (SumKernel([GaussianKernel(lengthscales=(0.5, 0.5)), MaternKernel(nu=0.5)],
+                      [0.3, 0.7]), "normal2"),
+    "fbm": (FbmKernel(hurst=0.3), "positive1"),
+}
+
+
+# 181 rows are one full block of the 2^15 entries, 182 a full block and
+# a ragged one of 2 rows; 1 000 rows are 31 blocks of 32 and one of 8
+@pytest.mark.parametrize("n", [1, 2, 180, 181, 182, 1000])
+@pytest.mark.parametrize("name", sorted(_GRAM_FORM_KERNELS))
+def test_gram_form_agrees_with_the_gram(name, n):
+    kernel, points = _GRAM_FORM_KERNELS[name]
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 2)) if points == "normal2" else rng.uniform(0.0, 3.0, (n, 1))
+    w = rng.normal(size=n)
+    G = kernel.gram(X)
+    value = kernel.gram_form(X, w)
+    # the symmetric families sum in blocks, which moves the last bits
+    assert abs(value - float(w @ G @ w)) <= 1e-14 * float(np.abs(w) @ np.abs(G) @ np.abs(w))
+    if not kernel.symmetric:
+        # the others sum one row at a time, as the row-by-row form does
+        assert value == float(w @ np.array([kernel.batch(x, X) @ w for x in X]))
+
+
 @pytest.mark.parametrize("make_map", [lambda: AffineMap(1.5, -0.2), NormalICDFMap])
 def test_composed_kernel_maps_each_argument_once_per_call(make_map):
     inner = make_map()
@@ -282,7 +311,9 @@ def test_composed_kernel_maps_each_argument_once_per_call(make_map):
         for i, x in enumerate(X):
             assert rows[i].tobytes() == k.batch(x, Y).tobytes()
             assert G[i].tobytes() == k.batch(x, X).tobytes()
-        assert value == float(w @ np.array([k.batch(x, X) @ w for x in X]))
+        # the symmetric base sums its Gram in blocks, which moves the last bits
+        scale = float(np.abs(w) @ np.abs(G) @ np.abs(w))
+        assert abs(value - float(w @ np.array([k.batch(x, X) @ w for x in X]))) <= 1e-14 * scale
 
 
 def test_composed_kernel_rows_raise_the_row_by_row_error():
@@ -355,3 +386,8 @@ def test_sq_dist_has_the_bits_of_np_sum(d):
         assert _sq_dist(A, B).tobytes() == np.sum((B - A) ** 2, axis=1).tobytes()
         want = np.sum(((B - A) / np.asarray(s)) ** 2, axis=1)
         assert _sq_dist(A, B, s).tobytes() == want.tobytes()
+    # a (7, 60) block of rows against rows, each row with the bits of the
+    # one row of X against all of Y
+    block = _sq_dist(X[:7, None, :], Y[None, :, :], s)
+    assert block.shape == (7, 60)
+    assert block.tobytes() == np.stack([_sq_dist(x[None, :], Y, s) for x in X[:7]]).tobytes()

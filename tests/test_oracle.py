@@ -30,7 +30,7 @@ from kembed.measures import (
     SphereUniformMeasure,
     UniformBoxMeasure,
 )
-from kembed import oracle
+from kembed import kernels, oracle
 from kembed.oracle import (
     estimate_kp,
     estimate_kp_rows,
@@ -380,6 +380,37 @@ def test_gram_is_stacked_batch_rows_bitwise(pair):
     got = _array_or_error(lambda: kernel.gram(X))
     want = _array_or_error(lambda: np.stack([kernel.batch(x, X) for x in X]))
     assert got == want
+
+
+# the families whose Gram is computed over its upper triangle in blocks
+_SYMMETRIC_FAMILIES = {"gaussian", "gaussian_matrix", "matern", "wendland"}
+
+
+@pytest.mark.parametrize("pair", sorted(_ROUTES), ids="-".join)
+def test_gram_in_blocks_is_stacked_batch_rows_bitwise(pair, monkeypatch):
+    # 23 rows in blocks of 5: four full blocks and a ragged one of 3
+    monkeypatch.setattr(kernels, "_GRAM_BLOCK", 5 * 23)
+    family, measure_name = pair
+    measure, _ = _ROUTE_MEASURES[measure_name]
+    kernel = _ROUTE_KERNELS[family](measure.dim)
+    assert kernel.symmetric == (family in _SYMMETRIC_FAMILIES)
+    X = measure.sample(23, seed=6)
+    got = _array_or_error(lambda: kernel.gram(X))
+    want = _array_or_error(lambda: np.stack([kernel.batch(x, X) for x in X]))
+    assert got == want
+    if kernel.symmetric:
+        G = kernel.gram(X)
+        assert G.tobytes() == G.T.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(_SYMMETRIC_FAMILIES))
+def test_symmetric_gram_at_full_block_size(family):
+    # 400 rows at the real block size: blocks of 81 rows, the last of 76
+    kernel = _ROUTE_KERNELS[family](2)
+    X = GaussianMeasure((0.0, 0.5), 1.5).sample(400, seed=2)
+    G = kernel.gram(X)
+    assert G.tobytes() == np.stack([kernel.batch(x, X) for x in X]).tobytes()
+    assert G.tobytes() == G.T.tobytes()
 
 
 @pytest.mark.parametrize("pair", sorted(_ROUTES), ids="-".join)

@@ -19,11 +19,13 @@ from kembed.measures import (
     UniformBoxMeasure,
 )
 from kembed.oracle import estimate_kp
+from kembed.stein import SteinKernel
 from kembed.quadrature import (
     _SOLVE_BLOCK,
     QuadratureProblem,
     _back_substitute,
     _forward_substitute,
+    _solve_gram,
     bq_posterior,
     make_problem,
     mmd2,
@@ -315,6 +317,55 @@ def test_forced_jitter_is_applied_verbatim():
     assert post.jitter == 1e-3
 
 
+def _reference_solve(problem):
+    # the jitter ladder with a fresh C + jit * I on every rung
+    c, m, n = problem.gram, problem.m, problem.n
+    mean_diag = float(np.trace(c)) / n
+    for rel in (0.0, 1e-12, 1e-10, 1e-8, 1e-6):
+        jit = rel * abs(mean_diag)
+        sys = c + jit * np.eye(n)
+        try:
+            chol = np.linalg.cholesky(sys)
+        except np.linalg.LinAlgError:
+            continue
+        w = _back_substitute(chol, _forward_substitute(chol, m))
+        if np.linalg.norm(sys @ w - m) <= 1e-8 * max(np.linalg.norm(m), 1e-300):
+            return w, jit
+    raise AssertionError("the reference ladder failed")
+
+
+@pytest.mark.parametrize("signed_zeros", [False, True])
+def test_jitter_rungs_have_the_bits_of_c_plus_jit_identity(signed_zeros):
+    # nodes 1e-11 apart need a rung above zero, and a node 60 lengthscales
+    # away gives exact zeros off the diagonal, which may be -0.0
+    prob = _gauss_setup([[0.5], [0.5 + 1e-11], [60.0]], values=[0.1, 0.1, 0.2])
+    e = prob.embedding
+    gram = prob.gram.copy()
+    if signed_zeros:
+        gram[gram == 0.0] = -0.0
+    prob = QuadratureProblem(embedding=e, nodes=prob.nodes, gram=gram, m=prob.m,
+                             values=prob.values)
+    w, jit = _solve_gram(prob)
+    want_w, want_jit = _reference_solve(prob)
+    assert jit == want_jit > 0.0
+    assert w.tobytes() == want_w.tobytes()
+
+
+def test_make_problem_symmetrizes_only_a_gram_that_needs_it():
+    nodes = GaussianMeasure(mean=(0.0,), cov=(1.0,)).sample(50, seed=4)
+    # a symmetric family's Gram is symmetric bit for bit and kept as is
+    k = MaternKernel(nu=2.5, lengthscale=0.7)
+    e = embed(k, GaussianMeasure(mean=(0.0,), cov=(1.0,)))
+    assert make_problem(e, nodes).gram.tobytes() == k.gram(nodes).tobytes()
+    # a Stein Gram is symmetric to roundoff only, and is averaged with its transpose
+    target = GaussianMeasure(mean=(0.3,), cov=(1.2,))
+    stein = SteinKernel(GaussianKernel(lengthscales=(0.8,)), target, c=1.0)
+    gram = stein.gram(nodes)
+    got = make_problem(embed(stein, target), nodes).gram
+    assert got.tobytes() == (0.5 * (gram + gram.T)).tobytes()
+    assert got.tobytes() == got.T.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 3 * _SOLVE_BLOCK + 17])
 def test_blocked_substitution_solves_the_cholesky_factors(n):
     rng = np.random.default_rng(n)
@@ -410,8 +461,8 @@ def test_numeric_fallback_mixture_draws_once_per_component(count_draws):
 
 @pytest.mark.parametrize("n", [3, 4000])
 def test_mmd2_kqq_without_the_gram(n):
-    # K_QQ is summed over Gram rows; at n = 3 the bits are those of
-    # w @ gram @ w. At n = 4 000 a per-row dot product and numpy's
+    # K_QQ is summed over blocks of Gram rows; at n = 3 the bits are
+    # those of w @ gram @ w. At n = 4 000 the blocks and numpy's
     # vector-matrix product sum in different orders, so they agree to
     # rounding (a few ulps of the sum of |w_i w_j K_ij|), not bitwise.
     k = GaussianKernel(lengthscales=(0.8, 1.2))
