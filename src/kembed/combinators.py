@@ -16,9 +16,8 @@ from .dictionary import (
     CLOSED_FORM,
     NUMERIC_FALLBACK,
     Embedding,
-    _recognize_pushforward,
+    cross_kpq,
     embed,
-    stationary_cross_kpq,
 )
 from .errors import InvalidSpecError
 from .kernels import (
@@ -30,7 +29,6 @@ from .kernels import (
     as_points,
 )
 from .measures import (
-    EmpiricalMeasure,
     GaussianMeasure,
     Measure,
     MixtureMeasure,
@@ -114,12 +112,11 @@ def mixture_embed(
     """Embedding of a kernel under a mixture measure sum_j w_j P_j.
 
     The mean embedding is sum_j w_j kp_j(x); the double integral adds
-    the cross terms between distinct components. Those are computed in
-    closed form for a stationary kernel against two Gaussian components
-    when K_D has one, D the law of the difference of their draws
-    (:func:`~kembed.dictionary.stationary_cross_kpq`), exactly for an
-    empirical component (the other component's K_P summed over its
-    atoms, wherever they lie), and by Monte Carlo otherwise.
+    the cross terms between distinct components. Each is exact when a
+    rule of :func:`~kembed.dictionary.cross_kpq` applies (a stationary
+    kernel against two Gaussian components, possibly as the images of
+    a composed kernel's map, or an empirical component), and seeded
+    Monte Carlo otherwise.
     """
     parts = [embed(kernel, c, budget=budget, seed=seed) for c in measure.components]
     w = measure.weights
@@ -167,27 +164,14 @@ def _cross_kpq(
     part_j: Embedding, part_k: Embedding, budget: int | None, seed: int
 ) -> tuple[float, float, str]:
     """Double integral of the kernel against two distinct mixture
-    components, one in each argument."""
-    kernel = part_j.kernel
-    mj, mk = part_j.measure, part_k.measure
-    if isinstance(kernel, ComposedKernel):
-        # K(phi(x), phi(y)) against P_j and P_k is the base kernel against
-        # their images, which may have a closed-form cross term
-        images = [_recognize_pushforward(PushforwardMeasure(m, kernel.map)) for m in (mj, mk)]
-        if None not in images:
-            kernel, (mj, mk) = kernel.base, images
-    if isinstance(mj, GaussianMeasure) and isinstance(mk, GaussianMeasure):
-        value = stationary_cross_kpq(kernel, mj, mk)
-        if value is not None:
-            return value, 0.0, CLOSED_FORM
-    if isinstance(mk, EmpiricalMeasure):
-        value = float(np.dot(mk.weights, part_j.kp_rows(mk.points)))
-        return value, 0.0, part_j.kp_provenance
-    if isinstance(mj, EmpiricalMeasure):
-        return _cross_kpq(part_k, part_j, budget, seed)
-    # raw double Monte Carlo: independent draws in each argument
+    components, one in each argument: the exact rule of
+    :func:`~kembed.dictionary.cross_kpq` when one applies, otherwise raw
+    double Monte Carlo with independent draws in each argument."""
+    exact = cross_kpq(part_j, part_k)
+    if exact is not None:
+        return exact
     n = budget if budget is not None else CROSS_TERM_BUDGET
-    vals = kernel.pairs(mj.sample(n, seed), mk.sample(n, seed + 1))
+    vals = part_j.kernel.pairs(part_j.measure.sample(n, seed), part_k.measure.sample(n, seed + 1))
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     return value, stderr, NUMERIC_FALLBACK

@@ -18,9 +18,11 @@ kernel phi(x - y) integrated against independent Gaussians X ~ P and
 Y ~ Q is K_D(0), D = N(mu_P - mu_Q, Sigma_P + Sigma_Q) the law of
 X - Y (the convolution view of Nishiyama & Fukumizu, JMLR 2016):
 :func:`stationary_cross_kpq` reads every such cross term from the
-closed form of K_D. A stationary kernel under U[a, b] in 1-d has K_P(x)
-= (F(x - a) - F(x - b)) / (b - a), F the odd antiderivative of phi, at
-every x on the line: only the kernel's own domain bounds x.
+closed form of K_D, and :func:`cross_kpq` is the one rule for every
+exact cross term that mixtures and ``mmd2`` use. A stationary kernel
+under U[a, b] in 1-d has K_P(x) = (F(x - a) - F(x - b)) / (b - a), F
+the odd antiderivative of phi, at every x on the line: only the
+kernel's own domain bounds x.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ __all__ = [
     "gauss_uniform",
     "gauss_gauss",
     "stationary_cross_kpq",
+    "cross_kpq",
     "matern_uniform_general",
     "matern_uniform_special",
     "matern_gauss_kp",
@@ -291,6 +294,29 @@ def stationary_cross_kpq(kernel: Kernel, p: GaussianMeasure, q: GaussianMeasure)
     if pair is None:
         return None
     return float(pair.kp_rows(np.zeros((1, d.dim)))[0])
+
+
+def cross_kpq(p: Embedding, q: Embedding) -> tuple[float, float, str] | None:
+    """E K(X, Y) for independent X ~ P and Y ~ Q, two embeddings of one
+    kernel, as (value, stderr, provenance) from the first exact rule, or
+    None: a composed kernel whose images of P and Q are recognized is its
+    base kernel on the images; a stationary kernel against two Gaussians
+    is :func:`stationary_cross_kpq`; an empirical side is the other
+    embedding's K_P summed over its atoms."""
+    kernel, mp, mq = p.kernel, p.measure, q.measure
+    if isinstance(kernel, ComposedKernel):
+        images = [_recognize_pushforward(PushforwardMeasure(m, kernel.map)) for m in (mp, mq)]
+        if None not in images:
+            kernel, (mp, mq) = kernel.base, images
+    if isinstance(mp, GaussianMeasure) and isinstance(mq, GaussianMeasure):
+        value = stationary_cross_kpq(kernel, mp, mq)
+        if value is not None:
+            return value, 0.0, CLOSED_FORM
+    for atoms, other in ((mq, p), (mp, q)):
+        if isinstance(atoms, EmpiricalMeasure):
+            value = float(np.dot(atoms.weights, other.kp_rows(atoms.points)))
+            return value, 0.0, other.kp_provenance
+    return None
 
 
 # --- Matern kernels, uniform measure --------------------------------------

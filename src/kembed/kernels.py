@@ -740,6 +740,10 @@ class SumKernel(Kernel):
     def smooth(self):
         return all(c.smooth for c in self.children)
 
+    @property
+    def symmetric(self):
+        return all(c.symmetric for c in self.children)
+
     def inner_breaks(self, x):
         return _joined([c.inner_breaks(x) for c in self.children])
 
@@ -927,6 +931,10 @@ class ComposedKernel(Kernel):
     def dim(self):
         return self.base.dim
 
+    @property
+    def symmetric(self):
+        return self.base.symmetric
+
     def gram(self, X):
         return self.base.gram(self.map(self._checked_points(X)))
 
@@ -935,14 +943,15 @@ class ComposedKernel(Kernel):
 
     def _images(self, *arrays):
         """The map's image of each array, as the base kernel's checked
-        points: all are mapped, then all checked finite, then each
-        checked against the base kernel's domain."""
-        images = [as_points(self.map(V), self.base.dim) for V in arrays]
+        points in the array's shape, (n, d) or a broadcast (b, 1, d) or
+        (1, m, d): all are mapped as rows, then all checked finite, then
+        each checked against the base kernel's domain."""
+        images = [as_points(self.map(V.reshape(-1, V.shape[-1])), self.base.dim) for V in arrays]
         if not all(np.all(np.isfinite(F)) for F in images):
             raise InvalidSpecError("points must be finite")
         for F in images:
             self.base._check(F)
-        return images
+        return [F.reshape(V.shape[:-1] + F.shape[-1:]) for F, V in zip(images, arrays)]
 
     def _pairs(self, X, Y):
         # the mapped image exists only here, so it is checked here

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Embedding, _closed_form_pair, stationary_cross_kpq
+from .dictionary import CLOSED_FORM, Embedding, cross_kpq, embed
 from .errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
 from .kernels import as_points
-from .measures import EmpiricalMeasure, GaussianMeasure, Measure
+from .measures import Measure
 
 __all__ = [
     "QuadratureProblem",
@@ -32,8 +32,9 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 _DISTINCT_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8
 _VARIANCE_SLACK = -1e-10
-# Rows per diagonal block of the triangular solves; a Gram of at most
-# this many nodes is one diagonal block, solved by a single np.linalg.solve.
+# Rows per diagonal block of the triangular solves (a Gram of at most
+# this many nodes is one diagonal block, solved by a single
+# np.linalg.solve) and per tile of the Gram's symmetry check.
 _SOLVE_BLOCK = 128
 # Candidate pairs compared at a time by the node-distinctness check.
 _PAIR_BLOCK = 1 << 20
@@ -64,8 +65,8 @@ class QuadratureProblem:
         if not np.all(np.isfinite(self.gram)) or not np.all(np.isfinite(self.m)):
             raise InvalidSpecError("gram and embedding values must be finite")
         if n:
-            scale = float(np.max(np.abs(self.gram))) or 1.0
-            if float(np.max(np.abs(self.gram - self.gram.T))) > 1e-10 * scale:
+            scale = max(float(self.gram.max()), -float(self.gram.min())) or 1.0
+            if _asymmetry(self.gram) > 1e-10 * scale:
                 raise InvalidSpecError("gram matrix must be symmetric")
         pair = _first_coincident_pair(self.nodes.reshape(n, -1)) if n > 1 else None
         if pair is not None:
@@ -80,6 +81,19 @@ class QuadratureProblem:
     @property
     def kpp(self) -> float:
         return _scalar_kpp(self.embedding, "quadrature")
+
+
+def _asymmetry(gram: np.ndarray) -> float:
+    """max |G - G^T| over square tiles of the upper triangle, each
+    compared with its mirror tile, so no n x n temporary is made."""
+    n = len(gram)
+    worst = 0.0
+    for lo in range(0, n, _SOLVE_BLOCK):
+        for col in range(lo, n, _SOLVE_BLOCK):
+            tile = gram[lo : lo + _SOLVE_BLOCK, col : col + _SOLVE_BLOCK]
+            mirror = gram[col : col + _SOLVE_BLOCK, lo : lo + _SOLVE_BLOCK].T
+            worst = max(worst, float(np.max(np.abs(tile - mirror))))
+    return worst
 
 
 def _first_coincident_pair(nodes: np.ndarray) -> tuple[int, int] | None:
@@ -285,41 +299,35 @@ def _clamp_variance(value: float, label: str) -> float:
 
 def mmd2(embedding: Embedding, q, weights=None) -> float:
     """Squared maximum mean discrepancy K_PP - 2 K_PQ + K_QQ, under the
-    embedding's kernel, between the embedded measure P and a second
-    measure Q: an empirical measure, a raw point array with optional
-    (possibly signed) weights, or a Gaussian measure when P is Gaussian
-    too and the kernel is stationary with a closed form under Gaussians
-    (Gaussian, Matern nu <= 5/2, Wendland order 0 or 2); K_PQ is then
-    K_D(0), D the law of X - Y."""
+    embedding's kernel, between the embedded measure P and Q: a raw
+    point array with optional (possibly signed) weights, or a measure,
+    which carries its own weights. For a measure, K_PQ is the exact rule
+    of :func:`~kembed.dictionary.cross_kpq` that mixtures use too, and
+    K_QQ is that of ``embed(kernel, Q)``; UnsupportedPairError when no
+    rule applies or Q's embedding is not closed form."""
     kernel = embedding.kernel
     kpp = _scalar_kpp(embedding, "mmd2")
-    if isinstance(q, EmpiricalMeasure) or not isinstance(q, Measure):
-        if isinstance(q, EmpiricalMeasure):
-            if weights is not None:
-                raise InvalidSpecError(
-                    "weights are taken from the empirical measure itself"
-                )
-            points = q.points
-            w = np.asarray(q.weights)
-        else:
-            points = as_points(q, kernel.dim)
-            if weights is None:
-                w = np.full(points.shape[0], 1.0 / points.shape[0])
-            else:
-                w = np.atleast_1d(np.asarray(weights, dtype=float))
-                if w.shape != (points.shape[0],):
-                    raise InvalidSpecError("one weight per point is required")
-        kpq = float(np.dot(w, embedding.kp_rows(points)))
-        # K_QQ row by row (Gretton et al., JMLR 2012): the n x n Gram is
-        # never held
-        kqq = kernel.gram_form(points, w)
-        return kpp - 2.0 * kpq + kqq
-    if isinstance(q, GaussianMeasure) and isinstance(embedding.measure, GaussianMeasure):
-        kpq = stationary_cross_kpq(kernel, embedding.measure, q)
-        if kpq is not None:
-            return kpp - 2.0 * kpq + _closed_form_pair(kernel, q).kpp
-    raise UnsupportedPairError(
-        "mmd2 supports empirical Q, or Gaussian Q against a Gaussian P with a "
-        "stationary kernel that has a closed form under Gaussians; "
-        f"got measure family '{q.family}'"
-    )
+    if isinstance(q, Measure):
+        if weights is not None:
+            raise InvalidSpecError("weights are taken from the measure itself")
+        other = embed(kernel, q)
+        kpq = cross_kpq(embedding, other)
+        if kpq is None or other.provenance != CLOSED_FORM:
+            raise UnsupportedPairError(
+                "mmd2 supports empirical P or Q, or Gaussian P and Q under a "
+                "stationary kernel that has a closed form under Gaussians; "
+                f"got measure family '{q.family}'"
+            )
+        return kpp - 2.0 * kpq[0] + other.kpp
+    points = as_points(q, kernel.dim)
+    if weights is None:
+        w = np.full(points.shape[0], 1.0 / points.shape[0])
+    else:
+        w = np.atleast_1d(np.asarray(weights, dtype=float))
+        if w.shape != (points.shape[0],):
+            raise InvalidSpecError("one weight per point is required")
+    kpq = float(np.dot(w, embedding.kp_rows(points)))
+    # K_QQ row by row (Gretton et al., JMLR 2012): the n x n Gram is
+    # never held
+    kqq = kernel.gram_form(points, w)
+    return kpp - 2.0 * kpq + kqq

@@ -12,6 +12,7 @@ from kembed.dictionary import (
     CLOSED_FORM,
     NUMERIC_FALLBACK,
     MaternUniformCoefficients,
+    cross_kpq,
     embed,
     gauss_uniform,
     matern_gauss_kp,
@@ -374,6 +375,66 @@ def test_gaussian_mixture_kpp_sums_difference_measures(name, count_draws):
         for i in range(3)
     )
     assert e.kpp == pytest.approx(expected, rel=1e-14)
+
+
+_CROSS_RULES = {
+    "gaussian_pair": (
+        GaussianKernel((0.9,)), GaussianMeasure((0.2,), 1.0), GaussianMeasure((1.1,), 0.4)
+    ),
+    "matern_pair": (
+        MaternKernel(nu=2.5, lengthscale=0.8), GaussianMeasure((0.2,), 1.0), GaussianMeasure((1.1,), 0.4)
+    ),
+    "composed_pair": (
+        ComposedKernel(GaussianKernel((0.7,)), AffineMap(2.0, 0.5)),
+        GaussianMeasure((0.0,), 1.0),
+        GaussianMeasure((1.0,), 1.0),
+    ),
+    "empirical_and_box": (
+        MaternKernel(nu=1.5, lengthscale=0.5),
+        EmpiricalMeasure(np.array([[-0.7], [0.4], [1.6]]), weights=(0.2, 0.3, 0.5)),
+        UniformBoxMeasure((0.0,), (1.0,)),
+    ),
+    "empirical_pair": (
+        GaussianKernel((0.6,)),
+        EmpiricalMeasure(np.array([[0.1], [0.9]])),
+        EmpiricalMeasure(np.array([[0.3], [-0.4], [2.0]]), weights=(0.5, 0.3, 0.2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_CROSS_RULES))
+def test_cross_kpq_is_symmetric_and_exact(rule):
+    kernel, mp, mq = _CROSS_RULES[rule]
+    p, q = embed(kernel, mp), embed(kernel, mq)
+    value, stderr, provenance = cross_kpq(p, q)
+    back = cross_kpq(q, p)
+    assert back[1:] == (0.0, CLOSED_FORM)
+    assert (stderr, provenance) == (0.0, CLOSED_FORM)
+    assert value == pytest.approx(back[0], rel=1e-15, abs=0.0)
+    # the double integral of the two-component mixture: its cross term is
+    # the rule's, its diagonal terms the parts'
+    mix = embed(kernel, MixtureMeasure([mp, mq], [0.5, 0.5]))
+    assert mix.provenance == CLOSED_FORM
+    assert mix.kpp == 0.25 * p.kpp + 0.25 * q.kpp + 0.5 * value
+
+
+def test_cross_kpq_has_no_rule_for_these_pairs():
+    g1, g2 = GaussianMeasure((0.0,), 1.0), GaussianMeasure((1.5,), 0.5)
+    m72 = MaternKernel(nu=3.5)
+    assert cross_kpq(embed(m72, g1), embed(m72, g2)) is None
+    gauss = GaussianKernel((0.5,))
+    boxes = UniformBoxMeasure((0.0,), (1.0,)), UniformBoxMeasure((1.0,), (2.0,))
+    assert cross_kpq(embed(gauss, boxes[0]), embed(gauss, boxes[1])) is None
+
+
+def test_cross_kpq_of_an_empirical_side_carries_the_other_provenance():
+    # Matern-7/2 under a Gaussian is an oracle embedding; summed over the
+    # atoms it stays one
+    k = MaternKernel(nu=3.5)
+    atoms = EmpiricalMeasure(np.array([[0.2], [1.0]]))
+    value, _, provenance = cross_kpq(embed(k, atoms), embed(k, GaussianMeasure((0.0,), 1.0)))
+    assert provenance == NUMERIC_FALLBACK
+    assert math.isfinite(value)
 
 
 def test_stationary_cross_term_needs_a_closed_route():

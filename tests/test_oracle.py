@@ -383,7 +383,7 @@ def test_gram_is_stacked_batch_rows_bitwise(pair):
 
 
 # the families whose Gram is computed over its upper triangle in blocks
-_SYMMETRIC_FAMILIES = {"gaussian", "gaussian_matrix", "matern", "wendland"}
+_SYMMETRIC_FAMILIES = {"gaussian", "gaussian_matrix", "matern", "wendland", "sum", "composed"}
 
 
 @pytest.mark.parametrize("pair", sorted(_ROUTES), ids="-".join)

@@ -11,7 +11,15 @@ import pytest
 
 from kembed.dictionary import embed
 from kembed.errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
-from kembed.kernels import GaussianKernel, MaternKernel, PowerSeriesKernel, WendlandKernel
+from kembed.kernels import (
+    AffineMap,
+    ComposedKernel,
+    GaussianKernel,
+    MaternKernel,
+    PowerSeriesKernel,
+    SumKernel,
+    WendlandKernel,
+)
 from kembed.measures import (
     EmpiricalMeasure,
     GaussianMeasure,
@@ -207,6 +215,44 @@ def test_mmd_between_gaussians_under_a_stationary_kernel(kernel):
         mmd2(embed(PowerSeriesKernel({(0,): 1.0, (2,): 0.5}), p), p)
 
 
+def test_mmd2_of_a_composed_kernel_is_the_base_on_the_images():
+    # K(2x + 0.5, 2y + 0.5) between N(0, 1) and N(1, 1) is the base
+    # kernel between the images N(0.5, 4) and N(2.5, 4)
+    base = GaussianKernel((0.7,))
+    kernel = ComposedKernel(base, AffineMap(2.0, 0.5))
+    p, q = GaussianMeasure((0.0,), 1.0), GaussianMeasure((1.0,), 1.0)
+    got = mmd2(embed(kernel, p), q)
+    image_p, image_q = GaussianMeasure((0.5,), 4.0), GaussianMeasure((2.5,), 4.0)
+    assert got == mmd2(embed(base, image_p), image_q)
+
+    def at_zero(mean, var):
+        return estimate_kp(base, GaussianMeasure((mean,), var), x=[0.0]).value
+
+    expected = at_zero(0.0, 8.0) - 2.0 * at_zero(-2.0, 8.0) + at_zero(0.0, 8.0)
+    assert got == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+def test_mmd2_between_an_empirical_p_and_a_gaussian_q():
+    # K_PQ sums Q's closed-form K_P over P's atoms, so the value is the
+    # raw-point discrepancy with P and Q swapped
+    atoms = np.array([[-0.4], [0.3], [1.2]])
+    p = EmpiricalMeasure(atoms, weights=(0.2, 0.5, 0.3))
+    q = GaussianMeasure((0.5,), 0.8)
+    k = MaternKernel(nu=2.5, lengthscale=0.9)
+    got = mmd2(embed(k, p), q)
+    assert got == pytest.approx(mmd2(embed(k, q), atoms, weights=(0.2, 0.5, 0.3)), rel=1e-14)
+    # Q's own Matern-7/2 embedding is an oracle estimate
+    m72 = MaternKernel(nu=3.5, lengthscale=0.9)
+    with pytest.raises(UnsupportedPairError, match="stationary"):
+        mmd2(embed(m72, p), q)
+
+
+def test_mmd2_of_a_measure_q_takes_no_weights():
+    e = embed(GaussianKernel((1.0,)), GaussianMeasure((0.0,), 1.0))
+    with pytest.raises(InvalidSpecError, match="weights"):
+        mmd2(e, GaussianMeasure((1.0,), 1.0), weights=[5.0])
+
+
 def test_mmd_shrinks_with_sample_size():
     k = GaussianKernel(lengthscales=(1.0,))
     p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
@@ -399,6 +445,51 @@ def test_problem_validation():
     bad[0, 1] += 1.0  # asymmetric
     with pytest.raises(InvalidSpecError):
         QuadratureProblem(embedding=e, nodes=nodes, gram=bad, m=m)
+
+
+def test_symmetry_check_needs_no_n_by_n_temporary():
+    # the Gram itself is 8 MB at 1 000 nodes; the check compares 128 x
+    # 128 tiles, and the finiteness mask takes 1 MB
+    k = GaussianKernel(lengthscales=(0.5,))
+    e = embed(k, UniformBoxMeasure(lows=(0.0,), highs=(1.0,)))
+    nodes = np.linspace(0.0, 1.0, 1000)[:, None]
+    gram, m = k.gram(nodes), e.kp_rows(nodes)
+    tracemalloc.start()
+    try:
+        QuadratureProblem(embedding=e, nodes=nodes, gram=gram, m=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+def test_symmetry_check_reaches_the_last_ragged_tile():
+    # 300 nodes make tiles of 128, 128 and 44 rows; the asymmetry sits in
+    # the last diagonal tile only
+    k = GaussianKernel(lengthscales=(0.5,))
+    e = embed(k, UniformBoxMeasure(lows=(0.0,), highs=(1.0,)))
+    nodes = np.linspace(0.0, 1.0, 300)[:, None]
+    gram, m = k.gram(nodes), e.kp_rows(nodes)
+    QuadratureProblem(embedding=e, nodes=nodes, gram=gram, m=m)
+    gram[299, 260] += 1e-6
+    with pytest.raises(InvalidSpecError, match="gram matrix must be symmetric"):
+        QuadratureProblem(embedding=e, nodes=nodes, gram=gram, m=m)
+
+
+def test_make_problem_keeps_the_gram_of_symmetric_sums_and_composed_kernels():
+    nodes = GaussianMeasure(mean=(0.0,), cov=(1.0,)).sample(300, seed=5)
+    box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
+    for k in (
+        ComposedKernel(GaussianKernel((0.3,)), AffineMap(2.0, 0.0)),
+        SumKernel(
+            [MaternKernel(nu=1.5), ComposedKernel(GaussianKernel((0.3,)), AffineMap(-1.0, 0.5))],
+            [0.4, 0.6],
+        ),
+    ):
+        assert k.symmetric
+        gram = k.gram(nodes)
+        assert gram.tobytes() == np.stack([k.batch(x, nodes) for x in nodes]).tobytes()
+        assert make_problem(embed(k, box), nodes).gram.tobytes() == gram.tobytes()
 
 
 def test_posterior_requires_values():
