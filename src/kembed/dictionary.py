@@ -51,6 +51,7 @@ from .kernels import (
     SumKernel,
     WendlandKernel,
     _finite_points,
+    _floats,
     as_point,
 )
 from .measures import (
@@ -141,7 +142,7 @@ class Embedding:
         ``kp_at`` at that row. Closed forms evaluate every row in one
         pass over the array; the numeric fallback integrates every row
         against one Monte Carlo sample or rule."""
-        X = np.asarray(X, dtype=float)
+        X = _floats(X)
         d = self.measure.dim
         return self.kp_rows_fn(_finite_points(X.reshape(0, d) if X.size == 0 else X, d))
 

@@ -39,14 +39,26 @@ __all__ = [
 ]
 
 _SPHERE_NORM_TOL = 1e-9
-# Kernel entries per row block of a Gram matrix: a block of b rows takes
-# about b * n entries, so the block's memory grows with n, not n^2.
+# Kernel entries per block of every evaluation: a Gram matrix takes b rows
+# of n entries at a time, b * n about this; a long row, or a long run of
+# matched pairs, takes this many rows at a time. Memory beyond the inputs
+# and the result is then O(block), and each block's temporaries (256 kB
+# per array) stay in cache instead of streaming through memory.
 _GRAM_BLOCK = 1 << 15
+
+
+def _floats(x) -> np.ndarray:
+    """x as a float array; InvalidSpecError when an entry is not a number.
+    Every point array a caller hands the library is converted here."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"points must be numbers: {exc}") from None
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce a scalar or sequence to a 1-d float array, checking length."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(_floats(x))
     if arr.ndim != 1:
         raise InvalidSpecError(f"points must be scalars or 1-d, got shape {arr.shape}")
     if dim is not None and arr.size != dim:
@@ -58,7 +70,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 
 def as_points(X, dim: int | None = None) -> np.ndarray:
     """Coerce input to an (n, d) array of points."""
-    arr = np.asarray(X, dtype=float)
+    arr = _floats(X)
     if arr.ndim == 1:
         arr = arr[:, None] if dim in (None, 1) else arr[None, :]
     if arr.ndim != 2:
@@ -110,6 +122,33 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray, scale=None) -> np.ndarray:
     return out
 
 
+def _in_blocks(f, *arrays):
+    """f on matched rows of (n, ...) arrays, any of which may be a single
+    row that broadcasts, over consecutive slices of _GRAM_BLOCK rows
+    written into one result whose trailing shape is the first block's.
+    f's value at a row depends on that row alone, so the result has the
+    bits of one call ``f(*arrays)``, which is what a call of one block or
+    less makes. The last block takes at least two rows: a block of one
+    row would be a single point, which a kernel may treat as such. When a
+    block raises, the one call is made instead, so an error is the one
+    that call raises (a composed kernel checks its image of each whole
+    argument in turn inside ``_pairs``)."""
+    n = max(map(len, arrays))
+    if n <= _GRAM_BLOCK:
+        return f(*arrays)
+    edges = [*range(0, n - 1, _GRAM_BLOCK), n]
+    out = None
+    for lo, hi in zip(edges, edges[1:]):
+        try:
+            block = f(*(A if len(A) == 1 else A[lo:hi] for A in arrays))
+        except InvalidSpecError:
+            return f(*arrays)
+        if out is None:
+            out = np.empty((n,) + block.shape[1:], block.dtype)
+        out[lo:hi] = block
+    return out
+
+
 def _precision_rows(cov: np.ndarray, D: np.ndarray) -> np.ndarray:
     """cov^{-1} d for each vector d along the last axis of D. The
     precision matrix multiplies each vector elementwise and sums over the
@@ -130,7 +169,11 @@ class Kernel:
     ``rows``, ``gram`` and ``gram_form`` share one prologue: finite
     points of the right dimension, then ``_check``, once for each
     argument array, then ``_pairs``; their kernel values agree bit for
-    bit (``gram_form`` sums them in its own order). ``spec``
+    bit (``gram_form`` sums them in its own order). Every evaluation
+    works in blocks of about 2^15 entries (``_GRAM_BLOCK``): a long row
+    or run of pairs is evaluated that many rows at a time, and a Gram
+    matrix that many entries at a time, so memory beyond the inputs and
+    the result is O(block). ``spec``
     maps each key of the family's spec object to the name of its value
     converter in :mod:`kembed.cli` (a trailing ``?`` marks an optional
     key); it is None for kernels with no spec form. The hints tell the
@@ -169,13 +212,16 @@ class Kernel:
         return self._checked_pairs(x[None, :], y[None, :])[0]
 
     def batch(self, x, Y) -> np.ndarray:
-        """K(x, y_i) for rows y_i of Y."""
+        """K(x, y_i) for rows y_i of Y, evaluated in blocks of about 2^15
+        rows, so memory beyond Y and the result is O(block)."""
         x = as_point(x, self.dim)
         return self._checked_pairs(x[None, :], _finite_points(Y, x.size))
 
     def pairs(self, X, Y) -> np.ndarray:
         """K(x_i, y_i) for matched rows of X and Y; a single row of
-        either broadcasts against the other."""
+        either broadcasts against the other. The rows are evaluated in
+        blocks of about 2^15 rows, so memory beyond X, Y and the result
+        is O(block)."""
         X = _finite_points(X, self.dim)
         Y = _finite_points(Y, X.shape[1])
         if len(X) != len(Y) and 1 not in (len(X), len(Y)):
@@ -184,9 +230,10 @@ class Kernel:
 
     def rows(self, X, Y):
         """K(x_i, Y) for each row x_i of X, one row at a time, each with
-        the bits of ``batch(x_i, Y)``. Both arrays are checked once, here;
-        a domain error is the one the first failing ``batch(x_i, Y)``
-        would raise."""
+        the bits of ``batch(x_i, Y)`` and evaluated as it is, in blocks of
+        about 2^15 rows of Y: beyond X, Y and the row, memory is O(block).
+        Both arrays are checked once, here; a domain error is the one the
+        first failing ``batch(x_i, Y)`` would raise."""
         X = _finite_points(X, self.dim)
         Y = _finite_points(Y, X.shape[1])
         for V in (X[:1], Y, X[1:]):
@@ -255,15 +302,15 @@ class Kernel:
 
     def _checked_pairs(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """``_pairs`` on finite points of matching dimension, after the
-        domain check of each argument."""
+        domain check of each argument, in blocks of _GRAM_BLOCK rows."""
         self._check(X)
         self._check(Y)
-        return self._pairs(X, Y)
+        return _in_blocks(self._pairs, X, Y)
 
     def _rows(self, X: np.ndarray, Y: np.ndarray):
         """The rows K(x_i, Y) over checked points."""
         for i in range(len(X)):
-            yield self._pairs(X[i : i + 1], Y)
+            yield _in_blocks(self._pairs, X[i : i + 1], Y)
 
     def _check(self, V: np.ndarray) -> None:
         """Raise InvalidSpecError for a row of V outside the family's
@@ -602,17 +649,19 @@ class _SphereKernel(Kernel):
         return 3
 
     def _check(self, V):
-        # in place, so that checking a large sample holds two rows of
-        # its length, not three
-        nrm = np.einsum("ij,ij->i", V, V)
-        np.sqrt(nrm, out=nrm)
-        dev = nrm - 1.0
-        bad = np.abs(dev, out=dev) > _SPHERE_NORM_TOL
-        if np.any(bad):
-            raise InvalidSpecError(
-                f"sphere kernel inputs must have unit norm within {_SPHERE_NORM_TOL}, "
-                f"got norm {float(nrm[bad][0])}"
-            )
+        # in blocks of rows, in order, so that checking a large sample
+        # holds O(block) and still names the first row off the sphere
+        for lo in range(0, len(V), _GRAM_BLOCK):
+            B = V[lo : lo + _GRAM_BLOCK]
+            nrm = np.einsum("ij,ij->i", B, B)
+            np.sqrt(nrm, out=nrm)
+            dev = nrm - 1.0
+            bad = np.abs(dev, out=dev) > _SPHERE_NORM_TOL
+            if np.any(bad):
+                raise InvalidSpecError(
+                    f"sphere kernel inputs must have unit norm within {_SPHERE_NORM_TOL}, "
+                    f"got norm {float(nrm[bad][0])}"
+                )
 
 
 def _sphere_sq_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

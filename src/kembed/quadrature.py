@@ -12,7 +12,7 @@ import numpy as np
 
 from .dictionary import CLOSED_FORM, Embedding, cross_kpq, embed
 from .errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
-from .kernels import as_points
+from .kernels import _floats, as_points
 from .measures import Measure
 
 __all__ = [
@@ -162,7 +162,7 @@ def make_problem(
     # a matrix-valued embedding has no scalar Gram to build
     _scalar_kpp(embedding, "quadrature")
     kernel = embedding.kernel
-    nodes = np.asarray(nodes, dtype=float)
+    nodes = _floats(nodes)
     if nodes.size == 0:
         nodes = nodes.reshape(0, 1)
     else:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dictionary import _closed_form
 from .errors import InvalidSpecError, UnsupportedPairError
-from .kernels import Kernel
+from .kernels import Kernel, _in_blocks
 from .measures import Measure
 
 __all__ = [
@@ -87,19 +87,19 @@ class SteinKernel(Kernel):
 
     def _pairs(self, X, Y):
         # the rows forms on points already checked, so no check here
-        sx, sy = self.target._score_rows(X), self.target._score_rows(Y)
-        return self._value(self.base._derivatives(X, Y), sx, sy)
+        return self._value(X, Y, self.target._score_rows(X), self.target._score_rows(Y))
 
     def _rows(self, X, Y):
         # each array is scored once, not once per row of X
         sx, sy = self.target._score_rows(X), self.target._score_rows(Y)
         for i in range(len(X)):
-            yield self._value(self.base._derivatives(X[i : i + 1], Y), sx[i : i + 1], sy)
+            yield _in_blocks(self._value, X[i : i + 1], Y, sx[i : i + 1], sy)
 
-    def _value(self, derivatives, sx, sy):
-        """The Stein kernel from the base kernel's (K, grad_x K, grad_y K,
-        tr grad_x grad_y K) and the scores of the matched rows."""
-        k, gx, gy, tr = derivatives
+    def _value(self, X, Y, sx, sy):
+        """The Stein kernel on matched rows of X and Y whose scores are sx
+        and sy, from the base kernel's (K, grad_x K, grad_y K,
+        tr grad_x grad_y K)."""
+        k, gx, gy, tr = self.base._derivatives(X, Y)
         return (
             k * np.sum(sy * sx, axis=1)
             + np.sum(gx * sy, axis=1)

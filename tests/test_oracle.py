@@ -428,6 +428,90 @@ def test_rows_are_batch_rows_bitwise(pair):
         assert got == want
 
 
+def _evaluations(kernel, X, Y) -> dict:
+    """rows, batch and pairs of two arrays of equal length, each as the
+    bytes and shape of its result or the message of its error."""
+    return {
+        "rows": _array_or_error(lambda: np.stack(list(kernel.rows(X[:3], Y)))),
+        "batch": _array_or_error(lambda: kernel.batch(X[0], Y)),
+        "pairs": _array_or_error(lambda: kernel.pairs(X, Y)),
+        "pairs_one_x": _array_or_error(lambda: kernel.pairs(X[:1], Y)),
+        "pairs_one_y": _array_or_error(lambda: kernel.pairs(X, Y[:1])),
+    }
+
+
+@pytest.mark.parametrize("n", [21, 23])
+@pytest.mark.parametrize("pair", sorted(_ROUTES), ids="-".join)
+def test_evaluations_in_blocks_are_one_pairs_call_bitwise(pair, n, monkeypatch):
+    # 23 rows in blocks of 5: four full blocks and a ragged one of 3; 21
+    # rows: three full blocks and a last of 6, since a block of one row
+    # would be a single point (fbm takes Python's pow at one). Against
+    # one _pairs call, at the real block size; or the same error (fbm and
+    # periodic under a Gaussian draw inputs outside their domains)
+    family, measure_name = pair
+    measure, _ = _ROUTE_MEASURES[measure_name]
+    kernel = _ROUTE_KERNELS[family](measure.dim)
+    X, Y = measure.sample(n, seed=7), measure.sample(n, seed=8)
+    want = _evaluations(kernel, X, Y)
+    monkeypatch.setattr(kernels, "_GRAM_BLOCK", 5)
+    assert _evaluations(kernel, X, Y) == want
+
+
+@pytest.mark.parametrize("n, blocks", [(23, [5, 5, 5, 5, 3]), (21, [5, 5, 5, 6]), (5, [5])])
+def test_evaluations_take_blocks_of_rows(n, blocks, monkeypatch, count_calls):
+    monkeypatch.setattr(kernels, "_GRAM_BLOCK", 5)
+    kernel = MaternKernel(nu=1.5)
+    X = GaussianMeasure((0.0,), 1.0).sample(n, seed=1)
+    calls = count_calls(MaternKernel, "_pairs")
+    kernel.batch(X[0], X)
+    kernel.pairs(X, X)
+    kernel.pairs(X, X[:1])
+    next(kernel.rows(X[:1], X))
+    assert [len(V) for V in calls] == [1] * len(blocks) + blocks * 2 + [1] * len(blocks)
+
+
+def test_a_last_row_joins_the_block_before_it(monkeypatch):
+    # fbm takes Python's pow for a single x, and numpy's pow can differ in
+    # the last bit; a block of one row would take Python's for that row
+    kernel = FbmKernel(hurst=0.3)
+    h = 2.0 * kernel.hurst
+    candidates = np.random.default_rng(5).uniform(0.0, 2.0, 1000)
+    differs = [v for v in candidates if float(v) ** h != (np.array([v]) ** h)[0]]
+    X = np.linspace(0.1, 1.0, 21)[:, None]
+    X[20] = differs[0] if differs else candidates[0]
+    Y = X[::-1].copy()
+    want = kernel.pairs(X, Y).tobytes()
+    monkeypatch.setattr(kernels, "_GRAM_BLOCK", 5)
+    assert kernel.pairs(X, Y).tobytes() == want
+
+
+def test_an_error_in_a_block_is_the_one_call_raises(monkeypatch):
+    # a composed part checks its image of X, then of Y, inside _pairs: X
+    # is off the domain in its last block, Y in its first
+    part = ComposedKernel(FbmKernel(hurst=0.3, domain=(0.0, 1.0)), AffineMap([1.0], [0.0]))
+    kernel = SumKernel([part, MaternKernel(nu=0.5)], [0.5, 0.5])
+    X, Y = np.full((23, 1), 0.5), np.full((23, 1), 0.5)
+    X[21], Y[2] = 2.0, 3.0
+    monkeypatch.setattr(kernels, "_GRAM_BLOCK", 5)
+    with pytest.raises(InvalidSpecError, match=r"^input 2\.0 lies outside"):
+        kernel.pairs(X, Y)
+
+
+def test_sphere_check_in_blocks_names_the_first_row_off_the_sphere(monkeypatch):
+    # rows 8 and 19 lie off the sphere, in the second and the last block
+    kernel = SphereSobolevKernel()
+    X = SphereUniformMeasure(2).sample(23, seed=3)
+    X[8] = [0.0, 0.0, 1.5]
+    X[19] = [0.0, 2.0, 0.0]
+    with pytest.raises(InvalidSpecError) as whole:
+        kernel.batch(X[0], X)
+    monkeypatch.setattr(kernels, "_GRAM_BLOCK", 5)
+    with pytest.raises(InvalidSpecError) as blocked:
+        kernel.batch(X[0], X)
+    assert str(blocked.value) == str(whole.value)
+    assert "got norm 1.5" in str(whole.value)
+
+
 def test_sphere_oracle_checks_each_array_once(count_calls):
     # one call of estimate_kp_rows or estimate_kpp checks every row of
     # its points and of its sample once, not the sample once per row
@@ -444,12 +528,15 @@ def test_sphere_oracle_checks_each_array_once(count_calls):
 
 
 def test_monte_carlo_rows_hold_one_row_at_a_time(monkeypatch):
-    # a consumer that keeps the previous row alive while the next is
-    # computed would add a row to the peak
+    # each row is filled block by block, and the sample is checked block
+    # by block, so while a row is computed the peak is the sample, that
+    # row and O(block); the mean and its stderr then add one row. A
+    # consumer that kept the previous row alive would add a row to both
     kernel, measure = SphereSobolevKernel(), SphereUniformMeasure(2)
     X = measure.sample(10, seed=1)
     n = 200_000
-    draw = SphereUniformMeasure.sample
+    draw, mc_mean = SphereUniformMeasure.sample, oracle._mc_mean
+    row_peaks, mean_peaks = [], []
 
     def sample(self, size, seed):
         # the peak from here on: the sample is held, its draw is not counted
@@ -457,15 +544,27 @@ def test_monte_carlo_rows_hold_one_row_at_a_time(monkeypatch):
         tracemalloc.reset_peak()
         return out
 
+    def mean(vals):
+        # the peak since the last row's mean: this row's evaluation
+        row_peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        out = mc_mean(vals)
+        mean_peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return out
+
     monkeypatch.setattr(SphereUniformMeasure, "sample", sample)
+    monkeypatch.setattr(oracle, "_mc_mean", mean)
     tracemalloc.start()
     try:
         estimate_kp_rows(kernel, measure, X, budget=n, seed=2)
-        _, peak = tracemalloc.get_traced_memory()
+        _, last_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     sample_bytes, row_bytes = n * 3 * 8, n * 8
-    assert peak < sample_bytes + 3 * row_bytes
+    assert len(row_peaks) == len(mean_peaks) == 10
+    assert max(row_peaks) <= sample_bytes + row_bytes + 1e6
+    assert max(mean_peaks + [last_peak]) <= sample_bytes + 2 * row_bytes + 1e6
 
 
 def _fields(est):

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kembed import kernels
 from kembed.dictionary import embed
 from kembed.errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
 from kembed.kernels import (
@@ -445,6 +446,24 @@ def test_problem_validation():
     bad[0, 1] += 1.0  # asymmetric
     with pytest.raises(InvalidSpecError):
         QuadratureProblem(embedding=e, nodes=nodes, gram=bad, m=m)
+
+
+def test_non_numeric_points_raise_invalid_spec_everywhere():
+    # one conversion serves every entry point that takes points from a
+    # caller, so none lets numpy's bare ValueError through
+    k = GaussianKernel(lengthscales=(0.5,))
+    e = embed(k, UniformBoxMeasure(lows=(0.0,), highs=(1.0,)))
+    paths = {
+        "as_point": lambda: kernels.as_point("x"),
+        "as_points": lambda: kernels.as_points([["x"]]),
+        "make_problem": lambda: make_problem(e, ["a", "b"]),
+        "kp_rows": lambda: e.kp_rows([["x"]]),
+        "mmd2": lambda: mmd2(e, "abc"),
+        "batch": lambda: k.batch(0.0, [["q"]]),
+    }
+    for name, path in paths.items():
+        with pytest.raises(InvalidSpecError, match="^points must be numbers: could not convert"):
+            path()
 
 
 def test_symmetry_check_needs_no_n_by_n_temporary():
