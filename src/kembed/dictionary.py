@@ -67,6 +67,7 @@ from .measures import (
 from .specfun import (
     double_factorial,
     erf,
+    erfc,
     erfcx,
     exp_each,
     lower_incomplete_gamma_int,
@@ -208,7 +209,9 @@ def _closed_form(kernel_type, measure_type, when=None):
 def gauss_uniform(kernel: GaussianKernel, measure: UniformBoxMeasure):
     """Gaussian kernel with diagonal lengthscales against a uniform box.
 
-    Both integrals factorize over dimensions into erf differences.
+    Both integrals factorize over dimensions into erf differences; a
+    coordinate outside the box takes erfc differences on the far side,
+    which keep K_P's relative accuracy in the tails.
     """
     ls = np.asarray(kernel.lengthscales)
     a = np.asarray(measure.lows)
@@ -217,7 +220,16 @@ def gauss_uniform(kernel: GaussianKernel, measure: UniformBoxMeasure):
     s = ls * math.sqrt(2.0)
 
     def kp_rows(X):
-        diff = erf((b - X) / s) - erf((a - X) / s)
+        lo, hi = (a - X) / s, (b - X) / s
+        diff = erf(hi) - erf(lo)
+        # outside [a, b] both erf terms near the same +-1 and cancel; a
+        # coordinate there takes the difference of erfc on the far side,
+        # where both terms are small
+        below, above = lo > 0.0, hi < 0.0
+        if below.any():
+            diff[below] = erfc(lo[below]) - erfc(hi[below])
+        if above.any():
+            diff[above] = erfc(-hi[above]) - erfc(-lo[above])
         total = 1.0
         for i in range(measure.dim):
             total = total * (math.sqrt(math.pi / 2.0) * (ls[i] / r[i]) * diff[:, i])

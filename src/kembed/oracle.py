@@ -2,10 +2,11 @@
 
 This module never consults the closed forms it is used to verify. It
 integrates kernels directly: Gauss-Legendre panels for bounded boxes,
-Gauss-Hermite for analytic kernels under Gaussian measures, and seeded
-Monte Carlo (plain mean for single integrals, the diagonal-excluding
-U-statistic with jackknife error bars for double integrals) everywhere
-else.
+Gauss-Hermite for analytic kernels under Gaussian measures, randomized
+quasi-Monte Carlo rules for the other single integrals over boxes,
+Gaussians of two or more dimensions and spheres, and seeded Monte Carlo
+(plain mean for single integrals, the diagonal-excluding U-statistic
+with jackknife error bars for double integrals) everywhere else.
 
 Kernels with absolute-value kinks are integrated on panels split at the
 kink abscissas the kernel reports (``Kernel.smooth``, ``inner_breaks``,
@@ -18,12 +19,29 @@ quadrature converges only polynomially on non-smooth integrands; K_P
 at an x more than 10 sigma from the mean takes a window grown to cover
 x, graded toward it.
 
+A randomized rule averages the kernel over ``REPLICATES`` independent
+randomizations of one low-discrepancy point set (Cranley & Patterson
+1976; L'Ecuyer & Lemieux 2000). Each replicate mean is unbiased, so the
+estimate is their mean and its stderr their standard deviation over
+sqrt(R), with R - 1 degrees of freedom (``OracleEstimate.band``). Boxes
+take a rank-1 lattice under a uniform random shift and the tent map
+u -> 1 - |2u - 1| (Hickernell 2002): the Fibonacci lattice in 2-d, and
+a component-by-component generating vector in 3 or more (Nuyens & Cools
+2006). Gaussians take the same lattice through ``normal_icdf`` and the
+Cholesky factor. Spheres take a spherical Fibonacci set on S^2
+(Swinbank & Purser 2006), equispaced angles on S^1, under a Haar-random
+orthogonal matrix (Mezzadri 2007). Mixtures, pushforwards and an
+explicit ``method="monte_carlo"`` keep plain Monte Carlo, and so does
+every double integral.
+
 Both integrals take their deterministic rules from one builder per
 measure and method: the double integral runs the single integral's rule
 for the inner variable at each node of a rule for the outer one.
 
-Nodes are generated at import-free startup by Newton iteration on the
-orthogonal-polynomial recurrences and cached; no external tables.
+Nodes, lattices and point sets are computed on first use and cached, by
+Newton iteration on the orthogonal-polynomial recurrences and by the
+searches below; nothing is built at import, and there are no external
+tables.
 """
 
 from __future__ import annotations
@@ -43,7 +61,9 @@ from .measures import (
     ScoreMeasure,
     SphereUniformMeasure,
     UniformBoxMeasure,
+    make_generator,
 )
+from .specfun import normal_icdf
 
 __all__ = [
     "OracleEstimate",
@@ -57,6 +77,13 @@ __all__ = [
 
 DEFAULT_QUAD_NODES = 200
 DEFAULT_MC_BUDGET = 10**6
+# randomized rules: R replicates of a 4 096-point set by default; a
+# budget counts kernel evaluations, R times the points of one set
+REPLICATES = 16
+DEFAULT_RULE_BUDGET = REPLICATES * 4096
+# Student-t quantile for R - 1 = 15 degrees of freedom at the one-sided
+# level 1 - Phi(3) = 0.135 %, the level of 3 sigma
+REPLICATE_T = 3.58642322634495
 
 # Geometric grading toward fractional-power singularities: innermost
 # panel has width ratio**levels of the containing interval, and a
@@ -71,6 +98,13 @@ _GAUSS_PDF_SIGMAS = 39.0
 # nodes per axis of the 2-d grid in a double integral
 _DOUBLE_GRID_NODES = 40
 _MC_METHODS = ("monte_carlo", "sphere_mc")
+# each randomized rule and the plain Monte Carlo method that a double
+# integral, whose U-statistic draws plain samples, takes in its place
+_RULE_METHODS = {"lattice": "monte_carlo", "sphere_lattice": "sphere_mc"}
+# the randomizations draw from their own substream of the seed, so that
+# they are independent of a sample drawn with the same seed (the points
+# that verify checks)
+_RULE_STREAM = 0x1A77
 
 
 @dataclass(frozen=True)
@@ -82,10 +116,20 @@ class OracleEstimate:
     method: str
     n: int
     seed: int | None = None
+    #: R for the mean of R replicate means, None otherwise
+    replicates: int | None = None
 
     def __post_init__(self):
         if self.stderr < 0.0:
             raise InvalidSpecError("stderr must be nonnegative")
+
+    @property
+    def band(self) -> float:
+        """The half-width of a test at the one-sided 0.135 % level of 3
+        sigma: 3 stderr for a plain Monte Carlo mean, the Student-t
+        quantile for R - 1 degrees of freedom times stderr for the mean
+        of R replicates, and 0 for a deterministic rule."""
+        return (REPLICATE_T if self.replicates else 3.0) * self.stderr
 
 
 @lru_cache(maxsize=64)
@@ -234,15 +278,17 @@ def _auto_method(kernel: Kernel, measure: Measure) -> str:
             return "gauss_legendre"
         if measure.dim == 2 and kernel.smooth:
             return "gauss_legendre"
-        return "monte_carlo"
-    if isinstance(measure, GaussianMeasure) and measure.dim == 1:
+        return "lattice"
+    if isinstance(measure, GaussianMeasure):
+        if measure.dim > 1:
+            return "lattice"
         if kernel.smooth:
             return "gauss_hermite"
         if kernel.inner_breaks(0.0) is not None:
             return "gauss_legendre"
         return "monte_carlo"
     if isinstance(measure, SphereUniformMeasure):
-        return "sphere_mc"
+        return "sphere_lattice"
     if isinstance(measure, ScoreMeasure):
         raise UnsupportedPairError(
             "score-only measures cannot be integrated numerically; "
@@ -252,9 +298,15 @@ def _auto_method(kernel: Kernel, measure: Measure) -> str:
 
 
 def _method_and_budget(
-    kernel: Kernel, measure: Measure, method: str | None, budget: int | None
+    kernel: Kernel,
+    measure: Measure,
+    method: str | None,
+    budget: int | None,
+    double: bool = False,
 ) -> tuple[str, int]:
-    """The checked method (auto-selected when None) and its budget."""
+    """The checked method (auto-selected when None) and its budget. A
+    double integral (``double``) takes plain Monte Carlo in place of a
+    randomized rule."""
     if isinstance(kernel, MatrixValuedKernel):
         raise UnsupportedPairError(
             "the oracle integrates scalar kernels; integrate the scalar part "
@@ -262,13 +314,147 @@ def _method_and_budget(
         )
     if method is None:
         method = _auto_method(kernel, measure)
-    if method not in ("gauss_legendre", "gauss_hermite") + _MC_METHODS:
+    if method not in ("gauss_legendre", "gauss_hermite", *_MC_METHODS, *_RULE_METHODS):
         raise InvalidSpecError(f"unknown oracle method '{method}'")
+    if double:
+        method = _RULE_METHODS.get(method, method)
     if budget is None:
-        budget = DEFAULT_MC_BUDGET if method in _MC_METHODS else DEFAULT_QUAD_NODES
+        if method in _MC_METHODS:
+            budget = DEFAULT_MC_BUDGET
+        elif method in _RULE_METHODS:
+            budget = DEFAULT_RULE_BUDGET
+        else:
+            budget = DEFAULT_QUAD_NODES
     if budget < 10:
         raise InvalidSpecError(f"budget must be >= 10, got {budget}")
     return method, int(budget)
+
+
+def _largest_prime(n: int) -> int:
+    """The largest prime <= n, for n >= 2."""
+    while any(n % p == 0 for p in range(2, math.isqrt(n) + 1)):
+        n -= 1
+    return n
+
+
+def _primitive_root(n: int) -> int:
+    """The smallest generator of the multiplicative group modulo a prime
+    n >= 3."""
+    m, factors, p = n - 1, set(), 2
+    while p * p <= m:
+        while m % p == 0:
+            factors.add(p)
+            m //= p
+        p += 1
+    if m > 1:
+        factors.add(m)
+    return next(
+        g for g in range(2, n) if all(pow(g, (n - 1) // q, n) != 1 for q in factors)
+    )
+
+
+def _cbc(n: int, d: int) -> tuple[int, ...]:
+    """The generating vector of an n-point rank-1 lattice rule in d
+    dimensions, n prime: each component in turn minimizes the rule's
+    worst-case error in the Korobov space of smoothness 2 with
+    weights 1/j^2 (Sloan & Joe 1994). With candidates z = g^a and points
+    k = g^b for a primitive root g, the errors of all candidates are one
+    circular correlation over the group, taken by FFT (Nuyens & Cools
+    2006)."""
+    g = _primitive_root(n)
+    powers = np.empty(n - 1, dtype=np.int64)  # g^i mod n
+    v = 1
+    for i in range(n - 1):
+        powers[i] = v
+        v = v * g % n
+    u = powers / n
+    # the Bernoulli-polynomial kernel 2 pi^2 B_2(u) at g^i / n
+    omega = 2.0 * math.pi**2 * (u * u - u + 1.0 / 6.0)
+    z = [1]
+    prod = 1.0 + omega  # the product over chosen components at k = g^b
+    omega_f = np.fft.rfft(omega)
+    for j in range(2, d + 1):
+        # the error of candidate g^a: sum over b of prod[b] omega[a + b]
+        err = np.fft.irfft(np.conj(np.fft.rfft(prod)) * omega_f, n - 1)
+        a = int(np.argmin(err))
+        z.append(int(powers[a]))
+        prod = prod * (1.0 + np.roll(omega, -a) / (j * j))
+    return tuple(z)
+
+
+@lru_cache(maxsize=16)
+def _lattice(points: int, d: int) -> tuple[np.ndarray, int]:
+    """The points k z / n mod 1, k < n, of the rank-1 lattice rule with
+    at most ``points`` points in [0, 1)^d, as a read-only (n, d) array,
+    and n. In 2-d it is the Fibonacci lattice: n = F_m and
+    z = (1, F_(m-1)) for the largest Fibonacci number F_m <= points. In
+    more dimensions n is the largest prime <= points and z comes from
+    :func:`_cbc`."""
+    n, z = points, (1,) * d
+    if d == 2 and points >= 3:
+        z1, n = 1, 2
+        while z1 + n <= points:
+            z1, n = n, z1 + n
+        z = (1, z1)
+    elif d > 2 and points >= 3:
+        n = _largest_prime(points)
+        z = _cbc(n, d)
+    # k z_j < n^2 is exact in int64 for every budget that fits in memory
+    u = np.arange(n)[:, None] * np.asarray(z, dtype=np.int64) % n / n
+    u.flags.writeable = False
+    return u, n
+
+
+@lru_cache(maxsize=16)
+def _sphere_set(points: int, d: int) -> np.ndarray:
+    """``points`` points spread evenly over the unit sphere S^d, as a
+    read-only (points, d + 1) array: equispaced angles on S^1, and on
+    S^2 the spherical Fibonacci set, equal-area bands in z whose
+    longitudes turn by the golden angle."""
+    k = np.arange(points)
+    if d == 1:
+        angle = 2.0 * math.pi * k / points
+        out = np.column_stack([np.cos(angle), np.sin(angle)])
+    else:
+        z = 1.0 - (2.0 * k + 1.0) / points
+        r = np.sqrt(1.0 - z * z)
+        angle = math.pi * (3.0 - math.sqrt(5.0)) * k
+        out = np.column_stack([r * np.cos(angle), r * np.sin(angle), z])
+    out.flags.writeable = False
+    return out
+
+
+def _rule_points(measure: Measure, method: str, budget: int, seed: int) -> tuple[np.ndarray, int]:
+    """The nodes of ``method``'s randomized rule on ``measure``: R
+    independent randomizations of one point set of n = budget // R
+    points (at least one), as an (R n, dim) array, replicate after
+    replicate, and n."""
+    gen = make_generator(seed, _RULE_STREAM)
+    points = max(1, budget // REPLICATES)
+    if method == "sphere_lattice":
+        if not isinstance(measure, SphereUniformMeasure):
+            raise UnsupportedPairError("sphere_lattice requires a sphere measure")
+        # Q diag(sign r_ii) of A = QR is Haar-distributed on O(d + 1) for
+        # a Gaussian A, so each rotated point is uniform on the sphere
+        q, r = np.linalg.qr(gen.standard_normal((REPLICATES, measure.dim, measure.dim)))
+        q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        base = _sphere_set(points, measure.d)
+        return np.matmul(base, np.swapaxes(q, 1, 2)).reshape(-1, measure.dim), points
+    gauss = isinstance(measure, GaussianMeasure)
+    if not (gauss or isinstance(measure, UniformBoxMeasure)):
+        raise UnsupportedPairError("lattice requires a box or a Gaussian measure")
+    lattice, n = _lattice(points, measure.dim)
+    u = lattice + gen.random((REPLICATES, 1, measure.dim))
+    u -= np.floor(u)
+    # the tent map periodizes a smooth integrand without a jump, so the
+    # lattice keeps its O(n^-2) order on integrands that are not periodic
+    t = (1.0 - np.abs(2.0 * u - 1.0)).reshape(-1, measure.dim)
+    if gauss:
+        # an endpoint, hit only when a shifted point falls on 0 or 1/2
+        # exactly, moves to the nearest double inside (0, 1)
+        t = normal_icdf(np.clip(t, 5e-324, np.nextafter(1.0, 0.0)))
+        return np.asarray(measure.mean) + t @ measure.chol.T, n
+    return np.asarray(measure.lows) + measure.widths * t, n
 
 
 def _rules(kernel: Kernel, measure: Measure, method: str, budget: int, double: bool = False):
@@ -404,11 +590,12 @@ def estimate_kp_rows(
 ) -> list[OracleEstimate]:
     """Numerically estimate the single integral of K(x, .) against the
     measure at each row x of X. The method is auto-selected unless
-    overridden. The Monte Carlo sample, and any rule that does not
-    depend on x, is made once and shared by every row, and its rows of
-    kernel values come from one ``kernel.rows`` call, which checks the
-    sample once; each row has the bits of ``kernel.batch``, so a row's
-    estimate has the bits it would have alone."""
+    overridden. The Monte Carlo sample or the randomized rule's nodes,
+    and any rule that does not depend on x, is made once and shared by
+    every row, and its rows of kernel values come from one
+    ``kernel.rows`` call, which checks the nodes once; each row has the
+    bits of ``kernel.batch``, so a row's estimate has the bits it would
+    have alone."""
     method, budget = _method_and_budget(kernel, measure, method, budget)
     X = np.reshape([as_point(x, measure.dim) for x in X], (-1, measure.dim))
     if method in _MC_METHODS:
@@ -418,6 +605,15 @@ def estimate_kp_rows(
         return [
             OracleEstimate(value, stderr, method, budget, seed)
             for value, stderr in map(_mc_mean, kernel.rows(X, sample))
+        ]
+    if method in _RULE_METHODS:
+        nodes, n = _rule_points(measure, method, budget, seed)
+        return [
+            OracleEstimate(value, stderr, method, nodes.shape[0], seed, REPLICATES)
+            for value, stderr in (
+                _mc_mean(np.mean(row.reshape(REPLICATES, n), axis=1))
+                for row in kernel.rows(X, nodes)
+            )
         ]
     _, inner = _rules(kernel, measure, method, budget)
     return [
@@ -437,8 +633,9 @@ def estimate_kpp(
     in both arguments. Deterministic methods use iterated panel
     quadrature (budget = nodes per axis); Monte Carlo uses the
     diagonal-excluding U-statistic over ~sqrt(budget) points with a
-    jackknife standard error."""
-    method, budget = _method_and_budget(kernel, measure, method, budget)
+    jackknife standard error, also where the single integral takes a
+    randomized rule."""
+    method, budget = _method_and_budget(kernel, measure, method, budget, double=True)
     if method in _MC_METHODS:
         # U-statistic over m ~ sqrt(budget) sample points; the Gram rows
         # are summed one at a time, so the m x m matrix is never held

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kembed import cli
+from kembed import cli, dictionary
 from kembed.cli import run
 from kembed.errors import InvalidSpecError
 
@@ -144,6 +144,34 @@ def test_exit_1_verify_failure(spec_file, capsys):
     )
     assert code == 1
     assert json.loads(out.out)["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "kernel, measure",
+    [
+        ({"family": "sphere_sobolev32"}, {"family": "sphere_uniform", "d": 2}),
+        (
+            {"family": "gaussian", "lengthscales": [0.7, 0.7, 0.7]},
+            {"family": "uniform_box", "lows": [0.0, 0.0, 0.0], "highs": [1.0, 1.5, 2.0]},
+        ),
+    ],
+    ids=["sphere", "gauss_box3"],
+)
+def test_verify_detects_a_closed_form_off_by_1e_5(kernel, measure, spec_file, capsys, monkeypatch):
+    # the randomized rules' bands are about 1e-6 here, so a K_P scaled by
+    # 1 + 1e-5 fails every kp check; the plain Monte Carlo bands of about
+    # 1e-3 passed it
+    spec = spec_file({"schema_version": 1, "kernel": kernel, "measure": measure})
+    code, out = _run(capsys, ["verify", "--spec", spec])
+    assert code == 0, out.out
+    kp_rows = dictionary.Embedding.kp_rows
+    monkeypatch.setattr(
+        dictionary.Embedding, "kp_rows", lambda self, X: kp_rows(self, X) * (1.0 + 1e-5)
+    )
+    code, out = _run(capsys, ["verify", "--spec", spec])
+    assert code == 1
+    checks = json.loads(out.out)["checks"]
+    assert [c["pass"] for c in checks if c["what"] == "kp"] == [False] * 20
 
 
 def test_exit_2_unsupported_pair(spec_file, capsys):

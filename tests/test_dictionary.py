@@ -1000,3 +1000,33 @@ def test_box_embeddings_match_40_digit_quadrature():
                     assert abs(v - want) <= 2e-14 * abs(want) + 1e-15 * centre, (kernel, a, b, xi)
                     if isinstance(kernel, WendlandKernel) and a <= xi <= b:
                         assert abs(v - want) <= 1e-15 * want, (a, b, ell, xi)
+
+
+def test_gaussian_box_kp_keeps_relative_accuracy_outside_the_box():
+    # outside the box both erf terms near the same +-1; the erfc
+    # difference on the far side keeps 1e-12 relative from 0 to 30
+    # lengthscales out (the erf difference was off by 1.8e-2 at 9 and
+    # gave 0 at 12). Against mpmath at 40 digits, the integrand scaled by
+    # its value at the box's nearer end so that quad's absolute
+    # tolerance is a relative one. A 2-d point with one coordinate inside
+    # and one outside checks the mask per coordinate.
+    mp = pytest.importorskip("mpmath")
+
+    def true_factor(x, ell):
+        X, l = mp.mpf(x), mp.mpf(ell)
+        near = min(max(X, mp.mpf(0)), mp.mpf(1))
+        scaled = lambda y: mp.exp(-((X - y) ** 2 - (X - near) ** 2) / (2 * l * l))
+        return mp.quad(scaled, [0, near, 1]) * mp.exp(-((X - near) ** 2) / (2 * l * l))
+
+    with mp.workdps(40):
+        for ell in (0.25, 1.0, 4.0):
+            e1 = embed(GaussianKernel(lengthscales=(ell,)), UniformBoxMeasure((0.0,), (1.0,)))
+            e2 = embed(GaussianKernel(lengthscales=(ell, ell)), UniformBoxMeasure((0.0, 0.0), (1.0, 1.0)))
+            inside = true_factor(0.3, ell)
+            for dist in (0.0, 0.5, 1.0, 3.0, 6.0, 9.0, 12.0, 20.0, 30.0):
+                for x in (1.0 + dist * ell, -dist * ell):
+                    want = true_factor(x, ell)
+                    got = e1.kp_at([x])
+                    assert got > 0.0 and abs(got - want) <= 1e-12 * want, (ell, x)
+                    got = e2.kp_at([0.3, x])
+                    assert got > 0.0 and abs(got - want * inside) <= 1e-12 * want * inside, (ell, x)

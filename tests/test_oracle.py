@@ -4,6 +4,8 @@ budget doubling, Monte Carlo unbiasedness, and method selection."""
 import ast
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -154,7 +156,7 @@ def test_method_auto_selection():
     est = estimate_kp(
         sphere, SphereUniformMeasure(d=2), x=[0.0, 0.0, 1.0], budget=5000
     )
-    assert est.method == "sphere_mc"
+    assert (est.method, est.n, est.replicates) == ("sphere_lattice", 4992, 16)
     assert est.stderr > 0.0
 
 
@@ -207,6 +209,7 @@ _ROUTE_MEASURES = {
     "gauss1": (GaussianMeasure((0.2,), 0.25), [0.3]),
     "box2": (UniformBoxMeasure((0.0, 0.0), (1.0, 1.0)), [0.3, 0.6]),
     "sphere": (SphereUniformMeasure(2), [0.0, 0.0, 1.0]),
+    "gauss2": (GaussianMeasure((0.1, -0.2), [[1.0, 0.3], [0.3, 0.5]]), [0.3, 0.6]),
 }
 
 
@@ -241,24 +244,29 @@ _ROUTE_KERNELS = {
 
 # (kernel, measure) -> (method, n) of estimate_kp and of estimate_kpp at
 # budget 20, or the error either raises. Pairs whose dimensions cannot
-# match are absent.
+# match are absent. A randomized rule's n counts kernel evaluations: 16
+# replicates of 20 // 16 = 1 point; K_PP's U-statistic draws 4 points.
 _ROUTES = {
     ("gaussian", "box1"): (("gauss_legendre", 20), ("gauss_legendre", 400)),
     ("gaussian", "gauss1"): (("gauss_hermite", 20), ("gauss_hermite", 400)),
     ("gaussian", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
-    ("gaussian", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("gaussian", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
+    ("gaussian", "gauss2"): (("lattice", 16), ("monte_carlo", 4)),
     ("gaussian_matrix", "box1"): (("gauss_legendre", 20), ("gauss_legendre", 400)),
     ("gaussian_matrix", "gauss1"): (("gauss_hermite", 20), ("gauss_hermite", 400)),
     ("gaussian_matrix", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
-    ("gaussian_matrix", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("gaussian_matrix", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
+    ("gaussian_matrix", "gauss2"): (("lattice", 16), ("monte_carlo", 4)),
     ("matern", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
     ("matern", "gauss1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
-    ("matern", "box2"): (("monte_carlo", 20), ("monte_carlo", 4)),
-    ("matern", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("matern", "box2"): (("lattice", 16), ("monte_carlo", 4)),
+    ("matern", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
+    ("matern", "gauss2"): (("lattice", 16), ("monte_carlo", 4)),
     ("wendland", "box1"): (("gauss_legendre", 36), ("gauss_legendre", 1152)),
     ("wendland", "gauss1"): (("gauss_legendre", 48), ("gauss_legendre", 888)),
-    ("wendland", "box2"): (("monte_carlo", 20), ("monte_carlo", 4)),
-    ("wendland", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("wendland", "box2"): (("lattice", 16), ("monte_carlo", 4)),
+    ("wendland", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
+    ("wendland", "gauss2"): (("lattice", 16), ("monte_carlo", 4)),
     ("fbm", "box1"): (("gauss_legendre", 880), ("gauss_legendre", 436160)),
     ("fbm", "gauss1"): (InvalidSpecError, InvalidSpecError),
     ("fbm_half", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
@@ -266,31 +274,37 @@ _ROUTES = {
     ("power_series", "box1"): (("gauss_legendre", 20), ("gauss_legendre", 400)),
     ("power_series", "gauss1"): (("gauss_hermite", 20), ("gauss_hermite", 400)),
     ("power_series", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
-    ("power_series", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
-    ("sphere_sobolev32", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
-    ("sphere_smooth", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("power_series", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
+    ("power_series", "gauss2"): (("lattice", 16), ("monte_carlo", 4)),
+    ("sphere_sobolev32", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
+    ("sphere_smooth", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
     ("periodic_sobolev", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
     ("periodic_sobolev", "gauss1"): (InvalidSpecError, InvalidSpecError),
     ("sum", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
     ("sum", "gauss1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
-    ("sum", "box2"): (("monte_carlo", 20), ("monte_carlo", 4)),
-    ("sum", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("sum", "box2"): (("lattice", 16), ("monte_carlo", 4)),
+    ("sum", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
+    ("sum", "gauss2"): (("lattice", 16), ("monte_carlo", 4)),
     ("product", "box1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
     ("product", "gauss1"): (("gauss_legendre", 24), ("gauss_legendre", 480)),
     ("product", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
-    ("product", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("product", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
+    ("product", "gauss2"): (("lattice", 16), ("monte_carlo", 4)),
     ("matrix_valued", "box1"): (UnsupportedPairError, UnsupportedPairError),
     ("matrix_valued", "gauss1"): (UnsupportedPairError, UnsupportedPairError),
     ("matrix_valued", "box2"): (UnsupportedPairError, UnsupportedPairError),
     ("matrix_valued", "sphere"): (UnsupportedPairError, UnsupportedPairError),
-    ("composed", "box1"): (("monte_carlo", 20), ("monte_carlo", 4)),
+    ("matrix_valued", "gauss2"): (UnsupportedPairError, UnsupportedPairError),
+    ("composed", "box1"): (("lattice", 16), ("monte_carlo", 4)),
     ("composed", "gauss1"): (("monte_carlo", 20), ("monte_carlo", 4)),
-    ("composed", "box2"): (("monte_carlo", 20), ("monte_carlo", 4)),
-    ("composed", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("composed", "box2"): (("lattice", 16), ("monte_carlo", 4)),
+    ("composed", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
+    ("composed", "gauss2"): (("lattice", 16), ("monte_carlo", 4)),
     ("stein", "box1"): (("gauss_legendre", 20), ("gauss_legendre", 400)),
     ("stein", "gauss1"): (("gauss_hermite", 20), ("gauss_hermite", 400)),
     ("stein", "box2"): (("gauss_legendre", 400), ("gauss_legendre", 160000)),
-    ("stein", "sphere"): (("sphere_mc", 20), ("sphere_mc", 4)),
+    ("stein", "sphere"): (("sphere_lattice", 16), ("sphere_mc", 4)),
+    ("stein", "gauss2"): (("lattice", 16), ("monte_carlo", 4)),
 }
 
 
@@ -519,9 +533,9 @@ def test_sphere_oracle_checks_each_array_once(count_calls):
     X = measure.sample(20, seed=1)
     checked = count_calls(SphereSobolevKernel, "_check")
     estimate_kp_rows(kernel, measure, X, budget=5000, seed=2)
-    # the first row, the sample, the other rows: the order in which the
-    # first failing row would report its error
-    assert [len(V) for V in checked] == [1, 5000, 19]
+    # the first row, the rule's 16 x 312 nodes, the other rows: the order
+    # in which the first failing row would report its error
+    assert [len(V) for V in checked] == [1, 4992, 19]
     checked.clear()
     estimate_kpp(kernel, measure, budget=10_000, seed=2)
     assert [len(V) for V in checked] == [1, 100, 99]
@@ -557,7 +571,7 @@ def test_monte_carlo_rows_hold_one_row_at_a_time(monkeypatch):
     monkeypatch.setattr(oracle, "_mc_mean", mean)
     tracemalloc.start()
     try:
-        estimate_kp_rows(kernel, measure, X, budget=n, seed=2)
+        estimate_kp_rows(kernel, measure, X, budget=n, seed=2, method="sphere_mc")
         _, last_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -658,7 +672,7 @@ def test_oracle_imports_no_closed_form():
                 modules.add(module)
     assert "kembed" not in modules
     used = {m.split(".")[1] for m in modules if m.startswith("kembed.")}
-    assert used == {"errors", "kernels", "measures"}
+    assert used == {"errors", "kernels", "measures", "specfun"}
     assert not used & {"dictionary", "combinators", "stein", "quadrature"}
 
 
@@ -729,3 +743,111 @@ def test_box_legendre_grades_toward_a_singularity_just_outside(hurst):
         for x in (hi + 1e-6, hi + 1e-3, hi + 0.1, 2.0 * hi, lo - 1e-4 if lo else hi / 2):
             want = closed.kp_at([x])
             assert estimate_kp(kernel, box, x=[x]).value == pytest.approx(want, rel=1e-13)
+
+
+# --- randomized rules ----------------------------------------------------------
+
+
+def _gauss_box_kp(x, ell, lows, highs):
+    """The Gaussian kernel's K_P on a box, a product of erf differences."""
+    out = 1.0
+    for xi, a, b in zip(x, lows, highs):
+        s = ell * math.sqrt(2.0)
+        out *= math.sqrt(math.pi / 2.0) * ell / (b - a) * (math.erf((b - xi) / s) - math.erf((a - xi) / s))
+    return out
+
+
+def _gauss_gauss_kp(x, ell, mean, cov):
+    """The Gaussian kernel's K_P under N(mean, cov)."""
+    lam = ell * ell * np.eye(len(x))
+    d = np.subtract(x, mean)
+    return float(
+        np.exp(-0.5 * d @ np.linalg.solve(lam + cov, d))
+        / math.sqrt(np.linalg.det(np.eye(len(x)) + cov @ np.linalg.inv(lam)))
+    )
+
+
+def test_replicate_error_bars_are_honest():
+    # |estimate - truth| > t stderr, with t the two-sided 10 % quantile of
+    # Student's t for R - 1 degrees of freedom, on about 20 of 200 seeds:
+    # the count falls in the binomial 99.9 % interval. Small rules on S^2,
+    # a 3-d box (a searched generating vector) and a correlated 2-d
+    # Gaussian (normal_icdf and the Cholesky factor)
+    stats = pytest.importorskip("scipy.stats")
+    assert oracle.REPLICATE_T == pytest.approx(
+        stats.t.ppf(stats.norm.cdf(3.0), oracle.REPLICATES - 1), rel=1e-12
+    )
+    t = stats.t.ppf(0.95, oracle.REPLICATES - 1)
+    lo, hi = stats.binom.interval(0.999, 200, 0.1)
+    cov = np.array([[1.0, 0.3], [0.3, 0.5]])
+    lows, highs = (0.0, 0.0, 0.0), (1.0, 1.5, 2.0)
+    cases = [
+        (SphereSobolevKernel(), SphereUniformMeasure(2), [0.0, 0.0, 1.0], 2.0 / 3.0, 16 * 256),
+        (
+            GaussianKernel(lengthscales=(0.7,) * 3),
+            UniformBoxMeasure(lows, highs),
+            [0.3, 0.2, 1.9],
+            _gauss_box_kp([0.3, 0.2, 1.9], 0.7, lows, highs),
+            16 * 256,
+        ),
+        (
+            GaussianKernel(lengthscales=(0.7,) * 2),
+            GaussianMeasure((0.1, 0.2), cov),
+            [0.5, -0.3],
+            _gauss_gauss_kp([0.5, -0.3], 0.7, (0.1, 0.2), cov),
+            16 * 16,
+        ),
+    ]
+    for kernel, measure, x, truth, budget in cases:
+        outside = 0
+        for seed in range(200):
+            est = estimate_kp(kernel, measure, x, budget=budget, seed=seed)
+            assert est.replicates == oracle.REPLICATES and est.stderr > 0.0
+            outside += abs(est.value - truth) > t * est.stderr
+        assert lo <= outside <= hi, (measure.family, outside)
+
+
+def test_rules_are_built_on_first_use_not_at_import():
+    # a fresh import computes no generating vector and no point set
+    script = (
+        "from kembed import oracle\n"
+        "print(oracle._lattice.cache_info().currsize, oracle._sphere_set.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+    # the first use builds each and the next reuses it
+    oracle._lattice.cache_clear()
+    oracle._sphere_set.cache_clear()
+    box, sphere = UniformBoxMeasure((0.0,) * 3, (1.0,) * 3), SphereUniformMeasure(2)
+    for seed in (1, 2):
+        estimate_kp(GaussianKernel(lengthscales=(0.5,) * 3), box, [0.5] * 3, budget=16 * 64, seed=seed)
+        estimate_kp(SphereSobolevKernel(), sphere, [0.0, 0.0, 1.0], budget=16 * 64, seed=seed)
+    assert oracle._lattice.cache_info()[:2] == (1, 1)
+    assert oracle._sphere_set.cache_info()[:2] == (1, 1)
+
+
+def test_searched_lattice_integrates_smooth_functions_closely():
+    # the 3-d generating vector at 16 x 4 093 evaluations: a stderr three
+    # orders below plain Monte Carlo at 10^6 draws, and an honest one
+    kernel = GaussianKernel(lengthscales=(0.7,) * 3)
+    lows, highs = (0.0, 0.0, 0.0), (1.0, 1.5, 2.0)
+    x = [0.3, 0.2, 1.9]
+    est = estimate_kp(kernel, UniformBoxMeasure(lows, highs), x)
+    mc = estimate_kp(kernel, UniformBoxMeasure(lows, highs), x, method="monte_carlo")
+    assert (est.method, est.n, mc.n) == ("lattice", 16 * 4093, 10**6)
+    assert est.stderr < 1e-3 * mc.stderr
+    assert abs(est.value - _gauss_box_kp(x, 0.7, lows, highs)) <= oracle.REPLICATE_T * est.stderr
+
+
+@pytest.mark.parametrize("d, n", [(1, 4096), (2, 2584), (3, 4093), (5, 4093)])
+def test_lattice_sizes_and_projections(d, n):
+    # 4 096 points asked for: all of them in 1-d, the Fibonacci number
+    # 2 584 in 2-d (z = (1, 1 597)), the prime 4 093 in more dimensions.
+    # Every coordinate of a rank-1 lattice whose z_j are units mod n
+    # takes each of the values k / n once
+    u, size = oracle._lattice(4096, d)
+    assert size == n and u.shape == (n, d) and not u.flags.writeable
+    assert np.array_equal(np.sort(np.rint(u * n), axis=0), np.tile(np.arange(n)[:, None], (1, d)))
+    if d == 2:
+        assert u[1, 1] * n == 1597

@@ -531,28 +531,29 @@ def test_matern_problem_roundtrip():
     assert post.variance == pytest.approx(wce(prob, w) ** 2, abs=1e-9)
 
 
-def test_numeric_fallback_consumers_share_one_sample(count_draws):
+def test_numeric_fallback_consumers_share_one_rule(count_draws, count_rules):
     # Matern on a 2-d box has no closed form: K_P at the nodes comes
-    # from one Monte Carlo sample, with the bits of per-node estimates
+    # from one randomized rule, with the bits of per-node estimates
     k = MaternKernel(nu=1.5, lengthscale=0.6)
     p = UniformBoxMeasure(lows=(0.0, -0.5), highs=(1.0, 1.0))
     e = embed(k, p, budget=2000, seed=5)
     assert e.kp_provenance == "numeric_fallback"
     nodes = p.sample(30, seed=9)
     per_node = [estimate_kp(k, p, x, budget=2000, seed=5).value for x in nodes]
-    draws = count_draws(p)
+    draws, rules = count_draws(p), count_rules()
     prob = make_problem(e, nodes)
     assert prob.m.tolist() == per_node
-    assert len(draws) == 1
+    assert rules == [p]
     w = np.full(30, 1.0 / 30)
     want = e.kpp - 2.0 * float(np.dot(w, per_node)) + float(w @ k.gram(nodes) @ w)
     assert mmd2(e, nodes) == want
-    assert len(draws) == 2
+    assert rules == [p, p]
+    assert draws == []
 
 
-def test_numeric_fallback_mixture_draws_once_per_component(count_draws):
+def test_numeric_fallback_mixture_takes_one_rule_per_component(count_draws, count_rules):
     # neither box has a closed form for Matern in 2-d: the mixture's rows
-    # take one sample per component, not one per node and component
+    # take one rule per component, not one per node and component
     k = MaternKernel(nu=1.5, lengthscale=0.6)
     boxes = (
         UniformBoxMeasure(lows=(0.0, 0.0), highs=(1.0, 1.0)),
@@ -563,9 +564,10 @@ def test_numeric_fallback_mixture_draws_once_per_component(count_draws):
     assert e.kp_provenance == "numeric_fallback"
     nodes = boxes[0].sample(10, seed=9)
     per_node = [e.kp_at(x) for x in nodes]
-    draws = count_draws(boxes[0])
+    draws, rules = count_draws(boxes[0]), count_rules()
     prob = make_problem(e, nodes)
-    assert draws == [2000, 2000]
+    assert rules == list(boxes)
+    assert draws == []
     assert prob.m.tolist() == per_node
 
 
