@@ -1,8 +1,9 @@
 """Compositional rules that build the embedding of a combined kernel or
 measure out of the embeddings of its parts: products over independent
 blocks, sums, mixtures, change of variables, change of measure, and
-matrix-valued lifts. Each builder takes the pair it embeds, makes the
-recursive :func:`~kembed.dictionary.embed` calls for the parts, and
+matrix-valued lifts. Each is a rule of :func:`~kembed.dictionary.embed`'s
+table, declared with the condition under which it applies: it takes the
+pair it embeds, makes the recursive ``embed`` calls for the parts, and
 returns an embedding that carries that pair."""
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .dictionary import (
     CLOSED_FORM,
     NUMERIC_FALLBACK,
     Embedding,
+    _rule,
     cross_kpq,
     embed,
 )
@@ -51,19 +53,12 @@ __all__ = [
 CROSS_TERM_BUDGET = 200_000
 
 
-def product_embed(
-    kernel: ProductKernel,
-    measure: Measure,
-    factors: Sequence[Measure],
-    budget: int | None = None,
-    seed: int = 0,
-) -> Embedding:
+@_rule(ProductKernel, Measure, lambda k, m: split_product_measure(m, k.block_dims))
+def product_embed(kernel: ProductKernel, measure: Measure, factors, budget, seed) -> Embedding:
     """Embedding of a tensor product kernel under a product measure,
-    given the measure's factors on the kernel's blocks (from
-    :func:`split_product_measure`): both integrals factorize."""
-    parts = [
-        embed(k, m, budget=budget, seed=seed) for k, m in zip(kernel.children, factors)
-    ]
+    whose factors on the kernel's blocks are those of
+    :func:`split_product_measure`: both integrals factorize."""
+    parts = [embed(k, m, budget=budget, seed=seed) for k, m in zip(kernel.children, factors)]
     offsets = np.cumsum((0,) + kernel.block_dims)
 
     def kp_rows(X):
@@ -72,32 +67,18 @@ def product_embed(
             value = value * part.kp_rows(X[:, lo:hi])
         return value
 
-    kpp = 1.0
-    for part in parts:
-        kpp *= part.kpp
-    var = 0.0
-    for i, part in enumerate(parts):
-        others = 1.0
-        for j, q in enumerate(parts):
-            if j != i:
-                others *= q.kpp
-        var += (part.kpp_stderr * others) ** 2
-
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=kpp,
-        pair_id="product/" + "*".join(p.pair_id for p in parts),
-        kernel=kernel,
-        measure=measure,
-        kp_provenance=_combine(p.kp_provenance for p in parts),
-        kpp_provenance=_combine(p.kpp_provenance for p in parts),
-        kpp_stderr=math.sqrt(var),
+    kpp = math.prod(p.kpp for p in parts)
+    var = sum(
+        (p.kpp_stderr * math.prod(q.kpp for j, q in enumerate(parts) if j != i)) ** 2
+        for i, p in enumerate(parts)
     )
 
+    pair_id = "product/" + "*".join(p.pair_id for p in parts)
+    return _embedding(kernel, measure, pair_id, parts, kp_rows, kpp, math.sqrt(var))
 
-def sum_embed(
-    kernel: SumKernel, measure: Measure, budget: int | None = None, seed: int = 0
-) -> Embedding:
+
+@_rule(SumKernel, Measure)
+def sum_embed(kernel: SumKernel, measure: Measure, _held, budget, seed) -> Embedding:
     """Embedding of a weighted sum of kernels: both integrals are the
     same weighted sum of the children's."""
     parts = [embed(c, measure, budget=budget, seed=seed) for c in kernel.children]
@@ -106,9 +87,8 @@ def sum_embed(
     return _weighted(kernel, measure, pair_id, parts, kernel.weights, terms)
 
 
-def mixture_embed(
-    kernel: Kernel, measure: MixtureMeasure, budget: int | None = None, seed: int = 0
-) -> Embedding:
+@_rule(Kernel, MixtureMeasure)
+def mixture_embed(kernel: Kernel, measure: MixtureMeasure, _held, budget, seed) -> Embedding:
     """Embedding of a kernel under a mixture measure sum_j w_j P_j.
 
     The mean embedding is sum_j w_j kp_j(x); the double integral adds
@@ -148,6 +128,19 @@ def _weighted(kernel, measure, pair_id, parts, weights, terms) -> Embedding:
         kpp += coef * value
         var += (coef * stderr) ** 2
 
+    return _embedding(
+        kernel, measure, pair_id, parts, kp_rows, kpp, math.sqrt(var), [t[3] for t in terms]
+    )
+
+
+def _embedding(
+    kernel, measure, pair_id, parts, kp_rows, kpp, kpp_stderr, kpp_provenances=None
+) -> Embedding:
+    """The pair's embedding built out of its parts' embeddings: K_P's
+    provenance combines the parts', K_PP's combines ``kpp_provenances``,
+    by default the parts' own."""
+    if kpp_provenances is None:
+        kpp_provenances = [p.kpp_provenance for p in parts]
     return Embedding(
         kp_rows_fn=kp_rows,
         kpp=kpp,
@@ -155,8 +148,8 @@ def _weighted(kernel, measure, pair_id, parts, weights, terms) -> Embedding:
         kernel=kernel,
         measure=measure,
         kp_provenance=_combine(p.kp_provenance for p in parts),
-        kpp_provenance=_combine(t[3] for t in terms),
-        kpp_stderr=math.sqrt(var),
+        kpp_provenance=_combine(kpp_provenances),
+        kpp_stderr=kpp_stderr,
     )
 
 
@@ -177,9 +170,8 @@ def _cross_kpq(
     return value, stderr, NUMERIC_FALLBACK
 
 
-def pushforward_embed(
-    kernel: ComposedKernel, measure: Measure, budget: int | None = None, seed: int = 0
-) -> Embedding:
+@_rule(ComposedKernel, Measure)
+def pushforward_embed(kernel: ComposedKernel, measure: Measure, _held, budget, seed) -> Embedding:
     """Embedding of a composed kernel K(phi(x), phi(y)) under a measure
     P: the base kernel's embedding under the image of P by phi,
     evaluated at phi(x). The double integral is the image's."""
@@ -191,16 +183,8 @@ def pushforward_embed(
     def kp_rows(X):
         return inner.kp_rows(forward(X))
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=inner.kpp,
-        pair_id=f"pushforward[{kernel.map.name}]/" + inner.pair_id,
-        kernel=kernel,
-        measure=measure,
-        kp_provenance=inner.kp_provenance,
-        kpp_provenance=inner.kpp_provenance,
-        kpp_stderr=inner.kpp_stderr,
-    )
+    pair_id = f"pushforward[{kernel.map.name}]/" + inner.pair_id
+    return _embedding(kernel, measure, pair_id, [inner], kp_rows, inner.kpp, inner.kpp_stderr)
 
 
 def change_of_measure(
@@ -229,8 +213,9 @@ def change_of_measure(
     return g
 
 
+@_rule(MatrixValuedKernel, Measure)
 def matrix_valued_embed(
-    kernel: MatrixValuedKernel, measure: Measure, budget: int | None = None, seed: int = 0
+    kernel: MatrixValuedKernel, measure: Measure, _held, budget, seed
 ) -> Embedding:
     """Embedding of a matrix-valued kernel B K(x, y): both integrals
     are the scalar ones of K scaled by B."""
@@ -240,16 +225,9 @@ def matrix_valued_embed(
     def kp_rows(X):
         return inner.kp_rows(X)[:, None, None] * b
 
-    return Embedding(
-        kp_rows_fn=kp_rows,
-        kpp=b * inner.kpp,
-        pair_id="matrix_valued/" + inner.pair_id,
-        kernel=kernel,
-        measure=measure,
-        kp_provenance=inner.kp_provenance,
-        kpp_provenance=inner.kpp_provenance,
-        kpp_stderr=inner.kpp_stderr * float(np.max(np.abs(b))),
-    )
+    stderr = inner.kpp_stderr * float(np.max(np.abs(b)))
+    pair_id = "matrix_valued/" + inner.pair_id
+    return _embedding(kernel, measure, pair_id, [inner], kp_rows, b * inner.kpp, stderr)
 
 
 def split_product_measure(

@@ -1,19 +1,19 @@
-"""Closed-form kernel mean embeddings for supported kernel/measure pairs.
+"""Closed-form kernel mean embeddings, and the rule table that answers
+every kernel/measure pair.
 
 An :class:`Embedding` bundles the single integral K_P of a kernel
 against a measure, stated once on the rows of an array (``kp_rows``,
 with ``kp_at`` its one-row case), with the double integral ``kpp``,
-tagged with
-per-part provenance: ``closed_form`` when an exact expression exists,
-``numeric_fallback`` when the value is produced by the quadrature or
-Monte Carlo oracle. :func:`embed` dispatches a (kernel, measure) pair
-to the right construction and falls back to the oracle for pairs with
-no known expression. Each closed-form builder takes the kernel and
-measure objects themselves and gives both parts, so a dictionary
-pair's provenance is all closed form or all oracle. Each builder
-declares the condition under which its formulas hold: called outside
-it, the builder raises UnsupportedPairError, and dispatch answers a
-pair with the first builder whose condition holds. A stationary
+tagged with per-part provenance: ``closed_form`` when an exact
+expression exists, ``numeric_fallback`` when the value is produced by
+the quadrature or Monte Carlo oracle. Every rule is declared once, with
+``_rule`` or, for a closed form, ``_closed_form``: a kernel type, a
+measure type and a condition. Called outside its condition, a rule
+raises UnsupportedPairError. :func:`embed` answers a pair with the
+first rule of the ordered table ``_rules()`` whose condition holds (a
+Stein kernel under its target, the combinators, the empirical sum, then
+the closed forms), and with the oracle when none does. A closed form
+gives both parts, so its provenance is all closed form. A stationary
 kernel phi(x - y) integrated against independent Gaussians X ~ P and
 Y ~ Q is K_D(0), D = N(mu_P - mu_Q, Sigma_P + Sigma_Q) the law of
 X - Y (the convolution view of Nishiyama & Fukumizu, JMLR 2016):
@@ -45,10 +45,8 @@ from .kernels import (
     MatrixValuedKernel,
     PeriodicSobolevKernel,
     PowerSeriesKernel,
-    ProductKernel,
     SphereSmoothKernel,
     SphereSobolevKernel,
-    SumKernel,
     WendlandKernel,
     _finite_points,
     _floats,
@@ -58,7 +56,6 @@ from .measures import (
     EmpiricalMeasure,
     GaussianMeasure,
     Measure,
-    MixtureMeasure,
     PushforwardMeasure,
     ScoreMeasure,
     SphereUniformMeasure,
@@ -168,36 +165,54 @@ def _check_pair(kernel: Kernel, measure: Measure) -> None:
         )
 
 
-def _closed_form(kernel_type, measure_type, when=None):
-    """Declare a closed-form builder and the condition under which its
-    formulas are the pair's embedding: a kernel and a measure of these
-    types for which ``when(kernel, measure)``, if given, holds; ``when``
-    may raise a typed error for a pair that no rule covers. The builder
-    returns ``(kp_rows, kpp)``; the declared function, whose ``holds``
-    is the condition, checks the pair and the condition and returns the
-    pair's :class:`Embedding`."""
+def _rule(kernel_type, measure_type, when=None):
+    """Declare a rule of :func:`embed`'s table and the condition under
+    which it gives the pair's embedding: a kernel and a measure of these
+    types for which ``when(kernel, measure)``, if given, holds. ``when``
+    may return what the rule needs of the pair, or raise a typed error
+    for a pair that no rule covers. The builder is ``build(kernel,
+    measure, held, budget, seed)``, ``held`` the condition's value. The
+    declared function checks the pair and the condition and returns the
+    builder's :class:`Embedding`; its ``holds`` is the condition and its
+    ``build`` the builder, which dispatch calls once it has evaluated
+    the condition."""
 
     def holds(kernel, measure):
-        return (
-            isinstance(kernel, kernel_type)
-            and isinstance(measure, measure_type)
-            and (when is None or when(kernel, measure))
-        )
+        if isinstance(kernel, kernel_type) and isinstance(measure, measure_type):
+            return True if when is None else when(kernel, measure)
+        return False
 
     def declare(build):
         @functools.wraps(build)
-        def builder(kernel, measure):
+        def rule(kernel, measure, *, budget=None, seed=0):
             _check_pair(kernel, measure)
-            if not holds(kernel, measure):
+            held = holds(kernel, measure)
+            if not held:
                 raise UnsupportedPairError(
                     f"{build.__name__} does not hold for the pair "
                     f"{kernel.family}/{measure.family}"
                 )
+            return build(kernel, measure, held, budget, seed)
+
+        rule.holds, rule.build = holds, build
+        del rule.__wrapped__  # help() shows the rule's signature, not the builder's
+        return rule
+
+    return declare
+
+
+def _closed_form(kernel_type, measure_type, when=None):
+    """Declare a closed-form rule: its builder takes the kernel and the
+    measure and returns ``(kp_rows, kpp)``, which the rule wraps in the
+    pair's :class:`Embedding`."""
+
+    def declare(build):
+        @functools.wraps(build)
+        def embedding(kernel, measure, held, budget, seed):
             kp_rows, kpp = build(kernel, measure)
             return Embedding(kp_rows_fn=kp_rows, kpp=kpp, kernel=kernel, measure=measure)
 
-        builder.holds = holds
-        return builder
+        return _rule(kernel_type, measure_type, when)(embedding)
 
     return declare
 
@@ -303,7 +318,7 @@ def stationary_cross_kpq(kernel: Kernel, p: GaussianMeasure, q: GaussianMeasure)
     d = _gauss_difference(p, q)
     if kernel.dim is not None and kernel.dim != d.dim:
         raise InvalidSpecError("dimension mismatch between kernel and measures")
-    pair = _closed_form_pair(kernel, d) if kernel.stationary else None
+    pair = _first_rule(kernel, d) if kernel.stationary else None
     if pair is None:
         return None
     return float(pair.kp_rows(np.zeros((1, d.dim)))[0])
@@ -804,67 +819,73 @@ def numeric_embedding(
 def embed(
     kernel: Kernel, measure: Measure, budget: int | None = None, seed: int = 0
 ) -> Embedding:
-    """Embedding for a kernel/measure pair: closed form when one is
-    known, otherwise an oracle-backed numeric fallback with the given
-    budget and seed."""
+    """Embedding for a kernel/measure pair: that of the first rule whose
+    condition holds, otherwise an oracle-backed numeric fallback with
+    the given budget and seed."""
     _check_pair(kernel, measure)
+    found = _first_rule(kernel, measure, budget, seed)
+    return numeric_embedding(kernel, measure, budget=budget, seed=seed) if found is None else found
 
+
+def _first_rule(
+    kernel: Kernel, measure: Measure, budget: int | None = None, seed: int = 0
+) -> Embedding | None:
+    """The embedding of the first rule whose condition holds for the
+    pair, evaluated once, or None when none does."""
+    for rule in _rules():
+        held = rule.holds(kernel, measure)
+        if held:
+            return rule.build(kernel, measure, held, budget, seed)
+    return None
+
+
+@functools.cache
+def _rules() -> tuple:
+    """Every rule, in the order :func:`embed` tries their conditions: a
+    Stein kernel under its target, the combinators that take a pair
+    apart, the empirical sum, then the dictionary's closed forms. Built
+    on the first call, since the combinators import this module, and
+    kept: a wrapper later installed over a module's name does not change
+    dispatch."""
     from . import combinators, stein
 
-    if stein.stein_embed.holds(kernel, measure):
-        return stein.stein_embed(kernel, measure)
-    if isinstance(measure, ScoreMeasure):
-        raise UnsupportedPairError(
-            "score-only measures pair only with a Stein kernel targeting them"
-        )
-    if isinstance(kernel, MatrixValuedKernel):
-        return combinators.matrix_valued_embed(kernel, measure, budget, seed)
-    if isinstance(kernel, SumKernel):
-        return combinators.sum_embed(kernel, measure, budget, seed)
-    if isinstance(measure, MixtureMeasure):
-        return combinators.mixture_embed(kernel, measure, budget, seed)
-    if isinstance(measure, PushforwardMeasure):
-        recognized = _recognize_pushforward(measure)
-        if recognized is not None:
-            return embed(kernel, recognized, budget=budget, seed=seed)
-    if empirical_embed.holds(kernel, measure):
-        return empirical_embed(kernel, measure)
-    if isinstance(kernel, ComposedKernel):
-        return combinators.pushforward_embed(kernel, measure, budget, seed)
-    if isinstance(kernel, ProductKernel):
-        factors = combinators.split_product_measure(measure, kernel.block_dims)
-        if factors is not None:
-            return combinators.product_embed(kernel, measure, factors, budget, seed)
-
-    pair = _closed_form_pair(kernel, measure)
-    if pair is None:
-        return numeric_embedding(kernel, measure, budget=budget, seed=seed)
-    return pair
+    return (
+        stein.stein_embed,
+        _score_only,
+        combinators.matrix_valued_embed,
+        combinators.sum_embed,
+        combinators.mixture_embed,
+        _recognized_pushforward,
+        empirical_embed,
+        combinators.pushforward_embed,
+        combinators.product_embed,
+        gauss_uniform,
+        gauss_gauss,
+        matern_uniform_general,
+        matern_gauss_kp,
+        wendland0_uniform,
+        wendland_gauss_kp,
+        fbm_uniform,
+        powerseries_uniform,
+        powerseries_gauss,
+        sphere_embed,
+        periodic_sobolev_embed,
+    )
 
 
-# The dictionary builders in the order dispatch tries their conditions.
-_DICTIONARY = (
-    gauss_uniform,
-    gauss_gauss,
-    matern_uniform_general,
-    matern_gauss_kp,
-    wendland0_uniform,
-    wendland_gauss_kp,
-    fbm_uniform,
-    powerseries_uniform,
-    powerseries_gauss,
-    sphere_embed,
-    periodic_sobolev_embed,
-)
+@_rule(Kernel, ScoreMeasure)
+def _score_only(kernel: Kernel, measure: ScoreMeasure, _held, budget, seed):
+    """A score-only measure has no embedding but a Stein kernel's."""
+    raise UnsupportedPairError(
+        "score-only measures pair only with a Stein kernel targeting them"
+    )
 
 
-def _closed_form_pair(kernel: Kernel, measure: Measure) -> Embedding | None:
-    """The closed form of the first dictionary builder whose condition
-    holds for the pair, or None when none does."""
-    for build in _DICTIONARY:
-        if build.holds(kernel, measure):
-            return build(kernel, measure)
-    return None
+@_rule(Kernel, PushforwardMeasure, lambda k, m: _recognize_pushforward(m))
+def _recognized_pushforward(kernel: Kernel, measure: PushforwardMeasure, image, budget, seed):
+    """A pushforward recognized as an ordinary measure is embedded as
+    that measure."""
+    return embed(kernel, image, budget=budget, seed=seed)
 
 
 def _recognize_pushforward(measure: PushforwardMeasure) -> Measure | None:

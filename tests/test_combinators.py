@@ -49,7 +49,6 @@ def test_product_embed_tensorizes():
     prod = product_embed(
         ProductKernel([k1, k2], [1, 1]),
         UniformBoxMeasure(lows=(0.0, -1.0), highs=(2.0, 1.0)),
-        [p1, p2],
     )
     rng = random.Random(22)
     for _ in range(20):

@@ -8,6 +8,14 @@ import zlib
 import numpy as np
 import pytest
 
+from kembed import combinators, dictionary, stein
+from kembed.combinators import (
+    matrix_valued_embed,
+    mixture_embed,
+    product_embed,
+    pushforward_embed,
+    sum_embed,
+)
 from kembed.dictionary import (
     CLOSED_FORM,
     NUMERIC_FALLBACK,
@@ -46,6 +54,7 @@ from kembed.measures import (
     GaussianMeasure,
     MixtureMeasure,
     PushforwardMeasure,
+    ScoreMeasure,
     SphereUniformMeasure,
     UniformBoxMeasure,
 )
@@ -586,7 +595,8 @@ def test_unsupported_pairs_raise():
 
 
 # A builder called directly on a pair outside its condition, and what it
-# used to return: a wrong closed form, or a bare TypeError.
+# used to return: a wrong closed form, or a bare TypeError or
+# AttributeError.
 _OUTSIDE = {
     "wendland_gauss_order4": (wendland_gauss_kp, WendlandKernel(order=4, lengthscale=1.0),
                               GaussianMeasure(mean=(0.0,), cov=(1.0,))),
@@ -603,6 +613,16 @@ _OUTSIDE = {
                             GaussianMeasure(mean=(3.0,), cov=(1.0,))),
     "gauss_uniform_full_matrix": (gauss_uniform, GaussianKernel(matrix=[[1.0, 0.3], [0.3, 0.8]]),
                                   UniformBoxMeasure(lows=(0.0, 0.0), highs=(1.0, 1.0))),
+    # a covariance that couples the kernel's blocks has no product factors
+    "product_coupled_blocks": (product_embed,
+                               ProductKernel([GaussianKernel(lengthscales=(1.0,)),
+                                              MaternKernel(nu=1.5)], [1, 1]),
+                               GaussianMeasure(mean=(0.0, 0.0), cov=[[1.0, 0.5], [0.5, 1.0]])),
+    **{
+        f"{combinator.__name__}_plain_pair": (combinator, GaussianKernel(lengthscales=(1.0,)),
+                                              UniformBoxMeasure(lows=(0.0,), highs=(1.0,)))
+        for combinator in (sum_embed, mixture_embed, pushforward_embed, matrix_valued_embed)
+    },
 }
 
 
@@ -614,6 +634,125 @@ def test_builders_refuse_pairs_outside_their_condition(case):
         builder(kernel, measure)
     # embed answers the same pair from another rule or the oracle
     embed(kernel, measure, budget=200)
+
+
+def _answers(rule, kernel, measure) -> bool:
+    """True when the rule's condition holds for the pair, or raises the
+    typed error that is the pair's answer."""
+    try:
+        return bool(rule.holds(kernel, measure))
+    except KembedError:
+        return True
+
+
+_g = GaussianKernel(lengthscales=(1.0,))
+_box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
+_image = PushforwardMeasure(_box, AffineMap(2.0, 1.0))
+_atoms = EmpiricalMeasure(points=np.array([[0.1], [0.4], [0.9]]))
+_score = ScoreMeasure(score_fn=lambda Y: -Y)
+_normals = MixtureMeasure(
+    components=(GaussianMeasure(mean=(0.0,), cov=(1.0,)),
+                GaussianMeasure(mean=(1.0,), cov=(0.5,))),
+    weights=(0.5, 0.5),
+)
+_boxes = MixtureMeasure(components=(_box, UniformBoxMeasure(lows=(1.0,), highs=(2.0,))),
+                        weights=(0.5, 0.5))
+_matrix = MatrixValuedKernel(base=_g, matrix=np.array([[2.0, 0.5], [0.5, 1.0]]))
+_sum = SumKernel(children=[_g, MaternKernel(nu=1.5)], weights=[0.5, 0.5])
+_composed = ComposedKernel(base=_g, map=AffineMap(2.0, 1.0))
+_fbm = FbmKernel(hurst=0.7)
+_SCORE_ONLY = "score-only measures pair only with a Stein kernel targeting them"
+
+# Pairs for which two rules of the table both answer, the earlier rule
+# first, with the pair_id and provenance, or the error, that embed gave
+# before the rules were a table: (earlier, later, kernel, measure, outcome).
+_OVERLAPS = {
+    "stein>score_only": ("stein_embed", "_score_only", SteinKernel(_g, target=_score), _score,
+                         ("stein/unnormalized_score", CLOSED_FORM)),
+    "stein>mixture": ("stein_embed", "mixture_embed", SteinKernel(_g, target=_normals), _normals,
+                      ("stein/mixture", CLOSED_FORM)),
+    "stein>recognized_pushforward": ("stein_embed", "_recognized_pushforward",
+                                     SteinKernel(_g, target=_image), _image,
+                                     ("stein/pushforward", CLOSED_FORM)),
+    "stein>empirical": ("stein_embed", "empirical_embed", SteinKernel(_g, target=_atoms), _atoms,
+                        ("stein/empirical", CLOSED_FORM)),
+    "score_only>matrix_valued": ("_score_only", "matrix_valued_embed", _matrix, _score,
+                                 (UnsupportedPairError, _SCORE_ONLY)),
+    "score_only>sum": ("_score_only", "sum_embed", _sum, _score,
+                       (UnsupportedPairError, _SCORE_ONLY)),
+    "score_only>pushforward": ("_score_only", "pushforward_embed", _composed, _score,
+                               (UnsupportedPairError, _SCORE_ONLY)),
+    "score_only>fbm": ("_score_only", "fbm_uniform", _fbm, _score,
+                       (UnsupportedPairError, _SCORE_ONLY)),
+    "score_only>sphere": ("_score_only", "sphere_embed", SphereSobolevKernel(),
+                          ScoreMeasure(score_fn=lambda Y: -Y, dimension=3),
+                          (UnsupportedPairError, _SCORE_ONLY)),
+    "matrix_valued>mixture": ("matrix_valued_embed", "mixture_embed", _matrix, _normals,
+                              ("matrix_valued/mixture", CLOSED_FORM)),
+    "matrix_valued>recognized_pushforward": ("matrix_valued_embed", "_recognized_pushforward",
+                                             _matrix, _image,
+                                             ("matrix_valued/gaussian/uniform_box", CLOSED_FORM)),
+    "sum>mixture": ("sum_embed", "mixture_embed", _sum, _normals,
+                    ("sum/mixture+mixture", CLOSED_FORM)),
+    "sum>recognized_pushforward": ("sum_embed", "_recognized_pushforward", _sum, _image,
+                                   ("sum/gaussian/uniform_box+matern/uniform_box", CLOSED_FORM)),
+    "sum>empirical": ("sum_embed", "empirical_embed", _sum, _atoms,
+                      ("sum/gaussian/empirical+matern/empirical", CLOSED_FORM)),
+    "mixture>pushforward": ("mixture_embed", "pushforward_embed", _composed, _normals,
+                            ("mixture", CLOSED_FORM)),
+    "mixture>fbm": ("mixture_embed", "fbm_uniform", _fbm, _boxes, ("mixture", NUMERIC_FALLBACK)),
+    "mixture>sphere": ("mixture_embed", "sphere_embed", SphereSobolevKernel(),
+                       MixtureMeasure(components=(SphereUniformMeasure(d=2),) * 2,
+                                      weights=(0.5, 0.5)),
+                       ("mixture", NUMERIC_FALLBACK)),
+    "recognized_pushforward>pushforward": (
+        "_recognized_pushforward", "pushforward_embed", _composed, _image,
+        ("pushforward[affine(scale=[2.0], shift=[1.0])]/gaussian/uniform_box", CLOSED_FORM)),
+    "recognized_pushforward>fbm": ("_recognized_pushforward", "fbm_uniform", _fbm, _image,
+                                   ("fbm/uniform_box", CLOSED_FORM)),
+    "recognized_pushforward>sphere": (
+        "_recognized_pushforward", "sphere_embed", SphereSobolevKernel(),
+        PushforwardMeasure(UniformBoxMeasure((0.0,) * 3, (1.0,) * 3),
+                           AffineMap([2.0] * 3, [0.0] * 3)),
+        (UnsupportedPairError, "sphere kernels pair with the uniform measure on S^2 only")),
+    "empirical>pushforward": ("empirical_embed", "pushforward_embed", _composed, _atoms,
+                              ("composed/empirical", CLOSED_FORM)),
+    "empirical>fbm": ("empirical_embed", "fbm_uniform", _fbm, _atoms,
+                      ("fbm/empirical", CLOSED_FORM)),
+    "empirical>sphere": ("empirical_embed", "sphere_embed", SphereSobolevKernel(),
+                         EmpiricalMeasure(points=np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])),
+                         ("sphere_sobolev32/empirical", CLOSED_FORM)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERLAPS))
+def test_the_earlier_of_two_rules_that_hold_answers(case):
+    earlier, later, kernel, measure, outcome = _OVERLAPS[case]
+    table = dictionary._rules()
+    names = [rule.__name__ for rule in table]
+    assert names.index(earlier) < names.index(later)
+    for name in (earlier, later):
+        assert _answers(table[names.index(name)], kernel, measure), name
+    if isinstance(outcome[0], type):
+        with pytest.raises(outcome[0]) as error:
+            embed(kernel, measure, budget=400)
+        assert str(error.value) == outcome[1]
+    else:
+        e = embed(kernel, measure, budget=400)
+        assert (e.pair_id, e.provenance) == outcome
+
+
+def test_every_declared_rule_is_in_the_table_once():
+    declared = {
+        value
+        for module in (dictionary, combinators, stein)
+        for value in vars(module).values()
+        if callable(getattr(value, "holds", None))
+    }
+    table = dictionary._rules()
+    assert len(set(table)) == len(table)
+    # the cross-check reference of matern_uniform_general, never dispatched
+    assert set(table) == declared - {matern_uniform_special}
 
 
 def test_builders_check_dimensions_as_embed_does():
