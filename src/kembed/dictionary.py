@@ -327,11 +327,17 @@ def stationary_cross_kpq(kernel: Kernel, p: GaussianMeasure, q: GaussianMeasure)
 def cross_kpq(p: Embedding, q: Embedding) -> tuple[float, float, str] | None:
     """E K(X, Y) for independent X ~ P and Y ~ Q, two embeddings of one
     kernel, as (value, stderr, provenance) from the first exact rule, or
-    None: a composed kernel whose images of P and Q are recognized is its
-    base kernel on the images; a stationary kernel against two Gaussians
-    is :func:`stationary_cross_kpq`; an empirical side is the other
-    embedding's K_P summed over its atoms."""
+    None: an empirical side is the other embedding's K_P summed over its
+    atoms; a composed kernel whose images of P and Q are recognized is
+    its base kernel on the images; a stationary kernel against two
+    Gaussians is :func:`stationary_cross_kpq`. The empirical rule comes
+    first: the other embedding's K_P is read at the atoms themselves,
+    not at their image under a composed kernel's map."""
     kernel, mp, mq = p.kernel, p.measure, q.measure
+    for atoms, other in ((mq, p), (mp, q)):
+        if isinstance(atoms, EmpiricalMeasure):
+            value = float(np.dot(atoms.weights, other.kp_rows(atoms.points)))
+            return value, 0.0, other.kp_provenance
     if isinstance(kernel, ComposedKernel):
         images = [_recognize_pushforward(PushforwardMeasure(m, kernel.map)) for m in (mp, mq)]
         if None not in images:
@@ -340,10 +346,6 @@ def cross_kpq(p: Embedding, q: Embedding) -> tuple[float, float, str] | None:
         value = stationary_cross_kpq(kernel, mp, mq)
         if value is not None:
             return value, 0.0, CLOSED_FORM
-    for atoms, other in ((mq, p), (mp, q)):
-        if isinstance(atoms, EmpiricalMeasure):
-            value = float(np.dot(atoms.weights, other.kp_rows(atoms.points)))
-            return value, 0.0, other.kp_provenance
     return None
 
 
@@ -890,7 +892,9 @@ def _recognized_pushforward(kernel: Kernel, measure: PushforwardMeasure, image, 
 
 def _recognize_pushforward(measure: PushforwardMeasure) -> Measure | None:
     """Rewrite the image of a simple measure under a recognizable map
-    as an ordinary measure, enabling closed-form dispatch."""
+    as an ordinary measure, enabling closed-form dispatch. The image of
+    an empirical measure under any map is its mapped atoms, with the
+    same weights."""
     from .kernels import AffineMapSpec, NormalICDFMapSpec
 
     base = measure.base
@@ -900,6 +904,8 @@ def _recognize_pushforward(measure: PushforwardMeasure) -> Measure | None:
             return None
         base = inner
     m = measure.map
+    if isinstance(base, EmpiricalMeasure):
+        return EmpiricalMeasure(_finite_points(m(base.points), base.dim), base.weights)
     if isinstance(m, AffineMapSpec):
         s = np.asarray(m.scale)
         t = np.asarray(m.shift)

@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 _SPHERE_NORM_TOL = 1e-9
+# Sorted 1-d points per block of the linear-time Matern form: pairs within
+# a block are evaluated directly, pairs across blocks through carried sums.
+_LINE_BLOCK = 32
+# Matern distances |x - y| / l are clipped here: exp(-z) is 0 from about
+# z = 745 on, so every value keeps its bits, and z**m stays finite.
+_MATERN_FAR = 1e3
 # Kernel entries per block of every evaluation: a Gram matrix takes b rows
 # of n entries at a time, b * n about this; a long row, or a long run of
 # matched pairs, takes this many rows at a time. Memory beyond the inputs
@@ -229,11 +235,15 @@ class Kernel:
         return self._checked_pairs(X, Y)
 
     def rows(self, X, Y):
-        """K(x_i, Y) for each row x_i of X, one row at a time, each with
-        the bits of ``batch(x_i, Y)`` and evaluated as it is, in blocks of
-        about 2^15 rows of Y: beyond X, Y and the row, memory is O(block).
-        Both arrays are checked once, here; a domain error is the one the
-        first failing ``batch(x_i, Y)`` would raise."""
+        """K(x_i, Y) for each row x_i of X, each with the bits of
+        ``batch(x_i, Y)``. A symmetric family evaluates a block of rows
+        of about 2^15 entries in one ``_pairs`` call, when a block holds
+        two rows or more, and yields its rows; every other family, or a
+        Y too long for that, takes one row at a time, evaluated as
+        ``batch`` is, in blocks of about 2^15 rows of Y. Beyond X, Y and
+        the rows, memory is O(block). Both arrays are checked once, here;
+        a domain error is the one the first failing ``batch(x_i, Y)``
+        would raise."""
         X = _finite_points(X, self.dim)
         Y = _finite_points(Y, X.shape[1])
         for V in (X[:1], Y, X[1:]):
@@ -261,15 +271,24 @@ class Kernel:
         return out
 
     def gram_form(self, X, w) -> float:
-        """w^T K(X, X) w for a scalar kernel, accumulated over the blocks
-        of :meth:`gram` into v = K(X, X) w, so memory grows with n times
-        the block, not n^2; the result is w @ v. A symmetric family adds
-        each off-diagonal block to v twice, once for its rows and once,
-        transposed, for its columns. This moves the last bits only: the
-        result agrees with ``w @ gram(X) @ w`` within 1e-14 of
-        |w|^T |K(X, X)| |w|."""
+        """w^T K(X, X) w for a scalar kernel and one weight per point,
+        accumulated over the blocks of :meth:`gram` into v = K(X, X) w,
+        so memory grows with n times the block, not n^2; the result is
+        w @ v. A symmetric family adds each off-diagonal block to v
+        twice, once for its rows and once, transposed, for its columns.
+        A Matern kernel on 1-d points, also as a composed kernel's base,
+        sums over the sorted points in linear time instead
+        (:meth:`MaternKernel._gram_form`). Either moves the last bits
+        only: the result agrees with
+        ``w @ gram(X) @ w`` within 1e-14 of |w|^T |K(X, X)| |w|."""
         X = self._checked_points(X)
-        w = np.asarray(w, dtype=float)
+        w = _floats(w)
+        if w.shape != (len(X),):
+            raise InvalidSpecError("one weight per point is required")
+        return self._gram_form(X, w)
+
+    def _gram_form(self, X: np.ndarray, w: np.ndarray) -> float:
+        """w^T K(X, X) w over checked points and weights, block by block."""
         v = np.zeros(len(X))
         for lo, hi, block in self._gram_blocks(X):
             if self.symmetric:
@@ -289,7 +308,7 @@ class Kernel:
             for i, row in enumerate(self._rows(X, X)):
                 yield i, i + 1, row[None]
             return
-        step = max(1, _GRAM_BLOCK // n)
+        step = max(1, _GRAM_BLOCK // max(n, 1))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             yield lo, hi, self._pairs(X[lo:hi, None, :], X[None, lo:, :])
@@ -309,6 +328,11 @@ class Kernel:
 
     def _rows(self, X: np.ndarray, Y: np.ndarray):
         """The rows K(x_i, Y) over checked points."""
+        step = _GRAM_BLOCK // max(len(Y), 1)
+        if self.symmetric and step >= 2:
+            for lo in range(0, len(X), step):
+                yield from self._pairs(X[lo : lo + step, None, :], Y[None, :, :])
+            return
         for i in range(len(X)):
             yield _in_blocks(self._pairs, X[i : i + 1], Y)
 
@@ -470,8 +494,13 @@ class MaternKernel(Kernel):
     def n(self) -> int:
         return int(round(self.nu - 0.5))
 
+    #: The profile K = e^(-z) sum_m a_m z^m at z = sqrt(2n + 1) |x - y| / l:
+    #: the coefficients a_m for n = 0..3. ``_pairs`` sums the same terms in
+    #: the order its bits are pinned to; ``_gram_form`` reads them here.
+    profiles = ((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0 / 3.0), (1.0, 1.0, 0.4, 1.0 / 15.0))
+
     def _pairs(self, X, Y):
-        t = np.sqrt(_sq_dist(X, Y)) / self.lengthscale
+        t = np.minimum(np.sqrt(_sq_dist(X, Y)) / self.lengthscale, _MATERN_FAR)
         if self.n == 0:
             return np.exp(-t)
         if self.n == 1:
@@ -482,6 +511,71 @@ class MaternKernel(Kernel):
             return (1.0 + z + z * z / 3.0) * np.exp(-z)
         z = math.sqrt(7.0) * t
         return (1.0 + z + 0.4 * z * z + z ** 3 / 15.0) * np.exp(-z)
+
+    def _gram_form(self, X, w):
+        """On 1-d points, w^T K w in O(n (nu + 1/2)^2) after a sort: the
+        state-space form of the kernel (Hartikainen and Sarkka 2010),
+        exact up to rounding. The sorted points are cut into blocks of
+        _LINE_BLOCK. A block's own pairs are one ``_pairs`` call. The
+        pairs it makes with all earlier points reach it through
+        S_m = sum_j w_j e^(-u_j) u_j^m, m = 0..nu - 1/2, where
+        u_j = beta (s - x_j) is the scaled distance from the block's
+        start s. Since (u + d)^m = sum_k C(m, k) d^(m - k) u^k, a point
+        a scaled d past s sees them as
+        e^(-d) sum_m a_m sum_k C(m, k) d^(m - k) S_k, and the same
+        expansion carries S from one block's start to the next.
+        Each pair j < i is counted once, so the result is
+        sum_i w_i^2 + 2 sum_(j<i) w_i w_j K_ij; with positive weights
+        every term is positive and nothing cancels. Points of d >= 2
+        take the dense path."""
+        if X.shape[1] != 1:
+            return super()._gram_form(X, w)
+        x, n = X[:, 0], len(X)
+        if n < 2:
+            return float(w @ w)
+        a = self.profiles[self.n]
+        p = len(a)
+        beta = math.sqrt(2 * self.n + 1) / self.lengthscale
+        order = np.argsort(x, kind="stable")
+        b = min(_LINE_BLOCK, n)
+        blocks = -(-n // b)
+        # the last block is padded with copies of the largest point, of weight 0
+        pad = blocks * b - n
+        xs = np.concatenate([x[order], np.full(pad, x[order[-1]])]).reshape(blocks, b)
+        ws = np.concatenate([w[order], np.zeros(pad)]).reshape(blocks, b)
+
+        lower = 0.0
+        ii, jj = np.tril_indices(b, -1)
+        step = max(1, _GRAM_BLOCK // len(ii))
+        for lo in range(0, blocks, step):
+            xb, wb = xs[lo : lo + step], ws[lo : lo + step]
+            k = self._pairs(xb[:, ii, None], xb[:, jj, None])
+            lower += float(np.sum(wb[:, ii] * wb[:, jj] * k))
+
+        powers = np.arange(p)
+
+        def decay(d):
+            # e^(-u) u^m at u = beta d, for m = 0..nu - 1/2 along a new last axis
+            d = np.minimum(beta * d, _MATERN_FAR)[..., None]
+            return np.exp(-d) * d ** powers
+
+        starts = xs[:, 0]
+        # each block's points about its own start, and about the next start
+        own = np.einsum("bi,bim->bm", ws, decay(xs - starts[:, None]))
+        ahead = np.einsum("bi,bim->bm", ws[:-1], decay(starts[1:, None] - xs[:-1]))
+        # S at one start -> S at the next, D apart: C(m, k) e^(-D) D^(m - k)
+        binom = np.array([[math.comb(m, k) for k in range(p)] for m in range(p)], dtype=float)
+        carry = decay(starts[1:] - starts[:-1])[:, np.maximum(powers[:, None] - powers, 0)] * binom
+        # a block's pairs with the earlier points are S . G own, where
+        # G[k, r] = a_(k+r) C(k + r, k) gathers the terms of each S_k
+        G = np.array([[a[k + r] * math.comb(k + r, k) if k + r < p else 0.0 for r in range(p)]
+                      for k in range(p)])
+        reach = own @ G.T
+        S = np.zeros(p)
+        for i in range(1, blocks):
+            S = carry[i - 1] @ S + ahead[i - 1]
+            lower += float(S @ reach[i])
+        return float(w @ w) + 2.0 * lower
 
     def inner_breaks(self, x):
         return [(x, False)]

@@ -380,6 +380,8 @@ class EmpiricalMeasure(Measure):
 
     def __post_init__(self):
         pts = as_points(self.points)
+        if len(pts) == 0:
+            raise InvalidSpecError("an empirical measure needs at least one point")
         if self.weights is None:
             w = tuple([1.0 / pts.shape[0]] * pts.shape[0])
         else:

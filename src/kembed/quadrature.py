@@ -320,6 +320,8 @@ def mmd2(embedding: Embedding, q, weights=None) -> float:
             )
         return kpp - 2.0 * kpq[0] + other.kpp
     points = as_points(q, kernel.dim)
+    if len(points) == 0:
+        raise InvalidSpecError("Q needs at least one point")
     if weights is None:
         w = np.full(points.shape[0], 1.0 / points.shape[0])
     else:

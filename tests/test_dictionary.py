@@ -717,6 +717,11 @@ _OVERLAPS = {
         (UnsupportedPairError, "sphere kernels pair with the uniform measure on S^2 only")),
     "empirical>pushforward": ("empirical_embed", "pushforward_embed", _composed, _atoms,
                               ("composed/empirical", CLOSED_FORM)),
+    # the image of atoms is recognized under any map; the pushforward
+    # rule answered this pair, through the oracle, before that
+    "recognized_atoms>pushforward": (
+        "_recognized_pushforward", "pushforward_embed", _composed,
+        PushforwardMeasure(_atoms, AffineMap(2.0, 1.0)), ("composed/empirical", CLOSED_FORM)),
     "empirical>fbm": ("empirical_embed", "fbm_uniform", _fbm, _atoms,
                       ("fbm/empirical", CLOSED_FORM)),
     "empirical>sphere": ("empirical_embed", "sphere_embed", SphereSobolevKernel(),
@@ -808,6 +813,46 @@ def test_pushforward_look_alike_map_goes_to_the_oracle():
     e = embed(k, PushforwardMeasure(base=base, map=identity), budget=20_000, seed=1)
     assert e.provenance == NUMERIC_FALLBACK
     assert e.kpp == pytest.approx(embed(k, base).kpp, abs=4.0 * e.kpp_stderr)
+
+
+# at the parent of the rule for atoms, this pair was the oracle's
+# numeric_fallback K_PP 0.4637492458017305 with stderr 0.07380878104301339
+# (budget 300, seed 0)
+_FOUR_ATOMS = np.array([[0.1], [0.4], [0.9], [1.5]])
+
+
+def test_pushforward_of_atoms_is_the_mapped_atoms():
+    k = GaussianKernel(lengthscales=(0.8,))
+    e = embed(k, PushforwardMeasure(EmpiricalMeasure(_FOUR_ATOMS), AffineMap(2.0, 0.0)), budget=300)
+    direct = embed(k, EmpiricalMeasure(2.0 * _FOUR_ATOMS))
+    assert (e.provenance, e.kpp_stderr) == (CLOSED_FORM, 0.0)
+    assert e.kpp == direct.kpp
+    assert e.kp_at([0.3]) == direct.kp_at([0.3])
+    assert abs(e.kpp - 0.4637492458017305) <= 0.07380878104301339
+
+
+def test_pushforward_of_atoms_under_any_map_keeps_the_weights():
+    atoms = EmpiricalMeasure(np.array([[0.2], [0.5], [0.9]]), weights=(0.2, 0.3, 0.5))
+    k = MaternKernel(nu=1.5)
+    for m in (NormalICDFMap(), Map(forward=np.sqrt, inverse=np.square, name="sqrt")):
+        e = embed(k, PushforwardMeasure(atoms, m))
+        direct = embed(k, EmpiricalMeasure(m(atoms.points), weights=atoms.weights))
+        assert e.provenance == CLOSED_FORM
+        assert (e.kpp, e.kp_at([0.4])) == (direct.kpp, direct.kp_at([0.4]))
+    blowup = Map(forward=lambda x: np.where(x > 0.5, np.inf, x), inverse=lambda z: z, name="blowup")
+    with pytest.raises(InvalidSpecError, match="^points must be finite$"):
+        embed(k, PushforwardMeasure(atoms, blowup))
+
+
+def test_composed_cross_term_reads_the_atoms_where_they_are():
+    # the other embedding's K_P is in the composed kernel's coordinates,
+    # so it is summed at the atoms, not at their image under the map
+    ck = ComposedKernel(MaternKernel(nu=1.5), NormalICDFMap())
+    p = embed(ck, UniformBoxMeasure(lows=(0.0,), highs=(1.0,)))
+    atoms = EmpiricalMeasure(np.array([[0.2], [0.7]]), weights=(0.25, 0.75))
+    value, stderr, provenance = cross_kpq(p, embed(ck, atoms))
+    assert value == float(np.dot(atoms.weights, p.kp_rows(atoms.points)))
+    assert (stderr, provenance) == (0.0, CLOSED_FORM)
 
 
 def test_composed_kernel_dispatch():

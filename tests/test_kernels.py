@@ -3,6 +3,7 @@ dual-route evaluations, and input validation."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from kembed.errors import InvalidSpecError
 from kembed.kernels import (
     AffineMap,
+    Kernel,
     ComposedKernel,
     FbmKernel,
     GaussianKernel,
@@ -280,6 +282,109 @@ def test_gram_form_agrees_with_the_gram(name, n):
     if not kernel.symmetric:
         # the others sum one row at a time, as the row-by-row form does
         assert value == float(w @ np.array([kernel.batch(x, X) @ w for x in X]))
+
+
+def _line_inputs(n: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).normal(size=(n, 1))
+
+
+# 1-d inputs of the linear-time Matern form, which sorts them and cuts
+# them into blocks of 32: ties, repeated points, sorted and reversed
+# input, sizes around a block, points spread over 10^6 lengthscales and
+# a pair 1e150 apart, whose terms underflow to 0
+_LINE_INPUTS = {
+    "ties": lambda: np.repeat(_line_inputs(40, 1), 3, axis=0),
+    "repeated": lambda: np.full((70, 1), 0.3),
+    "sorted": lambda: np.sort(_line_inputs(100, 2), axis=0),
+    "reversed": lambda: np.sort(_line_inputs(100, 3), axis=0)[::-1],
+    **{f"n={n}": (lambda n=n: _line_inputs(n, n)) for n in (1, 2, 31, 32, 33, 63, 64, 65, 3000)},
+    "spread": lambda: _line_inputs(500, 4) * np.logspace(-3, 6, 500)[:, None],
+    "far_pair": lambda: np.array([[0.0], [1e150]]),
+    "far_blocks": lambda: np.concatenate([_line_inputs(50, 5), 1e150 + _line_inputs(50, 6) * 1e134]),
+}
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
+@pytest.mark.parametrize("case", sorted(_LINE_INPUTS))
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_matern_line_form_agrees_with_the_dense_form(nu, case, signed):
+    X = _LINE_INPUTS[case]()
+    rng = np.random.default_rng(len(X))
+    w = rng.normal(size=len(X)) if signed else rng.uniform(0.1, 1.0, len(X))
+    for kernel in (MaternKernel(nu=nu, lengthscale=0.7),
+                   ComposedKernel(MaternKernel(nu=nu, lengthscale=1.3), AffineMap(-2.0, 0.5))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = kernel.gram_form(X, w)
+            # the dense blocked path, the reference; Matern values are
+            # nonnegative, so |w|^T |K| |w| is its form of |w|
+            dense = Kernel._gram_form(kernel, X, w)
+            scale = Kernel._gram_form(kernel, X, np.abs(w))
+        assert math.isfinite(value)
+        assert abs(value - dense) <= 1e-14 * scale, (value, dense, scale)
+
+
+def test_composed_matern_reaches_the_line_form(count_calls):
+    calls = count_calls(MaternKernel, "_gram_form")
+    k = ComposedKernel(MaternKernel(nu=2.5), NormalICDFMap())
+    k.gram_form([[0.2], [0.5], [0.9]], [0.2, 0.3, 0.5])
+    SumKernel([MaternKernel(nu=2.5)], [1.0]).gram_form(np.ones((3, 1)), np.ones(3))
+    assert [V.shape for V in calls] == [(3, 1)]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_matern_profiles_are_the_pairs_formula(n):
+    # K = e^(-z) sum_m a_m z^m, which _pairs sums in its own order; the
+    # distance _pairs recovers from the points is within an ulp of t,
+    # which e^(-z) turns into a relative error of about z ulps
+    kernel = MaternKernel(nu=n + 0.5, lengthscale=0.8)
+    a = kernel.profiles[n]
+    assert len(a) == n + 1
+    t = np.concatenate([[0.0], np.logspace(-6, 2.5, 400)])
+    z = math.sqrt(2 * n + 1) * t
+    want = np.exp(-z) * sum(c * z ** m for m, c in enumerate(a))
+    got = kernel.pairs(np.zeros((1, 1)), 0.8 * t[:, None])
+    assert np.all(np.abs(got - want) <= 4e-16 * (1.0 + z) * want)
+
+
+@pytest.mark.parametrize("name", sorted(_GRAM_FORM_KERNELS))
+def test_gram_form_off_the_line_keeps_the_dense_path(name):
+    # every family but Matern on 1-d points keeps the blocked dense sum,
+    # bit for bit
+    kernel, points = _GRAM_FORM_KERNELS[name]
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(200, 2)) if points == "normal2" else rng.uniform(0.0, 3.0, (200, 1))
+    w = rng.normal(size=200)
+    assert kernel.gram_form(X, w) == Kernel._gram_form(kernel, X, w)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [GaussianKernel(lengthscales=(0.7,)), MaternKernel(nu=2.5), WendlandKernel(order=2),
+     PeriodicSobolevKernel(r=1), FbmKernel(hurst=0.3),
+     ComposedKernel(MaternKernel(nu=1.5), AffineMap(2.0, 0.0))],
+    ids=lambda k: k.family,
+)
+def test_zero_points_give_an_empty_gram(kernel):
+    X = np.empty((0, 1))
+    assert kernel.gram(X).shape == (0, 0)
+    assert kernel.gram_form(X, []) == 0.0
+    assert list(kernel.rows(X, X)) == []
+    assert [row.shape for row in kernel.rows(np.full((3, 1), 0.5), X)] == [(0,)] * 3
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1.0], np.ones((3, 1)), 1.0, [[1.0, 1.0, 1.0]]],
+                         ids=["short", "column", "scalar", "row"])
+@pytest.mark.parametrize(
+    "kernel, dim",
+    [(MaternKernel(nu=2.5), 1), (MaternKernel(nu=2.5), 2), (GaussianKernel(lengthscales=(1.0,)), 1),
+     (FbmKernel(hurst=0.3), 1), (ComposedKernel(MaternKernel(nu=0.5), AffineMap(2.0, 0.0)), 1)],
+    ids=["matern_line", "matern_2d", "gaussian", "fbm", "composed"],
+)
+def test_gram_form_needs_one_weight_per_point(kernel, dim, weights):
+    X = np.linspace(0.1, 0.9, 3 * dim).reshape(3, dim)
+    with pytest.raises(InvalidSpecError, match="^one weight per point is required$"):
+        kernel.gram_form(X, weights)
 
 
 @pytest.mark.parametrize("make_map", [lambda: AffineMap(1.5, -0.2), NormalICDFMap])

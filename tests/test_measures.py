@@ -228,6 +228,12 @@ def test_empirical_measure():
         EmpiricalMeasure(points=pts, weights=(0.5, 0.5, 0.5))
 
 
+def test_empirical_measure_needs_a_point():
+    for weights in (None, ()):
+        with pytest.raises(InvalidSpecError, match="^an empirical measure needs at least one point$"):
+            EmpiricalMeasure(points=np.empty((0, 1)), weights=weights)
+
+
 def test_score_measure():
     m = ScoreMeasure(score_fn=lambda x: -np.asarray(x) ** 3, dimension=1)
     np.testing.assert_allclose(m.score([2.0]), [-8.0], rtol=1e-15)

@@ -442,6 +442,49 @@ def test_rows_are_batch_rows_bitwise(pair):
         assert got == want
 
 
+# 7 rows against 30: a symmetric family takes blocks of 2^15 // 30 rows,
+# here 4 and a ragged 3, or 3, 3 and a last block of one row, or one row
+# at a time when a block would hold fewer than two
+@pytest.mark.parametrize("block", [4 * 30, 3 * 30, 30])
+@pytest.mark.parametrize("pair", sorted(_ROUTES), ids="-".join)
+def test_rows_in_blocks_are_batch_rows_bitwise(pair, block, monkeypatch):
+    family, measure_name = pair
+    measure, _ = _ROUTE_MEASURES[measure_name]
+    kernel = _ROUTE_KERNELS[family](measure.dim)
+    X, Y = measure.sample(7, seed=11), measure.sample(30, seed=12)
+    want = _array_or_error(lambda: np.stack([kernel.batch(x, Y) for x in X]))
+    monkeypatch.setattr(kernels, "_GRAM_BLOCK", block)
+    assert _array_or_error(lambda: np.stack(list(kernel.rows(X, Y)))) == want
+
+
+def test_symmetric_rows_take_blocks_of_rows(monkeypatch, count_calls):
+    monkeypatch.setattr(kernels, "_GRAM_BLOCK", 4 * 30)
+    calls = count_calls(MaternKernel, "_pairs")
+    X = GaussianMeasure((0.0,), 1.0).sample(30, seed=1)
+    rows = list(MaternKernel(nu=1.5).rows(X[:7], X))
+    assert len(rows) == 7
+    assert [V.shape for V in calls] == [(4, 1, 1), (3, 1, 1)]
+
+
+# K_PP bits at the parent of the blocked rows, which must not move: the
+# U-statistic's rows (Matern-5/2 on a 2-d box, 1 000 points) and the
+# 2-d Legendre rule's (Gaussian on a 2-d box, 1 600 x 1 600 nodes)
+_KPP_BITS = {
+    "u_statistic": (MaternKernel(nu=2.5, lengthscale=0.6), "monte_carlo", 1000,
+                    "0x1.0374c911f1bb5p-1", "0x1.3e71eacee55b1p-8"),
+    "legendre": (GaussianKernel(lengthscales=(0.5, 0.8)), "gauss_legendre", 1600 ** 2,
+                 "0x1.32f82bd8b5c53p-1", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KPP_BITS))
+def test_oracle_kpp_keeps_its_bits(name):
+    kernel, method, n, value, stderr = _KPP_BITS[name]
+    est = estimate_kpp(kernel, UniformBoxMeasure(lows=(0.0, -1.0), highs=(1.0, 0.5)))
+    assert (est.method, est.n) == (method, n)
+    assert (est.value.hex(), est.stderr.hex()) == (value, stderr)
+
+
 def _evaluations(kernel, X, Y) -> dict:
     """rows, batch and pairs of two arrays of equal length, each as the
     bytes and shape of its result or the message of its error."""

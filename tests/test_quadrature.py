@@ -594,6 +594,13 @@ def test_mmd2_kqq_without_the_gram(n):
             assert abs(got - want) <= 1e-14 * scale
 
 
+def test_mmd2_of_no_points_is_a_typed_error():
+    e = embed(MaternKernel(nu=2.5), GaussianMeasure(mean=(0.0,), cov=(1.0,)))
+    for weights in (None, []):
+        with pytest.raises(InvalidSpecError, match="^Q needs at least one point$"):
+            mmd2(e, np.empty((0, 1)), weights=weights)
+
+
 def test_mmd2_memory_grows_with_n_not_n_squared():
     k = GaussianKernel(lengthscales=(1.0,))
     p = GaussianMeasure(mean=(0.0,), cov=(1.0,))
