@@ -37,6 +37,7 @@ from .measures import (
     PushforwardMeasure,
     UniformBoxMeasure,
 )
+from .oracle import _mc_mean
 
 __all__ = [
     "product_embed",
@@ -165,8 +166,7 @@ def _cross_kpq(
         return exact
     n = budget if budget is not None else CROSS_TERM_BUDGET
     vals = part_j.kernel.pairs(part_j.measure.sample(n, seed), part_k.measure.sample(n, seed + 1))
-    value = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    value, stderr = _mc_mean(vals)
     return value, stderr, NUMERIC_FALLBACK
 
 

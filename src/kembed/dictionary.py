@@ -50,6 +50,8 @@ from .kernels import (
     WendlandKernel,
     _finite_points,
     _floats,
+    _MATERN_ORDERS,
+    _matern_profile,
     as_point,
 )
 from .measures import (
@@ -374,8 +376,10 @@ class MaternUniformCoefficients:
     c: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.n not in (0, 1, 2, 3):
-            raise InvalidSpecError(f"n must be in 0..3, got {self.n}")
+        if self.n not in _MATERN_ORDERS:
+            raise InvalidSpecError(
+                f"n must be in {_MATERN_ORDERS[0]}..{_MATERN_ORDERS[-1]}, got {self.n}"
+            )
         if self.lengthscale <= 0:
             raise InvalidSpecError("lengthscale must be positive")
         if not self.b > self.a:
@@ -383,13 +387,14 @@ class MaternUniformCoefficients:
         alpha = self.lengthscale / math.sqrt(2 * self.n + 1)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "rho", (self.b - self.a) / alpha)
-        c = []
-        for m in range(self.n + 1):
-            s = 0
-            for i in range(self.n - m + 1):
-                s += math.factorial(self.n + i) // math.factorial(i) * 2 ** (self.n - i)
-            c.append(s / math.factorial(m))
-        object.__setattr__(self, "c", tuple(float(v) for v in c))
+        # c_m = ((2n)!/n!) sum_(k >= m) a_k k!/m!, from the profile's a_k
+        a = _matern_profile(self.n)
+        lead = math.factorial(2 * self.n) // math.factorial(self.n)
+        c = (
+            lead * sum(a[k] * math.factorial(k) for k in range(m, self.n + 1)) / math.factorial(m)
+            for m in range(self.n + 1)
+        )
+        object.__setattr__(self, "c", tuple(map(float, c)))
 
     def q_poly(self, z: np.ndarray) -> np.ndarray:
         """Q at each element of an array."""
@@ -493,20 +498,29 @@ def _matern_gauss_term(
     combined exponent collapses to -(x - mu)^2 / (2 sigma^2) exactly.
     Each form is evaluated on its own elements only: the naive one
     overflows on the others.
+
+    The polynomial factors come from the Matern profile's exact a_k:
+    the term a_k (beta t)^k integrates to P_k Phi(q) + R_k sigma phi(q),
+    where P_k and R_k follow the truncated-Gaussian moment recurrence
+    M_k = m M_(k-1) + (k-1) sigma^2 M_(k-2) from P_0 = 1, P_1 = m,
+    R_0 = 0, R_1 = 1. The recurrence cancels as n grows: at n = 3 it is
+    3e-8 relative from 40-digit values at sigma/l = 16 (1e-6 at 32),
+    which is why :func:`matern_gauss_kp` stops at n = 2.
     """
     if sign > 0:
         m = (mu - beta * sigma**2) - x
     else:
         m = x - (mu + beta * sigma**2)
     q = m / sigma
-    if n == 0:
-        p_coef, r_coef = np.ones_like(x), np.zeros_like(x)
-    elif n == 1:
-        p_coef, r_coef = 1.0 + beta * m, np.full_like(x, beta)
-    else:
-        b23 = beta**2 / 3.0
-        p_coef = 1.0 + beta * m + b23 * (m * m + sigma**2)
-        r_coef = beta + b23 * m
+    P, R = [1.0, m], [0.0, 1.0]
+    for k in range(2, n + 1):
+        P.append(m * P[k - 1] + (k - 1) * sigma**2 * P[k - 2])
+        R.append(m * R[k - 1] + (k - 1) * sigma**2 * R[k - 2])
+    p_coef, r_coef = np.full_like(x, P[0]), np.full_like(x, R[0])
+    for k, a in enumerate(_matern_profile(n)[1:], start=1):
+        # beta^k times the exact a_k, divided last: beta**2 / 3.0 at k = 2
+        coef = beta**k * a.numerator / a.denominator
+        p_coef, r_coef = p_coef + coef * P[k], r_coef + coef * R[k]
     exponent = 0.5 * beta**2 * sigma**2 + sign * beta * (x - mu)
     out = np.empty_like(x)
     # here q < 0 necessarily (a positive q forces a negative exponent)

@@ -8,8 +8,10 @@ closed-form mean embeddings are matched up with measures in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -42,6 +44,9 @@ _SPHERE_NORM_TOL = 1e-9
 # Sorted 1-d points per block of the linear-time Matern form: pairs within
 # a block are evaluated directly, pairs across blocks through carried sums.
 _LINE_BLOCK = 32
+# The Matern orders n, nu = n + 1/2, that MaternKernel and the closed forms
+# of kembed.dictionary take.
+_MATERN_ORDERS = range(4)
 # Matern distances |x - y| / l are clipped here: exp(-z) is 0 from about
 # z = 745 on, so every value keeps its bits, and z**m stays finite.
 _MATERN_FAR = 1e3
@@ -449,22 +454,27 @@ class GaussianKernel(Kernel):
         return k, grad_x, grad_y, trace
 
 
-def matern_half_integer(n: int, tau: float) -> float:
-    """Half-integer Matern correlation at scaled distance tau, nu = n + 1/2.
+@functools.cache
+def _matern_profile(n: int) -> tuple[Fraction, ...]:
+    """The exact coefficients a_m of the half-integer Matern profile
+    e^(-z) sum_m a_m z^m, nu = n + 1/2, z = sqrt(2n+1) |x - y| / l: the
+    product form (n!/(2n)!) sum_k ((n+k)!/(k!(n-k)!)) (2z)^(n-k)
+    regrouped by powers of z, so a_m takes its k = n - m term."""
+    lead = Fraction(math.factorial(n), math.factorial(2 * n))
+    return tuple(
+        lead * math.factorial(2 * n - m) * 2**m / (math.factorial(m) * math.factorial(n - m))
+        for m in range(n + 1)
+    )
 
-    The closed product form
-    exp(-sqrt(2n+1) tau) * (n!/(2n)!) * sum_k ((n+k)!/(k!(n-k)!)) (2 sqrt(2n+1) tau)^{n-k}.
-    """
+
+def matern_half_integer(n: int, tau: float) -> float:
+    """Half-integer Matern correlation at scaled distance tau, nu = n + 1/2:
+    exp(-z) sum_m a_m z^m at z = sqrt(2n+1) tau, a_m the exact profile."""
     if n < 0 or n != int(n):
         raise InvalidSpecError(f"n must be a nonnegative integer, got {n}")
     n = int(n)
-    tau = float(tau)
-    c = math.sqrt(2 * n + 1)
-    s = 0.0
-    for k in range(n + 1):
-        coef = math.factorial(n + k) / (math.factorial(k) * math.factorial(n - k))
-        s += coef * (2.0 * c * tau) ** (n - k)
-    return math.exp(-c * tau) * math.factorial(n) / math.factorial(2 * n) * s
+    z = math.sqrt(2 * n + 1) * float(tau)
+    return math.exp(-z) * sum(float(a) * z**m for m, a in enumerate(_matern_profile(n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,10 +491,9 @@ class MaternKernel(Kernel):
 
     def __post_init__(self):
         n = self.nu - 0.5
-        if abs(n - round(n)) > 1e-12 or not 0 <= round(n) <= 3:
-            raise InvalidSpecError(
-                f"nu must be one of 0.5, 1.5, 2.5, 3.5, got {self.nu}"
-            )
+        if abs(n - round(n)) > 1e-12 or round(n) not in _MATERN_ORDERS:
+            allowed = ", ".join(str(m + 0.5) for m in _MATERN_ORDERS)
+            raise InvalidSpecError(f"nu must be one of {allowed}, got {self.nu}")
         if self.lengthscale <= 0:
             raise InvalidSpecError("lengthscale must be positive")
         object.__setattr__(self, "nu", float(self.nu))
@@ -494,10 +503,13 @@ class MaternKernel(Kernel):
     def n(self) -> int:
         return int(round(self.nu - 0.5))
 
-    #: The profile K = e^(-z) sum_m a_m z^m at z = sqrt(2n + 1) |x - y| / l:
-    #: the coefficients a_m for n = 0..3. ``_pairs`` sums the same terms in
-    #: the order its bits are pinned to; ``_gram_form`` reads them here.
-    profiles = ((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0 / 3.0), (1.0, 1.0, 0.4, 1.0 / 15.0))
+    @property
+    def profiles(self) -> tuple[tuple[float, ...], ...]:
+        """The profile K = e^(-z) sum_m a_m z^m at z = sqrt(2n + 1) |x - y| / l:
+        the coefficients a_m for each order n. ``_pairs`` sums the same
+        terms in the order its bits are pinned to; ``_gram_form`` reads
+        them here."""
+        return tuple(tuple(map(float, _matern_profile(n))) for n in _MATERN_ORDERS)
 
     def _pairs(self, X, Y):
         t = np.minimum(np.sqrt(_sq_dist(X, Y)) / self.lengthscale, _MATERN_FAR)
@@ -604,8 +616,10 @@ class WendlandKernel(Kernel):
         object.__setattr__(self, "lengthscale", float(self.lengthscale))
 
     def _pairs(self, X, Y):
-        t = np.sqrt(_sq_dist(X, Y)) / self.lengthscale
-        base = np.maximum(0.0, 1.0 - t)
+        # t is clipped at the support's edge, where base is 0: far apart
+        # pairs would otherwise take 0 * inf from an overflowed polynomial
+        t = np.minimum(np.sqrt(_sq_dist(X, Y)) / self.lengthscale, 1.0)
+        base = 1.0 - t
         if self.order == 0:
             return base
         if self.order == 2:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -419,76 +419,30 @@ def lower_incomplete_gamma_int(m: int, x: float) -> float:
     return fact_m * (1.0 - math.exp(-x) * partial)
 
 
-# Bernoulli polynomial coefficients B_n(t) = sum_k coeff[k] t^k, exact
-# rationals, even degrees 2 through 12 (the ones the periodic kernel needs).
-_BERNOULLI_COEFFS: dict[int, tuple[Fraction, ...]] = {
-    2: (Fraction(1, 6), Fraction(-1), Fraction(1)),
-    4: (Fraction(-1, 30), Fraction(0), Fraction(1), Fraction(-2), Fraction(1)),
-    6: (
-        Fraction(1, 42),
-        Fraction(0),
-        Fraction(-1, 2),
-        Fraction(0),
-        Fraction(5, 2),
-        Fraction(-3),
-        Fraction(1),
-    ),
-    8: (
-        Fraction(-1, 30),
-        Fraction(0),
-        Fraction(2, 3),
-        Fraction(0),
-        Fraction(-7, 3),
-        Fraction(0),
-        Fraction(14, 3),
-        Fraction(-4),
-        Fraction(1),
-    ),
-    10: (
-        Fraction(5, 66),
-        Fraction(0),
-        Fraction(-3, 2),
-        Fraction(0),
-        Fraction(5),
-        Fraction(0),
-        Fraction(-7),
-        Fraction(0),
-        Fraction(15, 2),
-        Fraction(-5),
-        Fraction(1),
-    ),
-    12: (
-        Fraction(-691, 2730),
-        Fraction(0),
-        Fraction(5),
-        Fraction(0),
-        Fraction(-33, 2),
-        Fraction(0),
-        Fraction(22),
-        Fraction(0),
-        Fraction(-33, 2),
-        Fraction(0),
-        Fraction(11),
-        Fraction(-6),
-        Fraction(1),
-    ),
-}
+@cache
+def _bernoulli_coeffs(degree: int) -> tuple[Fraction, ...]:
+    """The exact coefficients of B_degree(t) = sum_k C(degree, k) B_(degree-k) t^k,
+    lowest power first, from the Bernoulli numbers B_0 = 1 and
+    sum_(k <= m) C(m + 1, k) B_k = 0 (so B_1 = -1/2)."""
+    numbers = [Fraction(1)]
+    for m in range(1, degree + 1):
+        numbers.append(-sum(math.comb(m + 1, k) * numbers[k] for k in range(m)) / (m + 1))
+    return tuple(math.comb(degree, k) * numbers[degree - k] for k in range(degree + 1))
 
 
 def bernoulli_poly(degree: int, t):
     """Bernoulli polynomial B_degree(t) for even degree in {2, ..., 12},
     at a scalar (returning a float) or elementwise on an array.
 
-    Horner evaluation of the exact rational coefficient table.
+    Horner evaluation of the exact rational coefficients.
     """
-    coeffs = _BERNOULLI_COEFFS.get(degree)
-    if coeffs is None:
+    if degree not in range(2, 13, 2):
         raise ValueError(
             f"degree must be an even integer in [2, 12], got {degree}"
         )
     t = np.asarray(t, dtype=float)
     acc = 0.0
-    for c in reversed(coeffs):
+    for c in reversed(_bernoulli_coeffs(int(degree))):
         acc = acc * t + float(c)
     return float(acc) if t.ndim == 0 else acc
 

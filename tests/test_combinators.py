@@ -149,6 +149,15 @@ def test_mixture_mc_cross_terms_flagged():
     )
 
 
+def test_mixture_mc_cross_term_keeps_its_bits():
+    # the Monte Carlo cross term of the Matern-7/2 mixture above, with
+    # its two component oracle values
+    k = MaternKernel(nu=3.5, lengthscale=1.0)
+    comps = [GaussianMeasure(mean=(0.0,), cov=(1.0,)), GaussianMeasure(mean=(1.5,), cov=(0.5,))]
+    e = embed(k, MixtureMeasure(components=comps, weights=(0.5, 0.5)), seed=7)
+    assert (e.kpp.hex(), e.kpp_stderr.hex()) == ("0x1.feb61e48e3513p-2", "0x1.86edec707d783p-12")
+
+
 def test_stein_kernel_under_mixture_cross_term():
     # the Monte Carlo cross term goes through one Kernel.pairs call. By
     # the Stein identity the target block and the cross term integrate

@@ -1,6 +1,7 @@
 """Closed-form embeddings: frozen reference values, oracle agreement,
 stability limits, branch coverage, and dispatch behavior."""
 
+import hashlib
 import math
 import random
 import zlib
@@ -250,6 +251,36 @@ def test_matern_gauss_far_field():
     assert 0.0 < v < 1e-8
     o = estimate_kp(k, p, x=[20.0], budget=400)
     assert v == pytest.approx(o.value, rel=1e-8)
+
+
+def test_matern_uniform_coefficients_keep_their_bits():
+    # c_m of Q(z) = e^(-z) sum_m c_m z^m for n = 0..3
+    want = {0: (1.0,), 1: (4.0, 2.0), 2: (32.0, 20.0, 4.0), 3: (384.0, 264.0, 72.0, 8.0)}
+    for n, c in want.items():
+        assert MaternUniformCoefficients(n, 0.7, -0.5, 1.0).c == c
+
+
+# sha256 (first 16 hex digits) of matern_gauss_kp's kp_rows on 481 points
+# of [-12, 12], as little-endian float64, and the hex of its kpp, under
+# N(0.3, 1.44). At lengthscale 0.3 a branch's exponent passes
+# _STABLE_EXPONENT, and the erfcx form takes over, for |x - 0.3| past 9.6,
+# 2.8 and 0 at n = 0, 1, 2; at lengthscale 1 the direct form serves the grid.
+_MATERN_GAUSS_BITS = {
+    (0, 0.3): ("0fe8099f45aba260", "0x1.18932bf08e166p-3"),
+    (1, 0.3): ("036b37ce0608830c", "0x1.46e89a6502ce0p-3"),
+    (2, 0.3): ("2c1c87f280e0520a", "0x1.524349faef000p-3"),
+    (0, 1.0): ("756663898e56e712", "0x1.839f500817f68p-2"),
+    (1, 1.0): ("c7d3f5074fc1b664", "0x1.d32000ff89f54p-2"),
+    (2, 1.0): ("e5766dac4b77d958", "0x1.e722b20a2c700p-2"),
+}
+
+
+@pytest.mark.parametrize("n, ls", sorted(_MATERN_GAUSS_BITS))
+def test_matern_gauss_kp_keeps_its_bits(n, ls):
+    e = matern_gauss_kp(MaternKernel(nu=n + 0.5, lengthscale=ls),
+                        GaussianMeasure(mean=(0.3,), cov=(1.44,)))
+    rows = e.kp_rows(np.linspace(-12.0, 12.0, 481)[:, None]).astype("<f8").tobytes()
+    assert (hashlib.sha256(rows).hexdigest()[:16], e.kpp.hex()) == _MATERN_GAUSS_BITS[n, ls]
 
 
 def test_gauss_uniform_large_lengthscale_stable():

@@ -4,6 +4,7 @@ dual-route evaluations, and input validation."""
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from kembed.kernels import (
     SphereSobolevKernel,
     SumKernel,
     WendlandKernel,
+    _matern_profile,
     _sq_dist,
     matern_half_integer,
     periodic_sobolev_series,
@@ -81,6 +83,11 @@ def test_gaussian_batch_matches_loop():
 
 
 def test_matern_general_matches_explicit_forms():
+    # the exact profile table holds the coefficients of the explicit forms
+    assert _matern_profile(0) == (1,)
+    assert _matern_profile(1) == (1, 1)
+    assert _matern_profile(2) == (1, 1, Fraction(1, 3))
+    assert _matern_profile(3) == (1, 1, Fraction(2, 5), Fraction(1, 15))
     rng = random.Random(12)
     for _ in range(200):
         n = rng.randrange(0, 4)
@@ -134,6 +141,18 @@ def test_wendland_values_and_support():
     )
     with pytest.raises(InvalidSpecError):
         WendlandKernel(order=1, lengthscale=1.0)
+
+
+@pytest.mark.parametrize("order", [0, 2, 4])
+def test_wendland_points_far_apart_give_zero(order):
+    # 1e155 apart the squared distance overflows to inf; past the support
+    # every entry is 0, not 0 * inf
+    k = WendlandKernel(order=order, lengthscale=1.0)
+    X = np.array([[0.0], [1e155]])
+    with np.errstate(over="ignore", invalid="raise"):
+        assert k.gram(X).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert k.gram_form(X, [1.0, 2.0]) == 5.0
+        assert k([0.0], [1e155]) == 0.0
 
 
 def test_wendland_psd():

@@ -1,6 +1,7 @@
 """Special function accuracy against high-precision reference values
 and against independent evaluation routes."""
 
+import hashlib
 import math
 import random
 
@@ -196,6 +197,24 @@ def test_bernoulli_poly_known_values():
         )
     with pytest.raises(ValueError):
         bernoulli_poly(3, 0.5)
+
+
+# sha256 (first 16 hex digits) of bernoulli_poly(d, t) on 257 points of
+# [0, 1], as little-endian float64
+_BERNOULLI_BITS = {
+    2: "57c78132ce63d0e9",
+    4: "ed5e8fd375e6d423",
+    6: "016b129ee8cf4281",
+    8: "3d5451f40672bedd",
+    10: "27c671a5fd54b8f8",
+    12: "287f26a45d6fb0ba",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(_BERNOULLI_BITS))
+def test_bernoulli_poly_keeps_its_bits(degree):
+    got = bernoulli_poly(degree, np.linspace(0.0, 1.0, 257)).astype("<f8").tobytes()
+    assert hashlib.sha256(got).hexdigest()[:16] == _BERNOULLI_BITS[degree]
 
 
 def test_double_factorial():
