@@ -299,11 +299,12 @@ def _rows_from_json(text: str, with_values: bool):
 
 
 def _rows_from_csv(text: str, with_values: bool):
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows:
+    buffer = io.StringIO(text)
+    reader = csv.reader(buffer)
+    first = next((row for row in reader if row), None)
+    if first is None:
         raise InvalidSpecError("data file is empty")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in first]
     has_y = header[-1] == "y"
     coords = header[:-1] if has_y else header
     for i, name in enumerate(coords):
@@ -316,22 +317,45 @@ def _rows_from_csv(text: str, with_values: bool):
         raise InvalidSpecError("data file needs a 'y' column")
     if not coords:
         raise InvalidSpecError("data header names no coordinates")
-    body = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InvalidSpecError(f"row {lineno} has {len(row)} fields, expected {len(header)}")
-        try:
-            body.append([float(v) for v in row])
-        except ValueError:
-            raise InvalidSpecError(f"row {lineno} holds a non-numeric field") from None
-    if not body:
-        raise InvalidSpecError("data file has a header but no rows")
-    arr = np.asarray(body, dtype=float)
+    arr = _csv_body(buffer.read(), len(header))
+    if arr is None:
+        # the field-by-field parse, whose messages name the first bad row
+        body = []
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        for lineno, row in enumerate(rows[1:], start=2):
+            if len(row) != len(header):
+                raise InvalidSpecError(f"row {lineno} has {len(row)} fields, expected {len(header)}")
+            try:
+                body.append([float(v) for v in row])
+            except ValueError:
+                raise InvalidSpecError(f"row {lineno} holds a non-numeric field") from None
+        if not body:
+            raise InvalidSpecError("data file has a header but no rows")
+        arr = np.asarray(body, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidSpecError("data values must be finite")
     if has_y:
         return arr[:, :-1], (arr[:, -1] if with_values else None)
     return arr, None
+
+
+def _csv_body(body: str, width: int) -> np.ndarray | None:
+    """The rows after the header as an (n, width) array, parsed by
+    np.loadtxt, or None when it fails or finds no rows. Its parse is
+    stricter than the csv module's: it rejects quotes, a blank field and
+    a row of whitespace, each of which the caller's field-by-field parse
+    then handles as before; where it succeeds, each value has the bits
+    of ``float`` on its field. Its rows must be the nonempty lines, the
+    rows of the csv module, one for one; a line it skipped is a mismatch
+    and leaves the parse to the caller."""
+    if not body.strip():
+        return None
+    try:
+        arr = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    lines = body.split("\n")
+    return arr if arr.shape == (len(lines) - lines.count(""), width) else None
 
 
 def _parse_point(text: str, flag: str) -> np.ndarray:

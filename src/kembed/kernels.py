@@ -133,6 +133,20 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray, scale=None) -> np.ndarray:
     return out
 
 
+def _line_blocks(xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted 1-d points and their weights as rows of _LINE_BLOCK, or of
+    all n when fewer; the last row is padded with copies of the largest
+    point, of weight 0."""
+    n = len(xs)
+    b = min(_LINE_BLOCK, n)
+    blocks = -(-n // b)
+    pad = blocks * b - n
+    return (
+        np.concatenate([xs, np.full(pad, xs[-1])]).reshape(blocks, b),
+        np.concatenate([ws, np.zeros(pad)]).reshape(blocks, b),
+    )
+
+
 def _in_blocks(f, *arrays):
     """f on matched rows of (n, ...) arrays, any of which may be a single
     row that broadcasts, over consecutive slices of _GRAM_BLOCK rows
@@ -469,11 +483,12 @@ def _matern_profile(n: int) -> tuple[Fraction, ...]:
 
 def matern_half_integer(n: int, tau: float) -> float:
     """Half-integer Matern correlation at scaled distance tau, nu = n + 1/2:
-    exp(-z) sum_m a_m z^m at z = sqrt(2n+1) tau, a_m the exact profile."""
+    exp(-z) sum_m a_m z^m at z = sqrt(2n+1) |tau|, a_m the exact profile,
+    with |tau| clipped at _MATERN_FAR as ``MaternKernel`` clips it."""
     if n < 0 or n != int(n):
         raise InvalidSpecError(f"n must be a nonnegative integer, got {n}")
     n = int(n)
-    z = math.sqrt(2 * n + 1) * float(tau)
+    z = math.sqrt(2 * n + 1) * min(abs(float(tau)), _MATERN_FAR)
     return math.exp(-z) * sum(float(a) * z**m for m, a in enumerate(_matern_profile(n)))
 
 
@@ -545,16 +560,9 @@ class MaternKernel(Kernel):
         x, n = X[:, 0], len(X)
         if n < 2:
             return float(w @ w)
-        a = self.profiles[self.n]
-        p = len(a)
-        beta = math.sqrt(2 * self.n + 1) / self.lengthscale
         order = np.argsort(x, kind="stable")
-        b = min(_LINE_BLOCK, n)
-        blocks = -(-n // b)
-        # the last block is padded with copies of the largest point, of weight 0
-        pad = blocks * b - n
-        xs = np.concatenate([x[order], np.full(pad, x[order[-1]])]).reshape(blocks, b)
-        ws = np.concatenate([w[order], np.zeros(pad)]).reshape(blocks, b)
+        xs, ws = _line_blocks(x[order], w[order])
+        blocks, b = xs.shape
 
         lower = 0.0
         ii, jj = np.tril_indices(b, -1)
@@ -564,6 +572,59 @@ class MaternKernel(Kernel):
             k = self._pairs(xb[:, ii, None], xb[:, jj, None])
             lower += float(np.sum(wb[:, ii] * wb[:, jj] * k))
 
+        decay, ahead, carry, G = self._line_carry(xs, ws)
+        reach = np.einsum("bi,bim->bm", ws, decay) @ G.T
+        S = np.zeros(len(G))
+        for i in range(1, blocks):
+            S = carry[i - 1] @ S + ahead[i - 1]
+            lower += float(S @ reach[i])
+        return float(w @ w) + 2.0 * lower
+
+    def _line_matvec(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """K w at finite 1-d points x, in O(n (nu + 1/2)^2) after a sort,
+        by the algebra of :meth:`_gram_form`: each block's own pairs in
+        ``_pairs`` calls, the points of earlier blocks through the carried
+        sums S, and those of later blocks through the same sums over the
+        mirrored points -x. Agrees with ``gram(x) @ w`` within 1e-14 of
+        |K| |w|, entry by entry."""
+        n = len(x)
+        order = np.argsort(x, kind="stable")
+        xs, ws = _line_blocks(x[order], w[order])
+        blocks, b = xs.shape
+        v = np.empty((blocks, b))
+        step = max(1, _GRAM_BLOCK // (b * b))
+        for lo in range(0, blocks, step):
+            xb = xs[lo : lo + step]
+            k = self._pairs(xb[:, :, None, None], xb[:, None, :, None])
+            v[lo : lo + step] = np.einsum("bij,bj->bi", k, ws[lo : lo + step])
+        v += self._from_earlier_blocks(xs, ws)
+        v += self._from_earlier_blocks(-xs[::-1, ::-1], ws[::-1, ::-1])[::-1, ::-1]
+        out = np.empty(n)
+        out[order] = v.ravel()[:n]
+        return out
+
+    def _from_earlier_blocks(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """sum_j w_j K(x_i, x_j) over the points j of the blocks before the
+        block of x_i, for each point of the blocks of :func:`_line_blocks`."""
+        decay, ahead, carry, G = self._line_carry(xs, ws)
+        reach = decay @ G.T
+        out = np.zeros(xs.shape)
+        S = np.zeros(len(G))
+        for i in range(1, len(xs)):
+            S = carry[i - 1] @ S + ahead[i - 1]
+            out[i] = reach[i] @ S
+        return out
+
+    def _line_carry(self, xs: np.ndarray, ws: np.ndarray):
+        """The tables that carry S_m = sum_j w_j e^(-u_j) u_j^m over the
+        blocks of :func:`_line_blocks`: e^(-u) u^m of each point about its
+        block's start, (blocks, b, p); each block's S about the next
+        block's start, (blocks - 1, p); the carry of S from one start to
+        the next, (blocks - 1, p, p); and G, which turns S into the sum a
+        point sees (see :meth:`_gram_form`)."""
+        a = self.profiles[self.n]
+        p = len(a)
+        beta = math.sqrt(2 * self.n + 1) / self.lengthscale
         powers = np.arange(p)
 
         def decay(d):
@@ -573,21 +634,16 @@ class MaternKernel(Kernel):
 
         starts = xs[:, 0]
         # each block's points about its own start, and about the next start
-        own = np.einsum("bi,bim->bm", ws, decay(xs - starts[:, None]))
+        own = decay(xs - starts[:, None])
         ahead = np.einsum("bi,bim->bm", ws[:-1], decay(starts[1:, None] - xs[:-1]))
         # S at one start -> S at the next, D apart: C(m, k) e^(-D) D^(m - k)
         binom = np.array([[math.comb(m, k) for k in range(p)] for m in range(p)], dtype=float)
         carry = decay(starts[1:] - starts[:-1])[:, np.maximum(powers[:, None] - powers, 0)] * binom
-        # a block's pairs with the earlier points are S . G own, where
+        # a point's pairs with the earlier blocks are S . G e^(-u) u^r, where
         # G[k, r] = a_(k+r) C(k + r, k) gathers the terms of each S_k
         G = np.array([[a[k + r] * math.comb(k + r, k) if k + r < p else 0.0 for r in range(p)]
                       for k in range(p)])
-        reach = own @ G.T
-        S = np.zeros(p)
-        for i in range(1, blocks):
-            S = carry[i - 1] @ S + ahead[i - 1]
-            lower += float(S @ reach[i])
-        return float(w @ w) + 2.0 * lower
+        return own, ahead, carry, G
 
     def inner_breaks(self, x):
         return [(x, False)]

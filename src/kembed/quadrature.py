@@ -4,15 +4,17 @@ mean discrepancy."""
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dictionary import CLOSED_FORM, Embedding, cross_kpq, embed
 from .errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
-from .kernels import _floats, as_points
+from .kernels import _MATERN_FAR, Kernel, MaternKernel, _floats, _matern_profile, as_points
 from .measures import Measure
 
 __all__ = [
@@ -40,39 +42,53 @@ _SOLVE_BLOCK = 128
 _PAIR_BLOCK = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
 class QuadratureProblem:
     """Nodes, optional values, Gram matrix, embedding vector m and the
-    double integral, bundled for the quadrature operations."""
+    double integral, bundled for the quadrature operations. A Gram given
+    here is checked for shape, finiteness and symmetry and is the one
+    every solve uses. Without one (``gram=None``) the Gram is built from
+    the embedding's kernel on first read of ``gram``; a Matern kernel on
+    1-d nodes then never needs it, as its solves and ``wce`` run on the
+    sorted nodes in linear time."""
 
-    embedding: Embedding
-    nodes: np.ndarray
-    gram: np.ndarray
-    m: np.ndarray
-    values: np.ndarray | None = None
-    jitter: float | None = None
-
-    def __post_init__(self):
-        n = self.nodes.shape[0]
-        if self.gram.shape != (n, n):
+    def __init__(
+        self,
+        embedding: Embedding,
+        nodes: np.ndarray,
+        gram: np.ndarray | None,
+        m: np.ndarray,
+        values: np.ndarray | None = None,
+        jitter: float | None = None,
+    ):
+        self.embedding = embedding
+        self.nodes = nodes
+        self.m = m
+        self.values = values
+        self.jitter = jitter
+        self._gram = gram
+        n = nodes.shape[0]
+        if gram is not None and gram.shape != (n, n):
             raise InvalidSpecError("gram matrix shape does not match the nodes")
-        if self.m.shape != (n,):
+        if m.shape != (n,):
             raise InvalidSpecError("embedding vector length does not match the nodes")
-        if self.values is not None and self.values.shape != (n,):
+        if values is not None and values.shape != (n,):
             raise InvalidSpecError("values length does not match the nodes")
-        if self.jitter is not None and self.jitter < 0:
+        if jitter is not None and jitter < 0:
             raise InvalidSpecError("jitter must be nonnegative")
-        if not np.all(np.isfinite(self.gram)) or not np.all(np.isfinite(self.m)):
+        if not np.all(np.isfinite(m)) or (gram is not None and not np.all(np.isfinite(gram))):
             raise InvalidSpecError("gram and embedding values must be finite")
-        if n:
-            scale = max(float(self.gram.max()), -float(self.gram.min())) or 1.0
-            if _asymmetry(self.gram) > 1e-10 * scale:
+        if gram is not None and n:
+            scale = max(float(gram.max()), -float(gram.min())) or 1.0
+            if _asymmetry(gram) > 1e-10 * scale:
                 raise InvalidSpecError("gram matrix must be symmetric")
-        pair = _first_coincident_pair(self.nodes.reshape(n, -1)) if n > 1 else None
+        pair = _first_coincident_pair(nodes.reshape(n, -1)) if n > 1 else None
         if pair is not None:
             raise InvalidSpecError(
                 f"nodes {pair[0]} and {pair[1]} coincide within {_DISTINCT_TOL}"
             )
+        # the solves run on the sorted nodes when the problem was given no
+        # Gram and its kernel is a Matern kernel on 1-d nodes
+        self._line = gram is None and _on_a_line(embedding.kernel, nodes)
 
     @property
     def n(self) -> int:
@@ -81,6 +97,32 @@ class QuadratureProblem:
     @property
     def kpp(self) -> float:
         return _scalar_kpp(self.embedding, "quadrature")
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The Gram matrix: the one given, or the kernel's over the nodes,
+        built on first read and kept."""
+        if self._gram is None:
+            self._gram = _kernel_gram(self.embedding.kernel, self.nodes)
+        return self._gram
+
+
+def _on_a_line(kernel: Kernel, nodes: np.ndarray) -> bool:
+    """True when the Gram of the nodes has the state-space form of
+    :func:`_kalman_solve`: a Matern kernel of one of its half-integer
+    orders on 1-d nodes."""
+    return isinstance(kernel, MaternKernel) and nodes.ndim == 2 and nodes.shape[1] == 1
+
+
+def _kernel_gram(kernel: Kernel, nodes: np.ndarray) -> np.ndarray:
+    """The kernel's Gram matrix over the nodes, symmetrized when the
+    family is symmetric only to roundoff (a Stein Gram, for one)."""
+    if not len(nodes):
+        return np.zeros((0, 0))
+    gram = kernel.gram(nodes)
+    if not kernel.symmetric:
+        gram = 0.5 * (gram + gram.T)
+    return gram
 
 
 def _asymmetry(gram: np.ndarray) -> float:
@@ -146,19 +188,40 @@ def _scalar_kpp(embedding: Embedding, consumer: str) -> float:
 class BQPosterior:
     """Gaussian posterior over the integral: N(mean, variance), with
     the quadrature weights and the diagonal jitter used to factor the
-    Gram matrix."""
+    Gram matrix; the solver that ran (``"kalman"`` on the sorted nodes
+    of a 1-d Matern problem, ``"cholesky"`` on the Gram matrix, None
+    when there are no nodes), the jitter of each rung tried, in order,
+    and the relative residual |(C + jI) w - m| / |m| of the rung kept."""
 
     mean: float
     variance: float
     weights: np.ndarray
     jitter: float
+    solver: str | None = None
+    rungs: tuple[float, ...] = ()
+    residual: float = 0.0
+
+
+class _GramSolve(NamedTuple):
+    """The weights w of (C + jI) w = m, the jitter j of the rung kept,
+    the estimate of m^T (C + jI)^(-1) m that the posterior variance
+    takes, and the solver, rungs and relative residual that
+    ``BQPosterior`` reports."""
+
+    weights: np.ndarray
+    jitter: float
+    quadratic: float
+    solver: str | None
+    rungs: tuple[float, ...]
+    residual: float
 
 
 def make_problem(
     embedding: Embedding, nodes, values=None, jitter: float | None = None
 ) -> QuadratureProblem:
     """Assemble a quadrature problem: Gram matrix of the embedding's
-    kernel over the nodes and the mean embedding at each node."""
+    kernel over the nodes and the mean embedding at each node. A Matern
+    kernel on 1-d nodes builds no Gram (see :class:`QuadratureProblem`)."""
     # a matrix-valued embedding has no scalar Gram to build
     _scalar_kpp(embedding, "quadrature")
     kernel = embedding.kernel
@@ -167,16 +230,8 @@ def make_problem(
         nodes = nodes.reshape(0, 1)
     else:
         nodes = as_points(nodes, kernel.dim)
-    n = nodes.shape[0]
-    if n:
-        gram = kernel.gram(nodes)
-        if not kernel.symmetric:
-            # a Stein Gram, for one, is symmetric only to roundoff
-            gram = 0.5 * (gram + gram.T)
-        m = embedding.kp_rows(nodes)
-    else:
-        gram = np.zeros((0, 0))
-        m = np.zeros(0)
+    gram = None if _on_a_line(kernel, nodes) else _kernel_gram(kernel, nodes)
+    m = embedding.kp_rows(nodes) if len(nodes) else np.zeros(0)
     vals = None
     if values is not None:
         vals = np.atleast_1d(np.asarray(values, dtype=float))
@@ -187,40 +242,203 @@ def make_problem(
     )
 
 
-def _solve_gram(problem: QuadratureProblem) -> tuple[np.ndarray, float]:
-    """Solve C w = m by Cholesky. A fixed problem jitter is used as
-    given; otherwise the diagonal jitter escalates along the ladder
-    until the factorization succeeds and the residual is small."""
+def _solve_gram(problem: QuadratureProblem) -> _GramSolve:
+    """Solve (C + jI) w = m. A fixed problem jitter is used as given;
+    otherwise the diagonal jitter j escalates along the ladder until a
+    rung factors and its residual is small. A 1-d Matern problem factors
+    by :func:`_kalman_solve` on the sorted nodes, in linear time, and
+    takes C w from ``MaternKernel._line_matvec``; a rung fails there when
+    an innovation variance is not positive. Every other problem factors
+    its Gram by Cholesky, and a rung fails when the factorization does.
+    Both keep a rung only when |(C + jI) w - m| <= _RESIDUAL_TOL |m|."""
     n = problem.n
     if n == 0:
-        return np.zeros(0), 0.0
-    c = problem.gram
+        return _GramSolve(np.zeros(0), 0.0, 0.0, None, (), 0.0)
     m = problem.m
-    mean_diag = float(np.trace(c)) / n
+    if problem._line:
+        solver, rungs = "kalman", _kalman_rungs(problem)
+        # a Matern kernel is 1 on its diagonal
+        mean_diag = 1.0
+    else:
+        solver, rungs = "cholesky", _cholesky_rungs(problem)
+        mean_diag = float(np.trace(problem.gram)) / n
     if problem.jitter is not None:
         ladder = [problem.jitter]
     else:
         ladder = [rel * abs(mean_diag) for rel in _JITTER_LADDER]
-    m_norm = float(np.linalg.norm(m))
+    m_norm = max(float(np.linalg.norm(m)), 1e-300)
+    tried = []
+    for jit in ladder:
+        tried.append(jit)
+        solved = rungs(jit)
+        if solved is None:
+            continue
+        w, cw = solved
+        residual = float(np.linalg.norm(cw - m))
+        if residual <= _RESIDUAL_TOL * m_norm:
+            quadratic = float(w @ m)
+            if problem._line:
+                # m^T w of the Kalman weights is off by a few ulps of m^T w
+                # where the Cholesky's is not, enough to turn a posterior
+                # variance of 1e-15 negative; 2 m^T w - w^T (C + jI) w
+                # errs only to second order in the error of w
+                quadratic = 2.0 * quadratic - float(w @ cw)
+            return _GramSolve(w, jit, quadratic, solver, tuple(tried), residual / m_norm)
+    raise NumericalFailure(
+        "gram matrix is ill-conditioned beyond the allowed jitter; "
+        "the nodes are numerically degenerate"
+    )
+
+
+def _cholesky_rungs(problem: QuadratureProblem):
+    """The rung function of the dense path: jit -> (w, (C + jit I) w),
+    or None when C + jit I has no Cholesky factor."""
+    c = problem.gram
+    m = problem.m
     # one copy of C for every rung, each of which sets its diagonal; the
     # copy is c + 0.0 so that off the diagonal it has the bits of
     # c + jit * I (a -0.0 becomes 0.0)
     sys = c + 0.0
     diagonal = np.diagonal(c)
-    for jit in ladder:
+
+    def rung(jit):
         np.fill_diagonal(sys, diagonal + jit)
         try:
             chol = np.linalg.cholesky(sys)
         except np.linalg.LinAlgError:
-            continue
+            return None
         w = _back_substitute(chol, _forward_substitute(chol, m))
-        residual = float(np.linalg.norm(sys @ w - m))
-        if residual <= _RESIDUAL_TOL * max(m_norm, 1e-300):
-            return w, jit
-    raise NumericalFailure(
-        "gram matrix is ill-conditioned beyond the allowed jitter; "
-        "the nodes are numerically degenerate"
-    )
+        return w, sys @ w
+
+    return rung
+
+
+def _kalman_rungs(problem: QuadratureProblem):
+    """The rung function of a 1-d Matern problem: jit -> (w, (C + jit I) w)
+    by :func:`_kalman_solve`, or None when the factorization fails."""
+    kernel = problem.embedding.kernel
+    x = problem.nodes[:, 0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # the scaled gap from each sorted node to the one before it (0 before
+    # the first), clipped as MaternKernel clips its distances
+    beta = math.sqrt(2 * kernel.n + 1) / kernel.lengthscale
+    gaps = np.minimum(beta * np.diff(xs, prepend=xs[0]), _MATERN_FAR)
+    steps = tuple(c.tolist() for c in (np.exp(-gaps), gaps, gaps * gaps / 2.0, gaps**3 / 6.0))
+    m = problem.m[order].tolist()
+    covariance = _matern_state_covariance(kernel.n)
+
+    def rung(jit):
+        ws = _kalman_solve(m, steps, covariance, jit)
+        if ws is None:
+            return None
+        w = np.empty(len(ws))
+        w[order] = ws
+        return w, kernel._line_matvec(x, w) + jit * w
+
+    return rung
+
+
+@functools.cache
+def _matern_state_covariance(n: int) -> tuple[float, float, float, float]:
+    """Cov(x_k, f) = k! a_k, k = 0..3, of the state of the half-integer
+    Matern process of order n, nu = n + 1/2, a_k its exact profile, with
+    0 past k = n (see :func:`_kalman_solve`): the column of the
+    stationary state covariance that the filter reads."""
+    a = _matern_profile(n)
+    return tuple(float(math.factorial(k) * a[k]) if k <= n else 0.0 for k in range(4))
+
+
+def _kalman_solve(m, steps, q, jit):
+    """w = (K + jit I)^(-1) m for a Matern kernel on sorted 1-d nodes, as
+    lists of floats, or None when an innovation variance is not positive.
+
+    In time scaled by beta = sqrt(2n + 1) / l the Matern process f of
+    order n is the first entry of the state x = (x_0, .., x_3), x_0 = f,
+    of dx_k = (x_(k+1) - x_k) du driven by white noise in x_n
+    (Hartikainen and Sarkka 2010); entries past n are 0. Its transition
+    over a scaled gap d is A = e^(-d) sum_k J^k d^k / k!, J the shift,
+    an upper triangular Toeplitz matrix of c_k = d^k / k!, and the
+    stationary state has Cov(x_k, f) = q_k = k! a_k.
+
+    The forward pass is the Kalman filter of the data m with noise
+    variance jit: the innovation variances D and the innovations z are
+    the LDL^T factors of K + jit I in the sorted order and L^(-1) m. It
+    keeps E = P - P_inf, P the filtered state covariance, whose
+    prediction is A E A^T since P_inf = A P_inf A^T + Q. The reverse
+    pass applies L^(-T) to D^(-1) z, the filter's adjoint. ``steps``
+    holds e^(-d), c_1, c_2, c_3 for each node's gap from the one
+    before, 0 at the first. Each step is scalar arithmetic on a state of
+    four entries, O(n) in all."""
+    q0, q1, q2, q3 = q
+    x0 = x1 = x2 = x3 = 0.0
+    e00 = e01 = e02 = e03 = e11 = e12 = e13 = e22 = e23 = e33 = 0.0
+    filtered = []
+    for y, e, c1, c2, c3 in zip(m, *steps):
+        # predict: x <- A x and E <- A E A^T, through M = T E (T = e^(dJ)),
+        # of which the entries on and above the diagonal are needed
+        x0 = e * (x0 + c1 * x1 + c2 * x2 + c3 * x3)
+        x1 = e * (x1 + c1 * x2 + c2 * x3)
+        x2 = e * (x2 + c1 * x3)
+        x3 = e * x3
+        m00 = e00 + c1 * e01 + c2 * e02 + c3 * e03
+        m01 = e01 + c1 * e11 + c2 * e12 + c3 * e13
+        m02 = e02 + c1 * e12 + c2 * e22 + c3 * e23
+        m03 = e03 + c1 * e13 + c2 * e23 + c3 * e33
+        m11 = e11 + c1 * e12 + c2 * e13
+        m12 = e12 + c1 * e22 + c2 * e23
+        m13 = e13 + c1 * e23 + c2 * e33
+        m22 = e22 + c1 * e23
+        m23 = e23 + c1 * e33
+        ee = e * e
+        e00 = ee * (m00 + c1 * m01 + c2 * m02 + c3 * m03)
+        e01 = ee * (m01 + c1 * m02 + c2 * m03)
+        e02 = ee * (m02 + c1 * m03)
+        e03 = ee * m03
+        e11 = ee * (m11 + c1 * m12 + c2 * m13)
+        e12 = ee * (m12 + c1 * m13)
+        e13 = ee * m13
+        e22 = ee * (m22 + c1 * m23)
+        e23 = ee * m23
+        e33 = ee * e33
+        # update on the datum y: k = P e_0, innovation variance D = k_0 + jit
+        k0, k1, k2, k3 = q0 + e00, q1 + e01, q2 + e02, q3 + e03
+        var = k0 + jit
+        if not var > 0.0:
+            return None
+        z = y - x0
+        g0, g1, g2, g3 = k0 / var, k1 / var, k2 / var, k3 / var
+        x0 += g0 * z
+        x1 += g1 * z
+        x2 += g2 * z
+        x3 += g3 * z
+        e00 -= g0 * k0
+        e01 -= g0 * k1
+        e02 -= g0 * k2
+        e03 -= g0 * k3
+        e11 -= g1 * k1
+        e12 -= g1 * k2
+        e13 -= g1 * k3
+        e22 -= g2 * k2
+        e23 -= g2 * k3
+        e33 -= g3 * k3
+        filtered.append((z / var, g0, g1, g2, g3))
+
+    # the adjoint of the forward pass, from the last node back: s carries
+    # the weight that the later nodes put on the filtered state
+    w = []
+    s0 = s1 = s2 = s3 = 0.0
+    back = zip(reversed(filtered), *(reversed(column) for column in steps))
+    for (v, g0, g1, g2, g3), e, c1, c2, c3 in back:
+        wi = v + g0 * s0 + g1 * s1 + g2 * s2 + g3 * s3
+        w.append(wi)
+        s0 -= wi
+        s3 = e * (s3 + c1 * s2 + c2 * s1 + c3 * s0)
+        s2 = e * (s2 + c1 * s1 + c2 * s0)
+        s1 = e * (s1 + c1 * s0)
+        s0 = e * s0
+    w.reverse()
+    return w
 
 
 def _forward_substitute(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,8 +470,7 @@ def _back_substitute(chol: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def optimal_weights(problem: QuadratureProblem) -> np.ndarray:
     """Quadrature weights w = C^{-1} m minimizing the worst-case error."""
-    w, _ = _solve_gram(problem)
-    return w
+    return _solve_gram(problem).weights
 
 
 def bq_posterior(problem: QuadratureProblem) -> BQPosterior:
@@ -265,20 +482,33 @@ def bq_posterior(problem: QuadratureProblem) -> BQPosterior:
         )
     if problem.values is None:
         raise InvalidSpecError("bq_posterior requires observed values")
-    w, jit = _solve_gram(problem)
+    solve = _solve_gram(problem)
+    w = solve.weights
     mean = float(w @ problem.values)
-    variance = problem.kpp - float(w @ problem.m)
-    variance = _clamp_variance(variance, "posterior variance")
-    return BQPosterior(mean=mean, variance=variance, weights=w, jitter=jit)
+    variance = _clamp_variance(problem.kpp - solve.quadratic, "posterior variance")
+    return BQPosterior(
+        mean=mean,
+        variance=variance,
+        weights=w,
+        jitter=solve.jitter,
+        solver=solve.solver,
+        rungs=solve.rungs,
+        residual=solve.residual,
+    )
 
 
 def wce(problem: QuadratureProblem, weights) -> float:
     """Worst-case integration error of a weighted rule at the problem's
-    nodes: sqrt(K_PP - 2 w^T m + w^T C w)."""
+    nodes: sqrt(K_PP - 2 w^T m + w^T C w). A 1-d Matern problem reads
+    w^T C w from ``gram_form`` in linear time, without the Gram."""
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if w.shape != (problem.n,):
         raise InvalidSpecError("one weight per node is required")
-    radicand = problem.kpp - 2.0 * float(w @ problem.m) + float(w @ problem.gram @ w)
+    if problem._line:
+        quadratic = problem.embedding.kernel.gram_form(problem.nodes, w)
+    else:
+        quadratic = float(w @ problem.gram @ w)
+    radicand = problem.kpp - 2.0 * float(w @ problem.m) + quadratic
     radicand = _clamp_variance(radicand, "squared worst-case error")
     return math.sqrt(radicand)
 

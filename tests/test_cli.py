@@ -1,12 +1,14 @@
 """Command-line interface: golden outputs, exit codes, strict spec
 validation, data file parsing, and seed resolution."""
 
+import io
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kembed import cli, dictionary
@@ -330,6 +332,61 @@ def test_bad_csv_header(spec_file, capsys, tmp_path):
         capsys, ["bq", "--spec", spec_file(GG_SPEC), "--data", str(data)]
     )
     assert code == 3
+
+
+# (file text, with a value column, the message of the InvalidSpecError or
+# the parsed points and values); "row N" counts the nonempty rows
+_CSV_CASES = [
+    ("x1,y\n0.5,1.0\n0.25\n", True, "row 3 has 1 fields, expected 2"),
+    ("x1,y\n0.5,1.0\n0.25,abc\n", True, "row 3 holds a non-numeric field"),
+    ("", True, "data file is empty"),
+    ("\n\n", False, "data file is empty"),
+    ("x1,y\n", True, "data file has a header but no rows"),
+    ("x1,y\n0.5,1.0\n \n", True, "row 3 has 1 fields, expected 2"),
+    ("x1\n0.5\n \n", False, "row 3 holds a non-numeric field"),
+    ('x1,y\n"0.5",1.0\n', True, ([[0.5]], [1.0])),
+    ("x1,y\n# a comment\n0.5,1.0\n", True, "row 2 has 1 fields, expected 2"),
+    ("x1,y\n0.5,1.0,\n", True, "row 2 has 3 fields, expected 2"),
+    ("x1,x2\n0.5,1.0\n\n-0.25,1e-3\n", False, ([[0.5, 1.0], [-0.25, 0.001]], None)),
+    ("x1,y\n 0.5 , 1.0 \n", True, ([[0.5]], [1.0])),
+    ("x1,y\n1_0,2\n", True, ([[10.0]], [2.0])),
+    ("x1,y\nnan,1.0\n", True, "data values must be finite"),
+    ("x1,y\n0.1,0.2\n", False, ([[0.1]], None)),
+]
+
+
+@pytest.mark.parametrize("text, with_values, want", _CSV_CASES)
+def test_csv_rows_and_messages(text, with_values, want):
+    # the messages and values of the field-by-field csv parser
+    if isinstance(want, str):
+        with pytest.raises(InvalidSpecError) as err:
+            cli._rows_from_csv(text, with_values)
+        assert str(err.value) == want
+        return
+    points, values = cli._rows_from_csv(text, with_values)
+    assert points.tolist() == want[0]
+    assert (None if values is None else values.tolist()) == want[1]
+
+
+def test_csv_rows_that_loadtxt_skips_go_to_the_field_parser(monkeypatch):
+    # a loadtxt that skipped the whitespace-only row would drop it silently
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(
+        np, "loadtxt", lambda f, **kw: loadtxt(io.StringIO(f.getvalue().replace(" \n", "")), **kw)
+    )
+    with pytest.raises(InvalidSpecError) as err:
+        cli._rows_from_csv("x1,y\n0.5,1.0\n \n", True)
+    assert str(err.value) == "row 3 has 1 fields, expected 2"
+
+
+def test_csv_body_keeps_the_bits_of_float():
+    rng = np.random.default_rng(3)
+    table = np.column_stack([rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200),
+                             rng.uniform(-1.0, 1.0, 200)])
+    lines = ["x1,y"] + [f"{repr(float(a))},{b!r}" for a, b in table.tolist()]
+    points, values = cli._rows_from_csv("\n".join(lines) + "\n", True)
+    want = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert np.column_stack([points, values]).tobytes() == np.array(want).tobytes()
 
 
 def test_console_script_smoke(spec_file, tmp_path):

@@ -106,6 +106,32 @@ def test_matern_general_matches_explicit_forms():
         assert general == pytest.approx(explicit, rel=1e-13, abs=1e-300)
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_matern_half_integer_takes_the_distance(n):
+    # a negative tau is a distance |tau|, and far ones give 0 as the kernel does
+    kernel = MaternKernel(nu=n + 0.5)
+    assert matern_half_integer(n, -1.0) == matern_half_integer(n, 1.0) == kernel(0.0, 1.0)
+    assert matern_half_integer(n, math.inf) == 0.0
+    assert matern_half_integer(n, 1e200) == 0.0
+    # finite tau >= 0 keeps the bits of the unclipped form
+    for tau in [0.0, 1e-300, 0.3, 1.0, 7.5, 80.0, 999.0, 1e3]:
+        z = math.sqrt(2 * n + 1) * tau
+        want = math.exp(-z) * sum(float(a) * z**m for m, a in enumerate(_matern_profile(n)))
+        assert matern_half_integer(n, tau) == want
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 100])
+def test_line_matvec_agrees_with_the_gram(nu, n):
+    rng = np.random.default_rng(n)
+    kernel = MaternKernel(nu=nu, lengthscale=0.7)
+    x = rng.permutation(0.7 * np.geomspace(1e-3, 1e3, n)) * rng.choice([-1.0, 1.0], n)
+    w = rng.normal(size=n)
+    G = kernel.gram(x[:, None])
+    got = kernel._line_matvec(x, w)
+    assert np.all(np.abs(got - G @ w) <= 1e-14 * (np.abs(G) @ np.abs(w)))
+
+
 def test_matern_kernel_values_and_validation():
     k = MaternKernel(nu=1.5, lengthscale=2.0)
     assert k(0.0, 0.0) == 1.0

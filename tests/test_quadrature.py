@@ -30,7 +30,9 @@ from kembed.measures import (
 from kembed.oracle import estimate_kp
 from kembed.stein import SteinKernel
 from kembed.quadrature import (
+    _RESIDUAL_TOL,
     _SOLVE_BLOCK,
+    _VARIANCE_SLACK,
     QuadratureProblem,
     _back_substitute,
     _forward_substitute,
@@ -392,7 +394,7 @@ def test_jitter_rungs_have_the_bits_of_c_plus_jit_identity(signed_zeros):
         gram[gram == 0.0] = -0.0
     prob = QuadratureProblem(embedding=e, nodes=prob.nodes, gram=gram, m=prob.m,
                              values=prob.values)
-    w, jit = _solve_gram(prob)
+    w, jit = _solve_gram(prob)[:2]
     want_w, want_jit = _reference_solve(prob)
     assert jit == want_jit > 0.0
     assert w.tobytes() == want_w.tobytes()
@@ -624,3 +626,82 @@ def test_closed_form_rows_are_per_row_kp_at():
     nodes = p.sample(30, seed=9)
     assert e.kp_rows(nodes).tobytes() == np.array([e.kp_at(row) for row in nodes]).tobytes()
 
+
+
+def _line_and_dense(nu, n, jitter, seed=0):
+    # n nodes spread geometrically from 1e-3 to 1e3 lengthscales, in random
+    # order, as a 1-d Matern problem and as the same problem with its Gram
+    lengthscale = 0.7
+    rng = np.random.default_rng([seed, n])
+    x = rng.permutation(lengthscale * np.geomspace(1e-3, 1e3, n))
+    kernel = MaternKernel(nu=nu, lengthscale=lengthscale)
+    box = UniformBoxMeasure(lows=(float(x.min()) - 1.0,), highs=(float(x.max()) + 1.0,))
+    line = make_problem(embed(kernel, box), x[:, None], np.sin(x / lengthscale), jitter=jitter)
+    dense = QuadratureProblem(embedding=line.embedding, nodes=line.nodes, gram=kernel.gram(line.nodes),
+                              m=line.m, values=line.values, jitter=jitter)
+    return line, dense
+
+
+@pytest.mark.parametrize("jitter", [None, 1e-8])
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 1000])
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_kalman_solve_agrees_with_the_dense_cholesky(nu, n, jitter):
+    line, dense = _line_and_dense(nu, n, jitter)
+    got, want = bq_posterior(line), bq_posterior(dense)
+    assert (got.solver, want.solver) == ("kalman", "cholesky")
+    assert got.rungs == want.rungs
+    assert got.jitter == want.jitter == got.rungs[-1]
+    # the residuals against the Gram itself, not the ones the solves report
+    w, sys = got.weights, dense.gram + got.jitter * np.eye(n)
+    residual = np.linalg.norm(sys @ w - line.m)
+    assert residual <= _RESIDUAL_TOL * np.linalg.norm(line.m)
+    assert got.residual <= _RESIDUAL_TOL
+    # two solves of one system differ by (C + jI)^-1 (r - r'), so their
+    # means w^T y differ by at most |r - r'| |(C + jI)^-1 y|, plus the
+    # rounding of each sum w^T y
+    dense_residual = np.linalg.norm(sys @ want.weights - line.m)
+    bound = (residual + dense_residual) * np.linalg.norm(np.linalg.solve(sys, line.values))
+    bound += 1e-14 * (np.abs(line.values) @ (np.abs(w) + np.abs(want.weights)))
+    assert abs(got.mean - want.mean) <= bound
+    assert line.kpp - _solve_gram(line).quadratic >= _VARIANCE_SLACK
+    assert optimal_weights(line).tobytes() == w.tobytes()
+    assert wce(line, w) == pytest.approx(wce(dense, w), rel=1e-6, abs=1e-7)
+
+
+def test_matern_line_problems_never_build_the_gram(monkeypatch):
+    # 20 000 nodes: their Gram would take 3.2 GB
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense Gram or factorization was requested")
+
+    monkeypatch.setattr(kernels.Kernel, "gram", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    kernel = MaternKernel(nu=2.5, lengthscale=0.5)
+    box = UniformBoxMeasure(lows=(0.0,), highs=(20.0,))
+    x = np.random.default_rng(20).uniform(0.0, 20.0, (20_000, 1))
+    problem = make_problem(embed(kernel, box), x, np.sin(x[:, 0]))
+    post = bq_posterior(problem)
+    w = optimal_weights(problem)
+    err = wce(problem, w)
+    assert post.solver == "kalman"
+    assert w.tobytes() == post.weights.tobytes()
+    # the integral of sin over [0, 20], and the posterior variance as the
+    # squared worst-case error of the weights
+    assert post.mean == pytest.approx((1.0 - math.cos(20.0)) / 20.0, abs=1e-9)
+    assert post.variance == pytest.approx(err**2, abs=1e-12)
+
+
+def test_posterior_reports_its_solve():
+    # a Gaussian Gram of nodes 1e-11 apart fails rung 0 and factors at 1e-12
+    post = bq_posterior(_gauss_setup([[0.5], [0.5 + 1e-11]], values=[0.1, 0.1]))
+    assert (post.solver, post.rungs, post.jitter) == ("cholesky", (0.0, 1e-12), 1e-12)
+    assert 0.0 <= post.residual <= _RESIDUAL_TOL
+    forced = make_problem(_gauss_setup([[0.0]]).embedding, [[0.0], [1.0]], [0.0, 1.0], jitter=1e-3)
+    assert bq_posterior(forced).rungs == (1e-3,)
+    k = MaternKernel(nu=1.5, lengthscale=0.8)
+    e = embed(k, UniformBoxMeasure(lows=(0.0,), highs=(1.0,)))
+    post = bq_posterior(make_problem(e, [[0.2], [0.5], [0.8]], [0.1, 0.4, 0.2]))
+    assert (post.solver, post.rungs) == ("kalman", (0.0,))
+    assert post.residual <= 1e-15
+    # no nodes, no solve
+    empty = bq_posterior(make_problem(e, np.empty((0, 1))))
+    assert (empty.solver, empty.rungs, empty.residual) == (None, (), 0.0)
