@@ -7,14 +7,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dictionary import CLOSED_FORM, Embedding, cross_kpq, embed
 from .errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
-from .kernels import _MATERN_FAR, Kernel, MaternKernel, _floats, _matern_profile, as_points
+from .kernels import _MATERN_FAR, Kernel, MaternKernel, _floats, as_points
 from .measures import Measure
 
 __all__ = [
@@ -34,6 +34,14 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 _DISTINCT_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8
 _VARIANCE_SLACK = -1e-10
+# The smallest innovation variance (see _kalman_solve), in units of the
+# Matern Gram's unit diagonal, above which the Cholesky of the rounded
+# Gram K + jI factors: over some 2 500 sets of uniform random nodes,
+# nu = 1/2 to 7/2, 2 to 1 000 nodes, it failed on none whose smallest
+# innovation variance was above 2.5e-13. Below that it factors or not by
+# the rounding of the Gram's entries, on 3 nodes down to 1e-27, and often
+# by their order: no innovation variance tells the outcome there.
+_INNOVATION_SURE = 1e-12
 # Rows per diagonal block of the triangular solves (a Gram of at most
 # this many nodes is one diagonal block, solved by a single
 # np.linalg.solve) and per tile of the Gram's symmetry check.
@@ -48,8 +56,9 @@ class QuadratureProblem:
     here is checked for shape, finiteness and symmetry and is the one
     every solve uses. Without one (``gram=None``) the Gram is built from
     the embedding's kernel on first read of ``gram``; a Matern kernel on
-    1-d nodes then never needs it, as its solves and ``wce`` run on the
-    sorted nodes in linear time."""
+    1-d nodes then seldom needs it, as its solves and ``wce`` run on the
+    sorted nodes in linear time. The fields are read-only, as they were
+    checked together."""
 
     def __init__(
         self,
@@ -60,12 +69,10 @@ class QuadratureProblem:
         values: np.ndarray | None = None,
         jitter: float | None = None,
     ):
-        self.embedding = embedding
-        self.nodes = nodes
-        self.m = m
-        self.values = values
-        self.jitter = jitter
-        self._gram = gram
+        fields = dict(embedding=embedding, nodes=nodes, m=m, values=values, jitter=jitter)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_gram", gram)
         n = nodes.shape[0]
         if gram is not None and gram.shape != (n, n):
             raise InvalidSpecError("gram matrix shape does not match the nodes")
@@ -88,7 +95,13 @@ class QuadratureProblem:
             )
         # the solves run on the sorted nodes when the problem was given no
         # Gram and its kernel is a Matern kernel on 1-d nodes
-        self._line = gram is None and _on_a_line(embedding.kernel, nodes)
+        object.__setattr__(self, "_line", gram is None and _on_a_line(embedding.kernel, nodes))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def n(self) -> int:
@@ -103,7 +116,7 @@ class QuadratureProblem:
         """The Gram matrix: the one given, or the kernel's over the nodes,
         built on first read and kept."""
         if self._gram is None:
-            self._gram = _kernel_gram(self.embedding.kernel, self.nodes)
+            object.__setattr__(self, "_gram", _kernel_gram(self.embedding.kernel, self.nodes))
         return self._gram
 
 
@@ -188,10 +201,10 @@ def _scalar_kpp(embedding: Embedding, consumer: str) -> float:
 class BQPosterior:
     """Gaussian posterior over the integral: N(mean, variance), with
     the quadrature weights and the diagonal jitter used to factor the
-    Gram matrix; the solver that ran (``"kalman"`` on the sorted nodes
-    of a 1-d Matern problem, ``"cholesky"`` on the Gram matrix, None
-    when there are no nodes), the jitter of each rung tried, in order,
-    and the relative residual |(C + jI) w - m| / |m| of the rung kept."""
+    Gram matrix; the solver of the rung kept (``"kalman"`` on the sorted
+    nodes of a 1-d Matern problem, ``"cholesky"`` on the Gram matrix,
+    None when there are no nodes), the jitter of each rung tried, in
+    order, and the relative residual |(C + jI) w - m| / |m| of the rung kept."""
 
     mean: float
     variance: float
@@ -247,20 +260,20 @@ def _solve_gram(problem: QuadratureProblem) -> _GramSolve:
     otherwise the diagonal jitter j escalates along the ladder until a
     rung factors and its residual is small. A 1-d Matern problem factors
     by :func:`_kalman_solve` on the sorted nodes, in linear time, and
-    takes C w from ``MaternKernel._line_matvec``; a rung fails there when
-    an innovation variance is not positive. Every other problem factors
-    its Gram by Cholesky, and a rung fails when the factorization does.
-    Both keep a rung only when |(C + jI) w - m| <= _RESIDUAL_TOL |m|."""
+    takes C w from ``MaternKernel._line_matvec`` (see :func:`_kalman_rungs`
+    for the rungs it leaves to the Gram). Every other problem factors its
+    Gram by Cholesky, and a rung fails when the factorization does. Both
+    keep a rung only when |(C + jI) w - m| <= _RESIDUAL_TOL |m|."""
     n = problem.n
     if n == 0:
         return _GramSolve(np.zeros(0), 0.0, 0.0, None, (), 0.0)
     m = problem.m
     if problem._line:
-        solver, rungs = "kalman", _kalman_rungs(problem)
+        rungs = _kalman_rungs(problem)
         # a Matern kernel is 1 on its diagonal
         mean_diag = 1.0
     else:
-        solver, rungs = "cholesky", _cholesky_rungs(problem)
+        rungs = _cholesky_rungs(problem)
         mean_diag = float(np.trace(problem.gram)) / n
     if problem.jitter is not None:
         ladder = [problem.jitter]
@@ -273,11 +286,11 @@ def _solve_gram(problem: QuadratureProblem) -> _GramSolve:
         solved = rungs(jit)
         if solved is None:
             continue
-        w, cw = solved
+        w, cw, solver = solved
         residual = float(np.linalg.norm(cw - m))
         if residual <= _RESIDUAL_TOL * m_norm:
             quadratic = float(w @ m)
-            if problem._line:
+            if solver == "kalman":
                 # m^T w of the Kalman weights is off by a few ulps of m^T w
                 # where the Cholesky's is not, enough to turn a posterior
                 # variance of 1e-15 negative; 2 m^T w - w^T (C + jI) w
@@ -291,8 +304,8 @@ def _solve_gram(problem: QuadratureProblem) -> _GramSolve:
 
 
 def _cholesky_rungs(problem: QuadratureProblem):
-    """The rung function of the dense path: jit -> (w, (C + jit I) w),
-    or None when C + jit I has no Cholesky factor."""
+    """The rung function of the dense path: jit -> (w, (C + jit I) w,
+    "cholesky"), or None when C + jit I has no Cholesky factor."""
     c = problem.gram
     m = problem.m
     # one copy of C for every rung, each of which sets its diagonal; the
@@ -308,103 +321,165 @@ def _cholesky_rungs(problem: QuadratureProblem):
         except np.linalg.LinAlgError:
             return None
         w = _back_substitute(chol, _forward_substitute(chol, m))
-        return w, sys @ w
+        return w, sys @ w, "cholesky"
 
     return rung
 
 
 def _kalman_rungs(problem: QuadratureProblem):
-    """The rung function of a 1-d Matern problem: jit -> (w, (C + jit I) w)
-    by :func:`_kalman_solve`, or None when the factorization fails."""
+    """The rung function of a 1-d Matern problem: jit -> (w, (C + jit I) w,
+    solver), or None when the rung fails. :func:`_kalman_solve` keeps a
+    rung when jit is at least _INNOVATION_SURE, or every innovation
+    variance above it, where the Cholesky of the Gram surely factors too.
+    Any other rung is left to that Cholesky: the Gram is built, once, and
+    the rung succeeds or fails as on the dense path, with its weights."""
     kernel = problem.embedding.kernel
     x = problem.nodes[:, 0]
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    # the scaled gap from each sorted node to the one before it (0 before
-    # the first), clipped as MaternKernel clips its distances
+    # the scaled gap from each sorted node to the one before it, clipped as
+    # MaternKernel clips its distances; the first node's is the clip itself,
+    # across which the state forgets all (e^(-_MATERN_FAR) is 0.0)
     beta = math.sqrt(2 * kernel.n + 1) / kernel.lengthscale
-    gaps = np.minimum(beta * np.diff(xs, prepend=xs[0]), _MATERN_FAR)
+    gaps = np.minimum(beta * np.diff(xs, prepend=-np.inf), _MATERN_FAR)
     steps = tuple(c.tolist() for c in (np.exp(-gaps), gaps, gaps * gaps / 2.0, gaps**3 / 6.0))
+    noise = _matern_state_noise(kernel.n, gaps)
     m = problem.m[order].tolist()
-    covariance = _matern_state_covariance(kernel.n)
+    dense = None
 
     def rung(jit):
-        ws = _kalman_solve(m, steps, covariance, jit)
+        nonlocal dense
+        floor = 0.0 if jit >= _INNOVATION_SURE else _INNOVATION_SURE
+        ws = _kalman_solve(m, steps, noise, jit, floor)
         if ws is None:
-            return None
+            dense = dense or _cholesky_rungs(problem)
+            return dense(jit)
         w = np.empty(len(ws))
         w[order] = ws
-        return w, kernel._line_matvec(x, w) + jit * w
+        return w, kernel._line_matvec(x, w) + jit * w, "kalman"
 
     return rung
 
 
+# The entries (i, j), i <= j, of the 4 x 4 state covariance that the
+# filter carries, in the order of its variables p00, p01, .., p33.
+_STATE_ENTRIES = tuple((i, j) for i in range(4) for j in range(i, 4))
+
+
 @functools.cache
-def _matern_state_covariance(n: int) -> tuple[float, float, float, float]:
-    """Cov(x_k, f) = k! a_k, k = 0..3, of the state of the half-integer
-    Matern process of order n, nu = n + 1/2, a_k its exact profile, with
-    0 past k = n (see :func:`_kalman_solve`): the column of the
-    stationary state covariance that the filter reads."""
-    a = _matern_profile(n)
-    return tuple(float(math.factorial(k) * a[k]) if k <= n else 0.0 for k in range(4))
+def _matern_stationary_covariance(n: int) -> tuple[float, ...]:
+    """The stationary covariance P_inf of the state of the half-integer
+    Matern process of order n (see :func:`_kalman_solve`) over
+    _STATE_ENTRIES, 0 past entry n: P_ij = 2^(i+j) (n!)^2 (2n-i-j)! /
+    ((2n)! (n-i)! (n-j)!), so that P_00 = 1 and P_k0 = k! a_k, a_k the
+    exact profile of ``kernels._matern_profile``."""
+    f = math.factorial
+    return tuple(
+        2 ** (i + j) * f(n) ** 2 * f(2 * n - i - j) / (f(2 * n) * f(n - i) * f(n - j))
+        if j <= n
+        else 0.0
+        for i, j in _STATE_ENTRIES
+    )
 
 
-def _kalman_solve(m, steps, q, jit):
+def _matern_state_noise(n: int, gaps: np.ndarray) -> list[list[float]]:
+    """Q(d) = P_inf - A P_inf A^T, the state covariance that the driving
+    noise adds over each scaled gap d, as a list over _STATE_ENTRIES per
+    gap. The noise enters x_n, and e^(sF) e_n has entries e^(-s) s^(n-i) /
+    (n-i)!, so Q_ij(d) = P_inf,ij R_(2n+1-i-j)(2d), R_s(x) = e^(-x) sum_(t
+    >= s) x^t / t! the regularized lower incomplete gamma function. It is
+    summed as that series of positive terms where x < s, and as 1 - e^(-x)
+    sum_(t < s) x^t / t! where x >= s, so that the entries of Q keep their
+    relative precision however small the gap: Q_00 is of order d^(2n+1),
+    which the difference P_inf - A P_inf A^T loses below about 1e-16."""
+    top = 2 * n + 1
+    x = 2.0 * gaps
+    decay = np.exp(-x)
+    s = np.arange(1, top + 1)[:, None]
+    # R_s(x) in row s - 1, s = 1 .. top: first 1 - e^(-x) sum_(t < s) x^t / t!
+    heads = np.cumsum(np.cumprod(np.vstack([np.ones_like(x), x / s[:-1]]), axis=0), axis=0)
+    regularized = 1.0 - decay * heads
+    near = x < top
+    if near.any():
+        # then, where x < s, the series from t = s, to the term at which
+        # x^t / t! has fallen below 1e-17 of x^s / s!: k terms past s, for
+        # the k at which x^k / (k + 1)! < 1e-17 at the largest such x
+        reach = float(x[near].max())
+        k, ratio = 0, 1.0
+        while ratio >= 1e-17:
+            k += 1
+            ratio *= reach / (k + 1)
+        last = top + k
+        xs = x[near]
+        t = np.arange(1, last + 1)[:, None]
+        terms = np.cumprod(np.vstack([np.ones_like(xs), xs / t]), axis=0)
+        tails = decay[near] * np.cumsum(terms[::-1], axis=0)[::-1][1 : top + 1]
+        regularized[:, near] = np.where(xs < s, tails, regularized[:, near])
+    noise = np.zeros((len(_STATE_ENTRIES), len(gaps)))
+    for row, ((i, j), p) in enumerate(zip(_STATE_ENTRIES, _matern_stationary_covariance(n))):
+        if p:
+            noise[row] = p * regularized[top - 1 - i - j]
+    return noise.T.tolist()
+
+
+def _kalman_solve(m, steps, noise, jit, floor):
     """w = (K + jit I)^(-1) m for a Matern kernel on sorted 1-d nodes, as
-    lists of floats, or None when an innovation variance is not positive.
+    lists of floats, or None as soon as an innovation variance is not
+    above ``floor``.
 
     In time scaled by beta = sqrt(2n + 1) / l the Matern process f of
     order n is the first entry of the state x = (x_0, .., x_3), x_0 = f,
     of dx_k = (x_(k+1) - x_k) du driven by white noise in x_n
     (Hartikainen and Sarkka 2010); entries past n are 0. Its transition
     over a scaled gap d is A = e^(-d) sum_k J^k d^k / k!, J the shift,
-    an upper triangular Toeplitz matrix of c_k = d^k / k!, and the
-    stationary state has Cov(x_k, f) = q_k = k! a_k.
+    an upper triangular Toeplitz matrix of c_k = d^k / k!.
 
     The forward pass is the Kalman filter of the data m with noise
     variance jit: the innovation variances D and the innovations z are
     the LDL^T factors of K + jit I in the sorted order and L^(-1) m. It
-    keeps E = P - P_inf, P the filtered state covariance, whose
-    prediction is A E A^T since P_inf = A P_inf A^T + Q. The reverse
-    pass applies L^(-T) to D^(-1) z, the filter's adjoint. ``steps``
-    holds e^(-d), c_1, c_2, c_3 for each node's gap from the one
-    before, 0 at the first. Each step is scalar arithmetic on a state of
-    four entries, O(n) in all."""
-    q0, q1, q2, q3 = q
+    carries the filtered state covariance P itself, predicted as A P A^T
+    + Q(d) (``noise``, see :func:`_matern_state_noise`), so that each
+    innovation variance, the conditional variance of f at a node given
+    the nodes before it, is a sum of small nonnegative terms and keeps
+    its relative precision on nodes however close. The reverse pass
+    applies L^(-T) to D^(-1) z, the filter's adjoint. ``steps`` holds
+    e^(-d), c_1, c_2, c_3 for each node's gap from the one before. Each
+    step is scalar arithmetic on a state of four entries, O(n) in all."""
     x0 = x1 = x2 = x3 = 0.0
-    e00 = e01 = e02 = e03 = e11 = e12 = e13 = e22 = e23 = e33 = 0.0
+    p00 = p01 = p02 = p03 = p11 = p12 = p13 = p22 = p23 = p33 = 0.0
     filtered = []
-    for y, e, c1, c2, c3 in zip(m, *steps):
-        # predict: x <- A x and E <- A E A^T, through M = T E (T = e^(dJ)),
-        # of which the entries on and above the diagonal are needed
+    for y, e, c1, c2, c3, q in zip(m, *steps, noise):
+        q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = q
+        # predict: x <- A x and P <- A P A^T + Q, through M = T P (T =
+        # e^(dJ)), of which the entries on and above the diagonal are needed
         x0 = e * (x0 + c1 * x1 + c2 * x2 + c3 * x3)
         x1 = e * (x1 + c1 * x2 + c2 * x3)
         x2 = e * (x2 + c1 * x3)
         x3 = e * x3
-        m00 = e00 + c1 * e01 + c2 * e02 + c3 * e03
-        m01 = e01 + c1 * e11 + c2 * e12 + c3 * e13
-        m02 = e02 + c1 * e12 + c2 * e22 + c3 * e23
-        m03 = e03 + c1 * e13 + c2 * e23 + c3 * e33
-        m11 = e11 + c1 * e12 + c2 * e13
-        m12 = e12 + c1 * e22 + c2 * e23
-        m13 = e13 + c1 * e23 + c2 * e33
-        m22 = e22 + c1 * e23
-        m23 = e23 + c1 * e33
+        m00 = p00 + c1 * p01 + c2 * p02 + c3 * p03
+        m01 = p01 + c1 * p11 + c2 * p12 + c3 * p13
+        m02 = p02 + c1 * p12 + c2 * p22 + c3 * p23
+        m03 = p03 + c1 * p13 + c2 * p23 + c3 * p33
+        m11 = p11 + c1 * p12 + c2 * p13
+        m12 = p12 + c1 * p22 + c2 * p23
+        m13 = p13 + c1 * p23 + c2 * p33
+        m22 = p22 + c1 * p23
+        m23 = p23 + c1 * p33
         ee = e * e
-        e00 = ee * (m00 + c1 * m01 + c2 * m02 + c3 * m03)
-        e01 = ee * (m01 + c1 * m02 + c2 * m03)
-        e02 = ee * (m02 + c1 * m03)
-        e03 = ee * m03
-        e11 = ee * (m11 + c1 * m12 + c2 * m13)
-        e12 = ee * (m12 + c1 * m13)
-        e13 = ee * m13
-        e22 = ee * (m22 + c1 * m23)
-        e23 = ee * m23
-        e33 = ee * e33
+        p00 = ee * (m00 + c1 * m01 + c2 * m02 + c3 * m03) + q00
+        p01 = ee * (m01 + c1 * m02 + c2 * m03) + q01
+        p02 = ee * (m02 + c1 * m03) + q02
+        p03 = ee * m03 + q03
+        p11 = ee * (m11 + c1 * m12 + c2 * m13) + q11
+        p12 = ee * (m12 + c1 * m13) + q12
+        p13 = ee * m13 + q13
+        p22 = ee * (m22 + c1 * m23) + q22
+        p23 = ee * m23 + q23
+        p33 = ee * p33 + q33
         # update on the datum y: k = P e_0, innovation variance D = k_0 + jit
-        k0, k1, k2, k3 = q0 + e00, q1 + e01, q2 + e02, q3 + e03
+        k0, k1, k2, k3 = p00, p01, p02, p03
         var = k0 + jit
-        if not var > 0.0:
+        if not var > floor:
             return None
         z = y - x0
         g0, g1, g2, g3 = k0 / var, k1 / var, k2 / var, k3 / var
@@ -412,16 +487,16 @@ def _kalman_solve(m, steps, q, jit):
         x1 += g1 * z
         x2 += g2 * z
         x3 += g3 * z
-        e00 -= g0 * k0
-        e01 -= g0 * k1
-        e02 -= g0 * k2
-        e03 -= g0 * k3
-        e11 -= g1 * k1
-        e12 -= g1 * k2
-        e13 -= g1 * k3
-        e22 -= g2 * k2
-        e23 -= g2 * k3
-        e33 -= g3 * k3
+        p00 -= g0 * k0
+        p01 -= g0 * k1
+        p02 -= g0 * k2
+        p03 -= g0 * k3
+        p11 -= g1 * k1
+        p12 -= g1 * k2
+        p13 -= g1 * k3
+        p22 -= g2 * k2
+        p23 -= g2 * k3
+        p33 -= g3 * k3
         filtered.append((z / var, g0, g1, g2, g3))
 
     # the adjoint of the forward pass, from the last node back: s carries

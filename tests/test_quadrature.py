@@ -5,11 +5,12 @@ numerical-safety machinery around the Gram solve."""
 import math
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from kembed import kernels
+from kembed import kernels, quadrature
 from kembed.dictionary import embed
 from kembed.errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
 from kembed.kernels import (
@@ -20,6 +21,7 @@ from kembed.kernels import (
     PowerSeriesKernel,
     SumKernel,
     WendlandKernel,
+    _matern_profile,
 )
 from kembed.measures import (
     EmpiricalMeasure,
@@ -628,12 +630,16 @@ def test_closed_form_rows_are_per_row_kp_at():
 
 
 
-def _line_and_dense(nu, n, jitter, seed=0):
-    # n nodes spread geometrically from 1e-3 to 1e3 lengthscales, in random
-    # order, as a 1-d Matern problem and as the same problem with its Gram
+def _line_and_dense(nu, n, jitter, layout):
+    # a 1-d Matern problem and the same problem with its Gram. The nodes
+    # spread geometrically from 1e-3 to 1e3 lengthscales, in random order,
+    # or fall uniformly at random on [0, layout] lengthscales
     lengthscale = 0.7
-    rng = np.random.default_rng([seed, n])
-    x = rng.permutation(lengthscale * np.geomspace(1e-3, 1e3, n))
+    if layout == "geometric":
+        rng = np.random.default_rng([0, n])
+        x = rng.permutation(lengthscale * np.geomspace(1e-3, 1e3, n))
+    else:
+        x = np.random.default_rng(n).uniform(0.0, layout * lengthscale, n)
     kernel = MaternKernel(nu=nu, lengthscale=lengthscale)
     box = UniformBoxMeasure(lows=(float(x.min()) - 1.0,), highs=(float(x.max()) + 1.0,))
     line = make_problem(embed(kernel, box), x[:, None], np.sin(x / lengthscale), jitter=jitter)
@@ -642,15 +648,22 @@ def _line_and_dense(nu, n, jitter, seed=0):
     return line, dense
 
 
+@pytest.mark.parametrize("layout", ["geometric", 0.1, 1.0, 10.0])
 @pytest.mark.parametrize("jitter", [None, 1e-8])
 @pytest.mark.parametrize("n", [1, 2, 3, 33, 1000])
 @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
-def test_kalman_solve_agrees_with_the_dense_cholesky(nu, n, jitter):
-    line, dense = _line_and_dense(nu, n, jitter)
+def test_kalman_solve_agrees_with_the_dense_cholesky(nu, n, jitter, layout):
+    line, dense = _line_and_dense(nu, n, jitter, layout)
     got, want = bq_posterior(line), bq_posterior(dense)
-    assert (got.solver, want.solver) == ("kalman", "cholesky")
+    assert want.solver == "cholesky"
     assert got.rungs == want.rungs
     assert got.jitter == want.jitter == got.rungs[-1]
+    if got.solver == "cholesky":
+        # a rung that the rounding of the Gram decides is the dense one
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert (got.mean, got.variance) == (want.mean, want.variance)
+        return
+    assert got.solver == "kalman"
     # the residuals against the Gram itself, not the ones the solves report
     w, sys = got.weights, dense.gram + got.jitter * np.eye(n)
     residual = np.linalg.norm(sys @ w - line.m)
@@ -658,14 +671,33 @@ def test_kalman_solve_agrees_with_the_dense_cholesky(nu, n, jitter):
     assert got.residual <= _RESIDUAL_TOL
     # two solves of one system differ by (C + jI)^-1 (r - r'), so their
     # means w^T y differ by at most |r - r'| |(C + jI)^-1 y|, plus the
-    # rounding of each sum w^T y
-    dense_residual = np.linalg.norm(sys @ want.weights - line.m)
-    bound = (residual + dense_residual) * np.linalg.norm(np.linalg.solve(sys, line.values))
+    # rounding of each sum w^T y; each residual is as computed, plus the
+    # rounding of that computation, (n + 2) u (|C + jI| |w| + |m|)
+    def true_residual(v):
+        rounding = (n + 2) * 2.0**-53 * np.linalg.norm(np.abs(sys) @ np.abs(v) + np.abs(line.m))
+        return np.linalg.norm(sys @ v - line.m) + rounding
+
+    bound = (true_residual(w) + true_residual(want.weights)) * np.linalg.norm(np.linalg.solve(sys, line.values))
     bound += 1e-14 * (np.abs(line.values) @ (np.abs(w) + np.abs(want.weights)))
     assert abs(got.mean - want.mean) <= bound
     assert line.kpp - _solve_gram(line).quadratic >= _VARIANCE_SLACK
     assert optimal_weights(line).tobytes() == w.tobytes()
-    assert wce(line, w) == pytest.approx(wce(dense, w), rel=1e-6, abs=1e-7)
+    # K_PP - 2 w^T m + w^T C w, each read to its rounding
+    scale = line.kpp + 2.0 * np.abs(w) @ np.abs(line.m) + np.abs(w) @ dense.gram @ np.abs(w)
+    assert abs(wce(line, w) ** 2 - wce(dense, w) ** 2) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("nu, n, layout", [(1.5, 1000, 1.0), (2.5, 33, 0.1)])
+def test_rungs_that_the_rounded_gram_decides_are_left_to_it(nu, n, layout):
+    # uniform nodes whose smallest innovation variance (4.3e-17 and
+    # 6.9e-16) lies where the Cholesky of the rounded Gram factors or not
+    # by rounding; here it factors at jitter 0, and so the line route must
+    for jitter in (None, 0.0):
+        line, dense = _line_and_dense(nu, n, jitter, layout)
+        got, want = bq_posterior(line), bq_posterior(dense)
+        assert (got.solver, got.rungs) == ("cholesky", (0.0,))
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert (got.mean, got.variance) == (want.mean, want.variance)
 
 
 def test_matern_line_problems_never_build_the_gram(monkeypatch):
@@ -675,19 +707,71 @@ def test_matern_line_problems_never_build_the_gram(monkeypatch):
 
     monkeypatch.setattr(kernels.Kernel, "gram", refuse)
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    kernel = MaternKernel(nu=2.5, lengthscale=0.5)
+    rng = np.random.default_rng(20)
+    # one node in each cell of width 0.001, whose innovation variances the
+    # filter's rung 0 keeps at a lengthscale of 0.1; and 20 000 uniform
+    # nodes at a fixed jitter of 1e-12, which every innovation variance
+    # then exceeds
+    grid = (np.arange(20_000) + rng.uniform(0.0, 0.5, 20_000)) * 0.001
+    uniform = rng.uniform(0.0, 20.0, 20_000)
     box = UniformBoxMeasure(lows=(0.0,), highs=(20.0,))
-    x = np.random.default_rng(20).uniform(0.0, 20.0, (20_000, 1))
-    problem = make_problem(embed(kernel, box), x, np.sin(x[:, 0]))
-    post = bq_posterior(problem)
-    w = optimal_weights(problem)
-    err = wce(problem, w)
-    assert post.solver == "kalman"
-    assert w.tobytes() == post.weights.tobytes()
-    # the integral of sin over [0, 20], and the posterior variance as the
-    # squared worst-case error of the weights
-    assert post.mean == pytest.approx((1.0 - math.cos(20.0)) / 20.0, abs=1e-9)
-    assert post.variance == pytest.approx(err**2, abs=1e-12)
+    for lengthscale, x, jitter in ((0.1, grid, None), (0.5, uniform, 1e-12)):
+        e = embed(MaternKernel(nu=2.5, lengthscale=lengthscale), box)
+        problem = make_problem(e, x[:, None], np.sin(x), jitter=jitter)
+        post = bq_posterior(problem)
+        w = optimal_weights(problem)
+        err = wce(problem, w)
+        assert (post.solver, post.rungs) == ("kalman", (jitter or 0.0,))
+        assert w.tobytes() == post.weights.tobytes()
+        # the integral of sin over [0, 20], and the posterior variance as
+        # the squared worst-case error of the weights
+        assert post.mean == pytest.approx((1.0 - math.cos(20.0)) / 20.0, abs=1e-9)
+        assert post.variance == pytest.approx(err**2, abs=1e-12)
+
+
+def test_matern_state_noise_keeps_its_relative_precision():
+    # Q(d) against R_s(2d) at 40 digits, from gaps far below rounding to
+    # gaps past the clip; and against P_inf - A P_inf A^T where that
+    # difference loses nothing
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(5)
+    gaps = np.concatenate([[1e-30, 1e-9, 0.5, 1.0, 3.5, 1e3], np.exp(rng.uniform(-25.0, 2.0, 40))])
+    for order in range(4):
+        noise = np.array(quadrature._matern_state_noise(order, gaps))
+        stationary = quadrature._matern_stationary_covariance(order)
+        full = np.zeros((4, 4))
+        for k, ((i, j), p) in enumerate(zip(quadrature._STATE_ENTRIES, stationary)):
+            full[i, j] = full[j, i] = p
+            if not p:
+                # past the state of order n
+                assert not noise[:, k].any()
+                continue
+            for d, q in zip(gaps, noise[:, k]):
+                want = p * mp.gammainc(2 * order + 1 - i - j, 0, 2 * mp.mpf(float(d)), regularized=True)
+                assert abs(q - want) <= 1e-15 * want
+        profile = _matern_profile(order)
+        assert [full[k, 0] for k in range(order + 1)] == [math.factorial(k) * float(a) for k, a in enumerate(profile)]
+        for d, row in zip(gaps, noise):
+            if 0.5 <= d <= 10.0:
+                shift = np.eye(4, k=1)
+                a = math.exp(-d) * sum(np.linalg.matrix_power(shift, k) * d**k / math.factorial(k) for k in range(4))
+                q = np.zeros((4, 4))
+                for (i, j), v in zip(quadrature._STATE_ENTRIES, row):
+                    q[i, j] = q[j, i] = v
+                assert np.abs(q - (full - a @ full @ a.T)).max() <= 1e-15
+
+
+def test_quadrature_problem_is_read_only():
+    e = embed(MaternKernel(nu=1.5), UniformBoxMeasure(lows=(0.0,), highs=(1.0,)))
+    problem = make_problem(e, [[0.2], [0.6]], [1.0, 2.0])
+    for name in ("embedding", "nodes", "m", "values", "jitter", "gram"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(problem, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(problem, name)
+    # the Gram is still built on first read
+    assert problem.gram.tobytes() == e.kernel.gram(problem.nodes).tobytes()
 
 
 def test_posterior_reports_its_solve():
