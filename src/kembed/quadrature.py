@@ -316,14 +316,20 @@ def _cholesky_rungs(problem: QuadratureProblem):
 
     def rung(jit):
         np.fill_diagonal(sys, diagonal + jit)
-        try:
-            chol = np.linalg.cholesky(sys)
-        except np.linalg.LinAlgError:
-            return None
-        w = _back_substitute(chol, _forward_substitute(chol, m))
-        return w, sys @ w, "cholesky"
+        return _cholesky_solve(sys, m)
 
     return rung
+
+
+def _cholesky_solve(sys: np.ndarray, m: np.ndarray):
+    """(w, sys w, "cholesky") for sys w = m by the Cholesky factor of
+    sys, or None when sys has none."""
+    try:
+        chol = np.linalg.cholesky(sys)
+    except np.linalg.LinAlgError:
+        return None
+    w = _back_substitute(chol, _forward_substitute(chol, m))
+    return w, sys @ w, "cholesky"
 
 
 def _kalman_rungs(problem: QuadratureProblem):
@@ -331,8 +337,9 @@ def _kalman_rungs(problem: QuadratureProblem):
     solver), or None when the rung fails. :func:`_kalman_solve` keeps a
     rung when jit is at least _INNOVATION_SURE, or every innovation
     variance above it, where the Cholesky of the Gram surely factors too.
-    Any other rung is left to that Cholesky: the Gram is built, once, and
-    the rung succeeds or fails as on the dense path, with its weights."""
+    Any other rung is left to that Cholesky: the Gram is built for it,
+    with the bits of the dense path's C + jit I, and the rung succeeds or
+    fails as it does there, with its weights."""
     kernel = problem.embedding.kernel
     x = problem.nodes[:, 0]
     order = np.argsort(x, kind="stable")
@@ -345,15 +352,17 @@ def _kalman_rungs(problem: QuadratureProblem):
     steps = tuple(c.tolist() for c in (np.exp(-gaps), gaps, gaps * gaps / 2.0, gaps**3 / 6.0))
     noise = _matern_state_noise(kernel.n, gaps)
     m = problem.m[order].tolist()
-    dense = None
 
     def rung(jit):
-        nonlocal dense
         floor = 0.0 if jit >= _INNOVATION_SURE else _INNOVATION_SURE
         ws = _kalman_solve(m, steps, noise, jit, floor)
         if ws is None:
-            dense = dense or _cholesky_rungs(problem)
-            return dense(jit)
+            # C + 0.0 + jit I in place, as _cholesky_rungs forms it, and
+            # let go once the rung is decided
+            sys = _kernel_gram(kernel, problem.nodes)
+            np.add(sys, 0.0, out=sys)
+            sys.flat[:: len(sys) + 1] += jit
+            return _cholesky_solve(sys, problem.m)
         w = np.empty(len(ws))
         w[order] = ws
         return w, kernel._line_matvec(x, w) + jit * w, "kalman"
