@@ -39,7 +39,7 @@ _VARIANCE_SLACK = -1e-10
 # Gram K + jI factors: over some 2 500 sets of uniform random nodes,
 # nu = 1/2 to 7/2, 2 to 1 000 nodes, it failed on none whose smallest
 # innovation variance was above 2.5e-13. Below that it factors or not by
-# the rounding of the Gram's entries, on 3 nodes down to 1e-27, and often
+# the rounding of the Gram's entries, on 5 nodes down to 2e-27, and often
 # by their order: no innovation variance tells the outcome there.
 _INNOVATION_SURE = 1e-12
 # Rows per diagonal block of the triangular solves (a Gram of at most
