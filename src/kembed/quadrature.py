@@ -34,14 +34,16 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 _DISTINCT_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8
 _VARIANCE_SLACK = -1e-10
-# The smallest innovation variance (see _kalman_solve), in units of the
-# Matern Gram's unit diagonal, above which the Cholesky of the rounded
-# Gram K + jI factors: over some 2 500 sets of uniform random nodes,
-# nu = 1/2 to 7/2, 2 to 1 000 nodes, it failed on none whose smallest
-# innovation variance was above 2.5e-13. Below that it factors or not by
-# the rounding of the Gram's entries, on 5 nodes down to 2e-27, and often
-# by their order: no innovation variance tells the outcome there.
-_INNOVATION_SURE = 1e-12
+# A rung of the Kalman route (see _kalman_solve) fails when an innovation
+# variance is at most this, in units of the Matern Gram's unit diagonal:
+# half the ladder's first nonzero rung, so every rung j >= 1e-12 clears
+# it, and above 2.4e-13, the largest smallest innovation variance at which
+# the Cholesky of the rounded Gram K + jI failed over some 5 700 sets of
+# uniform random nodes (nu = 1/2 to 7/2, 2 to 1 000 nodes). Below that the
+# Cholesky factors or not by the rounding of the Gram's entries, and often
+# by their order, so the filter fails such a rung where the Cholesky may
+# factor it, and never keeps one where it fails.
+_INNOVATION_FLOOR = 5e-13
 # Rows per diagonal block of the triangular solves (a Gram of at most
 # this many nodes is one diagonal block, solved by a single
 # np.linalg.solve) and per tile of the Gram's symmetry check.
@@ -55,10 +57,10 @@ class QuadratureProblem:
     double integral, bundled for the quadrature operations. A Gram given
     here is checked for shape, finiteness and symmetry and is the one
     every solve uses. Without one (``gram=None``) the Gram is built from
-    the embedding's kernel on first read of ``gram``; a Matern kernel on
-    1-d nodes then seldom needs it, as its solves and ``wce`` run on the
-    sorted nodes in linear time. The fields are read-only, as they were
-    checked together."""
+    the embedding's kernel on first read of ``gram`` and checked for
+    finiteness then; a Matern kernel on 1-d nodes then never needs it, as
+    its solves and ``wce`` run on the sorted nodes in linear time. The
+    fields are read-only, as they were checked together."""
 
     def __init__(
         self,
@@ -114,9 +116,13 @@ class QuadratureProblem:
     @property
     def gram(self) -> np.ndarray:
         """The Gram matrix: the one given, or the kernel's over the nodes,
-        built on first read and kept."""
+        built on first read and kept. A Gram built here is symmetric bit
+        for bit (see :func:`_kernel_gram`) and is not scanned for it."""
         if self._gram is None:
-            object.__setattr__(self, "_gram", _kernel_gram(self.embedding.kernel, self.nodes))
+            gram = _kernel_gram(self.embedding.kernel, self.nodes)
+            if not np.all(np.isfinite(gram)):
+                raise InvalidSpecError("gram and embedding values must be finite")
+            object.__setattr__(self, "_gram", gram)
         return self._gram
 
 
@@ -232,18 +238,16 @@ class _GramSolve(NamedTuple):
 def make_problem(
     embedding: Embedding, nodes, values=None, jitter: float | None = None
 ) -> QuadratureProblem:
-    """Assemble a quadrature problem: Gram matrix of the embedding's
-    kernel over the nodes and the mean embedding at each node. A Matern
-    kernel on 1-d nodes builds no Gram (see :class:`QuadratureProblem`)."""
+    """Assemble a quadrature problem: the mean embedding at each node,
+    and the Gram matrix of the embedding's kernel over the nodes, built
+    on first read (see :class:`QuadratureProblem`)."""
     # a matrix-valued embedding has no scalar Gram to build
     _scalar_kpp(embedding, "quadrature")
-    kernel = embedding.kernel
     nodes = _floats(nodes)
     if nodes.size == 0:
         nodes = nodes.reshape(0, 1)
     else:
-        nodes = as_points(nodes, kernel.dim)
-    gram = None if _on_a_line(kernel, nodes) else _kernel_gram(kernel, nodes)
+        nodes = as_points(nodes, embedding.kernel.dim)
     m = embedding.kp_rows(nodes) if len(nodes) else np.zeros(0)
     vals = None
     if values is not None:
@@ -251,7 +255,7 @@ def make_problem(
         if not np.all(np.isfinite(vals)):
             raise InvalidSpecError("values must be finite")
     return QuadratureProblem(
-        embedding=embedding, nodes=nodes, gram=gram, m=m, values=vals, jitter=jitter
+        embedding=embedding, nodes=nodes, gram=None, m=m, values=vals, jitter=jitter
     )
 
 
@@ -259,11 +263,12 @@ def _solve_gram(problem: QuadratureProblem) -> _GramSolve:
     """Solve (C + jI) w = m. A fixed problem jitter is used as given;
     otherwise the diagonal jitter j escalates along the ladder until a
     rung factors and its residual is small. A 1-d Matern problem factors
-    by :func:`_kalman_solve` on the sorted nodes, in linear time, and
-    takes C w from ``MaternKernel._line_matvec`` (see :func:`_kalman_rungs`
-    for the rungs it leaves to the Gram). Every other problem factors its
-    Gram by Cholesky, and a rung fails when the factorization does. Both
-    keep a rung only when |(C + jI) w - m| <= _RESIDUAL_TOL |m|."""
+    by :func:`_kalman_solve` on the sorted nodes, in linear time, takes
+    C w from ``MaternKernel._line_matvec`` and never builds its Gram; a
+    rung fails there when an innovation variance is at most
+    _INNOVATION_FLOOR. Every other problem factors its Gram by Cholesky,
+    and a rung fails when the factorization does. Both keep a rung only
+    when |(C + jI) w - m| <= _RESIDUAL_TOL |m|."""
     n = problem.n
     if n == 0:
         return _GramSolve(np.zeros(0), 0.0, 0.0, None, (), 0.0)
@@ -316,30 +321,20 @@ def _cholesky_rungs(problem: QuadratureProblem):
 
     def rung(jit):
         np.fill_diagonal(sys, diagonal + jit)
-        return _cholesky_solve(sys, m)
+        try:
+            chol = np.linalg.cholesky(sys)
+        except np.linalg.LinAlgError:
+            return None
+        w = _back_substitute(chol, _forward_substitute(chol, m))
+        return w, sys @ w, "cholesky"
 
     return rung
 
 
-def _cholesky_solve(sys: np.ndarray, m: np.ndarray):
-    """(w, sys w, "cholesky") for sys w = m by the Cholesky factor of
-    sys, or None when sys has none."""
-    try:
-        chol = np.linalg.cholesky(sys)
-    except np.linalg.LinAlgError:
-        return None
-    w = _back_substitute(chol, _forward_substitute(chol, m))
-    return w, sys @ w, "cholesky"
-
-
 def _kalman_rungs(problem: QuadratureProblem):
     """The rung function of a 1-d Matern problem: jit -> (w, (C + jit I) w,
-    solver), or None when the rung fails. :func:`_kalman_solve` keeps a
-    rung when jit is at least _INNOVATION_SURE, or every innovation
-    variance above it, where the Cholesky of the Gram surely factors too.
-    Any other rung is left to that Cholesky: the Gram is built for it,
-    with the bits of the dense path's C + jit I, and the rung succeeds or
-    fails as it does there, with its weights."""
+    "kalman"), or None when an innovation variance of C + jit I is at
+    most _INNOVATION_FLOOR. Every rung jit >= 1e-12 clears the floor."""
     kernel = problem.embedding.kernel
     x = problem.nodes[:, 0]
     order = np.argsort(x, kind="stable")
@@ -354,15 +349,9 @@ def _kalman_rungs(problem: QuadratureProblem):
     m = problem.m[order].tolist()
 
     def rung(jit):
-        floor = 0.0 if jit >= _INNOVATION_SURE else _INNOVATION_SURE
-        ws = _kalman_solve(m, steps, noise, jit, floor)
+        ws = _kalman_solve(m, steps, noise, jit)
         if ws is None:
-            # C + 0.0 + jit I in place, as _cholesky_rungs forms it, and
-            # let go once the rung is decided
-            sys = _kernel_gram(kernel, problem.nodes)
-            np.add(sys, 0.0, out=sys)
-            sys.flat[:: len(sys) + 1] += jit
-            return _cholesky_solve(sys, problem.m)
+            return None
         w = np.empty(len(ws))
         w[order] = ws
         return w, kernel._line_matvec(x, w) + jit * w, "kalman"
@@ -393,14 +382,15 @@ def _matern_stationary_covariance(n: int) -> tuple[float, ...]:
 
 def _matern_state_noise(n: int, gaps: np.ndarray) -> list[list[float]]:
     """Q(d) = P_inf - A P_inf A^T, the state covariance that the driving
-    noise adds over each scaled gap d, as a list over _STATE_ENTRIES per
-    gap. The noise enters x_n, and e^(sF) e_n has entries e^(-s) s^(n-i) /
-    (n-i)!, so Q_ij(d) = P_inf,ij R_(2n+1-i-j)(2d), R_s(x) = e^(-x) sum_(t
-    >= s) x^t / t! the regularized lower incomplete gamma function. It is
-    summed as that series of positive terms where x < s, and as 1 - e^(-x)
-    sum_(t < s) x^t / t! where x >= s, so that the entries of Q keep their
-    relative precision however small the gap: Q_00 is of order d^(2n+1),
-    which the difference P_inf - A P_inf A^T loses below about 1e-16."""
+    noise adds over each scaled gap d, as one list over the gaps per entry
+    of _STATE_ENTRIES. The noise enters x_n, and e^(sF) e_n has entries
+    e^(-s) s^(n-i) / (n-i)!, so Q_ij(d) = P_inf,ij R_(2n+1-i-j)(2d), R_s(x)
+    = e^(-x) sum_(t >= s) x^t / t! the regularized lower incomplete gamma
+    function. It is summed as that series of positive terms where x < s,
+    and as 1 - e^(-x) sum_(t < s) x^t / t! where x >= s, so that the
+    entries of Q keep their relative precision however small the gap: Q_00
+    is of order d^(2n+1), which the difference P_inf - A P_inf A^T loses
+    below about 1e-16."""
     top = 2 * n + 1
     x = 2.0 * gaps
     decay = np.exp(-x)
@@ -428,13 +418,13 @@ def _matern_state_noise(n: int, gaps: np.ndarray) -> list[list[float]]:
     for row, ((i, j), p) in enumerate(zip(_STATE_ENTRIES, _matern_stationary_covariance(n))):
         if p:
             noise[row] = p * regularized[top - 1 - i - j]
-    return noise.T.tolist()
+    return noise.tolist()
 
 
-def _kalman_solve(m, steps, noise, jit, floor):
+def _kalman_solve(m, steps, noise, jit):
     """w = (K + jit I)^(-1) m for a Matern kernel on sorted 1-d nodes, as
-    lists of floats, or None as soon as an innovation variance is not
-    above ``floor``.
+    lists of floats, or None as soon as an innovation variance is at most
+    _INNOVATION_FLOOR.
 
     In time scaled by beta = sqrt(2n + 1) / l the Matern process f of
     order n is the first entry of the state x = (x_0, .., x_3), x_0 = f,
@@ -456,9 +446,11 @@ def _kalman_solve(m, steps, noise, jit, floor):
     step is scalar arithmetic on a state of four entries, O(n) in all."""
     x0 = x1 = x2 = x3 = 0.0
     p00 = p01 = p02 = p03 = p11 = p12 = p13 = p22 = p23 = p33 = 0.0
-    filtered = []
-    for y, e, c1, c2, c3, q in zip(m, *steps, noise):
-        q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 = q
+    # the reverse pass's data, one list per quantity
+    filtered = vs, g0s, g1s, g2s, g3s = [], [], [], [], []
+    for y, e, c1, c2, c3, q00, q01, q02, q03, q11, q12, q13, q22, q23, q33 in zip(
+        m, *steps, *noise
+    ):
         # predict: x <- A x and P <- A P A^T + Q, through M = T P (T =
         # e^(dJ)), of which the entries on and above the diagonal are needed
         x0 = e * (x0 + c1 * x1 + c2 * x2 + c3 * x3)
@@ -488,7 +480,7 @@ def _kalman_solve(m, steps, noise, jit, floor):
         # update on the datum y: k = P e_0, innovation variance D = k_0 + jit
         k0, k1, k2, k3 = p00, p01, p02, p03
         var = k0 + jit
-        if not var > floor:
+        if not var > _INNOVATION_FLOOR:
             return None
         z = y - x0
         g0, g1, g2, g3 = k0 / var, k1 / var, k2 / var, k3 / var
@@ -506,14 +498,18 @@ def _kalman_solve(m, steps, noise, jit, floor):
         p22 -= g2 * k2
         p23 -= g2 * k3
         p33 -= g3 * k3
-        filtered.append((z / var, g0, g1, g2, g3))
+        vs.append(z / var)
+        g0s.append(g0)
+        g1s.append(g1)
+        g2s.append(g2)
+        g3s.append(g3)
 
     # the adjoint of the forward pass, from the last node back: s carries
     # the weight that the later nodes put on the filtered state
     w = []
     s0 = s1 = s2 = s3 = 0.0
-    back = zip(reversed(filtered), *(reversed(column) for column in steps))
-    for (v, g0, g1, g2, g3), e, c1, c2, c3 in back:
+    back = zip(*(reversed(column) for column in (*filtered, *steps)))
+    for v, g0, g1, g2, g3, e, c1, c2, c3 in back:
         wi = v + g0 * s0 + g1 * s1 + g2 * s2 + g3 * s3
         w.append(wi)
         s0 -= wi

@@ -648,21 +648,46 @@ def _line_and_dense(nu, n, jitter, layout):
     return line, dense
 
 
+def _refuse_the_gram(patch):
+    # a dense Gram or a Cholesky factorization fails the test
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense Gram or factorization was requested")
+
+    patch.setattr(kernels.Kernel, "gram", refuse)
+    patch.setattr(np.linalg, "cholesky", refuse)
+
+
+def _assert_one_sided_rungs(line, got, want):
+    # the line route keeps no rung that the dense route fails; it tries a
+    # rung past the dense route's only where its own smallest innovation
+    # variance at the dense route's rung is at most the floor, the one
+    # case in which _kalman_rungs gives None
+    assert got.rungs[: len(want.rungs)] == want.rungs
+    if len(got.rungs) > len(want.rungs):
+        assert quadrature._kalman_rungs(line)(want.jitter) is None
+
+
 @pytest.mark.parametrize("layout", ["geometric", 0.1, 1.0, 10.0])
 @pytest.mark.parametrize("jitter", [None, 1e-8])
 @pytest.mark.parametrize("n", [1, 2, 3, 33, 1000])
 @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
-def test_kalman_solve_agrees_with_the_dense_cholesky(nu, n, jitter, layout):
+def test_kalman_solve_agrees_with_the_dense_cholesky(nu, n, jitter, layout, monkeypatch):
     line, dense = _line_and_dense(nu, n, jitter, layout)
-    got, want = bq_posterior(line), bq_posterior(dense)
+    want = bq_posterior(dense)
     assert want.solver == "cholesky"
-    assert got.rungs == want.rungs
+    with monkeypatch.context() as patch:
+        _refuse_the_gram(patch)
+        got = bq_posterior(line)
+        _assert_one_sided_rungs(line, got, want)
+        quadratic = _solve_gram(line).quadratic
+        weights = optimal_weights(line)
+        line_wce = wce(line, got.weights)
+    if got.jitter != want.jitter:
+        # the answer is held against the dense problem solved at the rung kept
+        dense = QuadratureProblem(embedding=dense.embedding, nodes=dense.nodes, gram=dense.gram,
+                                  m=dense.m, values=dense.values, jitter=got.jitter)
+        want = bq_posterior(dense)
     assert got.jitter == want.jitter == got.rungs[-1]
-    if got.solver == "cholesky":
-        # a rung that the rounding of the Gram decides is the dense one
-        assert got.weights.tobytes() == want.weights.tobytes()
-        assert (got.mean, got.variance) == (want.mean, want.variance)
-        return
     assert got.solver == "kalman"
     # the residuals against the Gram itself, not the ones the solves report
     w, sys = got.weights, dense.gram + got.jitter * np.eye(n)
@@ -680,48 +705,67 @@ def test_kalman_solve_agrees_with_the_dense_cholesky(nu, n, jitter, layout):
     bound = (true_residual(w) + true_residual(want.weights)) * np.linalg.norm(np.linalg.solve(sys, line.values))
     bound += 1e-14 * (np.abs(line.values) @ (np.abs(w) + np.abs(want.weights)))
     assert abs(got.mean - want.mean) <= bound
-    assert line.kpp - _solve_gram(line).quadratic >= _VARIANCE_SLACK
-    assert optimal_weights(line).tobytes() == w.tobytes()
+    assert line.kpp - quadratic >= _VARIANCE_SLACK
+    assert weights.tobytes() == w.tobytes()
     # K_PP - 2 w^T m + w^T C w, each read to its rounding
     scale = line.kpp + 2.0 * np.abs(w) @ np.abs(line.m) + np.abs(w) @ dense.gram @ np.abs(w)
-    assert abs(wce(line, w) ** 2 - wce(dense, w) ** 2) <= 1e-13 * scale
+    assert abs(line_wce**2 - wce(dense, w) ** 2) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("nu, n, layout", [(1.5, 1000, 1.0), (2.5, 33, 0.1)])
-def test_rungs_that_the_rounded_gram_decides_are_left_to_it(nu, n, layout):
+def test_rungs_that_the_rounded_gram_decides_go_to_the_next_rung(nu, n, layout, monkeypatch):
     # uniform nodes whose smallest innovation variance (4.3e-17 and
     # 6.9e-16) lies where the Cholesky of the rounded Gram factors or not
-    # by rounding; here it factors at jitter 0, and so the line route must
-    for jitter in (None, 0.0):
-        line, dense = _line_and_dense(nu, n, jitter, layout)
+    # by rounding (here it factors at jitter 0); the line route fails such
+    # a rung by its floor, without a Gram, and keeps 1e-12
+    line, dense = _line_and_dense(nu, n, None, layout)
+    pinned, _ = _line_and_dense(nu, n, 0.0, layout)
+    assert bq_posterior(dense).rungs == (0.0,)
+    _refuse_the_gram(monkeypatch)
+    post = bq_posterior(line)
+    assert (post.solver, post.rungs) == ("kalman", (0.0, 1e-12))
+    with pytest.raises(NumericalFailure):
+        bq_posterior(pinned)
+
+
+def test_line_route_never_keeps_a_rung_the_dense_route_fails():
+    # 50 seeded sets of uniform random nodes, nu = 1/2 to 7/2, 2 to 300
+    # nodes over 0.1 to 10 lengthscales, on the ladder
+    rng = np.random.default_rng(29)
+    dense_fails_rung_0 = goes_further = 0
+    for _ in range(50):
+        kernel = MaternKernel(nu=float(rng.choice([0.5, 1.5, 2.5, 3.5])))
+        spread = float(10.0 ** rng.uniform(-1.0, 1.0))
+        x = rng.uniform(0.0, spread, int(rng.integers(2, 301)))
+        e = embed(kernel, UniformBoxMeasure(lows=(-1.0,), highs=(spread + 1.0,)))
+        line = make_problem(e, x[:, None], np.sin(x))
+        dense = QuadratureProblem(embedding=e, nodes=line.nodes, gram=kernel.gram(line.nodes),
+                                  m=line.m, values=line.values)
         got, want = bq_posterior(line), bq_posterior(dense)
-        assert (got.solver, got.rungs) == ("cholesky", (0.0,))
-        assert got.weights.tobytes() == want.weights.tobytes()
-        assert (got.mean, got.variance) == (want.mean, want.variance)
+        _assert_one_sided_rungs(line, got, want)
+        dense_fails_rung_0 += want.rungs[0] != want.jitter
+        goes_further += len(got.rungs) > len(want.rungs)
+    # the sets reach both sides of the rule (17 and 7 of them)
+    assert dense_fails_rung_0 and goes_further
 
 
 def test_matern_line_problems_never_build_the_gram(monkeypatch):
     # 20 000 nodes: their Gram would take 3.2 GB
-    def refuse(*args, **kwargs):
-        raise AssertionError("a dense Gram or factorization was requested")
-
-    monkeypatch.setattr(kernels.Kernel, "gram", refuse)
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    _refuse_the_gram(monkeypatch)
     rng = np.random.default_rng(20)
     # one node in each cell of width 0.001, whose innovation variances the
     # filter's rung 0 keeps at a lengthscale of 0.1; and 20 000 uniform
-    # nodes at a fixed jitter of 1e-12, which every innovation variance
-    # then exceeds
+    # nodes, whose closest pairs fail rung 0 and keep 1e-12, on the ladder
     grid = (np.arange(20_000) + rng.uniform(0.0, 0.5, 20_000)) * 0.001
     uniform = rng.uniform(0.0, 20.0, 20_000)
     box = UniformBoxMeasure(lows=(0.0,), highs=(20.0,))
-    for lengthscale, x, jitter in ((0.1, grid, None), (0.5, uniform, 1e-12)):
+    for lengthscale, x, rungs in ((0.1, grid, (0.0,)), (0.5, uniform, (0.0, 1e-12))):
         e = embed(MaternKernel(nu=2.5, lengthscale=lengthscale), box)
-        problem = make_problem(e, x[:, None], np.sin(x), jitter=jitter)
+        problem = make_problem(e, x[:, None], np.sin(x))
         post = bq_posterior(problem)
         w = optimal_weights(problem)
         err = wce(problem, w)
-        assert (post.solver, post.rungs) == ("kalman", (jitter or 0.0,))
+        assert (post.solver, post.rungs) == ("kalman", rungs)
         assert w.tobytes() == post.weights.tobytes()
         # the integral of sin over [0, 20], and the posterior variance as
         # the squared worst-case error of the weights
@@ -738,7 +782,7 @@ def test_matern_state_noise_keeps_its_relative_precision():
     rng = np.random.default_rng(5)
     gaps = np.concatenate([[1e-30, 1e-9, 0.5, 1.0, 3.5, 1e3], np.exp(rng.uniform(-25.0, 2.0, 40))])
     for order in range(4):
-        noise = np.array(quadrature._matern_state_noise(order, gaps))
+        noise = np.array(quadrature._matern_state_noise(order, gaps)).T
         stationary = quadrature._matern_stationary_covariance(order)
         full = np.zeros((4, 4))
         for k, ((i, j), p) in enumerate(zip(quadrature._STATE_ENTRIES, stationary)):
