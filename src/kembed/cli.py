@@ -377,7 +377,13 @@ def _jsonable(value):
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
+    """The payload as one line of strict JSON on stdout; one that holds a
+    NaN or infinity, which JSON cannot, is a numerical failure."""
+    try:
+        line = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise NumericalFailure(f"result is not finite: {json.dumps(payload)}") from None
+    sys.stdout.write(line + "\n")
 
 
 # --- commands -------------------------------------------------------------------

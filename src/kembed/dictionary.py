@@ -50,6 +50,7 @@ from .kernels import (
     WendlandKernel,
     _finite_points,
     _floats,
+    _MATERN_FAR,
     _MATERN_ORDERS,
     _matern_profile,
     as_point,
@@ -397,7 +398,9 @@ class MaternUniformCoefficients:
         object.__setattr__(self, "c", tuple(map(float, c)))
 
     def q_poly(self, z: np.ndarray) -> np.ndarray:
-        """Q at each element of an array."""
+        """Q at each element of an array, z clipped at _MATERN_FAR as
+        ``MaternKernel`` clips its distances."""
+        z = np.minimum(z, _MATERN_FAR)
         return exp_each(-z) * sum(cm * pow_each(z, m) for m, cm in enumerate(self.c))
 
     def gammas(self) -> tuple[float, ...]:
@@ -420,19 +423,19 @@ def matern_uniform_general(kernel: MaternKernel, measure: UniformBoxMeasure):
     def kp_rows(X):
         x = X[:, 0]
         sa, sb = _edge_signs(x, a, b)
-        return (
-            (co.alpha / r)
-            * lead
-            * (
-                co.c[0] * (sa + sb)
-                - sa * co.q_poly(np.abs(x - a) / co.alpha)
-                - sb * co.q_poly(np.abs(b - x) / co.alpha)
-            )
-        )
+        with np.errstate(over="ignore"):  # to inf, which q_poly clips
+            za, zb = np.abs(x - a) / co.alpha, np.abs(b - x) / co.alpha
+        q = co.c[0] * (sa + sb) - sa * co.q_poly(za) - sb * co.q_poly(zb)
+        return (co.alpha / r) * lead * q
 
-    gam = co.gammas()
-    bracket = co.rho * co.c[0] - sum(cm * g for cm, g in zip(co.c, gam))
-    kpp = 2.0 * co.alpha**2 / r**2 * lead * bracket
+    s = sum(cm * g for cm, g in zip(co.c, co.gammas()))
+    if co.rho <= 1e150 and max(co.alpha, r) <= 1e153:
+        kpp = 2.0 * co.alpha**2 / r**2 * lead * (co.rho * co.c[0] - s)
+    else:
+        # the squares would overflow, or their ratio lose digits below
+        # the normal range: 1 / rho = alpha / r goes into the bracket
+        t = co.alpha / r
+        kpp = 2.0 * lead * t * (co.c[0] - t * s)
 
     return kp_rows, kpp
 

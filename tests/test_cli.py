@@ -551,6 +551,20 @@ def test_exit_3_normal_icdf_outside_unit_interval(spec_file, capsys, argv):
     assert out.err.startswith("invalid input: ") and "normal_icdf" in out.err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_exit_4_on_a_value_json_cannot_hold(spec_file, capsys):
+    # (x y)^2 overflows to inf, which strict JSON has no word for
+    doc = {
+        "schema_version": 1,
+        "kernel": {"family": "power_series", "terms": [{"alpha": [2], "coeff": 1.0}]},
+        "measure": {"family": "gaussian", "mean": [0.0], "cov": [1.0]},
+    }
+    argv = ["eval", "--spec", spec_file(doc), "--what", "kernel", "--x", "1e200", "--y", "1e200"]
+    code, out = _run(capsys, argv)
+    assert code == 4 and out.out == ""
+    assert out.err.startswith("numerical failure: ") and '"value": Infinity' in out.err
+
+
 def test_bq_matrix_valued_exits_3(spec_file, capsys, tmp_path):
     # a matrix-valued embedding is rejected before its Gram is built,
     # as mmd rejects it

@@ -260,6 +260,25 @@ def test_matern_uniform_coefficients_keep_their_bits():
         assert MaternUniformCoefficients(n, 0.7, -0.5, 1.0).c == c
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+@pytest.mark.parametrize("lengthscale, high", [
+    (1.0, 1e300),  # r^2 past the float range
+    (1e-150, 1e10),  # (alpha / r)^2 below the normal range
+    (1e-300, 1e300),  # rho = r / alpha past the float range
+    (1e200, 1e300),  # alpha^2 past the float range
+])
+def test_matern_uniform_on_wide_boxes_is_finite(nu, lengthscale, high):
+    e = embed(MaternKernel(nu=nu, lengthscale=lengthscale), UniformBoxMeasure((0.0,), (high,)))
+    xs = [-high, 0.0, 1e-300, 0.25 * high, 0.5 * high, high, 2.0 * high]
+    kp = [e.kp_at([x]) for x in xs]
+    assert all(math.isfinite(v) and v >= 0.0 for v in kp)
+    assert math.isfinite(e.kpp) and e.kpp >= 0.0
+    # the box spans 1e10 lengthscales or more, so K_P is flat at the middle
+    mid = kp[4]
+    if mid > 1e-290:
+        assert e.kpp == pytest.approx(mid, rel=1e-6)
+
+
 # sha256 (first 16 hex digits) of matern_gauss_kp's kp_rows on 481 points
 # of [-12, 12], as little-endian float64, and the hex of its kpp, under
 # N(0.3, 1.44). At lengthscale 0.3 a branch's exponent passes

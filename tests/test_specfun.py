@@ -167,6 +167,9 @@ def test_lower_incomplete_gamma_monotone_saturates():
             assert v >= prev
             prev = v
         assert prev == pytest.approx(math.factorial(m), rel=1e-13)
+    # past exp(-x) = 0 the value is m!, where the sum would overflow
+    for x in (746.0, 1e200, math.inf):
+        assert [lower_incomplete_gamma_int(m, x) for m in range(5)] == [1.0, 1.0, 2.0, 6.0, 24.0]
 
 
 def _bernoulli_fourier(degree: int, t: float, terms: int = 200_000) -> float:
@@ -348,41 +351,6 @@ def _ref_log_normal_cdf(x):
     return math.log(p)
 
 
-def _ref_normal_icdf(p):
-    if p > 0.5:
-        return -_ref_normal_icdf(1.0 - p)
-    if p < 1e-20:
-        x = -math.sqrt(-2.0 * math.log(p))
-        for _ in range(50):
-            log_cdf = _ref_log_normal_cdf(x)
-            step = (log_cdf - math.log(p)) * math.exp(
-                log_cdf + 0.5 * x * x + 0.5 * math.log(2.0 * math.pi)
-            )
-            x -= step
-            if abs(step) <= 1e-16 * abs(x):
-                break
-        return x
-    x = -math.sqrt(-2.0 * math.log(p))
-    lo, hi = -40.0, 40.0
-    for _ in range(80):
-        f = _ref_normal_cdf(x) - p
-        if f > 0.0:
-            hi = min(hi, x)
-        elif f < 0.0:
-            lo = max(lo, x)
-        else:
-            return x
-        d = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        step = f / d if d > 0.0 else 0.0
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    return x
-
-
 _REFERENCES = {
     erf: _ref_erf,
     erfc: _ref_erfc,
@@ -440,6 +408,8 @@ def test_every_route_has_the_bits_of_the_scalar_reference(fn):
 
 
 def test_normal_icdf_has_the_bits_of_the_scalar_reference():
+    # the float route is the reference: whole arrays, any shape, and
+    # arrays below the masked route's cut-off give each value its bits
     rng = np.random.default_rng(21)
     ps = np.concatenate([
         rng.uniform(0.0, 1.0, 96_000),
@@ -449,14 +419,54 @@ def test_normal_icdf_has_the_bits_of_the_scalar_reference():
     ])
     ps = ps[(ps > 0.0) & (ps < 1.0)]
     assert ps.size >= 100_000 and np.sum(ps < 1e-20) > 1_000
-    ref = np.array([_ref_normal_icdf(v) for v in ps.tolist()])
+    floats = [normal_icdf(v) for v in ps.tolist()]
+    assert all(type(v) is float for v in floats)
+    ref = np.array(floats)
     assert normal_icdf(ps).tobytes() == ref.tobytes()
     assert normal_icdf(ps.reshape(-1, 5)).tobytes() == ref.tobytes()
-    picks = np.linspace(0, ps.size - 1, 300).astype(int).tolist() + list(range(ps.size - 5, ps.size))
-    floats = [normal_icdf(float(ps[i])) for i in picks]
-    assert all(type(v) is float for v in floats)
-    assert np.array(floats).tobytes() == ref[picks].tobytes()
     assert normal_icdf(ps[:7]).tobytes() == ref[:7].tobytes()
+    rows = ps[: 40 * 64].reshape(40, 64)
+    assert np.concatenate([normal_icdf(r) for r in rows]).tobytes() == ref[: rows.size].tobytes()
+
+
+def _mp_normal_icdf(mpmath, p):
+    """The root of log Phi(x) = log p to 40 digits, by mpmath's secant
+    method from normal_icdf(p); findroot checks the root it returns.
+    Above 1/2 the quantile is -x(1 - p), with 1 - p exact in double."""
+    q = min(p, 1.0 - p)
+    with mpmath.workdps(40):
+        x = mpmath.findroot(lambda x: mpmath.log(mpmath.ncdf(x) / q), normal_icdf(q))
+    return x if p <= 0.5 else -x
+
+
+def test_normal_icdf_within_1e_15_of_40_digit_values():
+    mpmath = pytest.importorskip("mpmath")
+    edges = [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)]  # where the forms change
+    ps = np.concatenate([
+        [5e-324, 1e-300, 1e-20, 1.0 - 2.0**-53],
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        np.geomspace(5e-324, 0.5, 240),
+        1.0 - np.geomspace(2.0**-53, 0.5, 160),
+        np.linspace(0.005, 0.995, 100),
+    ])
+    ps = ps[ps != 0.5]
+    assert ps.size >= 500
+    for p in ps.tolist():
+        want = _mp_normal_icdf(mpmath, p)
+        assert abs((normal_icdf(p) - want) / want) <= 1e-15, p
+
+
+def test_normal_icdf_is_zero_at_one_half_and_odd_about_it():
+    assert normal_icdf(0.5) == 0.0 and math.copysign(1.0, normal_icdf(0.5)) == 1.0
+    rng = np.random.default_rng(22)
+    p = np.concatenate([
+        rng.uniform(0.5, 1.0, 20_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, -0.31, 2_000),
+        [np.nextafter(0.5, 1.0), 0.925, np.nextafter(0.925, 1.0), np.nextafter(1.0, 0.0)],
+    ])
+    p = p[(p > 0.5) & (p < 1.0)]
+    assert normal_icdf(1.0 - p).tobytes() == (-normal_icdf(p)).tobytes()
+    assert all(normal_icdf(1.0 - v) == -normal_icdf(v) for v in p[:500].tolist())
 
 
 def test_arrays_mixing_regions_have_the_bits_of_the_scalar_reference():
