@@ -445,42 +445,33 @@ def cmd_verify(args) -> int:
             f"pair {embedding.pair_id} has no closed form to verify"
         )
     checks = []
-    all_pass = True
-    if embedding.kp_provenance == CLOSED_FORM:
-        points = measure.sample(args.points, seed)
-        # the oracle first: it rejects a pair it cannot integrate (a
-        # matrix-valued kernel) with a typed error
-        estimates = oracle.estimate_kp_rows(kernel, measure, points, budget=budget, seed=seed)
-        closed_values = embedding.kp_rows(points).tolist()
+
+    def check(closed, est, **where):
         # a check passes within tol or the estimate's band: 3 stderr, or
         # the Student-t quantile of a randomized rule's replicates
-        for row, closed, est in zip(points, closed_values, estimates):
-            ok = bool(abs(closed - est.value) <= max(args.tol, est.band))
-            all_pass = all_pass and ok
-            checks.append(
-                {
-                    "what": "kp",
-                    "x": [float(v) for v in np.atleast_1d(row)],
-                    "closed": closed,
-                    "oracle": float(est.value),
-                    "stderr": float(est.stderr),
-                    "pass": ok,
-                }
-            )
-    if embedding.kpp_provenance == CLOSED_FORM:
-        est = oracle.estimate_kpp(kernel, measure, budget=budget, seed=seed)
-        closed = float(embedding.kpp)
         ok = bool(abs(closed - est.value) <= max(args.tol, est.band))
-        all_pass = all_pass and ok
         checks.append(
             {
-                "what": "kpp",
+                **where,
                 "closed": closed,
                 "oracle": float(est.value),
                 "stderr": float(est.stderr),
                 "pass": ok,
             }
         )
+
+    if embedding.kp_provenance == CLOSED_FORM:
+        points = measure.sample(args.points, seed)
+        # the oracle first: it rejects a pair it cannot integrate (a
+        # matrix-valued kernel) with a typed error
+        estimates = oracle.estimate_kp_rows(kernel, measure, points, budget=budget, seed=seed)
+        closed_values = embedding.kp_rows(points).tolist()
+        for row, closed, est in zip(points, closed_values, estimates):
+            check(closed, est, what="kp", x=[float(v) for v in np.atleast_1d(row)])
+    if embedding.kpp_provenance == CLOSED_FORM:
+        est = oracle.estimate_kpp(kernel, measure, budget=budget, seed=seed)
+        check(float(embedding.kpp), est, what="kpp")
+    all_pass = all(c["pass"] for c in checks)
     _emit({"pair": embedding.pair_id, "checks": checks, "pass": all_pass})
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 

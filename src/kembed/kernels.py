@@ -112,13 +112,8 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray, scale=None) -> np.ndarray:
     its slow reduction along a short axis; from 8 up numpy sums pairwise,
     and np.sum itself is used. Each column's temporary is freed once it
     is added, so at most two arrays of the result's shape are held at a
-    time."""
+    time. A square past the float range is inf, without a warning."""
     d = X.shape[-1]
-    if not 0 < d < 8:
-        Z = Y - X
-        if scale is not None:
-            Z = Z / np.asarray(scale)
-        return np.sum(Z * Z, axis=-1)
 
     def column(j):
         z = Y[..., j] - X[..., j]
@@ -127,9 +122,15 @@ def _sq_dist(X: np.ndarray, Y: np.ndarray, scale=None) -> np.ndarray:
         z *= z
         return z
 
-    out = column(0)
-    for j in range(1, d):
-        out += column(j)
+    with np.errstate(over="ignore"):
+        if not 0 < d < 8:
+            Z = Y - X
+            if scale is not None:
+                Z = Z / np.asarray(scale)
+            return np.sum(Z * Z, axis=-1)
+        out = column(0)
+        for j in range(1, d):
+            out += column(j)
     return out
 
 
@@ -295,8 +296,8 @@ class Kernel:
         so memory grows with n times the block, not n^2; the result is
         w @ v. A symmetric family adds each off-diagonal block to v
         twice, once for its rows and once, transposed, for its columns.
-        A Matern kernel on 1-d points, also as a composed kernel's base,
-        sums over the sorted points in linear time instead
+        Where :meth:`line_form` finds a Matern Gram on a line, the sum runs
+        over the sorted points in linear time instead
         (:meth:`MaternKernel._gram_form`). Either moves the last bits
         only: the result agrees with
         ``w @ gram(X) @ w`` within 1e-14 of |w|^T |K(X, X)| |w|."""
@@ -331,6 +332,11 @@ class Kernel:
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             yield lo, hi, self._pairs(X[lo:hi, None, :], X[None, lo:, :])
+
+    def line_form(self, X):
+        """(kernel, x) when the Gram of the (n, d) points X is a ``MaternKernel``'s
+        on 1-d points x, which bq and ``gram_form`` take in linear time; else None."""
+        return None
 
     def _checked_points(self, X) -> np.ndarray:
         """X as finite (n, d) points in the kernel's domain."""
@@ -438,10 +444,12 @@ class GaussianKernel(Kernel):
         x = as_point(x, self.dim)
         y = as_point(y, self.dim)
         d = x - y
-        if self.diagonal:
-            z = d / np.asarray(self.lengthscales)
-            return math.exp(-0.5 * float(z @ z))
-        return math.exp(-0.5 * float(d @ np.linalg.solve(self.matrix, d)))
+        # a square past the float range is inf, and the value 0.0
+        with np.errstate(over="ignore"):
+            if self.diagonal:
+                z = d / np.asarray(self.lengthscales)
+                return math.exp(-0.5 * float(z @ z))
+            return math.exp(-0.5 * float(d @ np.linalg.solve(self.matrix, d)))
 
     def _pairs(self, X, Y):
         if self.diagonal:
@@ -492,6 +500,74 @@ def matern_half_integer(n: int, tau: float) -> float:
     return math.exp(-z) * sum(float(a) * z**m for m, a in enumerate(_matern_profile(n)))
 
 
+# The state-space model of the half-integer Matern process f of order n
+# (Hartikainen and Sarkka 2010). In time scaled by beta (see
+# ``MaternKernel._scaled``) f is the first entry of the state x = (x_0,
+# .., x_3), x_0 = f, of dx_k = (x_(k+1) - x_k) du driven by white noise in
+# x_n; entries past n are 0. Its transition over a scaled gap d is
+# A = e^(-d) sum_k J^k c_k, J the shift, c_k = d^k / k!; the noise adds
+# Q(d) of :func:`_matern_state_noise`. The entries (i, j), i <= j, of the
+# 4 x 4 state covariance, in the order of p00, p01, .., p33:
+_STATE_ENTRIES = tuple((i, j) for i in range(4) for j in range(i, 4))
+
+
+@functools.cache
+def _matern_stationary_covariance(n: int) -> tuple[float, ...]:
+    """The stationary covariance P_inf of the state of the half-integer
+    Matern process of order n over _STATE_ENTRIES, 0 past entry n:
+    P_ij = 2^(i+j) (n!)^2 (2n-i-j)! / ((2n)! (n-i)! (n-j)!), so that
+    P_00 = 1 and P_k0 = k! a_k, a_k the exact profile of
+    :func:`_matern_profile`."""
+    f = math.factorial
+    return tuple(
+        2 ** (i + j) * f(n) ** 2 * f(2 * n - i - j) / (f(2 * n) * f(n - i) * f(n - j))
+        if j <= n
+        else 0.0
+        for i, j in _STATE_ENTRIES
+    )
+
+
+def _matern_state_noise(n: int, gaps: np.ndarray) -> list[list[float]]:
+    """Q(d) = P_inf - A P_inf A^T, the state covariance that the driving
+    noise adds over each scaled gap d, as one list over the gaps per entry
+    of _STATE_ENTRIES. The noise enters x_n, and e^(sF) e_n has entries
+    e^(-s) s^(n-i) / (n-i)!, so Q_ij(d) = P_inf,ij R_(2n+1-i-j)(2d), R_s(x)
+    = e^(-x) sum_(t >= s) x^t / t! the regularized lower incomplete gamma
+    function. It is summed as that series of positive terms where x < s,
+    and as 1 - e^(-x) sum_(t < s) x^t / t! where x >= s, so that the
+    entries of Q keep their relative precision however small the gap: Q_00
+    is of order d^(2n+1), which the difference P_inf - A P_inf A^T loses
+    below about 1e-16."""
+    top = 2 * n + 1
+    x = 2.0 * gaps
+    decay = np.exp(-x)
+    s = np.arange(1, top + 1)[:, None]
+    # R_s(x) in row s - 1, s = 1 .. top: first 1 - e^(-x) sum_(t < s) x^t / t!
+    heads = np.cumsum(np.cumprod(np.vstack([np.ones_like(x), x / s[:-1]]), axis=0), axis=0)
+    regularized = 1.0 - decay * heads
+    near = x < top
+    if near.any():
+        # then, where x < s, the series from t = s, to the term at which
+        # x^t / t! has fallen below 1e-17 of x^s / s!: k terms past s, for
+        # the k at which x^k / (k + 1)! < 1e-17 at the largest such x
+        reach = float(x[near].max())
+        k, ratio = 0, 1.0
+        while ratio >= 1e-17:
+            k += 1
+            ratio *= reach / (k + 1)
+        last = top + k
+        xs = x[near]
+        t = np.arange(1, last + 1)[:, None]
+        terms = np.cumprod(np.vstack([np.ones_like(xs), xs / t]), axis=0)
+        tails = decay[near] * np.cumsum(terms[::-1], axis=0)[::-1][1 : top + 1]
+        regularized[:, near] = np.where(xs < s, tails, regularized[:, near])
+    noise = np.zeros((len(_STATE_ENTRIES), len(gaps)))
+    for row, ((i, j), p) in enumerate(zip(_STATE_ENTRIES, _matern_stationary_covariance(n))):
+        if p:
+            noise[row] = p * regularized[top - 1 - i - j]
+    return noise.tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class MaternKernel(Kernel):
     """Matern kernel at half-integer smoothness nu = n + 1/2, n in {0..3}."""
@@ -539,6 +615,13 @@ class MaternKernel(Kernel):
         z = math.sqrt(7.0) * t
         return (1.0 + z + 0.4 * z * z + z ** 3 / 15.0) * np.exp(-z)
 
+    def line_form(self, X):
+        return (self, X[:, 0]) if X.shape[1:] == (1,) else None
+
+    def _scaled(self, d):
+        """beta d, beta = sqrt(2n + 1) / l, clipped at _MATERN_FAR."""
+        return np.minimum(math.sqrt(2 * self.n + 1) / self.lengthscale * d, _MATERN_FAR)
+
     def _gram_form(self, X, w):
         """On 1-d points, w^T K w in O(n (nu + 1/2)^2) after a sort: the
         state-space form of the kernel (Hartikainen and Sarkka 2010),
@@ -555,7 +638,7 @@ class MaternKernel(Kernel):
         sum_i w_i^2 + 2 sum_(j<i) w_i w_j K_ij; with positive weights
         every term is positive and nothing cancels. Points of d >= 2
         take the dense path."""
-        if X.shape[1] != 1:
+        if self.line_form(X) is None:
             return super()._gram_form(X, w)
         x, n = X[:, 0], len(X)
         if n < 2:
@@ -624,12 +707,11 @@ class MaternKernel(Kernel):
         point sees (see :meth:`_gram_form`)."""
         a = self.profiles[self.n]
         p = len(a)
-        beta = math.sqrt(2 * self.n + 1) / self.lengthscale
         powers = np.arange(p)
 
         def decay(d):
             # e^(-u) u^m at u = beta d, for m = 0..nu - 1/2 along a new last axis
-            d = np.minimum(beta * d, _MATERN_FAR)[..., None]
+            d = self._scaled(d)[..., None]
             return np.exp(-d) * d ** powers
 
         starts = xs[:, 0]
@@ -799,9 +881,11 @@ class PowerSeriesKernel(Kernel):
 
     def _pairs(self, X, Y):
         out = 0.0
-        for alpha, c in self.terms:
-            a = np.asarray(alpha, dtype=float)
-            out = out + c * np.prod(X ** a, axis=1) * np.prod(Y ** a, axis=1)
+        # an overflow is inf, which no caller takes: the CLI exits 4 on it
+        with np.errstate(over="ignore"):
+            for alpha, c in self.terms:
+                a = np.asarray(alpha, dtype=float)
+                out = out + c * np.prod(X ** a, axis=1) * np.prod(Y ** a, axis=1)
         return out
 
 
@@ -1153,6 +1237,9 @@ class ComposedKernel(Kernel):
 
     def gram_form(self, X, w):
         return self.base.gram_form(self.map(self._checked_points(X)), w)
+
+    def line_form(self, X):
+        return self.base.line_form(self._images(X)[0])
 
     def _images(self, *arrays):
         """The map's image of each array, as the base kernel's checked

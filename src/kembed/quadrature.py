@@ -4,7 +4,6 @@ mean discrepancy."""
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
@@ -14,7 +13,7 @@ import numpy as np
 
 from .dictionary import CLOSED_FORM, Embedding, cross_kpq, embed
 from .errors import InvalidSpecError, NumericalFailure, UnsupportedPairError
-from .kernels import _MATERN_FAR, Kernel, MaternKernel, _floats, as_points
+from .kernels import Kernel, _floats, _matern_state_noise, as_points
 from .measures import Measure
 
 __all__ = [
@@ -58,9 +57,9 @@ class QuadratureProblem:
     here is checked for shape, finiteness and symmetry and is the one
     every solve uses. Without one (``gram=None``) the Gram is built from
     the embedding's kernel on first read of ``gram`` and checked for
-    finiteness then; a Matern kernel on 1-d nodes then never needs it, as
-    its solves and ``wce`` run on the sorted nodes in linear time. The
-    fields are read-only, as they were checked together."""
+    finiteness then; a kernel with a ``line_form`` on the nodes then never
+    needs it, as its solves and ``wce`` run on the sorted points in linear
+    time. The fields are read-only, as they were checked together."""
 
     def __init__(
         self,
@@ -95,9 +94,10 @@ class QuadratureProblem:
             raise InvalidSpecError(
                 f"nodes {pair[0]} and {pair[1]} coincide within {_DISTINCT_TOL}"
             )
-        # the solves run on the sorted nodes when the problem was given no
-        # Gram and its kernel is a Matern kernel on 1-d nodes
-        object.__setattr__(self, "_line", gram is None and _on_a_line(embedding.kernel, nodes))
+        # the solves run on the sorted 1-d points of the kernel's line form
+        # when the problem was given no Gram
+        line = embedding.kernel.line_form(nodes) if gram is None else None
+        object.__setattr__(self, "_line", line)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -124,13 +124,6 @@ class QuadratureProblem:
                 raise InvalidSpecError("gram and embedding values must be finite")
             object.__setattr__(self, "_gram", gram)
         return self._gram
-
-
-def _on_a_line(kernel: Kernel, nodes: np.ndarray) -> bool:
-    """True when the Gram of the nodes has the state-space form of
-    :func:`_kalman_solve`: a Matern kernel of one of its half-integer
-    orders on 1-d nodes."""
-    return isinstance(kernel, MaternKernel) and nodes.ndim == 2 and nodes.shape[1] == 1
 
 
 def _kernel_gram(kernel: Kernel, nodes: np.ndarray) -> np.ndarray:
@@ -208,7 +201,7 @@ class BQPosterior:
     """Gaussian posterior over the integral: N(mean, variance), with
     the quadrature weights and the diagonal jitter used to factor the
     Gram matrix; the solver of the rung kept (``"kalman"`` on the sorted
-    nodes of a 1-d Matern problem, ``"cholesky"`` on the Gram matrix,
+    points of a kernel's line form, ``"cholesky"`` on the Gram matrix,
     None when there are no nodes), the jitter of each rung tried, in
     order, and the relative residual |(C + jI) w - m| / |m| of the rung kept."""
 
@@ -262,10 +255,10 @@ def make_problem(
 def _solve_gram(problem: QuadratureProblem) -> _GramSolve:
     """Solve (C + jI) w = m. A fixed problem jitter is used as given;
     otherwise the diagonal jitter j escalates along the ladder until a
-    rung factors and its residual is small. A 1-d Matern problem factors
-    by :func:`_kalman_solve` on the sorted nodes, in linear time, takes
-    C w from ``MaternKernel._line_matvec`` and never builds its Gram; a
-    rung fails there when an innovation variance is at most
+    rung factors and its residual is small. A problem on a line form
+    factors by :func:`_kalman_solve` on the sorted points, in linear time,
+    takes C w from the line kernel's ``_line_matvec`` and never builds its
+    Gram; a rung fails there when an innovation variance is at most
     _INNOVATION_FLOOR. Every other problem factors its Gram by Cholesky,
     and a rung fails when the factorization does. Both keep a rung only
     when |(C + jI) w - m| <= _RESIDUAL_TOL |m|."""
@@ -332,18 +325,14 @@ def _cholesky_rungs(problem: QuadratureProblem):
 
 
 def _kalman_rungs(problem: QuadratureProblem):
-    """The rung function of a 1-d Matern problem: jit -> (w, (C + jit I) w,
+    """The rung function on the line form: jit -> (w, (C + jit I) w,
     "kalman"), or None when an innovation variance of C + jit I is at
     most _INNOVATION_FLOOR. Every rung jit >= 1e-12 clears the floor."""
-    kernel = problem.embedding.kernel
-    x = problem.nodes[:, 0]
+    kernel, x = problem._line
     order = np.argsort(x, kind="stable")
-    xs = x[order]
-    # the scaled gap from each sorted node to the one before it, clipped as
-    # MaternKernel clips its distances; the first node's is the clip itself,
-    # across which the state forgets all (e^(-_MATERN_FAR) is 0.0)
-    beta = math.sqrt(2 * kernel.n + 1) / kernel.lengthscale
-    gaps = np.minimum(beta * np.diff(xs, prepend=-np.inf), _MATERN_FAR)
+    # the scaled gap from each sorted node to the one before it; the first
+    # node's is the clip itself, across which the state forgets all
+    gaps = kernel._scaled(np.diff(x[order], prepend=-np.inf))
     steps = tuple(c.tolist() for c in (np.exp(-gaps), gaps, gaps * gaps / 2.0, gaps**3 / 6.0))
     noise = _matern_state_noise(kernel.n, gaps)
     m = problem.m[order].tolist()
@@ -359,91 +348,23 @@ def _kalman_rungs(problem: QuadratureProblem):
     return rung
 
 
-# The entries (i, j), i <= j, of the 4 x 4 state covariance that the
-# filter carries, in the order of its variables p00, p01, .., p33.
-_STATE_ENTRIES = tuple((i, j) for i in range(4) for j in range(i, 4))
-
-
-@functools.cache
-def _matern_stationary_covariance(n: int) -> tuple[float, ...]:
-    """The stationary covariance P_inf of the state of the half-integer
-    Matern process of order n (see :func:`_kalman_solve`) over
-    _STATE_ENTRIES, 0 past entry n: P_ij = 2^(i+j) (n!)^2 (2n-i-j)! /
-    ((2n)! (n-i)! (n-j)!), so that P_00 = 1 and P_k0 = k! a_k, a_k the
-    exact profile of ``kernels._matern_profile``."""
-    f = math.factorial
-    return tuple(
-        2 ** (i + j) * f(n) ** 2 * f(2 * n - i - j) / (f(2 * n) * f(n - i) * f(n - j))
-        if j <= n
-        else 0.0
-        for i, j in _STATE_ENTRIES
-    )
-
-
-def _matern_state_noise(n: int, gaps: np.ndarray) -> list[list[float]]:
-    """Q(d) = P_inf - A P_inf A^T, the state covariance that the driving
-    noise adds over each scaled gap d, as one list over the gaps per entry
-    of _STATE_ENTRIES. The noise enters x_n, and e^(sF) e_n has entries
-    e^(-s) s^(n-i) / (n-i)!, so Q_ij(d) = P_inf,ij R_(2n+1-i-j)(2d), R_s(x)
-    = e^(-x) sum_(t >= s) x^t / t! the regularized lower incomplete gamma
-    function. It is summed as that series of positive terms where x < s,
-    and as 1 - e^(-x) sum_(t < s) x^t / t! where x >= s, so that the
-    entries of Q keep their relative precision however small the gap: Q_00
-    is of order d^(2n+1), which the difference P_inf - A P_inf A^T loses
-    below about 1e-16."""
-    top = 2 * n + 1
-    x = 2.0 * gaps
-    decay = np.exp(-x)
-    s = np.arange(1, top + 1)[:, None]
-    # R_s(x) in row s - 1, s = 1 .. top: first 1 - e^(-x) sum_(t < s) x^t / t!
-    heads = np.cumsum(np.cumprod(np.vstack([np.ones_like(x), x / s[:-1]]), axis=0), axis=0)
-    regularized = 1.0 - decay * heads
-    near = x < top
-    if near.any():
-        # then, where x < s, the series from t = s, to the term at which
-        # x^t / t! has fallen below 1e-17 of x^s / s!: k terms past s, for
-        # the k at which x^k / (k + 1)! < 1e-17 at the largest such x
-        reach = float(x[near].max())
-        k, ratio = 0, 1.0
-        while ratio >= 1e-17:
-            k += 1
-            ratio *= reach / (k + 1)
-        last = top + k
-        xs = x[near]
-        t = np.arange(1, last + 1)[:, None]
-        terms = np.cumprod(np.vstack([np.ones_like(xs), xs / t]), axis=0)
-        tails = decay[near] * np.cumsum(terms[::-1], axis=0)[::-1][1 : top + 1]
-        regularized[:, near] = np.where(xs < s, tails, regularized[:, near])
-    noise = np.zeros((len(_STATE_ENTRIES), len(gaps)))
-    for row, ((i, j), p) in enumerate(zip(_STATE_ENTRIES, _matern_stationary_covariance(n))):
-        if p:
-            noise[row] = p * regularized[top - 1 - i - j]
-    return noise.tolist()
-
-
 def _kalman_solve(m, steps, noise, jit):
     """w = (K + jit I)^(-1) m for a Matern kernel on sorted 1-d nodes, as
     lists of floats, or None as soon as an innovation variance is at most
-    _INNOVATION_FLOOR.
-
-    In time scaled by beta = sqrt(2n + 1) / l the Matern process f of
-    order n is the first entry of the state x = (x_0, .., x_3), x_0 = f,
-    of dx_k = (x_(k+1) - x_k) du driven by white noise in x_n
-    (Hartikainen and Sarkka 2010); entries past n are 0. Its transition
-    over a scaled gap d is A = e^(-d) sum_k J^k d^k / k!, J the shift,
-    an upper triangular Toeplitz matrix of c_k = d^k / k!.
+    _INNOVATION_FLOOR, on the state-space model of
+    ``kernels._STATE_ENTRIES``: ``steps`` holds e^(-d), c_1, c_2, c_3 of
+    each node's transition A from the one before, and ``noise`` its Q(d).
 
     The forward pass is the Kalman filter of the data m with noise
     variance jit: the innovation variances D and the innovations z are
     the LDL^T factors of K + jit I in the sorted order and L^(-1) m. It
     carries the filtered state covariance P itself, predicted as A P A^T
-    + Q(d) (``noise``, see :func:`_matern_state_noise`), so that each
+    + Q(d), so that each
     innovation variance, the conditional variance of f at a node given
     the nodes before it, is a sum of small nonnegative terms and keeps
     its relative precision on nodes however close. The reverse pass
-    applies L^(-T) to D^(-1) z, the filter's adjoint. ``steps`` holds
-    e^(-d), c_1, c_2, c_3 for each node's gap from the one before. Each
-    step is scalar arithmetic on a state of four entries, O(n) in all."""
+    applies L^(-T) to D^(-1) z, the filter's adjoint. Each step is scalar
+    arithmetic on a state of four entries, O(n) in all."""
     x0 = x1 = x2 = x3 = 0.0
     p00 = p01 = p02 = p03 = p11 = p12 = p13 = p22 = p23 = p33 = 0.0
     # the reverse pass's data, one list per quantity
@@ -579,13 +500,14 @@ def bq_posterior(problem: QuadratureProblem) -> BQPosterior:
 
 def wce(problem: QuadratureProblem, weights) -> float:
     """Worst-case integration error of a weighted rule at the problem's
-    nodes: sqrt(K_PP - 2 w^T m + w^T C w). A 1-d Matern problem reads
-    w^T C w from ``gram_form`` in linear time, without the Gram."""
+    nodes: sqrt(K_PP - 2 w^T m + w^T C w). A problem with a line form
+    reads w^T C w from ``gram_form`` on its line, without the Gram."""
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if w.shape != (problem.n,):
         raise InvalidSpecError("one weight per node is required")
     if problem._line:
-        quadratic = problem.embedding.kernel.gram_form(problem.nodes, w)
+        kernel, x = problem._line
+        quadratic = kernel.gram_form(x[:, None], w)
     else:
         quadratic = float(w @ problem.gram @ w)
     radicand = problem.kpp - 2.0 * float(w @ problem.m) + quadratic

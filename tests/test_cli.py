@@ -551,7 +551,28 @@ def test_exit_3_normal_icdf_outside_unit_interval(spec_file, capsys, argv):
     assert out.err.startswith("invalid input: ") and "normal_icdf" in out.err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+_BOX1 = {"family": "uniform_box", "lows": [0.0], "highs": [1.0]}
+_FAR_PAIR = ["--what", "kernel", "--x", "0", "--y", "1e200"]
+
+
+@pytest.mark.parametrize("kernel, argv, provenance", [
+    ({"family": "matern", "nu": 2.5, "lengthscale": 1.0}, _FAR_PAIR, "closed_form"),
+    ({"family": "wendland", "order": 2, "lengthscale": 1.0}, _FAR_PAIR, "closed_form"),
+    ({"family": "wendland", "order": 2, "lengthscale": 1.0}, ["--what", "kp", "--x", "1e200"],
+     "numeric_fallback"),
+    ({"family": "gaussian", "lengthscales": [1.0]}, _FAR_PAIR, "closed_form"),
+], ids=["matern", "wendland", "wendland-kp", "gaussian"])
+def test_a_clipped_overflow_leaves_stderr_empty(spec_file, capsys, kernel, argv, provenance):
+    # a squared distance past the float range is inf, which each kernel
+    # clips or sends to 0: the value is right, and under the suite's
+    # warnings-as-errors filter no RuntimeWarning is raised
+    doc = {"schema_version": 1, "kernel": kernel, "measure": _BOX1}
+    code, out = _run(capsys, ["eval", "--spec", spec_file(doc), *argv])
+    pair = f"{kernel['family']}/uniform_box"
+    want = f'{{"value": 0.0, "provenance": "{provenance}", "pair": "{pair}"}}\n'
+    assert (code, out.out, out.err) == (0, want, "")
+
+
 def test_exit_4_on_a_value_json_cannot_hold(spec_file, capsys):
     # (x y)^2 overflows to inf, which strict JSON has no word for
     doc = {

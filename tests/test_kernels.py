@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kembed.dictionary import embed
 from kembed.errors import InvalidSpecError
 from kembed.kernels import (
     AffineMap,
@@ -32,6 +33,8 @@ from kembed.kernels import (
     matern_half_integer,
     periodic_sobolev_series,
 )
+from kembed.measures import UniformBoxMeasure
+from kembed.quadrature import bq_posterior, make_problem
 
 
 def _psd_check(kernel, points, tol=1e-8):
@@ -375,6 +378,18 @@ def test_composed_matern_reaches_the_line_form(count_calls):
     k.gram_form([[0.2], [0.5], [0.9]], [0.2, 0.3, 0.5])
     SumKernel([MaternKernel(nu=2.5)], [1.0]).gram_form(np.ones((3, 1)), np.ones(3))
     assert [V.shape for V in calls] == [(3, 1)]
+    # the same line form chooses the solver of bq: the composed kernel
+    # takes the Kalman route, a sum of one Matern kernel and Matern nodes
+    # in 2-d the Cholesky
+    line, square = (UniformBoxMeasure(lows=(0.0,) * d, highs=(1.0,) * d) for d in (1, 2))
+    cases = [
+        (k, line, [[0.2], [0.5], [0.9]], "kalman"),
+        (SumKernel([MaternKernel(nu=2.5)], [1.0]), line, [[0.2], [0.5], [0.9]], "cholesky"),
+        (MaternKernel(nu=2.5), square, [[0.2, 0.1], [0.5, 0.3], [0.9, 0.2]], "cholesky"),
+    ]
+    for kernel, measure, nodes, solver in cases:
+        problem = make_problem(embed(kernel, measure), nodes, [0.1, 0.4, 0.2])
+        assert bq_posterior(problem).solver == solver
 
 
 @pytest.mark.parametrize("n", range(4))

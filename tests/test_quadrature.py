@@ -18,6 +18,7 @@ from kembed.kernels import (
     ComposedKernel,
     GaussianKernel,
     MaternKernel,
+    NormalICDFMap,
     PowerSeriesKernel,
     SumKernel,
     WendlandKernel,
@@ -630,10 +631,15 @@ def test_closed_form_rows_are_per_row_kp_at():
 
 
 
-def _line_and_dense(nu, n, jitter, layout):
+def _line_and_dense(nu, n, jitter, layout, map=None):
     # a 1-d Matern problem and the same problem with its Gram. The nodes
     # spread geometrically from 1e-3 to 1e3 lengthscales, in random order,
-    # or fall uniformly at random on [0, layout] lengthscales
+    # or fall uniformly at random on [0, layout] lengthscales. Given a map,
+    # the kernel is the Matern kernel composed with it, and those are the
+    # images of the nodes; normal_icdf's are centred on 0, so that no two
+    # nodes coincide near 1, and its nodes fall under U[0, 1], whose image
+    # N(0, 1) has a closed form up to nu = 5/2. Every image box is at
+    # least 0.8 wide, past the narrow boxes that corrupt m itself
     lengthscale = 0.7
     if layout == "geometric":
         rng = np.random.default_rng([0, n])
@@ -641,7 +647,12 @@ def _line_and_dense(nu, n, jitter, layout):
     else:
         x = np.random.default_rng(n).uniform(0.0, layout * lengthscale, n)
     kernel = MaternKernel(nu=nu, lengthscale=lengthscale)
+    if map is not None:
+        kernel = ComposedKernel(kernel, map)
+        x = map.inverse(x - 0.5 * layout * lengthscale if map.name == "normal_icdf" else x)
     box = UniformBoxMeasure(lows=(float(x.min()) - 1.0,), highs=(float(x.max()) + 1.0,))
+    if map is not None and map.name == "normal_icdf":
+        box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
     line = make_problem(embed(kernel, box), x[:, None], np.sin(x / lengthscale), jitter=jitter)
     dense = QuadratureProblem(embedding=line.embedding, nodes=line.nodes, gram=kernel.gram(line.nodes),
                               m=line.m, values=line.values, jitter=jitter)
@@ -672,7 +683,29 @@ def _assert_one_sided_rungs(line, got, want):
 @pytest.mark.parametrize("n", [1, 2, 3, 33, 1000])
 @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
 def test_kalman_solve_agrees_with_the_dense_cholesky(nu, n, jitter, layout, monkeypatch):
-    line, dense = _line_and_dense(nu, n, jitter, layout)
+    _assert_the_line_route_agrees(*_line_and_dense(nu, n, jitter, layout), monkeypatch)
+
+
+_MAPS = {
+    "affine": AffineMap(2.5, -0.3),
+    "reflected": AffineMap(-0.4, 1.0),
+    "normal_icdf": NormalICDFMap(),
+}
+
+
+@pytest.mark.parametrize("map", sorted(_MAPS))
+@pytest.mark.parametrize("layout", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("n", [3, 33, 1000])
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_kalman_solve_on_composed_matern_agrees_with_the_dense_cholesky(nu, n, layout, map, monkeypatch):
+    # the same problems, on the ladder, on the line form of a composed
+    # Matern kernel; a fixed jitter takes the same path as above
+    line, dense = _line_and_dense(nu, n, None, layout, _MAPS[map])
+    _assert_the_line_route_agrees(line, dense, monkeypatch)
+
+
+def _assert_the_line_route_agrees(line, dense, monkeypatch):
+    n = line.n
     want = bq_posterior(dense)
     assert want.solver == "cholesky"
     with monkeypatch.context() as patch:
@@ -710,6 +743,30 @@ def test_kalman_solve_agrees_with_the_dense_cholesky(nu, n, jitter, layout, monk
     # K_PP - 2 w^T m + w^T C w, each read to its rounding
     scale = line.kpp + 2.0 * np.abs(w) @ np.abs(line.m) + np.abs(w) @ dense.gram @ np.abs(w)
     assert abs(line_wce**2 - wce(dense, w) ** 2) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_distinct_nodes_whose_images_coincide_fail_rung_0(nu, monkeypatch):
+    # two nodes 2e-12 apart are distinct, but their images under a
+    # contraction are 8e-13 apart, so from nu = 3/2 on the Gram is
+    # singular to rounding: the line route fails rung 0 at its floor, as
+    # the dense route does. At nu = 1/2 the pair leaves an innovation
+    # variance of 2.3e-12, above the floor, and both routes keep rung 0
+    kernel = ComposedKernel(MaternKernel(nu=nu, lengthscale=0.7), AffineMap(0.4, 0.0))
+    x = np.random.default_rng(0).uniform(0.0, 5.0, 50)
+    x = np.append(x, x[0] + 2e-12)
+    e = embed(kernel, UniformBoxMeasure(lows=(-1.0,), highs=(6.0,)))
+    line = make_problem(e, x[:, None], np.sin(x))
+    dense = QuadratureProblem(embedding=e, nodes=line.nodes, gram=kernel.gram(line.nodes),
+                              m=line.m, values=line.values)
+    want = bq_posterior(dense)
+    with monkeypatch.context() as patch:
+        _refuse_the_gram(patch)
+        got = bq_posterior(line)
+        assert (quadrature._kalman_rungs(line)(0.0) is None) == (nu > 0.5)
+    assert (want.rungs[0] == 0.0 < want.jitter) == (nu > 0.5)
+    assert got.solver == "kalman"
+    _assert_one_sided_rungs(line, got, want)
 
 
 @pytest.mark.parametrize("nu, n, layout", [(1.5, 1000, 1.0), (2.5, 33, 0.1)])
@@ -782,10 +839,10 @@ def test_matern_state_noise_keeps_its_relative_precision():
     rng = np.random.default_rng(5)
     gaps = np.concatenate([[1e-30, 1e-9, 0.5, 1.0, 3.5, 1e3], np.exp(rng.uniform(-25.0, 2.0, 40))])
     for order in range(4):
-        noise = np.array(quadrature._matern_state_noise(order, gaps)).T
-        stationary = quadrature._matern_stationary_covariance(order)
+        noise = np.array(kernels._matern_state_noise(order, gaps)).T
+        stationary = kernels._matern_stationary_covariance(order)
         full = np.zeros((4, 4))
-        for k, ((i, j), p) in enumerate(zip(quadrature._STATE_ENTRIES, stationary)):
+        for k, ((i, j), p) in enumerate(zip(kernels._STATE_ENTRIES, stationary)):
             full[i, j] = full[j, i] = p
             if not p:
                 # past the state of order n
@@ -801,7 +858,7 @@ def test_matern_state_noise_keeps_its_relative_precision():
                 shift = np.eye(4, k=1)
                 a = math.exp(-d) * sum(np.linalg.matrix_power(shift, k) * d**k / math.factorial(k) for k in range(4))
                 q = np.zeros((4, 4))
-                for (i, j), v in zip(quadrature._STATE_ENTRIES, row):
+                for (i, j), v in zip(kernels._STATE_ENTRIES, row):
                     q[i, j] = q[j, i] = v
                 assert np.abs(q - (full - a @ full @ a.T)).max() <= 1e-15
 
