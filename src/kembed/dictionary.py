@@ -102,6 +102,11 @@ NUMERIC_FALLBACK = "numeric_fallback"
 # Exponent size above which the exp * Phi products of the Matern-Gauss
 # embeddings switch to the scaled-complementary-erf evaluation.
 _STABLE_EXPONENT = 40.0
+# Standard deviations past which a Gaussian's tail mass, below
+# e^(-t^2 / 2) / t, is under half the smallest subnormal (from t = 38.6 on):
+# an embedding under N(mu, sigma^2) that this tail bounds is 0.0 there, and
+# its formula, whose terms overflow far out, is not evaluated.
+_GAUSS_TAIL = 40.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +285,9 @@ def gauss_gauss(kernel: GaussianKernel, measure: GaussianMeasure):
         pref = np.prod(np.sqrt(l2 / (l2 + s2)))
 
         def kp_rows(X):
-            z = (X - mu) ** 2 / (l2 + s2)
+            # a square past the float range is inf, and the value 0.0
+            with np.errstate(over="ignore"):
+                z = (X - mu) ** 2 / (l2 + s2)
             return pref * exp_each(-0.5 * np.sum(z, axis=1))
 
         kpp = float(np.prod(np.asarray(kernel.lengthscales) / np.sqrt(l2 + 2.0 * s2)))
@@ -295,8 +302,10 @@ def gauss_gauss(kernel: GaussianKernel, measure: GaussianMeasure):
         def kp_rows(X):
             V = (X - mu)[:, :, None]
             # one solve and one dot product per row, stacked: each row has
-            # the bits of the single-vector solve and v @ u
-            q = np.matmul(V.transpose(0, 2, 1), np.linalg.solve(ls_sum, V))[:, 0, 0]
+            # the bits of the single-vector solve and v @ u; a product past
+            # the float range is inf, and the value 0.0
+            with np.errstate(over="ignore"):
+                q = np.matmul(V.transpose(0, 2, 1), np.linalg.solve(ls_sum, V))[:, 0, 0]
             return pref * exp_each(-0.5 * q)
 
         _, logdet_l2s = np.linalg.slogdet(L + 2.0 * S)
@@ -551,9 +560,16 @@ def matern_gauss_kp(kernel: MaternKernel, measure: GaussianMeasure):
     beta = math.sqrt(2 * n + 1) / kernel.lengthscale
 
     def kp(x, mu, sigma):
-        return _matern_gauss_term(n, beta, sigma, x, mu, +1.0) + _matern_gauss_term(
+        # R from mu on, a draw y within R / 2 of mu is past _MATERN_FAR
+        # lengthscales from x, where K(x, y) is 0, and the draws beyond
+        # R / 2 are _GAUSS_TAIL's tail: the value is 0.0
+        out = np.zeros_like(x)
+        near = np.abs(x - mu) < 2.0 * max(_MATERN_FAR * kernel.lengthscale, _GAUSS_TAIL * sigma)
+        x = x[near]
+        out[near] = _matern_gauss_term(n, beta, sigma, x, mu, +1.0) + _matern_gauss_term(
             n, beta, sigma, x, mu, -1.0
         )
+        return out
 
     kpp = float(kp(np.zeros(1), 0.0, math.sqrt(2.0 * measure.cov_diag[0]))[0])
     return lambda X: kp(X[:, 0], mu, sigma), kpp
@@ -596,7 +612,15 @@ def wendland_gauss_kp(kernel: WendlandKernel, measure: GaussianMeasure):
     order, ls = kernel.order, kernel.lengthscale
 
     def kp(x: np.ndarray, sigma: float) -> np.ndarray:
-        """The embedding under N(0, sigma^2) at each element of x."""
+        """The embedding under N(0, sigma^2) at each element of x: 0.0
+        where the support [x - l, x + l] lies _GAUSS_TAIL standard
+        deviations out."""
+        out = np.zeros_like(x)
+        near = np.abs(x) < ls + _GAUSS_TAIL * sigma
+        out[near] = centred_kp(x[near], sigma)
+        return out
+
+    def centred_kp(x: np.ndarray, sigma: float) -> np.ndarray:
         s = math.sqrt(2.0) * sigma
         s2 = sigma**2
 

@@ -56,6 +56,17 @@ _MATERN_FAR = 1e3
 # and the result is then O(block), and each block's temporaries (256 kB
 # per array) stay in cache instead of streaming through memory.
 _GRAM_BLOCK = 1 << 15
+# The Gaussian gram_form reads the exponent -|z_i - z_j|^2 / 2 of a pair of
+# centred, scaled points as z_i . z_j - h_i - h_j, h = |z|^2 / 2. Its terms
+# are at most h_i + h_j in size (|z_i . z_j| <= h_i + h_j), and they cancel,
+# so its rounding is c units of u (h_i + h_j), u = 2^-53, which exp turns
+# into the same relative error of the entry; a sum over a cluster of
+# repeated points carries one entry's error. Over near-coincident pairs in
+# 1 to 64 dimensions c reached 5.5 (3.2 in 2-d). Points of h up to this
+# reach H take the product: 5.5 u 2H = 9.8e-15 stays inside the 1e-14 of
+# |w|^T |K| |w| that gram_form promises. Points past it keep the
+# difference form for every pair they are in.
+_GAUSS_PRODUCT_REACH = 8.0
 
 
 def _floats(x) -> np.ndarray:
@@ -175,6 +186,30 @@ def _in_blocks(f, *arrays):
     return out
 
 
+def _upper_blocks(n: int):
+    """(lo, hi) over the row blocks of about _GRAM_BLOCK entries in which
+    the upper triangle of a symmetric n x n Gram is walked: rows lo:hi
+    against columns lo:."""
+    step = max(1, _GRAM_BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
+
+
+def _blocked_form(blocks, w: np.ndarray, symmetric: bool) -> float:
+    """w^T K w accumulated over the (lo, hi, block) of a Gram's rows lo:hi
+    into v = K w; the result is w @ v. A symmetric Gram's blocks are its
+    upper triangle, K[lo:hi, lo:], each added to v twice, once for its
+    rows and once, transposed, for its columns."""
+    v = np.zeros(len(w))
+    for lo, hi, block in blocks:
+        if symmetric:
+            v[lo:hi] += block @ w[lo:]
+            v[hi:] += w[lo:hi] @ block[:, hi - lo :]
+        else:
+            v[lo:hi] = block @ w
+    return float(w @ v)
+
+
 def _precision_rows(cov: np.ndarray, D: np.ndarray) -> np.ndarray:
     """cov^{-1} d for each vector d along the last axis of D. The
     precision matrix multiplies each vector elementwise and sums over the
@@ -195,7 +230,11 @@ class Kernel:
     ``rows``, ``gram`` and ``gram_form`` share one prologue: finite
     points of the right dimension, then ``_check``, once for each
     argument array, then ``_pairs``; their kernel values agree bit for
-    bit (``gram_form`` sums them in its own order). Every evaluation
+    bit (``gram_form`` sums them in its own order), except in the
+    Gaussian ``gram_form``, which reads each block's exponents from one
+    matrix product where both points lie within h = |L^-1 (x - xbar)|^2
+    / 2 <= 8 of the centre, each such entry within 9.8e-15 relative
+    (:meth:`GaussianKernel._gram_form`). Every evaluation
     works in blocks of about 2^15 entries (``_GRAM_BLOCK``): a long row
     or run of pairs is evaluated that many rows at a time, and a Gram
     matrix that many entries at a time, so memory beyond the inputs and
@@ -298,8 +337,11 @@ class Kernel:
         twice, once for its rows and once, transposed, for its columns.
         Where :meth:`line_form` finds a Matern Gram on a line, the sum runs
         over the sorted points in linear time instead
-        (:meth:`MaternKernel._gram_form`). Either moves the last bits
-        only: the result agrees with
+        (:meth:`MaternKernel._gram_form`). A Gaussian kernel reads each
+        block's exponents from one matrix product, for every pair of
+        points within h = |L^-1 (x - xbar)|^2 / 2 <= 8 of the centre, and
+        keeps ``_pairs`` for the others (:meth:`GaussianKernel._gram_form`).
+        Each moves the last bits only: the result agrees with
         ``w @ gram(X) @ w`` within 1e-14 of |w|^T |K(X, X)| |w|."""
         X = self._checked_points(X)
         w = _floats(w)
@@ -309,28 +351,18 @@ class Kernel:
 
     def _gram_form(self, X: np.ndarray, w: np.ndarray) -> float:
         """w^T K(X, X) w over checked points and weights, block by block."""
-        v = np.zeros(len(X))
-        for lo, hi, block in self._gram_blocks(X):
-            if self.symmetric:
-                v[lo:hi] += block @ w[lo:]
-                v[hi:] += w[lo:hi] @ block[:, hi - lo :]
-            else:
-                v[lo:hi] = block @ w
-        return float(w @ v)
+        return _blocked_form(self._gram_blocks(X), w, self.symmetric)
 
     def _gram_blocks(self, X: np.ndarray):
         """(lo, hi, block) over the Gram's rows lo:hi of checked points:
         for a symmetric family, K(X[lo:hi], X[lo:]) in one ``_pairs``
-        call, over row blocks of about _GRAM_BLOCK entries; for any other,
+        call, over the row blocks of :func:`_upper_blocks`; for any other,
         the one row K(x_lo, X) of ``_rows``, as a block of one row."""
-        n = len(X)
         if not self.symmetric:
             for i, row in enumerate(self._rows(X, X)):
                 yield i, i + 1, row[None]
             return
-        step = max(1, _GRAM_BLOCK // max(n, 1))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
+        for lo, hi in _upper_blocks(len(X)):
             yield lo, hi, self._pairs(X[lo:hi, None, :], X[None, lo:, :])
 
     def line_form(self, X):
@@ -456,6 +488,51 @@ class GaussianKernel(Kernel):
             return np.exp(-0.5 * _sq_dist(X, Y, self.lengthscales))
         D = Y - X
         return np.exp(-0.5 * np.sum(D * _precision_rows(self.matrix, D), axis=-1))
+
+    def _gram_form(self, X, w):
+        """w^T K(X, X) w with each block's exponents read from one matrix
+        product. The points are centred and scaled once, z = L^-1 (x - xbar)
+        with Lambda = L L^T, and h = |z|^2 / 2, so that the exponent
+        -|z_i - z_j|^2 / 2 of a pair is z_i . z_j - h_i - h_j, the product
+        of the rows [z_i, -h_i, 1] and [z_j, 1, -h_j]. Each upper-triangle
+        block of :func:`_upper_blocks` is then one matrix product, clipped
+        at 0, and one exp in place; the diagonal is 1, as in ``_pairs``.
+        The exponent's rounding grows with h, so the points of h past
+        _GAUSS_PRODUCT_REACH, H = 8, keep the difference form of ``_pairs``
+        for every pair they are in: their rows against the other points,
+        and the dense blocked sum among themselves. The product's entries
+        then round to at most 5.5 u 2H = 9.8e-15 relative, u = 2^-53."""
+        if not len(X):
+            return 0.0
+        # a centre or a square past the float range gives an inf or nan h,
+        # and the point takes the difference form
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = X - np.mean(X, axis=0)
+            if self.diagonal:
+                Z = D / np.asarray(self.lengthscales)
+            else:
+                Z = D @ np.linalg.inv(np.linalg.cholesky(self.matrix)).T
+            h = 0.5 * np.sum(Z * Z, axis=1)
+        near = h <= _GAUSS_PRODUCT_REACH
+        far = ~near
+        ones = np.ones((np.count_nonzero(near), 1))
+        A = np.hstack([Z[near], -h[near, None], ones])
+        B = np.hstack([Z[near], ones, -h[near, None]])
+
+        def blocks():
+            for lo, hi in _upper_blocks(len(A)):
+                E = A[lo:hi] @ B[lo:].T
+                np.minimum(E, 0.0, out=E)
+                np.fill_diagonal(E, 0.0)
+                yield lo, hi, np.exp(E, out=E)
+
+        wn = w[near]
+        value = _blocked_form(blocks(), wn, True)
+        if far.any():
+            rows = self._rows(X[far], X[near])
+            cross = sum(wf * float(row @ wn) for row, wf in zip(rows, w[far].tolist()))
+            value += 2.0 * cross + super()._gram_form(X[far], w[far])
+        return value
 
     def _derivatives(self, x, Y):
         X = as_points(x, self.dim) if np.ndim(x) == 2 else as_point(x, self.dim)[None, :]
@@ -882,10 +959,17 @@ class PowerSeriesKernel(Kernel):
     def _pairs(self, X, Y):
         out = 0.0
         # an overflow is inf, which no caller takes: the CLI exits 4 on it
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for alpha, c in self.terms:
                 a = np.asarray(alpha, dtype=float)
                 out = out + c * np.prod(X ** a, axis=1) * np.prod(Y ** a, axis=1)
+            # x^a y^a taken apart can be inf * 0, or inf - inf across terms,
+            # where (x y)^a is finite: those entries take (x y)^a
+            bad = ~np.isfinite(out)
+            if bad.any():
+                XY = (X * Y)[bad]
+                out[bad] = sum(c * np.prod(XY ** np.asarray(alpha, dtype=float), axis=1)
+                               for alpha, c in self.terms)
         return out
 
 
@@ -1100,6 +1184,10 @@ class ProductKernel(Kernel):
     @property
     def smooth(self):
         return all(c.smooth for c in self.children)
+
+    def line_form(self, X):
+        # a product of one factor is that factor
+        return self.children[0].line_form(X) if len(self.children) == 1 else None
 
     # Panel quadrature runs on scalar inputs, which only a single-factor
     # product takes; its breaks are then its factor's.

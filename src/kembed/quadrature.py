@@ -128,12 +128,20 @@ class QuadratureProblem:
 
 def _kernel_gram(kernel: Kernel, nodes: np.ndarray) -> np.ndarray:
     """The kernel's Gram matrix over the nodes, symmetrized when the
-    family is symmetric only to roundoff (a Stein Gram, for one)."""
-    if not len(nodes):
+    family is symmetric only to roundoff (a Stein Gram, for one);
+    NumericalFailure when it does not fit in memory."""
+    n = len(nodes)
+    if not n:
         return np.zeros((0, 0))
-    gram = kernel.gram(nodes)
-    if not kernel.symmetric:
-        gram = 0.5 * (gram + gram.T)
+    try:
+        gram = kernel.gram(nodes)
+        if not kernel.symmetric:
+            gram = 0.5 * (gram + gram.T)
+    except MemoryError:
+        raise NumericalFailure(
+            f"the Gram matrix of {n} nodes needs {n * n * 8 / 2**30:.2f} GiB, "
+            "more memory than could be allocated"
+        ) from None
     return gram
 
 

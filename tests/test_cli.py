@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kembed import cli, dictionary
+from kembed import cli, dictionary, kernels
 from kembed.cli import run
 from kembed.errors import InvalidSpecError
 
@@ -555,20 +555,28 @@ _BOX1 = {"family": "uniform_box", "lows": [0.0], "highs": [1.0]}
 _FAR_PAIR = ["--what", "kernel", "--x", "0", "--y", "1e200"]
 
 
-@pytest.mark.parametrize("kernel, argv, provenance", [
-    ({"family": "matern", "nu": 2.5, "lengthscale": 1.0}, _FAR_PAIR, "closed_form"),
-    ({"family": "wendland", "order": 2, "lengthscale": 1.0}, _FAR_PAIR, "closed_form"),
-    ({"family": "wendland", "order": 2, "lengthscale": 1.0}, ["--what", "kp", "--x", "1e200"],
-     "numeric_fallback"),
-    ({"family": "gaussian", "lengthscales": [1.0]}, _FAR_PAIR, "closed_form"),
-], ids=["matern", "wendland", "wendland-kp", "gaussian"])
-def test_a_clipped_overflow_leaves_stderr_empty(spec_file, capsys, kernel, argv, provenance):
+_FAR_KP = ["--what", "kp", "--x", "1e200"]
+
+
+@pytest.mark.parametrize("kernel, measure, argv, provenance", [
+    ({"family": "matern", "nu": 2.5, "lengthscale": 1.0}, _BOX1, _FAR_PAIR, "closed_form"),
+    ({"family": "wendland", "order": 2, "lengthscale": 1.0}, _BOX1, _FAR_PAIR, "closed_form"),
+    ({"family": "wendland", "order": 2, "lengthscale": 1.0}, _BOX1, _FAR_KP, "numeric_fallback"),
+    ({"family": "gaussian", "lengthscales": [1.0]}, _BOX1, _FAR_PAIR, "closed_form"),
+    ({"family": "matern", "nu": 2.5, "lengthscale": 1.0}, _N1, _FAR_KP, "closed_form"),
+    ({"family": "wendland", "order": 2, "lengthscale": 1.0}, _N1, _FAR_KP, "closed_form"),
+    ({"family": "gaussian", "lengthscales": [1.0]}, _N1, _FAR_KP, "closed_form"),
+    ({"family": "wendland", "order": 0, "lengthscale": 1.0}, _N1, _FAR_KP, "closed_form"),
+], ids=["matern", "wendland", "wendland-kp", "gaussian",
+        "matern-gauss-kp", "wendland-gauss-kp", "gaussian-gauss-kp", "wendland0-gauss-kp"])
+def test_a_clipped_overflow_leaves_stderr_empty(spec_file, capsys, kernel, measure, argv, provenance):
     # a squared distance past the float range is inf, which each kernel
-    # clips or sends to 0: the value is right, and under the suite's
+    # clips or sends to 0, and an embedding under a Gaussian is 0 past the
+    # Gaussian's tail: the value is right, and under the suite's
     # warnings-as-errors filter no RuntimeWarning is raised
-    doc = {"schema_version": 1, "kernel": kernel, "measure": _BOX1}
+    doc = {"schema_version": 1, "kernel": kernel, "measure": measure}
     code, out = _run(capsys, ["eval", "--spec", spec_file(doc), *argv])
-    pair = f"{kernel['family']}/uniform_box"
+    pair = f"{kernel['family']}/{measure['family']}"
     want = f'{{"value": 0.0, "provenance": "{provenance}", "pair": "{pair}"}}\n'
     assert (code, out.out, out.err) == (0, want, "")
 
@@ -584,6 +592,36 @@ def test_exit_4_on_a_value_json_cannot_hold(spec_file, capsys):
     code, out = _run(capsys, argv)
     assert code == 4 and out.out == ""
     assert out.err.startswith("numerical failure: ") and '"value": Infinity' in out.err
+
+
+@pytest.mark.parametrize("y, value", [("1e-200", 1.0), ("0", 0.0)])
+def test_a_power_series_of_an_overflowing_factor_is_finite(spec_file, capsys, y, value):
+    # x^2 overflows and y^2 underflows, but (x y)^2 is in range
+    doc = {
+        "schema_version": 1,
+        "kernel": {"family": "power_series", "terms": [{"alpha": [2], "coeff": 1.0}]},
+        "measure": _N1,
+    }
+    code, out = _run(capsys, ["eval", "--spec", spec_file(doc), "--what", "kernel", "--x", "1e200", "--y", y])
+    want = f'{{"value": {value}, "provenance": "closed_form", "pair": "power_series/gaussian"}}\n'
+    assert (code, out.out, out.err) == (0, want, "")
+
+
+def test_bq_exits_4_when_the_gram_does_not_fit(spec_file, capsys, tmp_path, monkeypatch):
+    # the dense route's Gram of 20 000 nodes takes 2.98 GiB; numpy's
+    # MemoryError becomes a typed failure that names the need
+    def no_memory(self, X):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(kernels.Kernel, "gram", no_memory)
+    doc = {"schema_version": 1, "kernel": {"family": "gaussian", "lengthscales": [0.5]}, "measure": _N1}
+    x = np.random.default_rng(0).normal(size=20_000)
+    data = tmp_path / "nodes.csv"
+    np.savetxt(data, np.column_stack([x, np.sin(x)]), delimiter=",", header="x1,y", comments="")
+    code, out = _run(capsys, ["bq", "--spec", spec_file(doc), "--data", str(data)])
+    assert (code, out.out) == (4, "")
+    assert out.err == ("numerical failure: the Gram matrix of 20000 nodes needs 2.98 GiB, "
+                       "more memory than could be allocated\n")
 
 
 def test_bq_matrix_valued_exits_3(spec_file, capsys, tmp_path):

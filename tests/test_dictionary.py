@@ -4,12 +4,13 @@ stability limits, branch coverage, and dispatch behavior."""
 import hashlib
 import math
 import random
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 
-from kembed import combinators, dictionary, stein
+from kembed import combinators, dictionary, kernels, stein
 from kembed.combinators import (
     matrix_valued_embed,
     mixture_embed,
@@ -300,6 +301,39 @@ def test_matern_gauss_kp_keeps_its_bits(n, ls):
                         GaussianMeasure(mean=(0.3,), cov=(1.44,)))
     rows = e.kp_rows(np.linspace(-12.0, 12.0, 481)[:, None]).astype("<f8").tobytes()
     assert (hashlib.sha256(rows).hexdigest()[:16], e.kpp.hex()) == _MATERN_GAUSS_BITS[n, ls]
+
+
+@pytest.mark.parametrize("kernel", [
+    MaternKernel(nu=0.5, lengthscale=0.6), MaternKernel(nu=1.5, lengthscale=2.0),
+    MaternKernel(nu=2.5, lengthscale=0.3), WendlandKernel(order=0, lengthscale=0.8),
+    WendlandKernel(order=2, lengthscale=1.7), GaussianKernel(lengthscales=(0.9,)),
+], ids=lambda k: f"{k.family}-{getattr(k, 'nu', getattr(k, 'order', ''))}")
+@pytest.mark.parametrize("mu, sigma", [(0.5, 1.0), (-3.0, 0.01), (1e5, 30.0)])
+def test_gauss_embeddings_are_zero_past_the_tail(kernel, mu, sigma):
+    # far out the value is below the smallest subnormal, and no formula
+    # term overflows; the rows within reach keep the bits they have alone
+    e = embed(kernel, GaussianMeasure(mean=(mu,), cov=(sigma**2,)))
+    assert e.kp_provenance == CLOSED_FORM
+    offsets = np.concatenate([np.geomspace(1e-3, 1e300, 400), -np.geomspace(1e-3, 1e300, 400)])
+    x = (mu + offsets)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kp = e.kp_rows(x)
+    # the Matern cut-off, past those of Wendland and the Gaussian kernel
+    reach = 2.0 * max(kernels._MATERN_FAR * getattr(kernel, "lengthscale", 1.0),
+                      dictionary._GAUSS_TAIL * sigma)
+    far = np.abs(offsets) >= reach
+    assert far.any() and not far.all()
+    assert np.all(kp[far] == 0.0)
+    assert kp[~far].tobytes() == e.kp_rows(x[~far]).tobytes()
+    assert np.all(kp >= 0.0)
+
+
+def test_wendland_gauss_far_out_is_zero_not_cancellation():
+    # the polynomial-times-erf terms cancel to O(1) and worse once |x|
+    # passes 1e3 lengthscales; past the Gaussian's tail the value is 0
+    e = embed(WendlandKernel(order=2, lengthscale=1.0), GaussianMeasure(mean=(0.5,), cov=(1.0,)))
+    assert e.kp_rows(np.array([[1e3], [1e4], [-1e20], [1e150]])).tolist() == [0.0] * 4
 
 
 def test_gauss_uniform_large_lengthscale_stable():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kembed import kernels
 from kembed.dictionary import embed
 from kembed.errors import InvalidSpecError
 from kembed.kernels import (
@@ -227,6 +228,24 @@ def test_power_series_kernel():
         PowerSeriesKernel({})
 
 
+def test_power_series_takes_the_joint_power_where_the_factors_overflow():
+    # x^a and y^a apart are inf * 0, or inf - inf across terms, where
+    # (x y)^a is finite; every entry finite apart keeps those bits
+    k = PowerSeriesKernel({(0, 0): 1.0, (1, 0): 0.5, (2, 1): 0.25})
+    rng = np.random.default_rng(2)
+    big, small = 2.0**600, 2.0**-600
+    X = np.vstack([rng.normal(size=(50, 2)), [[big, 1.0], [big, 1.0], [1e200, 1e200], [-big, 2.0]]])
+    Y = np.vstack([rng.normal(size=(50, 2)), [[small, 1.0], [0.0, 3.0], [1e200, 1e200], [small, 0.5]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = k.pairs(X, Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        apart = sum(c * np.prod(X ** np.array(a), axis=1) * np.prod(Y ** np.array(a), axis=1)
+                    for a, c in k.terms)
+    assert got[:50].tobytes() == apart[:50].tobytes()
+    assert got[50:].tolist() == [1.0 + 0.5 + 0.25, 1.0, math.inf, 1.0 - 0.5 + 0.25]
+
+
 def test_sphere_kernels():
     north = [0.0, 0.0, 1.0]
     south = [0.0, 0.0, -1.0]
@@ -378,15 +397,20 @@ def test_composed_matern_reaches_the_line_form(count_calls):
     k.gram_form([[0.2], [0.5], [0.9]], [0.2, 0.3, 0.5])
     SumKernel([MaternKernel(nu=2.5)], [1.0]).gram_form(np.ones((3, 1)), np.ones(3))
     assert [V.shape for V in calls] == [(3, 1)]
-    # the same line form chooses the solver of bq: the composed kernel
-    # takes the Kalman route, a sum of one Matern kernel and Matern nodes
-    # in 2-d the Cholesky
+    # the same line form chooses the solver of bq: the composed kernel and
+    # a product of one Matern factor take the Kalman route, a sum of one
+    # Matern kernel, Matern nodes in 2-d and a product of two factors the
+    # Cholesky
     line, square = (UniformBoxMeasure(lows=(0.0,) * d, highs=(1.0,) * d) for d in (1, 2))
+    pair = ProductKernel([MaternKernel(nu=2.5), MaternKernel(nu=1.5)], [1, 1])
     cases = [
         (k, line, [[0.2], [0.5], [0.9]], "kalman"),
+        (ProductKernel([MaternKernel(nu=2.5)], [1]), line, [[0.2], [0.5], [0.9]], "kalman"),
         (SumKernel([MaternKernel(nu=2.5)], [1.0]), line, [[0.2], [0.5], [0.9]], "cholesky"),
         (MaternKernel(nu=2.5), square, [[0.2, 0.1], [0.5, 0.3], [0.9, 0.2]], "cholesky"),
+        (pair, square, [[0.2, 0.1], [0.5, 0.3], [0.9, 0.2]], "cholesky"),
     ]
+    assert pair.line_form(np.array([[0.2, 0.1], [0.5, 0.3]])) is None
     for kernel, measure, nodes, solver in cases:
         problem = make_problem(embed(kernel, measure), nodes, [0.1, 0.4, 0.2])
         assert bq_posterior(problem).solver == solver
@@ -407,15 +431,70 @@ def test_matern_profiles_are_the_pairs_formula(n):
     assert np.all(np.abs(got - want) <= 4e-16 * (1.0 + z) * want)
 
 
-@pytest.mark.parametrize("name", sorted(_GRAM_FORM_KERNELS))
+@pytest.mark.parametrize("name", sorted(set(_GRAM_FORM_KERNELS) - {"gaussian", "gaussian_matrix"}))
 def test_gram_form_off_the_line_keeps_the_dense_path(name):
-    # every family but Matern on 1-d points keeps the blocked dense sum,
-    # bit for bit
+    # every family but Matern on 1-d points and the Gaussian keeps the
+    # blocked dense sum, bit for bit; a sum over a Gaussian keeps it too
     kernel, points = _GRAM_FORM_KERNELS[name]
     rng = np.random.default_rng(3)
     X = rng.normal(size=(200, 2)) if points == "normal2" else rng.uniform(0.0, 3.0, (200, 1))
     w = rng.normal(size=200)
     assert kernel.gram_form(X, w) == Kernel._gram_form(kernel, X, w)
+
+
+def _gaussian_points(case: str, n: int, rng) -> np.ndarray:
+    if case == "normal":
+        return rng.normal(size=(n, 2))
+    if case == "spread":
+        # 1e-3 to 1e3 lengthscales from the centre
+        return rng.normal(size=(n, 2)) * np.geomspace(1e-3, 1e3, n)[:, None]
+    if case == "clusters":
+        return rng.normal(size=(n, 2)) + np.where(rng.uniform(size=(n, 1)) < 0.5, -1e3, 1e3)
+    if case == "offset":
+        return rng.normal(size=(n, 2)) + 1e6
+    # a few points far past the product's reach, which keep the difference form
+    X = rng.normal(size=(n, 2))
+    X[: max(1, n // 100)] *= 12.0
+    return X
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
+@pytest.mark.parametrize("case", ["normal", "spread", "clusters", "offset", "outliers"])
+@pytest.mark.parametrize("n", [0, 1, 2, 180, 181, 182, 1000])
+@pytest.mark.parametrize("name", ["gaussian", "gaussian_matrix"])
+def test_gaussian_gram_form_agrees_with_the_gram(name, n, case, signed):
+    # the Gaussian reads each block's exponent from one matrix product,
+    # which moves its entries by a few units of u (h_i + h_j), not its
+    # bits: the sum stays within 1e-14 of |w|^T |K| |w|
+    kernel = _GRAM_FORM_KERNELS[name][0]
+    rng = np.random.default_rng([n, len(case)])
+    X = _gaussian_points(case, n, rng)
+    w = rng.normal(size=n) if signed else rng.uniform(0.1, 1.0, n)
+    G = kernel.gram(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = kernel.gram_form(X, w)
+    assert type(value) is float
+    assert abs(value - float(w @ G @ w)) <= 1e-14 * float(np.abs(w) @ G @ np.abs(w))
+    if n == 0:
+        assert value == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_gaussian_gram_form_on_repeated_points_at_the_reach(d):
+    # two clusters of one point repeated, at h just inside the product's
+    # reach: every entry in a cluster is the same product, so its rounding
+    # does not average out, and the sum carries one entry's error
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        ls = rng.uniform(0.5, 2.0, d)
+        z = rng.normal(size=d)
+        z *= math.sqrt(2.0 * kernels._GAUSS_PRODUCT_REACH * 0.999) / np.linalg.norm(z)
+        X = np.repeat(np.stack([z * ls, -z * ls]), 40, axis=0) + rng.normal(size=d)
+        kernel = GaussianKernel(lengthscales=tuple(ls))
+        w = np.ones(len(X))
+        G = kernel.gram(X)
+        assert abs(kernel.gram_form(X, w) - float(w @ G @ w)) <= 1e-14 * float(w @ G @ w)
 
 
 @pytest.mark.parametrize(

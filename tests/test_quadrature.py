@@ -20,6 +20,7 @@ from kembed.kernels import (
     MaternKernel,
     NormalICDFMap,
     PowerSeriesKernel,
+    ProductKernel,
     SumKernel,
     WendlandKernel,
     _matern_profile,
@@ -631,7 +632,7 @@ def test_closed_form_rows_are_per_row_kp_at():
 
 
 
-def _line_and_dense(nu, n, jitter, layout, map=None):
+def _line_and_dense(nu, n, jitter, layout, map=None, product=False):
     # a 1-d Matern problem and the same problem with its Gram. The nodes
     # spread geometrically from 1e-3 to 1e3 lengthscales, in random order,
     # or fall uniformly at random on [0, layout] lengthscales. Given a map,
@@ -639,7 +640,8 @@ def _line_and_dense(nu, n, jitter, layout, map=None):
     # images of the nodes; normal_icdf's are centred on 0, so that no two
     # nodes coincide near 1, and its nodes fall under U[0, 1], whose image
     # N(0, 1) has a closed form up to nu = 5/2. Every image box is at
-    # least 0.8 wide, past the narrow boxes that corrupt m itself
+    # least 0.8 wide, past the narrow boxes that corrupt m itself. With
+    # product, the kernel is a product of that one factor
     lengthscale = 0.7
     if layout == "geometric":
         rng = np.random.default_rng([0, n])
@@ -650,6 +652,8 @@ def _line_and_dense(nu, n, jitter, layout, map=None):
     if map is not None:
         kernel = ComposedKernel(kernel, map)
         x = map.inverse(x - 0.5 * layout * lengthscale if map.name == "normal_icdf" else x)
+    if product:
+        kernel = ProductKernel([kernel], [1])
     box = UniformBoxMeasure(lows=(float(x.min()) - 1.0,), highs=(float(x.max()) + 1.0,))
     if map is not None and map.name == "normal_icdf":
         box = UniformBoxMeasure(lows=(0.0,), highs=(1.0,))
@@ -701,6 +705,17 @@ def test_kalman_solve_on_composed_matern_agrees_with_the_dense_cholesky(nu, n, l
     # the same problems, on the ladder, on the line form of a composed
     # Matern kernel; a fixed jitter takes the same path as above
     line, dense = _line_and_dense(nu, n, None, layout, _MAPS[map])
+    _assert_the_line_route_agrees(line, dense, monkeypatch)
+
+
+@pytest.mark.parametrize("map", [None, "affine"])
+@pytest.mark.parametrize("layout", ["geometric", 1.0])
+@pytest.mark.parametrize("n", [3, 33, 1000])
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_kalman_solve_on_a_one_factor_product_agrees_with_the_dense_cholesky(nu, n, layout, map, monkeypatch):
+    # a product of one Matern factor, plain or composed, answers its
+    # factor's line form and takes the same route
+    line, dense = _line_and_dense(nu, n, None, layout, _MAPS.get(map), product=True)
     _assert_the_line_route_agrees(line, dense, monkeypatch)
 
 
