@@ -452,9 +452,10 @@ def _gaussian_points(case: str, n: int, rng) -> np.ndarray:
         return rng.normal(size=(n, 2)) + np.where(rng.uniform(size=(n, 1)) < 0.5, -1e3, 1e3)
     if case == "offset":
         return rng.normal(size=(n, 2)) + 1e6
-    # a few points far past the product's reach, which keep the difference form
+    # a few points 40 units out, far past the product's reach, which keep
+    # the difference form
     X = rng.normal(size=(n, 2))
-    X[: max(1, n // 100)] *= 12.0
+    X[: max(1, n // 100)] += 40.0
     return X
 
 
